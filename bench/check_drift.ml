@@ -3,9 +3,10 @@
    Usage: check_drift.exe SNAPSHOT.json FRESH.json
 
    Both files are BENCH_obs.json-shaped (written by bench/main.exe).
-   For every guarded row present in BOTH files — the bus-emit cost and
-   each monitor/live-bus overhead leg — the fresh ns/op must not exceed
-   3x the tracked snapshot. Exceeding the gate exits 1 so the alias
+   For every guarded row present in BOTH files — the bus-emit cost, each
+   monitor/live-bus overhead leg, the sync-strategy rows, and the core
+   hashing/verification rows — the fresh ns/op must not exceed 3x the
+   tracked snapshot. Exceeding the gate exits 1 so the alias
    fails; rows present on only one side are reported but never fatal
    (new benchmarks land before their snapshot does). The 3x bound is
    deliberately loose: it catches accidental O(n) regressions on the
@@ -14,8 +15,7 @@
 let tolerance = 3.0
 
 (* A row is guarded when a regression in it means the daemon's
-   always-on telemetry got slower: the raw bus fan-out and every
-   monitor/scoreboard-attached emit leg. *)
+   always-on telemetry, anti-entropy, or block verification got slower. *)
 let guarded name =
   let has_suffix s suf =
     let n = String.length s and m = String.length suf in
@@ -37,6 +37,12 @@ let guarded name =
      chrome-export is offline (vv trace --chrome) and too GC-noisy to
      gate, so only the emit-* legs are guarded. *)
   || has_prefix name "M16-trace/emit-"
+  (* SHA-256 and the verify path every received block pays: a catch-up
+     after a partition is almost all W-OTS chain steps. *)
+  || has_prefix name "M1-sha256/"
+  || String.equal name "M2-signatures/wots-verify"
+  || String.equal name "M2-signatures/mss-verify"
+  || String.equal name "M2-signatures/wots-chain-15"
 
 (* Minimal extraction of [("name", ns_per_op)] pairs from the snapshot
    JSON: every result row is written on its own line as

@@ -16,7 +16,10 @@
      dune exec bench/main.exe -- experiments quick experiment tables only
      dune exec bench/main.exe -- obs-micro   instrumentation rows only, to
                                              BENCH_obs.fresh.json (the
-                                             @bench-check drift gate) *)
+                                             @bench-check drift gate)
+     dune exec bench/main.exe -- core-micro  hashing and verification rows
+                                             only, to BENCH_core.fresh.json
+                                             (the same gate) *)
 
 open Bechamel
 open Toolkit
@@ -102,7 +105,13 @@ let value_raw = Value.to_string value_sample
 
 let stage = Staged.stage
 
-let tests =
+let wots_chain_start = Crypto.Sha256.digest "bench-chain"
+
+(* M1 and the M2 verify rows: what every received block pays, snapshotted
+   to BENCH_core.json and re-measured by the @bench-check drift gate via
+   core-micro. wots-chain-15 is one full-length W-OTS chain (chain_max
+   steps at the default chunk_bits = 4), the unit a verify repeats. *)
+let core_tests =
   [
     Test.make_grouped ~name:"M1-sha256"
       [
@@ -113,13 +122,24 @@ let tests =
       ];
     Test.make_grouped ~name:"M2-signatures"
       [
-        Test.make ~name:"wots-sign" (stage (fun () -> Crypto.Wots.sign wots_sk payload_64));
         Test.make ~name:"wots-verify"
           (stage (fun () -> Crypto.Wots.verify wots_params wots_pk "bench message" wots_sig));
-        Test.make ~name:"mss-sign"
-          (stage (fun () -> Crypto.Mss.sign mss_signing_key payload_64));
         Test.make ~name:"mss-verify"
           (stage (fun () -> Crypto.Mss.verify mss_pk "bench message" mss_sig));
+        Test.make ~name:"wots-chain-15"
+          (stage (fun () ->
+               Crypto.Sha256.iterate ~prefix:"wots-chain" wots_chain_start
+                 wots_params.Crypto.Wots.chain_max));
+      ];
+  ]
+
+let tests =
+  [
+    Test.make_grouped ~name:"M2-signatures"
+      [
+        Test.make ~name:"wots-sign" (stage (fun () -> Crypto.Wots.sign wots_sk payload_64));
+        Test.make ~name:"mss-sign"
+          (stage (fun () -> Crypto.Mss.sign mss_signing_key payload_64));
       ];
     Test.make_grouped ~name:"M3-blocks"
       [
@@ -244,15 +264,14 @@ let sync_tests =
 (* M8-obs: telemetry overhead (also snapshotted to BENCH_obs.json)      *)
 
 (* The emit path below is the full production pipeline: bus fan-out to
-   the trace collector, the stats deriver, and a ring sink. *)
+   the stats deriver and a ring sink. *)
 let obs_ctx =
   let ctx = Obs.Context.create () in
   let ring = Obs.Sink.Ring.create ~capacity:1024 in
   Obs.Context.attach ctx (Obs.Sink.Ring.sink ring);
   ctx
 
-(* A Net event: derived into counters, skipped by the trace collector —
-   so the timed loop does not grow a block span without bound. *)
+(* A Net event: derived into counters. *)
 let obs_net_event = Obs.Event.Net_sent { src = "0"; dst = "1"; bytes = 512 }
 
 let obs_block_event =
@@ -618,16 +637,16 @@ let print_rows rows =
       Printf.printf "  %-42s %14.1f ns/run   (r2=%.3f)\n" name ns r2)
     rows
 
-(* The instrumentation-overhead snapshot tracked across PRs: ops/sec is
-   derived from the OLS ns/run estimate, so no extra clock reads. *)
-let write_bench_obs ?(file = "BENCH_obs.json") rows =
+(* A micro snapshot tracked across PRs (BENCH_obs.json, BENCH_core.json):
+   ops/sec is derived from the OLS ns/run estimate, so no extra clock
+   reads. *)
+let write_snapshot ~benchmark ~file rows =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc
-        "{\n  \"benchmark\": \"M8-obs+M10-health+M14-live-health+M16-trace\",\n\
-        \  \"results\": [";
+      Printf.fprintf oc "{\n  \"benchmark\": %s,\n  \"results\": ["
+        (Obs.Event.json_string benchmark);
       List.iteri
         (fun i (name, ns, r2) ->
           if i > 0 then output_string oc ",";
@@ -892,6 +911,9 @@ let run_daemon_bench ~sync_rows () =
       write_bench_net ~daemon_rows:rows sync_rows
   end
 
+let obs_benchmark = "M8-obs+M10-health+M14-live-health+M16-trace"
+let core_benchmark = "M1-sha256+M2-signatures"
+
 (* The instrumentation rows alone, for the @bench-check drift gate: a
    fresh measurement written next to (never over) the tracked snapshot,
    which bench/check_drift.exe then diffs. *)
@@ -902,7 +924,14 @@ let run_obs_micro () =
     @ estimate trace_tests
   in
   print_rows rows;
-  write_bench_obs ~file:"BENCH_obs.fresh.json" rows
+  write_snapshot ~benchmark:obs_benchmark ~file:"BENCH_obs.fresh.json" rows
+
+(* The M1/M2 core rows alone, for the @bench-check drift gate. *)
+let run_core_micro () =
+  print_endline "== core micro (ns per call, OLS estimate) ==";
+  let rows = List.concat_map estimate core_tests in
+  print_rows rows;
+  write_snapshot ~benchmark:core_benchmark ~file:"BENCH_core.fresh.json" rows
 
 (* The M15 rows alone, for the @bench-check drift gate: a fresh
    measurement written next to (never over) the tracked snapshot. *)
@@ -914,13 +943,16 @@ let run_sync_micro () =
 
 let run_micro () =
   print_endline "== Micro-benchmarks (ns per call, OLS estimate) ==";
+  let core_rows = List.concat_map estimate core_tests in
+  print_rows core_rows;
+  write_snapshot ~benchmark:core_benchmark ~file:"BENCH_core.json" core_rows;
   List.iter (fun test -> print_rows (estimate test)) tests;
   let obs_rows =
     estimate obs_tests @ estimate health_tests @ estimate live_tests
     @ estimate trace_tests
   in
   print_rows obs_rows;
-  write_bench_obs obs_rows;
+  write_snapshot ~benchmark:obs_benchmark ~file:"BENCH_obs.json" obs_rows;
   let dag_rows = estimate dag_tests in
   print_rows dag_rows;
   write_bench_dag dag_rows;
@@ -944,6 +976,10 @@ let () =
   end;
   if List.mem "sync-micro" args then begin
     run_sync_micro ();
+    exit 0
+  end;
+  if List.mem "core-micro" args then begin
+    run_core_micro ();
     exit 0
   end;
   let micro_only = List.mem "micro" args in

@@ -551,8 +551,8 @@ let trace_cmd =
   in
   let run block chrome dirs =
     let events = load_events dirs in
-    let ctx = replay_events events in
-    let trace = Vegvisir_obs.Context.trace ctx in
+    let trace = Vegvisir_obs.Trace.create () in
+    List.iter (fun (ts, ev) -> Vegvisir_obs.Trace.record trace ~ts ev) events;
     let resolve prefix =
       match Vegvisir_obs.Trace.find trace prefix with
       | [] -> or_die (Error ("no trace entries for block " ^ prefix))

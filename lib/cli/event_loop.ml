@@ -225,7 +225,7 @@ type t = {
   mutable stop_requested : bool;
   mutable stop_initiated : bool;
   mutable stop_deadline : float;
-  mutable dirty : bool;  (* Deliver happened since the last save *)
+  mutable dirty : bool;  (* a Deliver made blocks resident since the last save *)
   mutable fatal : string option;
   mutable idle_armed : bool;
   mutable n_accepted : int;
@@ -521,6 +521,7 @@ let apply_effect t s (eff : Peer_engine.effect_) =
         (List.map
            (fun (b : Block.t) -> block_event t s Obs.Event.Received b.Block.hash)
            blocks);
+      let before = Dag.cardinal (Node.dag store.Node_store.node) in
       Node.receive_all store.Node_store.node ~now:(apply_ts ()) blocks;
       (* Anything now resident passed validation and was applied. *)
       let dag = Node.dag store.Node_store.node in
@@ -537,7 +538,9 @@ let apply_effect t s (eff : Peer_engine.effect_) =
       let n = List.length blocks in
       s.delivered <- s.delivered + n;
       t.n_delivered <- t.n_delivered + n;
-      t.dirty <- true
+      (* Only a block made resident changes what a save writes; every
+         finished pull delivers, usually nothing new. *)
+      if Dag.cardinal dag > before then t.dirty <- true
   end
   | Peer_engine.Session_done pull_stats -> s.pulled <- Some pull_stats
   | Peer_engine.Trace ev -> begin
@@ -889,7 +892,11 @@ let finalize t s =
   t.by_fd <- IntMap.remove (Unix_compat.conn_id s.conn) t.by_fd;
   Unix_compat.close_conn s.conn;
   t.sessions <- IntMap.remove s.sid t.sessions;
-  set_active t
+  set_active t;
+  (* A session that saved nothing still journaled its lines; without a
+     flush here a serve-only daemon would buffer them for its whole
+     life. *)
+  match t.store with Some st -> Node_store.flush_trace st | None -> ()
 
 let reap t =
   let finished =

@@ -47,10 +47,27 @@ let sign sk msg =
   let ots_sk, leaf_pk = Wots.derive sk.p ~seed:(leaf_seed sk.seed i) in
   { index = i; leaf_pk; ots = Wots.sign ots_sk msg; path = Merkle.path sk.tree i }
 
+(* The path hashes [leaf_pk] up to the root, but only [index] says which
+   leaf that was, and the index is part of the signed bytes a block
+   hash covers. MSS trees are full, so leaf [index]'s sibling at level l
+   sits on the side given by bit l of the index, and the path has one
+   entry per bit: binding the sides to the bits (and requiring no bits
+   beyond the path) leaves exactly one index that verifies. *)
+let index_matches_path index path =
+  let rec go idx = function
+    | [] -> idx = 0
+    | (_, side) :: rest ->
+      let right_child = idx land 1 = 1 in
+      (match side with `Left -> right_child | `Right -> not right_child)
+      && go (idx lsr 1) rest
+  in
+  index >= 0 && go index path
+
 (* lint: parallel-safe *)
 let verify ?(chunk_bits = 4) pk msg s =
   let p = Wots.params ~chunk_bits () in
-  Wots.verify p s.leaf_pk msg s.ots
+  index_matches_path s.index s.path
+  && Wots.verify p s.leaf_pk msg s.ots
   && Merkle.verify_path ~root:pk ~leaf:s.leaf_pk s.path
 
 (* Wire layout: u32 index | 32-byte leaf pk | W-OTS chains | path entries,

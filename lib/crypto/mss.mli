@@ -27,6 +27,9 @@ val sign : secret_key -> string -> signature
 (** Consumes the next unused leaf. @raise Exhausted when none remain. *)
 
 val verify : ?chunk_bits:int -> public_key -> string -> signature -> bool
+(** Checks the W-OTS signature, the authentication path to the root, and
+    that the leaf index names the leaf the path authenticates: a
+    signature whose index bytes were rewritten does not verify. *)
 
 val remaining : secret_key -> int
 (** Leaves not yet consumed. *)

@@ -16,6 +16,87 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+     0x1f83d9ab; 0x5be0cd19 |]
+
+(* The word kernel. [w] is a 64-word schedule whose first 16 words hold
+   the block; [h] is the 8-word state, updated in place. Callers own
+   both arrays at exactly those sizes, which is what makes the unchecked
+   accesses safe; nothing here allocates.
+
+   Every rotation is a shift of the word doubled into the upper half of
+   a native int: for x < 2^32 and n <= 25, bits n..n+31 of
+   x lor (x lsl 32) are rotr x n, so one mask finishes a whole Σ/σ. The
+   bit that x lsl 32 pushes past a 63-bit int (bit 31 of x) lands above
+   bit 56, the highest any of these rotations reads. *)
+let compress h w =
+  for i = 16 to 63 do
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask32 lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask32 lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask32)
+  done;
+  let a = ref (Array.unsafe_get h 0)
+  and b = ref (Array.unsafe_get h 1)
+  and c = ref (Array.unsafe_get h 2)
+  and d = ref (Array.unsafe_get h 3)
+  and e = ref (Array.unsafe_get h 4)
+  and f = ref (Array.unsafe_get h 5)
+  and g = ref (Array.unsafe_get h 6)
+  and hh = ref (Array.unsafe_get h 7) in
+  for i = 0 to 63 do
+    let ev = !e and av = !a in
+    let ee = ev lor (ev lsl 32) and aa = av lor (av lsl 32) in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask32 in
+    let ch = !g lxor (ev land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask32 in
+    let maj = av land !b lor (!c land (av lor !b)) in
+    hh := !g;
+    g := !f;
+    f := ev;
+    e := (!d + t1) land mask32;
+    d := !c;
+    c := !b;
+    b := av;
+    a := (t1 + s0 + maj) land mask32
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask32);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask32);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask32);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask32);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask32);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask32);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask32);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask32)
+
+(* Big-endian words [w.(0..n-1)] from [n * 4] bytes of [b] at [off]; the
+   caller has checked the range. *)
+let load_words w n b off =
+  for i = 0 to n - 1 do
+    let j = off + (4 * i) in
+    Array.unsafe_set w i
+      ((Char.code (Bytes.unsafe_get b j) lsl 24)
+      lor (Char.code (Bytes.unsafe_get b (j + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get b (j + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get b (j + 3)))
+  done
+
+let string_of_state h =
+  let out = Bytes.create digest_size in
+  for i = 0 to 7 do
+    let v = h.(i) in
+    Bytes.set out (4 * i) (Char.unsafe_chr ((v lsr 24) land 0xff));
+    Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+    Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (v land 0xff))
+  done;
+  Bytes.unsafe_to_string out
+
 type ctx = {
   h : int array; (* 8 state words *)
   buf : Bytes.t; (* 64-byte block buffer *)
@@ -26,70 +107,16 @@ type ctx = {
 
 let init () =
   {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    h = Array.copy iv;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
-  done;
-  for i = 16 to 63 do
-    let s0 =
-      let x = w.(i - 15) in
-      rotr x 7 lxor rotr x 18 lxor (x lsr 3)
-    and s1 =
-      let x = w.(i - 2) in
-      rotr x 17 lxor rotr x 19 lxor (x lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) land mask32 in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+let compress_block ctx b off =
+  load_words ctx.w 16 b off;
+  compress ctx.h ctx.w
 
 let feed_bytes ctx b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
@@ -104,12 +131,12 @@ let feed_bytes ctx b off len =
     off := !off + take;
     len := !len - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_block ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while !len >= 64 do
-    compress ctx b !off;
+    compress_block ctx b !off;
     off := !off + 64;
     len := !len - 64
   done;
@@ -120,34 +147,22 @@ let feed_bytes ctx b off len =
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* Padding goes straight into the block buffer: 0x80, zeros, then the
+   64-bit big-endian bit length in the last 8 bytes, spilling into one
+   more block when fewer than 9 bytes are free. *)
 let finalize ctx =
-  let total_bits = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  (* Bypass the total counter: feed_bytes would keep counting. *)
-  let save_total = ctx.total in
-  feed_bytes ctx pad 0 (Bytes.length pad);
-  ctx.total <- save_total;
-  assert (ctx.buf_len = 0);
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
-  Bytes.unsafe_to_string out
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  if ctx.buf_len >= 56 then begin
+    Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\x00';
+    compress_block ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf (ctx.buf_len + 1) (55 - ctx.buf_len) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress_block ctx buf 0;
+  ctx.buf_len <- 0;
+  string_of_state ctx.h
 
 (* Digesting allocates a fresh ctx per call and shares nothing, so the
    multicore block-validation fan-out (ROADMAP item 5) may call these
@@ -166,6 +181,47 @@ let digest_list parts =
   let ctx = init () in
   List.iter (feed ctx) parts;
   finalize ctx
+
+(* [iterate ~prefix v n] applies v <- H(prefix || v) n times. The input
+   fits one padded block, so every step is a single compression: the
+   prefix and padding words are fixed once per call, the previous
+   digest's 8 words are shifted in at the prefix's byte offset, and the
+   state restarts from the IV. The three arrays are this call's own
+   scratch; a step allocates nothing. *)
+
+(* lint: parallel-safe *)
+let iterate ~prefix v n =
+  let p = String.length prefix in
+  if String.length v <> digest_size then
+    invalid_arg "Sha256.iterate: input must be 32 bytes";
+  if p > 64 - 9 - digest_size then invalid_arg "Sha256.iterate: prefix too long";
+  if n < 0 then invalid_arg "Sha256.iterate: negative count";
+  if n = 0 then v
+  else begin
+    let block = Bytes.make 64 '\x00' in
+    Bytes.blit_string prefix 0 block 0 p;
+    Bytes.set block (p + digest_size) '\x80';
+    Bytes.set_int64_be block 56 (Int64.of_int (8 * (p + digest_size)));
+    let fixed = Array.make 16 0 in
+    load_words fixed 16 block 0;
+    let h = Array.make 8 0 in
+    load_words h 8 (Bytes.unsafe_of_string v) 0;
+    let w = Array.make 64 0 in
+    let q = p / 4 and shift = 8 * (p mod 4) in
+    for _ = 1 to n do
+      Array.blit fixed 0 w 0 16;
+      for i = 0 to 7 do
+        let x = h.(i) in
+        w.(q + i) <- w.(q + i) lor (x lsr shift);
+        w.(q + i + 1) <- w.(q + i + 1) lor ((x lsl (32 - shift)) land mask32)
+      done;
+      for i = 0 to 7 do
+        h.(i) <- iv.(i)
+      done;
+      compress h w
+    done;
+    string_of_state h
+  end
 
 (* lint: parallel-safe *)
 let hmac ~key msg =

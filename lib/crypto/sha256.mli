@@ -30,5 +30,12 @@ val digest_list : string list -> string
 (** [digest_list parts] hashes the concatenation of [parts] without building
     the concatenation. *)
 
+val iterate : prefix:string -> string -> int -> string
+(** [iterate ~prefix v n] applies [v <- digest (prefix ^ v)] [n] times
+    ([v] itself when [n = 0]): the hash chains of {!Wots}. Each step is
+    one compression with no allocation.
+    @raise Invalid_argument unless [v] is 32 bytes, [prefix] is at most
+    23 bytes (so [prefix ^ v] pads to one block) and [n >= 0]. *)
+
 val hmac : key:string -> string -> string
 (** HMAC-SHA-256 (RFC 2104). *)

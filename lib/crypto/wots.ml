@@ -42,9 +42,7 @@ let chunks_of_digest p d =
   in
   Array.append msg_chunks cs_chunks
 
-let chain_step v = Sha256.digest_list [ "wots-chain"; v ]
-
-let rec chain v n = if n = 0 then v else chain (chain_step v) (n - 1)
+let chain v n = Sha256.iterate ~prefix:"wots-chain" v n
 
 let public_of_keys p keys =
   let ctx = Sha256.init () in

@@ -386,34 +386,39 @@ let classify_external parts args : (Effect_sig.name * string) list =
     [ (Effect_sig.Poly_compare, prim) ]
   | _ -> []
 
-(* Operations that mutate their (first) container argument in place:
-   when such an argument resolves to a top-level binding, that binding
-   is written global state. *)
-let is_mutation_head parts =
+(* Operations that mutate a container argument in place: when that
+   argument resolves to a top-level binding, the binding is written
+   global state. [mutated_args parts] is the 0-based positions of the
+   written positional arguments, [] when [parts] is no mutation head.
+   Only the written container counts: a blit's source or a queued
+   element is merely read. *)
+let mutated_args parts =
   match parts with
-  | [ (":=" | "incr" | "decr") ] -> true
+  | [ (":=" | "incr" | "decr") ] -> [ 0 ]
   | [ "Hashtbl";
       ( "replace" | "add" | "remove" | "reset" | "clear"
       | "filter_map_inplace" ) ] ->
-    true
+    [ 0 ]
   | [ "Buffer";
       ( "add_string" | "add_char" | "add_bytes" | "add_buffer"
       | "add_substring" | "add_subbytes" | "add_utf_8_uchar" | "clear"
       | "reset" | "truncate" ) ] ->
-    true
+    [ 0 ]
+  | [ "Array"; "blit" ] | [ "Bytes"; ("blit" | "blit_string") ] -> [ 2 ]
   | [ "Array";
-      ( "set" | "unsafe_set" | "fill" | "blit" | "sort" | "fast_sort"
-      | "stable_sort" ) ] ->
-    true
-  | [ "Bytes"; ("set" | "unsafe_set" | "fill" | "blit" | "blit_string") ] ->
-    true
-  | [ "Queue"; ("add" | "push" | "pop" | "take" | "clear" | "transfer") ]
-  | [ "Stack"; ("push" | "pop" | "clear") ]
+      ("set" | "unsafe_set" | "fill" | "sort" | "fast_sort" | "stable_sort") ]
+    ->
+    [ 0 ]
+  | [ "Bytes"; ("set" | "unsafe_set" | "fill") ] -> [ 0 ]
+  | [ "Queue"; ("add" | "push") ] | [ "Stack"; "push" ] -> [ 1 ]
+  | [ "Queue"; "transfer" ] -> [ 0; 1 ]
+  | [ "Queue"; ("pop" | "take" | "clear") ]
+  | [ "Stack"; ("pop" | "clear") ]
   | [ "Atomic";
       ( "set" | "exchange" | "compare_and_set" | "fetch_and_add" | "incr"
       | "decr" ) ] ->
-    true
-  | _ -> false
+    [ 0 ]
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: reference extraction with scope tracking                     *)
@@ -478,7 +483,15 @@ let walk_body t u ~sub_prefix ~targets body =
         ({ pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, args) ->
       let parts = strip_stdlib (flatten txt) in
       let plain_args = List.map snd args in
-      if is_mutation_head parts then List.iter mark_written plain_args;
+      let positional =
+        List.filter_map
+          (fun (label, a) ->
+            match label with Asttypes.Nolabel -> Some a | _ -> None)
+          args
+      in
+      List.iter
+        (fun i -> Option.iter mark_written (List.nth_opt positional i))
+        (mutated_args parts);
       reference ~args:plain_args parts;
       List.iter (fun a -> self.expr self a) plain_args
     | Parsetree.Pexp_setfield (lhs, _, rhs) ->

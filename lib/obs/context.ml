@@ -1,10 +1,11 @@
-(* One observability context per run: the bus, the registry and the
-   trace collector wired together. Creating a context attaches two
-   internal sinks — the trace collector and a stats deriver that turns
-   every event into standard counter updates — so instrumented layers
-   only ever emit events and all bookkeeping lives here. *)
+(* One observability context per run: the bus and the registry wired
+   together. Creating a context attaches one internal sink, a stats
+   deriver that turns every event into standard counter updates, so
+   instrumented layers only ever emit events. The context keeps no
+   per-event history: a long-lived daemon emits into one for its whole
+   life. *)
 
-type t = { bus : Bus.t; registry : Registry.t; trace : Trace.t }
+type t = { bus : Bus.t; registry : Registry.t }
 
 let count reg ~node name = Registry.incr (Registry.counter reg ~node name)
 let count_n reg ~node name n = Registry.add (Registry.counter reg ~node name) n
@@ -48,14 +49,11 @@ let derive reg ev =
 let create () =
   let bus = Bus.create () in
   let registry = Registry.create () in
-  let trace = Trace.create () in
-  Bus.attach bus (Trace.sink trace);
   Bus.attach bus (Sink.make (fun ~ts:_ ev -> derive registry ev));
-  { bus; registry; trace }
+  { bus; registry }
 
 let bus t = t.bus
 let registry t = t.registry
-let trace t = t.trace
 let emit t ~ts ev = Bus.emit t.bus ~ts ev
 let attach t sink = Bus.attach t.bus sink
 let detach t sink = Bus.detach t.bus sink

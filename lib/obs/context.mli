@@ -1,19 +1,19 @@
-(** One observability context per run: bus, registry and trace collector
-    wired together.
+(** One observability context per run: bus and registry wired together.
 
-    {!create} attaches two internal sinks to the bus — the trace
-    collector and a stats deriver that maintains the standard per-node
-    counters ([block.*], [gossip.blocks_dropped], [net.*], [session.*],
-    [cluster.*], [store.*], [sync.*]) from the event stream. Layers that
-    hold a context only ever {!emit}; counting and span-stitching happen
-    here, identically for simulated and real nodes. *)
+    {!create} attaches one internal sink to the bus, a stats deriver that
+    maintains the standard per-node counters ([block.*],
+    [gossip.blocks_dropped], [net.*], [session.*], [cluster.*],
+    [store.*], [sync.*]) from the event stream. Layers that hold a
+    context only ever {!emit}; counting happens here, identically for
+    simulated and real nodes. The context retains no events, so its
+    memory stays flat however long it runs; a caller that wants block
+    timelines attaches its own {!Trace.sink}. *)
 
 type t
 
 val create : unit -> t
 val bus : t -> Bus.t
 val registry : t -> Registry.t
-val trace : t -> Trace.t
 val emit : t -> ts:float -> Event.t -> unit
 val attach : t -> Sink.t -> unit
 

@@ -514,6 +514,36 @@ let dials_of_health body =
              | [ _; label; _ ] -> label
              | _ -> Alcotest.failf "unparseable dial entry %S" s)
 
+(* Fork a plain serving daemon over [dir] (buffered telemetry, SIGINT
+   drain); returns its pid and peer port. *)
+let spawn_daemon dir =
+  let pr, pw = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close pr;
+    let rc =
+      match Node_store.load ~dir with
+      | Error _ -> 1
+      | Ok store ->
+        Node_store.buffer_telemetry store true;
+        let loop = Event_loop.create ~store () in
+        (match Event_loop.listen_peers loop ~port:0 () with
+        | Ok port ->
+          Unix_compat.install_stop_handler (fun () ->
+              Event_loop.request_stop loop);
+          let msg = Printf.sprintf "%d\n" port in
+          ignore (Unix.write_substring pw msg 0 (String.length msg));
+          Unix.close pw;
+          (match Event_loop.run loop with Ok () -> 0 | Error _ -> 1)
+        | Error _ -> 1)
+    in
+    Unix._exit rc
+  | pid ->
+    Unix.close pw;
+    let port = int_of_string (read_line_fd pr) in
+    Unix.close pr;
+    (pid, port)
+
 (* One fleet run: fork B and C as plain serving daemons, fork A with
    anti-entropy pointed at both plus a metrics listener, then poll
    /health until both peer rows report divergence 0 and at least
@@ -543,35 +573,7 @@ let run_live_fleet ~tag ~want_dials =
         dir)
       [ "b"; "c" ]
   in
-  let spawn_peer dir =
-    let pr, pw = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close pr;
-      let rc =
-        match Node_store.load ~dir with
-        | Error _ -> 1
-        | Ok store ->
-          Node_store.buffer_telemetry store true;
-          let loop = Event_loop.create ~store () in
-          (match Event_loop.listen_peers loop ~port:0 () with
-          | Ok port ->
-            Unix_compat.install_stop_handler (fun () ->
-                Event_loop.request_stop loop);
-            let msg = Printf.sprintf "%d\n" port in
-            ignore (Unix.write_substring pw msg 0 (String.length msg));
-            Unix.close pw;
-            (match Event_loop.run loop with Ok () -> 0 | Error _ -> 1)
-          | Error _ -> 1)
-      in
-      Unix._exit rc
-    | pid ->
-      Unix.close pw;
-      let port = int_of_string (read_line_fd pr) in
-      Unix.close pr;
-      (pid, port)
-  in
-  let peers = List.map spawn_peer peer_dirs in
+  let peers = List.map spawn_daemon peer_dirs in
   let labels =
     List.map (fun (_, port) -> Printf.sprintf "127.0.0.1:%d" port) peers
   in
@@ -888,6 +890,71 @@ let daemon_span_stitch_and_flight () =
    anti-entropy scheduler leans on (same deadline feed, same firing
    order) exercised at its boundaries. *)
 
+(* A daemon serving pulls of an unchanged replica has nothing to save:
+   no pull makes a block resident, so chain.dag is never rewritten, yet
+   each session's journal lines reach trace.jsonl when the session is
+   reaped rather than waiting for shutdown. *)
+let serve_only_daemon () =
+  let module Obs = Vegvisir_obs in
+  let ca = init "serve-only" in
+  let ca_dir = ca.Node_store.dir in
+  let client =
+    Result.get_ok
+      (Node_store.enroll ~ca_dir ~dir:(fresh_dir "serve-only-client")
+         ~seed:"serve-only-client-seed" ~height:4 ~role:"member" ())
+  in
+  let count p =
+    List.length (List.filter (fun (_, ev) -> p ev) (Node_store.load_trace ~dir:ca_dir))
+  in
+  let saved = function[@warning "-4"] Obs.Event.Store_saved _ -> true | _ -> false in
+  let completed = function[@warning "-4"]
+    | Obs.Event.Sync_completed _ -> true
+    | _ -> false
+  in
+  let saves_before = count saved in
+  let daemon, port = spawn_daemon ca_dir in
+  (* A failed check must not leave the daemon orphaned. *)
+  let drained = ref false in
+  Fun.protect ~finally:(fun () ->
+      if not !drained then begin
+        Unix.kill daemon Sys.sigkill;
+        ignore (Unix.waitpid [] daemon)
+      end)
+  @@ fun () ->
+  let pulls = 3 in
+  for _ = 1 to pulls do
+    let loop = Event_loop.create ~store:client () in
+    (match
+       Event_loop.connect_exchange ~timeout_s:10. loop ~host:"127.0.0.1"
+         ~port ()
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "dial failed: %s" e);
+    (match
+       Event_loop.run loop ~until:(fun st ->
+           st.Event_loop.completed + st.Event_loop.failed >= 1)
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "exchange failed: %s" e);
+    check_i "pull completed" 0 (Event_loop.stats loop).Event_loop.failed;
+    Event_loop.shutdown loop
+  done;
+  (* The daemon reaps a session just after the client sees it end. *)
+  let rec wait n =
+    if count completed < pulls && n > 0 then begin
+      Unix.sleepf 0.02;
+      wait (n - 1)
+    end
+  in
+  wait 250;
+  check_i "every session journaled before shutdown" pulls (count completed);
+  check_i "no save while serving" saves_before (count saved);
+  Unix.kill daemon Sys.sigint;
+  let _, status = Unix.waitpid [] daemon in
+  drained := true;
+  check_b "daemon drained cleanly on SIGINT" true (status = Unix.WEXITED 0);
+  check_i "no save at shutdown either" saves_before (count saved)
+
 let wheel_duplicate_deadlines () =
   let w = Timer_wheel.empty in
   let w, ia = Timer_wheel.schedule w ~at_ms:10. "a" in
@@ -1043,5 +1110,7 @@ let () =
             live_health_soak;
           Alcotest.test_case "cross-daemon span stitch + flight recorder"
             `Slow daemon_span_stitch_and_flight;
+          Alcotest.test_case "serve-only daemon never saves" `Slow
+            serve_only_daemon;
         ] );
     ]

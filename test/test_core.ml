@@ -430,6 +430,42 @@ let validation_four_checks () =
     && (not (Validation.is_transient Validation.Bad_signature))
     && not (Validation.is_transient Validation.Revoked_creator))
 
+(* An MSS signature names its leaf twice: the 4-byte index and the
+   authentication path. Rewriting the index yields a block with a new
+   hash over the same signed bytes; if that twin verified, a node would
+   hold both and apply their transactions twice. *)
+let validation_signature_twin () =
+  let signer = Signer.mss ~height:4 ~seed:"twin-seed" () in
+  let cert = Certificate.self_signed ~signer ~role:"ca" in
+  let g =
+    Node.genesis_block ~signer ~cert ~timestamp:(ts 0)
+      ~extra:[ Transaction.create_crdt ~name:"log" log_spec ]
+      ()
+  in
+  let node = Node.create ~signer ~cert () in
+  ignore (Node.receive node ~now:(ts 1) g);
+  let b =
+    Block.create ~signer ~creator:cert.Certificate.user_id ~timestamp:(ts 10)
+      ~parents:[ g.Block.hash ] [ add_tx "once" ]
+  in
+  let twin =
+    (* The signature closes the encoding; its index is a big-endian u32
+       at its start. Index i becomes i + 16: same path, an index beyond
+       the height-4 tree. *)
+    let raw = Bytes.of_string (Block.to_string b) in
+    let at = Bytes.length raw - String.length b.Block.signature + 3 in
+    Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor 0x10));
+    Option.get (Block.of_string (Bytes.to_string raw))
+  in
+  check_b "twin has its own hash" false (Hash_id.equal b.Block.hash twin.Block.hash);
+  (match Node.receive node ~now:(ts 20) b with
+  | Node.Accepted -> ()
+  | r -> Alcotest.failf "original not accepted: %a" Node.pp_receive_result r);
+  (match Node.receive node ~now:(ts 20) twin with
+  | Node.Rejected Validation.Bad_signature -> ()
+  | r -> Alcotest.failf "twin not rejected as a bad signature: %a" Node.pp_receive_result r);
+  check_i "dag holds genesis and the original" 2 (Dag.cardinal (Node.dag node))
+
 let validation_revocation_causality () =
   (* Revocation only kills blocks that causally follow it. *)
   let m = membership_of_genesis () in
@@ -1485,6 +1521,7 @@ let () =
           Alcotest.test_case "genesis" `Quick validation_genesis;
           Alcotest.test_case "four checks" `Quick validation_four_checks;
           Alcotest.test_case "revocation causality" `Quick validation_revocation_causality;
+          Alcotest.test_case "signature index twin" `Quick validation_signature_twin;
         ] );
       ("membership", [ Alcotest.test_case "2P semantics" `Quick membership_two_phase ]);
       ( "csm",

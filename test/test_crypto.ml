@@ -87,6 +87,32 @@ let hmac_vectors () =
        (Sha256.hmac ~key:long_key
           "Test Using Larger Than Block-Size Key - Hash Key First"))
 
+(* Every length 0..256 crosses each padding boundary (55/56 bytes, one
+   block, two blocks). The fingerprint hashes the 257 digests of bytes
+   ((7i + n) mod 256) for i < n; it was computed independently, with
+   Python's hashlib. *)
+let sha_all_lengths () =
+  let input n = String.init n (fun i -> Char.chr (((7 * i) + n) land 0xff)) in
+  check_s "fingerprint"
+    "8c87921c70e710c77b598f6aed63e551969111a288541684ba32dc1203143503"
+    (hex (Sha256.digest (String.concat "" (List.init 257 (fun n -> Sha256.digest (input n))))))
+
+let iterate_rejects () =
+  let v = String.make 32 'v' in
+  List.iter
+    (fun (what, prefix, v, n) ->
+      match Sha256.iterate ~prefix v n with
+      | _ -> Alcotest.failf "iterate accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("empty input", "p", "", 1);
+      ("31-byte input", "p", String.make 31 'v', 1);
+      ("33-byte input", "p", String.make 33 'v', 1);
+      ("non-32-byte input at n = 0", "p", "short", 0);
+      ("24-byte prefix", String.make 24 'p', v, 1);
+      ("negative count", "p", v, -1);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                  *)
 
@@ -292,6 +318,101 @@ let mss_height_zero () =
       ignore (Mss.sign sk "again"))
 
 (* ------------------------------------------------------------------ *)
+(* Oracles: W-OTS and MSS verification over the serialized signature,
+   built on the per-step digest_list chain that Sha256.iterate replaced. *)
+
+let oracle_chain ~prefix v n =
+  let rec go v n = if n = 0 then v else go (Sha256.digest_list [ prefix; v ]) (n - 1) in
+  go v n
+
+let oracle_positions (p : Wots.params) msg =
+  let d = Sha256.digest msg in
+  let bit i = if i >= 256 then 0 else (Char.code d.[i / 8] lsr (7 - (i mod 8))) land 1 in
+  let msg_chunks =
+    Array.init p.len1 (fun i ->
+        let v = ref 0 in
+        for j = 0 to p.chunk_bits - 1 do
+          v := (!v lsl 1) lor bit ((i * p.chunk_bits) + j)
+        done;
+        !v)
+  in
+  let checksum = Array.fold_left (fun acc c -> acc + p.chain_max - c) 0 msg_chunks in
+  Array.append msg_chunks
+    (Array.init p.len2 (fun i ->
+         (checksum lsr (p.chunk_bits * (p.len2 - 1 - i))) land p.chain_max))
+
+let oracle_wots_verify (p : Wots.params) pk msg chains =
+  String.length chains = 32 * p.len
+  &&
+  let pos = oracle_positions p msg in
+  String.equal pk
+    (Sha256.digest_list
+       (List.init p.len (fun i ->
+            oracle_chain ~prefix:"wots-chain" (String.sub chains (32 * i) 32)
+              (p.chain_max - pos.(i)))))
+
+(* Layout: u32 index | leaf pk | chains | (side byte, sibling) per level. *)
+let oracle_mss_verify pk msg raw =
+  let p = Wots.params () in
+  let fixed = 4 + 32 + (32 * p.len) in
+  let n = String.length raw - fixed in
+  n >= 0 && n mod 33 = 0
+  &&
+  let index = int_of_string ("0x" ^ hex (String.sub raw 0 4)) in
+  let levels = n / 33 in
+  let side l = raw.[fixed + (33 * l)] in
+  let path =
+    List.init levels (fun l ->
+        (String.sub raw (fixed + (33 * l) + 1) 32,
+         if Char.equal (side l) '\x01' then `Right else `Left))
+  in
+  let leaf_pk = String.sub raw 4 32 in
+  levels < 31
+  && index < 1 lsl levels
+  && List.for_all
+       (fun l ->
+         let expect = if (index lsr l) land 1 = 1 then '\x00' else '\x01' in
+         Char.equal (side l) expect)
+       (List.init levels Fun.id)
+  && oracle_wots_verify p leaf_pk msg (String.sub raw 36 (32 * p.len))
+  && Merkle.verify_path ~root:pk ~leaf:leaf_pk path
+
+let mss_oracle_sigs =
+  lazy
+    (let sk, pk = Mss.generate ~height:4 ~seed:"mss-oracle" () in
+     ( pk,
+       Array.init 16 (fun i ->
+           let msg = "oracle-" ^ string_of_int i in
+           (msg, Mss.signature_to_string (Mss.sign sk msg))) ))
+
+(* Every leaf of a height-4 key verifies, under Mss.verify and the
+   oracle, and no other value of the 32-bit index verifies with that
+   leaf's path: rewriting the index would otherwise mint a second
+   signature, and with it a second block hash, for the same signed
+   bytes. *)
+let mss_index_bound () =
+  let pk, sigs = Lazy.force mss_oracle_sigs in
+  let verifies msg raw =
+    match Mss.signature_of_string raw with
+    | Some s -> Mss.verify pk msg s
+    | None -> false
+  in
+  Array.iteri
+    (fun i (msg, raw) ->
+      check_b (Printf.sprintf "leaf %d verifies" i) true (verifies msg raw);
+      check_b (Printf.sprintf "oracle accepts leaf %d" i) true
+        (oracle_mss_verify pk msg raw);
+      for bit = 0 to 31 do
+        let b = Bytes.of_string raw in
+        let byte = 3 - (bit / 8) in
+        Bytes.set b byte
+          (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl (bit mod 8))));
+        check_b (Printf.sprintf "leaf %d index bit %d" i bit) false
+          (verifies msg (Bytes.to_string b))
+      done)
+    sigs
+
+(* ------------------------------------------------------------------ *)
 (* Sealed box                                                           *)
 
 let sealed_box_roundtrip () =
@@ -374,6 +495,72 @@ let qcheck_tests =
         Sha256.feed ctx a;
         Sha256.feed ctx b;
         String.equal (Sha256.finalize ctx) (Sha256.digest (a ^ b)));
+    Test.make ~name:"sha256 digest = feeds split at random cuts" ~count:50
+      (pair small_nat small_nat)
+      (fun (s1, s2) ->
+        List.for_all
+          (fun n ->
+            let data = String.init n (fun i -> Char.chr ((i * 31) land 0xff)) in
+            let c1 = s1 mod (n + 1) in
+            let c2 = c1 + (s2 mod (n - c1 + 1)) in
+            let ctx = Sha256.init () in
+            Sha256.feed ctx (String.sub data 0 c1);
+            Sha256.feed ctx (String.sub data c1 (c2 - c1));
+            Sha256.feed ctx (String.sub data c2 (n - c2));
+            String.equal (Sha256.finalize ctx) (Sha256.digest data))
+          (List.init 257 Fun.id));
+    Test.make ~name:"iterate = per-step oracle chain" ~count:300
+      (triple (string_of_size (Gen.return 32)) (int_range 0 255)
+         (string_of_size Gen.(0 -- 23)))
+      (fun (v, n, prefix) ->
+        String.equal (Sha256.iterate ~prefix v n) (oracle_chain ~prefix v n)
+        && String.equal
+             (Sha256.iterate ~prefix:"wots-chain" v n)
+             (oracle_chain ~prefix:"wots-chain" v n));
+    Test.make ~name:"wots verify = oracle under chain corruption" ~count:40
+      (triple (oneofl [ 1; 2; 4; 8 ]) (string_of_size Gen.(0 -- 40))
+         (pair small_nat (int_range 0 255)))
+      (fun (chunk_bits, msg, (off, flip)) ->
+        let p = Wots.params ~chunk_bits () in
+        let sk, pk = Wots.derive p ~seed:"oracle" in
+        let raw = Wots.signature_to_string (Wots.sign sk msg) in
+        let b = Bytes.of_string raw in
+        let off = off mod Bytes.length b in
+        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor flip));
+        List.for_all
+          (fun raw ->
+            match Wots.signature_of_string p raw with
+            | None -> false
+            | Some s -> Bool.equal (Wots.verify p pk msg s) (oracle_wots_verify p pk msg raw))
+          [ raw; Bytes.to_string b ]);
+    Test.make ~name:"mss verify = oracle under field corruption" ~count:150
+      (quad (int_range 0 15)
+         (oneofl [ `Index; `Leaf_pk; `Chains; `Side; `Sibling ])
+         small_nat (int_range 1 255))
+      (fun (leaf, field, pick, flip) ->
+        let pk, sigs = Lazy.force mss_oracle_sigs in
+        let msg, raw = sigs.(leaf) in
+        let fixed = 36 + Wots.signature_size (Wots.params ()) in
+        let level = pick mod 4 in
+        let off =
+          match field with
+          | `Index -> pick mod 4
+          | `Leaf_pk -> 4 + (pick mod 32)
+          | `Chains -> 36 + (pick mod (fixed - 36))
+          | `Side -> fixed + (33 * level)
+          | `Sibling -> fixed + (33 * level) + 1 + (pick mod 32)
+        in
+        (* A side byte stays decodable only as 0 or 1, so flip its low bit. *)
+        let flip = match field with `Side -> 1 | _ -> flip in
+        let b = Bytes.of_string raw in
+        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor flip));
+        let raw' = Bytes.to_string b in
+        let verifies =
+          match Mss.signature_of_string raw' with
+          | Some s -> Mss.verify pk msg s
+          | None -> false
+        in
+        (not verifies) && Bool.equal verifies (oracle_mss_verify pk msg raw'));
     Test.make ~name:"merkle path verifies for every leaf" ~count:60
       (list_of_size Gen.(1 -- 33) (string_of_size Gen.(0 -- 8)))
       (fun leaves ->
@@ -421,6 +608,8 @@ let () =
           Alcotest.test_case "incremental splits" `Quick sha_incremental;
           Alcotest.test_case "digest_list" `Quick sha_digest_list;
           Alcotest.test_case "HMAC RFC 4231" `Quick hmac_vectors;
+          Alcotest.test_case "every length 0..256" `Quick sha_all_lengths;
+          Alcotest.test_case "iterate rejects bad input" `Quick iterate_rejects;
         ] );
       ( "rng",
         [
@@ -454,6 +643,7 @@ let () =
           Alcotest.test_case "serialization" `Quick mss_serialization;
           Alcotest.test_case "cross-key" `Quick mss_cross_key;
           Alcotest.test_case "height zero" `Quick mss_height_zero;
+          Alcotest.test_case "index bound to path" `Quick mss_index_bound;
         ] );
       ( "bloom",
         [

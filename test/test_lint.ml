@@ -466,6 +466,31 @@ let test_parallel_safety () =
     "let table : (string, int) Hashtbl.t = Hashtbl.create 8\n\
      let lookup k = Hashtbl.find_opt table k\n"
 
+(* A mutation head writes one container argument, not all of them: a
+   top-level table the annotated reader uses is state only when some
+   call writes it, not when it is a blit source, a queued element or a
+   stored value. *)
+let test_mutation_arguments () =
+  let verdict check decl writer =
+    check "lib/crypto/muty.ml"
+      (decl ^ writer ^ "\n(* lint: parallel-safe *)\nlet f () = ignore k\n")
+  in
+  let fires = verdict (check_fires "parallel-safety")
+  and silent = verdict (check_silent ~rule:"parallel-safety") in
+  let arr = "let k = [| 1; 2; 3 |]\n" and byt = "let k = Bytes.make 3 'a'\n" in
+  fires arr "let poke src = Array.blit src 0 k 0 3\n";
+  fires byt "let poke src = Bytes.blit_string src 0 k 0 3\n";
+  silent arr "let copy dst = Array.blit k 0 dst 0 3\n";
+  silent byt "let copy dst = Bytes.blit k 0 dst 0 3\n";
+  silent arr "let enqueue q = Queue.add k q\n";
+  silent arr "let put tbl = Hashtbl.replace tbl \"k\" k\n";
+  (* [Fun.id] hides the constructor, so these are plain bindings that
+     only the write marks as state. *)
+  fires "let k = Fun.id (Queue.create ())\n" "let push x = Queue.add x k\n";
+  fires "let k = Fun.id (ref 0)\n" "let set v = k := v\n";
+  fires "let k = Fun.id (Hashtbl.create 8)\n"
+    "let put key v = Hashtbl.replace k key v\n"
+
 (* The span-codec boundary shipped with the span layer: lib/obs/span.ml
    must stay pure (no clock, no randomness, no io, no unordered
    iteration, no global mutable state) so span ids are deterministic and
@@ -675,6 +700,7 @@ let () =
             test_fixpoint_mutual_recursion;
           Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
           Alcotest.test_case "parallel safety" `Quick test_parallel_safety;
+          Alcotest.test_case "mutation arguments" `Quick test_mutation_arguments;
           Alcotest.test_case "span-codec boundary" `Quick
             test_span_codec_boundary;
           Alcotest.test_case "baseline" `Quick test_baseline;

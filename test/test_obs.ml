@@ -463,8 +463,8 @@ let run_fleet ?jsonl_into ?attach ~seed until_ms =
   fleet
 
 let two_node_stitching () =
-  let fleet = run_fleet ~seed:404L 30_000. in
-  let tr = Context.trace fleet.Net.Scenario.obs in
+  let tr = Trace.create () in
+  let fleet = run_fleet ~attach:(Trace.sink tr) ~seed:404L 30_000. in
   (* Find a block that one node created and the other delivered. *)
   let stitched =
     List.filter
