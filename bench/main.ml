@@ -218,8 +218,6 @@ let tests =
       [
         Test.make ~name:"naive-depth16"
           (stage (fun () -> V.Reconcile.sync_dags V.Reconcile.Naive dag_genesis_only dag_16));
-        Test.make ~name:"indexed-depth16"
-          (stage (fun () -> V.Reconcile.sync_dags V.Reconcile.Indexed dag_genesis_only dag_16));
         Test.make ~name:"bloom-depth16"
           (stage (fun () -> V.Reconcile.sync_dags V.Reconcile.Bloom dag_genesis_only dag_16));
         Test.make ~name:"digest-depth16"
@@ -466,9 +464,9 @@ let trace_tests =
 (* ------------------------------------------------------------------ *)
 (* M9-dag: incremental DAG indices vs full-scan oracles (snapshotted to
    BENCH_dag.json). Fixtures are braided multi-creator DAGs at 5k and
-   20k blocks; the naive legs recompute what the indices cache — the
-   witness poll by descendant BFS, the reconcile reply by per-hash
-   ancestors unions plus a fresh Kahn order.                            *)
+   20k blocks; the naive legs recompute what the indices cache or the
+   one-traversal closure replaces — the witness poll by descendant BFS,
+   the multi-seed ancestry closure by per-hash ancestors unions.        *)
 
 let braided ~n =
   let hashes = Array.make (n + 1) genesis.V.Block.hash in
@@ -496,30 +494,14 @@ let braided ~n =
 let dag_5k, hashes_5k = braided ~n:5_000
 let dag_20k, hashes_20k = braided ~n:20_000
 
-(* The initiator's view in the respond bench: its tip is 100 blocks
-   behind, and it advertises 15 deeper hashes (the recent levels). *)
-let sync_request hashes n =
-  let frontier = [ hashes.(n - 100) ] in
-  let recent = List.init 15 (fun k -> hashes.(n - 100 - ((k + 1) * 50))) in
-  (V.Reconcile.Sync_request { frontier; recent }, frontier @ recent)
+(* Closure seeds for the below bench: a tip 100 blocks behind the head
+   plus 15 deeper hashes, 50 blocks apart — 16 seeds whose ancestries
+   overlap almost entirely, the shape offload and witness proofs ask. *)
+let below_seeds hashes n =
+  hashes.(n - 100) :: List.init 15 (fun k -> hashes.(n - 100 - ((k + 1) * 50)))
 
-let request_5k, seeds_5k = sync_request hashes_5k 5_000
-let request_20k, seeds_20k = sync_request hashes_20k 20_000
-
-(* The pre-index reply computation, verbatim: one ancestors walk per
-   advertised hash, then a filter over a freshly recomputed Kahn order. *)
-let naive_respond dag seeds =
-  let base =
-    List.fold_left
-      (fun acc h ->
-        if V.Dag.mem dag h || V.Dag.is_archived dag h then
-          V.Hash_id.Set.union (V.Hash_id.Set.add h acc) (V.Dag.ancestors dag h)
-        else acc)
-      V.Hash_id.Set.empty seeds
-  in
-  List.filter
-    (fun (b : V.Block.t) -> not (V.Hash_id.Set.mem b.V.Block.hash base))
-    (V.Dag.Oracle.topo_order dag)
+let seeds_5k = below_seeds hashes_5k 5_000
+let seeds_20k = below_seeds hashes_20k 20_000
 
 (* Steady state: the next block comes from a creator already braided in,
    so the witness-credit walk cuts off after ~8 ancestors. (A creator's
@@ -549,14 +531,12 @@ let dag_tests =
         (stage (fun () -> V.Witness.witness_count dag_20k mid_20k));
       Test.make ~name:"witness-poll-naive-20k"
         (stage (fun () -> V.Witness.oracle_witnesses dag_20k mid_20k));
-      Test.make ~name:"respond-5k"
-        (stage (fun () -> V.Reconcile.respond dag_5k request_5k));
-      Test.make ~name:"respond-naive-5k"
-        (stage (fun () -> naive_respond dag_5k seeds_5k));
-      Test.make ~name:"respond-20k"
-        (stage (fun () -> V.Reconcile.respond dag_20k request_20k));
-      Test.make ~name:"respond-naive-20k"
-        (stage (fun () -> naive_respond dag_20k seeds_20k));
+      Test.make ~name:"below-5k" (stage (fun () -> V.Dag.below dag_5k seeds_5k));
+      Test.make ~name:"below-naive-5k"
+        (stage (fun () -> V.Dag.Oracle.below dag_5k seeds_5k));
+      Test.make ~name:"below-20k" (stage (fun () -> V.Dag.below dag_20k seeds_20k));
+      Test.make ~name:"below-naive-20k"
+        (stage (fun () -> V.Dag.Oracle.below dag_20k seeds_20k));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -610,14 +590,16 @@ let lint_tests =
 (* ------------------------------------------------------------------ *)
 (* Runner: OLS estimate of ns/run per test, plain-text table            *)
 
-(* OLS ns/run per test in a group, as [(name, ns, r2)] rows. *)
-let estimate test =
+(* OLS ns/run per test in a group, as [(name, ns, r2)] rows. The quota
+   (seconds per test) must fit several samples of the slowest leg, or
+   the fit has no variance to explain. *)
+let estimate ?(quota = 0.5) test =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false ()
   in
   let raw = Benchmark.all cfg instances test in
   let results = Analyze.all ols Instance.monotonic_clock raw in
@@ -683,8 +665,8 @@ let write_bench_dag rows =
       [
         ("witness-poll-5k", "witness-poll-5k", "witness-poll-naive-5k");
         ("witness-poll-20k", "witness-poll-20k", "witness-poll-naive-20k");
-        ("respond-5k", "respond-5k", "respond-naive-5k");
-        ("respond-20k", "respond-20k", "respond-naive-20k");
+        ("below-5k", "below-5k", "below-naive-5k");
+        ("below-20k", "below-20k", "below-naive-20k");
       ]
   in
   let oc = open_out "BENCH_dag.json" in
@@ -953,7 +935,9 @@ let run_micro () =
   in
   print_rows obs_rows;
   write_snapshot ~benchmark:obs_benchmark ~file:"BENCH_obs.json" obs_rows;
-  let dag_rows = estimate dag_tests in
+  (* The naive 20k leg takes ~0.7 s per call: a 4 s quota buys it three
+     samples (1 + 2 + 3 runs) instead of one. *)
+  let dag_rows = estimate ~quota:4. dag_tests in
   print_rows dag_rows;
   write_bench_dag dag_rows;
   (match (lint_tests, lint_fixture) with

@@ -92,8 +92,8 @@ let mode_arg =
         Vegvisir.Reconcile.Naive
     & info [ "mode" ] ~docv:"PROTOCOL"
         ~doc:
-          "Reconciliation protocol: naive (Algorithm 1), indexed, bloom, or \
-           digest (height-interval digests; near-zero redundant transfer).")
+          "Reconciliation protocol: naive (Algorithm 1), bloom, or digest \
+           (height-interval digests; near-zero redundant transfer).")
 
 let parse_endpoint s =
   match String.rindex_opt s ':' with
@@ -224,15 +224,7 @@ let serve_cmd =
                 ($(b,GET /metrics)) on this loopback port, rendered from \
                 the directory's telemetry journal.")
   in
-  let metrics_requests =
-    Arg.(
-      value & opt int 0
-      & info [ "metrics-requests" ] ~docv:"N"
-          ~doc:"DEPRECATED test-only escape hatch: answer exactly N scrapes \
-                and exit. The default (0) serves scrapes unbounded until \
-                SIGINT/SIGTERM.")
-  in
-  let run dir port timeout mode metrics metrics_requests =
+  let run dir port timeout mode metrics =
     let t = or_die (Vegvisir_cli.Node_store.load ~dir) in
     Printf.printf "serving %s on 127.0.0.1:%d\n%!" dir port;
     let report =
@@ -253,8 +245,7 @@ let serve_cmd =
       Printf.printf "metrics on http://127.0.0.1:%d/metrics\n%!" mport;
       let answered =
         let r =
-          Vegvisir_cli.Metrics_server.drive ~requests:metrics_requests
-            ?timeout_s:timeout server
+          Vegvisir_cli.Metrics_server.drive server
             ~render:(render_prometheus [ dir ])
         in
         Vegvisir_cli.Metrics_server.stop server;
@@ -268,9 +259,7 @@ let serve_cmd =
              (see $(b,sync --live)). With $(b,--metrics), follow up with a \
              Prometheus scrape endpoint (unbounded; SIGINT to stop). For a \
              long-lived multi-peer node, see $(b,daemon).")
-    Term.(
-      const run $ dir_arg $ port $ timeout $ mode_arg $ metrics
-      $ metrics_requests)
+    Term.(const run $ dir_arg $ port $ timeout $ mode_arg $ metrics)
 
 let daemon_cmd =
   let listen =

@@ -21,10 +21,6 @@ type t
 
 type config = {
   mode : Vegvisir.Reconcile.mode;  (** reconciliation mode for every session *)
-  knowledge_cache : int;
-      (** per-peer knowledge-cache capacity handed to every hosted
-          engine ({!Vegvisir_engine.Peer_engine.Config.knowledge_cache});
-          [0] disables the cache *)
   session_budget : int;
       (** stop accepting new peer conns while this many sessions are
           active — backpressure at the accept queue, not in memory *)
@@ -59,7 +55,7 @@ type config = {
 }
 
 val default_config : config
-(** [Naive] mode, knowledge cache off, 128-session budget, 8 MiB outbound budget, 2 s stale
+(** [Naive] mode, 128-session budget, 8 MiB outbound budget, 2 s stale
     / 20 s session timeouts (as {!Live_sync}), 30 s idle timeout, 5 s
     drain grace, 100 ms slow-iteration threshold, tracing off, 4096-event
     flight ring. *)

@@ -1,12 +1,13 @@
 (** Live reconciliation between two running `vegvisir-cli` nodes over a
     framed TCP connection ({!Unix_compat}).
 
-    Both endpoints drive the {e same} sans-IO
-    {!Vegvisir_engine.Peer_engine} that the simulator's gossip agent
-    runs; this module is the socket host: it moves the engine's [Send]
-    frames, applies [Deliver] effects to the file-backed node, and turns
-    [Set_timer] into receive deadlines (so retransmit and abandon
-    behaviour is the engine's, not the transport's).
+    An adapter over {!Event_loop}: each call runs one loop carrying one
+    exchange session, drives it until that session's outcome lands, and
+    tears the loop down. The loop is the socket host — it moves the
+    {!Vegvisir_engine.Peer_engine}'s [Send] frames, applies [Deliver]
+    effects to the file-backed node and turns [Set_timer] into timer
+    wheel deadlines — so this module only keeps the "one exchange, one
+    call" surface, running byte for byte what a daemon session runs.
 
     One exchange is symmetric pull-then-serve: the client pulls the
     server's missing blocks, hands the turn over with an empty frame,

@@ -37,30 +37,9 @@ let handle_one ?timeout_s t ~render =
 
 let request_stop t = Event_loop.request_stop t.loop
 
-let drive ?timeout_s ?(requests = 1) t ~render =
+(* Answer every scrape until {!request_stop} (the CLI routes
+   SIGINT/SIGTERM there). *)
+let drive t ~render =
   Event_loop.set_render t.loop render;
-  if requests = 0 then begin
-    (* Unbounded: answer every scrape until {!request_stop} (the CLI
-       routes SIGINT/SIGTERM there) — the daemon-era default; a fixed
-       request count survives only as a test harness escape hatch. *)
-    match Event_loop.run t.loop with
-    | Error e -> Error e
-    | Ok () -> Ok (Event_loop.stats t.loop).Event_loop.http_closed
-  end
-  else begin
-    let rec go served =
-      if served >= requests then Ok served
-      else begin
-        match handle_one ?timeout_s t ~render with
-        | Ok () -> go (served + 1)
-        | Error msg -> Error msg
-      end
-    in
-    go 0
-  end
-
-let serve ?host ~port ?requests ?timeout_s ~render () =
-  let* t = start ?host ~port () in
-  let r = drive ?timeout_s ?requests t ~render in
-  stop t;
-  r
+  let* () = Event_loop.run t.loop in
+  Ok (Event_loop.stats t.loop).Event_loop.http_closed

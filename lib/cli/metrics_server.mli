@@ -25,27 +25,10 @@ val handle_one :
     socket failure; a peer that connects and leaves without a request
     still counts as handled. *)
 
-val drive :
-  ?timeout_s:float ->
-  ?requests:int ->
-  t ->
-  render:(unit -> string) ->
-  (int, string) result
-(** Answer scrapes on a started server. [requests = 0] serves
-    {e unbounded} — until {!request_stop} (the CLI routes SIGINT/SIGTERM
-    there); a positive count answers exactly that many connections (a
-    test-harness escape hatch; default 1). Returns how many were
-    answered. The listener stays open; callers {!stop} it. *)
-
-val serve :
-  ?host:string ->
-  port:int ->
-  ?requests:int ->
-  ?timeout_s:float ->
-  render:(unit -> string) ->
-  unit ->
-  (int, string) result
-(** [start], {!drive}, [stop]; the listener is closed even on error. *)
+val drive : t -> render:(unit -> string) -> (int, string) result
+(** Answer scrapes on a started server until {!request_stop} (the CLI
+    routes SIGINT/SIGTERM there). Returns how many were answered. The
+    listener stays open; callers {!stop} it. *)
 
 val request_stop : t -> unit
 (** Make an unbounded {!drive} return after draining — safe from a

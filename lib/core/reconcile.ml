@@ -1,4 +1,4 @@
-type mode = Sync_strategy.mode = Naive | Indexed | Bloom | Digest
+type mode = Sync_strategy.mode = Naive | Bloom | Digest
 
 module Mode = Sync_strategy.Mode
 
@@ -8,8 +8,6 @@ type leaf = Sync_strategy.leaf = { lo : int; hi : int; hashes : Hash_id.t list }
 type message = Sync_strategy.message =
   | Frontier_request of { level : int }
   | Frontier_reply of { level : int; blocks : Block.t list }
-  | Sync_request of { frontier : Hash_id.t list; recent : Hash_id.t list }
-  | Sync_reply of { blocks : Block.t list }
   | Bloom_request of { filter : string }
   | Bloom_reply of { blocks : Block.t list }
   | Blocks_request of { hashes : Hash_id.t list }

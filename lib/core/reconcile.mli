@@ -12,8 +12,6 @@
     Available modes:
     - [Naive] — the paper's Algorithm 1 (level escalation; re-ships
       every level each round).
-    - [Indexed] — single round: the request advertises frontier +
-      recent ancestry hashes, the responder computes the difference.
     - [Bloom] — the request is a Bloom filter over {e all} held hashes
       (~10 bits/block instead of 32 bytes/hash); false positives are
       recovered with explicit block requests.
@@ -21,7 +19,7 @@
       narrowing; at convergence a session costs one tiny request and
       one empty reply, and no block is ever shipped twice. *)
 
-type mode = Sync_strategy.mode = Naive | Indexed | Bloom | Digest
+type mode = Sync_strategy.mode = Naive | Bloom | Digest
 
 module Mode = Sync_strategy.Mode
 (** [Mode.of_string] / [Mode.to_string] / [Mode.all] for CLI flags,
@@ -33,11 +31,6 @@ type leaf = Sync_strategy.leaf = { lo : int; hi : int; hashes : Hash_id.t list }
 type message = Sync_strategy.message =
   | Frontier_request of { level : int }
   | Frontier_reply of { level : int; blocks : Block.t list }
-  | Sync_request of { frontier : Hash_id.t list; recent : Hash_id.t list }
-      (** [recent] holds deeper frontier-level hashes so the responder can
-          subtract shared history even when it does not know the
-          initiator's tips (mutual divergence) *)
-  | Sync_reply of { blocks : Block.t list }
   | Bloom_request of { filter : string }
   | Bloom_reply of { blocks : Block.t list }
   | Blocks_request of { hashes : Hash_id.t list }
@@ -71,8 +64,7 @@ val reply_blocks : message -> Block.t list
 
 val advertised_hashes : message -> Hash_id.t list
 (** Hashes the sender claims to hold without shipping the blocks
-    (digest leaves) — knowledge-cache / {!Pending_pool} advertisement
-    fodder. *)
+    (digest leaves) — {!Pending_pool} advertisement fodder. *)
 
 val session_trace_ids : initiator:Hash_id.t -> generation:int -> string * string
 (** Deterministic [(trace_id, span_id)] for a session — see

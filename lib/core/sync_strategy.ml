@@ -1,30 +1,28 @@
 module HSet = Hash_id.Set
 module IMap = Dag.Int_map
 
-type mode = Naive | Indexed | Bloom | Digest
+type mode = Naive | Bloom | Digest
 
 module Mode = struct
   type t = mode
 
-  let all = [ Naive; Indexed; Bloom; Digest ]
+  let all = [ Naive; Bloom; Digest ]
 
   let to_string = function
     | Naive -> "naive"
-    | Indexed -> "indexed"
     | Bloom -> "bloom"
     | Digest -> "digest"
 
   let of_string = function
     | "naive" -> Some Naive
-    | "indexed" -> Some Indexed
     | "bloom" -> Some Bloom
     | "digest" -> Some Digest
     | _ -> None
 
   let equal a b =
     match (a, b) with
-    | Naive, Naive | Indexed, Indexed | Bloom, Bloom | Digest, Digest -> true
-    | (Naive | Indexed | Bloom | Digest), _ -> false
+    | Naive, Naive | Bloom, Bloom | Digest, Digest -> true
+    | (Naive | Bloom | Digest), _ -> false
 
   let pp fmt m = Format.pp_print_string fmt (to_string m)
 end
@@ -35,8 +33,6 @@ type leaf = { lo : int; hi : int; hashes : Hash_id.t list }
 type message =
   | Frontier_request of { level : int }
   | Frontier_reply of { level : int; blocks : Block.t list }
-  | Sync_request of { frontier : Hash_id.t list; recent : Hash_id.t list }
-  | Sync_reply of { blocks : Block.t list }
   | Bloom_request of { filter : string }
   | Bloom_reply of { blocks : Block.t list }
   | Blocks_request of { hashes : Hash_id.t list }
@@ -45,12 +41,14 @@ type message =
   | Digest_reply of { splits : interval list; leaves : leaf list }
   | Trace_context of { trace : string; span : string }
 
-(* Wire tags 1-8 predate the strategy interface and must stay
+(* Wire tags 1, 2 and 5-8 predate the strategy interface and must stay
    byte-identical (same-seed experiment journals are replayed across
    versions); digest messages extend the namespace at 9/10, and the
-   optional span-tracing context frame at 11. Peers predating tag 11
-   fail to decode the frame and drop it (Wire.decode_string returns
-   None), which is exactly the intended old-peer behaviour. *)
+   optional span-tracing context frame at 11. Tags 3 and 4 belonged to
+   the retired indexed strategy and are never reused: a peer still
+   sending them fails to decode, like any unknown tag. Peers predating
+   tag 11 fail to decode the frame and drop it (Wire.decode_string
+   returns None), which is exactly the intended old-peer behaviour. *)
 let encode_message b = function
   | Frontier_request { level } ->
     Wire.put_u8 b 1;
@@ -58,13 +56,6 @@ let encode_message b = function
   | Frontier_reply { level; blocks } ->
     Wire.put_u8 b 2;
     Wire.put_u32 b level;
-    Wire.put_list b Block.encode blocks
-  | Sync_request { frontier; recent } ->
-    Wire.put_u8 b 3;
-    Wire.put_list b (fun b h -> Wire.put_str b (Hash_id.to_raw h)) frontier;
-    Wire.put_list b (fun b h -> Wire.put_str b (Hash_id.to_raw h)) recent
-  | Sync_reply { blocks } ->
-    Wire.put_u8 b 4;
     Wire.put_list b Block.encode blocks
   | Bloom_request { filter } ->
     Wire.put_u8 b 5;
@@ -119,11 +110,6 @@ let decode_message c =
     let level = Wire.get_u32 c in
     let blocks = Wire.get_list c Block.decode in
     Frontier_reply { level; blocks }
-  | 3 ->
-    let frontier = Wire.get_list c (fun c -> Hash_id.of_raw_exn (Wire.get_str c)) in
-    let recent = Wire.get_list c (fun c -> Hash_id.of_raw_exn (Wire.get_str c)) in
-    Sync_request { frontier; recent }
-  | 4 -> Sync_reply { blocks = Wire.get_list c Block.decode }
   | 5 -> Bloom_request { filter = Wire.get_str c }
   | 6 -> Bloom_reply { blocks = Wire.get_list c Block.decode }
   | 7 ->
@@ -166,29 +152,26 @@ let message_equal a b =
   String.equal (enc a) (enc b)
 
 let is_request = function
-  | Frontier_request _ | Sync_request _ | Bloom_request _ | Blocks_request _
-  | Digest_request _ ->
+  | Frontier_request _ | Bloom_request _ | Blocks_request _ | Digest_request _ ->
     true
-  | Frontier_reply _ | Sync_reply _ | Bloom_reply _ | Blocks_reply _
-  | Digest_reply _ | Trace_context _ ->
+  | Frontier_reply _ | Bloom_reply _ | Blocks_reply _ | Digest_reply _
+  | Trace_context _ ->
     false
 
 let reply_blocks = function
   | Frontier_reply { blocks; _ }
-  | Sync_reply { blocks }
   | Bloom_reply { blocks }
   | Blocks_reply { blocks } ->
     blocks
-  | Frontier_request _ | Sync_request _ | Bloom_request _ | Blocks_request _
-  | Digest_request _ | Digest_reply _ | Trace_context _ ->
+  | Frontier_request _ | Bloom_request _ | Blocks_request _ | Digest_request _
+  | Digest_reply _ | Trace_context _ ->
     []
 
 let advertised_hashes = function
   | Digest_reply { leaves; _ } ->
     List.concat_map (fun { hashes; _ } -> hashes) leaves
-  | Frontier_request _ | Frontier_reply _ | Sync_request _ | Sync_reply _
-  | Bloom_request _ | Bloom_reply _ | Blocks_request _ | Blocks_reply _
-  | Digest_request _ | Trace_context _ ->
+  | Frontier_request _ | Frontier_reply _ | Bloom_request _ | Bloom_reply _
+  | Blocks_request _ | Blocks_reply _ | Digest_request _ | Trace_context _ ->
     []
 
 (* ------------------------------------------------------------------ *)
@@ -277,9 +260,8 @@ module Naive_impl = struct
       else
         let st = { level = st.level + 1; last_reply_count = st.last_reply_count } in
         (st, Continue (Frontier_request { level = st.level }))
-    | Frontier_request _ | Sync_request _ | Sync_reply _ | Bloom_request _
-    | Bloom_reply _ | Blocks_request _ | Blocks_reply _ | Digest_request _
-    | Digest_reply _ | Trace_context _ ->
+    | Frontier_request _ | Bloom_request _ | Bloom_reply _ | Blocks_request _
+    | Blocks_reply _ | Digest_request _ | Digest_reply _ | Trace_context _ ->
       (st, Foreign)
 
   let respond dag = function
@@ -287,64 +269,8 @@ module Naive_impl = struct
       let hashes = Dag.level_frontier dag (max 1 level) in
       let blocks = List.filter_map (Dag.find dag) (HSet.elements hashes) in
       Some (Frontier_reply { level; blocks })
-    | Frontier_reply _ | Sync_request _ | Sync_reply _ | Bloom_request _
-    | Bloom_reply _ | Blocks_request _ | Blocks_reply _ | Digest_request _
-    | Digest_reply _ | Trace_context _ ->
-      None
-end
-
-let recent_level = 16
-
-module Indexed_impl = struct
-  type state = { frontier : Hash_id.t list; recent : Hash_id.t list }
-
-  let mode = Indexed
-
-  let start dag =
-    let frontier = HSet.elements (Dag.frontier dag) in
-    let recent =
-      (* Deeper frontier levels, minus the frontier itself: cheap (32 B per
-         hash) insurance against mutual divergence. *)
-      if Dag.cardinal dag = 0 then []
-      else
-        HSet.elements
-          (HSet.diff (Dag.level_frontier dag recent_level) (Dag.frontier dag))
-    in
-    ({ frontier; recent }, Sync_request { frontier; recent })
-
-  let request st = Sync_request { frontier = st.frontier; recent = st.recent }
-
-  let on_reply st dag = function
-    | Sync_reply { blocks } ->
-      let unknown =
-        List.filter (fun (b : Block.t) -> not (Dag.mem dag b.Block.hash)) blocks
-      in
-      (st, Done unknown)
-    | Frontier_request _ | Frontier_reply _ | Sync_request _ | Bloom_request _
-    | Bloom_reply _ | Blocks_request _ | Blocks_reply _ | Digest_request _
-    | Digest_reply _ | Trace_context _ ->
-      (st, Foreign)
-
-  let respond dag = function
-    | Sync_request { frontier; recent } ->
-      (* Everything resident that is not in the ancestry of the hashes the
-         initiator claims to have. The [recent] hashes (the initiator's
-         deeper frontier levels) matter under mutual divergence: when the
-         responder does not know the initiator's frontier tips, it can still
-         subtract the shared history below them. [Dag.below] computes the
-         closure in one multi-source traversal (memoized across the
-         session), and the reply filter streams the cached canonical order
-         instead of materializing it. *)
-      let base = Dag.below dag (frontier @ recent) in
-      let blocks =
-        Dag.topo_seq dag
-        |> Seq.filter (fun (b : Block.t) -> not (HSet.mem b.Block.hash base))
-        |> List.of_seq
-      in
-      Some (Sync_reply { blocks })
-    | Frontier_request _ | Frontier_reply _ | Sync_reply _ | Bloom_request _
-    | Bloom_reply _ | Blocks_request _ | Blocks_reply _ | Digest_request _
-    | Digest_reply _ | Trace_context _ ->
+    | Frontier_reply _ | Bloom_request _ | Bloom_reply _ | Blocks_request _
+    | Blocks_reply _ | Digest_request _ | Digest_reply _ | Trace_context _ ->
       None
 end
 
@@ -422,9 +348,8 @@ module Bloom_impl = struct
           }
         in
         (st, Continue req)
-    | Frontier_request _ | Frontier_reply _ | Sync_request _ | Sync_reply _
-    | Bloom_request _ | Blocks_request _ | Digest_request _ | Digest_reply _
-    | Trace_context _ ->
+    | Frontier_request _ | Frontier_reply _ | Bloom_request _ | Blocks_request _
+    | Digest_request _ | Digest_reply _ | Trace_context _ ->
       (st, Foreign)
 
   let respond dag = function
@@ -443,9 +368,8 @@ module Bloom_impl = struct
         in
         Some (Bloom_reply { blocks })
     end
-    | Frontier_request _ | Frontier_reply _ | Sync_request _ | Sync_reply _
-    | Bloom_reply _ | Blocks_request _ | Blocks_reply _ | Digest_request _
-    | Digest_reply _ | Trace_context _ ->
+    | Frontier_request _ | Frontier_reply _ | Bloom_reply _ | Blocks_request _
+    | Blocks_reply _ | Digest_request _ | Digest_reply _ | Trace_context _ ->
       None
 end
 
@@ -557,9 +481,8 @@ module Digest_impl = struct
         List.fold_left (fun acc iv -> narrow table iv acc) ([], []) intervals
       in
       Some (Digest_reply { splits = List.rev splits; leaves = List.rev leaves })
-    | Frontier_request _ | Frontier_reply _ | Sync_request _ | Sync_reply _
-    | Bloom_request _ | Bloom_reply _ | Blocks_request _ | Blocks_reply _
-    | Digest_reply _ | Trace_context _ ->
+    | Frontier_request _ | Frontier_reply _ | Bloom_request _ | Bloom_reply _
+    | Blocks_request _ | Blocks_reply _ | Digest_reply _ | Trace_context _ ->
       None
 
   let on_reply st dag = function
@@ -627,20 +550,17 @@ module Digest_impl = struct
         in
         (st, Continue req)
     | Digest_reply _ | Blocks_reply _ (* wrong phase: stale frame *)
-    | Frontier_request _ | Frontier_reply _ | Sync_request _ | Sync_reply _
-    | Bloom_request _ | Bloom_reply _ | Blocks_request _ | Digest_request _
-    | Trace_context _ ->
+    | Frontier_request _ | Frontier_reply _ | Bloom_request _ | Bloom_reply _
+    | Blocks_request _ | Digest_request _ | Trace_context _ ->
       (st, Foreign)
 end
 
 module Naive = Naive_impl
-module Indexed = Indexed_impl
 module Bloom = Bloom_impl
 module Digest = Digest_impl
 
 let of_mode : mode -> (module S) = function
   | Naive -> (module Naive)
-  | Indexed -> (module Indexed)
   | Bloom -> (module Bloom)
   | Digest -> (module Digest)
 
@@ -651,9 +571,6 @@ let start_session m dag =
   | Naive ->
     let st, msg = Naive.start dag in
     (Packed ((module Naive), st), msg)
-  | Indexed ->
-    let st, msg = Indexed.start dag in
-    (Packed ((module Indexed), st), msg)
   | Bloom ->
     let st, msg = Bloom.start dag in
     (Packed ((module Bloom), st), msg)
@@ -671,10 +588,9 @@ let session_step (Packed ((module M), st)) dag m =
 let respond dag m =
   match m with
   | Frontier_request _ -> Naive.respond dag m
-  | Sync_request _ -> Indexed.respond dag m
   | Bloom_request _ -> Bloom.respond dag m
   | Digest_request _ -> Digest.respond dag m
   | Blocks_request { hashes } -> Some (respond_blocks dag hashes)
-  | Frontier_reply _ | Sync_reply _ | Bloom_reply _ | Blocks_reply _
-  | Digest_reply _ | Trace_context _ ->
+  | Frontier_reply _ | Bloom_reply _ | Blocks_reply _ | Digest_reply _
+  | Trace_context _ ->
     None

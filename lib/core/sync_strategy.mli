@@ -9,13 +9,11 @@
     means adding one module here plus a {!mode} constructor — no driver
     or host changes.
 
-    Four strategies ship:
+    Three strategies ship:
 
     - {!Naive} — the paper's Algorithm 1: repeated level-frontier
       requests with escalation (re-ships every level each round, hence
       the measured 95–98% gossip redundancy at steady state).
-    - {!Indexed} — one round: the request advertises frontier + recent
-      ancestry hashes, the responder computes the exact difference.
     - {!Bloom} — the request is a Bloom filter over all held hashes;
       false positives are recovered with explicit block requests.
     - {!Digest} — Merkle-style recursive narrowing: the request carries
@@ -30,7 +28,7 @@
 
     Everything here is pure: no clock, no randomness, no I/O. *)
 
-type mode = Naive | Indexed | Bloom | Digest
+type mode = Naive | Bloom | Digest
 
 (** First-class mode names for flag parsing, experiment drivers and
     bench groups. *)
@@ -38,7 +36,7 @@ module Mode : sig
   type t = mode
 
   val all : mode list
-  (** In presentation order: [Naive; Indexed; Bloom; Digest]. *)
+  (** In presentation order: [Naive; Bloom; Digest]. *)
 
   val to_string : mode -> string
   val of_string : string -> mode option
@@ -56,8 +54,6 @@ type leaf = { lo : int; hi : int; hashes : Hash_id.t list }
 type message =
   | Frontier_request of { level : int }
   | Frontier_reply of { level : int; blocks : Block.t list }
-  | Sync_request of { frontier : Hash_id.t list; recent : Hash_id.t list }
-  | Sync_reply of { blocks : Block.t list }
   | Bloom_request of { filter : string }
   | Bloom_reply of { blocks : Block.t list }
   | Blocks_request of { hashes : Hash_id.t list }
@@ -76,9 +72,11 @@ type message =
           drop the frame at {!Wire.decode_string}. *)
 
 val encode_message : Buffer.t -> message -> unit
-(** Wire tags 1–8 are byte-identical to the pre-strategy encoding (old
-    journals and same-seed traces replay unchanged); digest messages
-    use tags 9/10, the span-tracing context frame tag 11. *)
+(** Wire tags 1, 2 and 5–8 are byte-identical to the pre-strategy
+    encoding (old journals and same-seed traces replay unchanged);
+    digest messages use tags 9/10, the span-tracing context frame tag
+    11. Tags 3 and 4 (the retired indexed strategy) are never reused and
+    no longer decode. *)
 
 val decode_message : Wire.cursor -> message
 (** @raise Wire.Malformed on an unknown tag or truncated payload. *)
@@ -93,8 +91,8 @@ val reply_blocks : message -> Block.t list
 
 val advertised_hashes : message -> Hash_id.t list
 (** Hashes the sender of this message claims to hold without shipping
-    the blocks (digest leaves) — knowledge-cache and {!Pending_pool}
-    advertisement fodder. *)
+    the blocks (digest leaves) — {!Pending_pool} advertisement
+    fodder. *)
 
 (** Outcome of feeding one reply to a strategy session. *)
 type outcome =
@@ -126,7 +124,6 @@ module type S = sig
 end
 
 module Naive : S
-module Indexed : S
 module Bloom : S
 module Digest : S
 
@@ -148,9 +145,6 @@ val respond : Dag.t -> message -> message option
 (** Responder side over all strategies: dispatches requests to their
     owning strategy (plus the shared {!message.Blocks_request});
     [None] for replies. *)
-
-val recent_level : int
-(** How many frontier levels {!Indexed} advertises as [recent]. *)
 
 (** {1 Deterministic span identity}
 

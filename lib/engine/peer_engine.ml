@@ -1,6 +1,4 @@
 open Vegvisir
-module HSet = Hash_id.Set
-module IMap = Map.Make (Int)
 
 type policy = Honest | Silent | Withholding
 
@@ -11,7 +9,6 @@ module Config = struct
     stale_after_ms : float;
     session_timeout_ms : float;
     retry_limit : int;
-    knowledge_cache : int;
     trace_sample : float;
         (* Head-sampling rate for cross-daemon span tracing: the
            fraction of initiated sessions that announce a
@@ -28,7 +25,6 @@ module Config = struct
       stale_after_ms = 5_000.;
       session_timeout_ms = 30_000.;
       retry_limit = 3;
-      knowledge_cache = 0;
       trace_sample = 0.;
     }
 end
@@ -75,7 +71,6 @@ type event =
   | Decode_failed of { from : int }
   | Blocks_served of { dst : int; blocks : Hash_id.t list }
   | Redundant_received of { from : int; blocks : Hash_id.t list }
-  | Blocks_suppressed of { dst : int; blocks : Hash_id.t list }
   | Peer_advertised of { from : int; hashes : Hash_id.t list }
   | Trace_context_sent of {
       dst : int;
@@ -117,20 +112,6 @@ type t = {
          plus genesis — maintained incrementally so answering a request
          does not rebuild the DAG (the old per-request [topo_order] fold
          was O(n) per message, O(n²) per sync). *)
-  knowledge : HSet.t IMap.t;
-      (* Per-peer knowledge cache (enabled when
-         [config.knowledge_cache > 0]): hashes this peer has {e proven}
-         to hold — blocks it shipped us, hashes it advertised in
-         request frontiers or digest leaves. Receive-side evidence
-         only: blocks we ship are never recorded at send time (the
-         frame may be lost; a wrong entry here means withholding a
-         block the peer genuinely lacks, and several strategies
-         terminate on an empty reply — permanent divergence). What we
-         shipped enters the cache only once the peer's own later
-         traffic acknowledges it (its next frontier or digest leaves).
-         Consulted before every reply [Send] so repeat exchanges ship
-         only the true difference. Ordered containers only: iteration
-         order feeds deterministic effect lists. *)
 }
 
 (* The censored view admits a block only when its (censored) ancestry is
@@ -156,7 +137,6 @@ let create ?(config = Config.default) ~user_id ~dag () =
       (match config.Config.policy with
       | Honest | Silent -> None
       | Withholding -> Some (build_censored user_id dag));
-    knowledge = IMap.empty;
   }
 
 let config t = t.config
@@ -176,100 +156,6 @@ let absorb t (b : Block.t) =
   match t.censored with
   | None -> t
   | Some censored -> { t with censored = Some (censor_add t.user_id censored b) }
-
-(* ------------------------------------------------------------------ *)
-(* Per-peer knowledge cache                                             *)
-
-let cache_enabled t = t.config.Config.knowledge_cache > 0
-
-let known_set t peer =
-  match IMap.find_opt peer t.knowledge with Some s -> s | None -> HSet.empty
-
-let known_to t ~peer = HSet.elements (known_set t peer)
-
-(* Record that [peer] holds [hashes]. Bounded per peer by
-   [config.knowledge_cache]; on overflow the peer's cache resets to
-   empty (a deterministic epoch clear — no insertion-order tracking, so
-   no unordered iteration sneaks into the effect stream). A cold cache
-   only costs redundant transfers, never correctness. *)
-let cache_note t peer hashes =
-  match hashes with
-  | [] -> t
-  | _ :: _ when not (cache_enabled t) -> t
-  | _ :: _ ->
-    let known = List.fold_left (fun s h -> HSet.add h s) (known_set t peer) hashes in
-    let known =
-      if HSet.cardinal known > t.config.Config.knowledge_cache then HSet.empty
-      else known
-    in
-    { t with knowledge = IMap.add peer known t.knowledge }
-
-(* Forget [hashes] for [peer] — the inverse of [cache_note], for
-   evidence that the peer *lacks* something the cache attributes to it. *)
-let cache_forget t peer hashes =
-  match hashes with
-  | [] -> t
-  | _ :: _ when not (cache_enabled t) -> t
-  | _ :: _ ->
-    let known =
-      List.fold_left (fun s h -> HSet.remove h s) (known_set t peer) hashes
-    in
-    { t with knowledge = IMap.add peer known t.knowledge }
-
-(* Hashes a request proves its sender holds: an indexed request carries
-   the sender's frontier and recent ancestry; bloom/digest requests are
-   not enumerable — nothing to learn from those. *)
-let request_evidence = function
-  | Reconcile.Sync_request { frontier; recent } -> frontier @ recent
-  | Reconcile.Frontier_request _ | Reconcile.Bloom_request _
-  | Reconcile.Blocks_request _ | Reconcile.Digest_request _
-  | Reconcile.Frontier_reply _ | Reconcile.Sync_reply _
-  | Reconcile.Bloom_reply _ | Reconcile.Blocks_reply _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    []
-
-(* Hashes a request proves its sender {e lacks}: an explicit block fetch
-   names exactly the bodies the sender could not get any other way —
-   positive proof that overrides whatever the cache believed (the peer
-   may legitimately re-request a block it once advertised: pending-pool
-   eviction of a buffered block, or an earlier reply lost in flight). *)
-let request_retraction = function
-  | Reconcile.Blocks_request { hashes } -> hashes
-  | Reconcile.Frontier_request _ | Reconcile.Sync_request _
-  | Reconcile.Bloom_request _ | Reconcile.Digest_request _
-  | Reconcile.Frontier_reply _ | Reconcile.Sync_reply _
-  | Reconcile.Bloom_reply _ | Reconcile.Blocks_reply _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    []
-
-(* Drop blocks [known] already attributes to the peer from a reply's
-   payload. Only sweep-style replies change; the protocol control
-   fields (levels, digests, hash lists) pass through untouched, so the
-   initiator's narrowing logic still sees a structurally honest reply —
-   just without re-shipped block bodies. [Blocks_reply] is exempt: it
-   answers an explicit [Blocks_request], and a request by hash is
-   positive proof the sender lacks those blocks — suppressing there
-   would starve bloom gap-recovery and digest leaf-fetch, both of which
-   terminate on an empty reply. *)
-let suppress_known known reply =
-  let split blocks =
-    List.partition (fun (b : Block.t) -> not (HSet.mem b.Block.hash known)) blocks
-  in
-  match reply with
-  | Reconcile.Frontier_reply { level; blocks } ->
-    let keep, dropped = split blocks in
-    (Reconcile.Frontier_reply { level; blocks = keep }, dropped)
-  | Reconcile.Sync_reply { blocks } ->
-    let keep, dropped = split blocks in
-    (Reconcile.Sync_reply { blocks = keep }, dropped)
-  | Reconcile.Bloom_reply { blocks } ->
-    let keep, dropped = split blocks in
-    (Reconcile.Bloom_reply { blocks = keep }, dropped)
-  | Reconcile.Frontier_request _ | Reconcile.Sync_request _
-  | Reconcile.Bloom_request _ | Reconcile.Blocks_request _
-  | Reconcile.Blocks_reply _ | Reconcile.Digest_request _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    (reply, [])
 
 let encode m =
   let b = Buffer.create 256 in
@@ -363,14 +249,12 @@ let tick t ~now ~dag ~peer =
    phase of a block's causal timeline. *)
 let served_blocks = function
   | Reconcile.Frontier_reply { blocks; _ }
-  | Reconcile.Sync_reply { blocks }
   | Reconcile.Bloom_reply { blocks }
   | Reconcile.Blocks_reply { blocks } ->
     List.map (fun (b : Block.t) -> b.Block.hash) blocks
-  | Reconcile.Frontier_request _ | Reconcile.Sync_request _
-  | Reconcile.Bloom_request _ | Reconcile.Blocks_request _
-  | Reconcile.Digest_request _ | Reconcile.Digest_reply _
-  | Reconcile.Trace_context _ ->
+  | Reconcile.Frontier_request _ | Reconcile.Bloom_request _
+  | Reconcile.Blocks_request _ | Reconcile.Digest_request _
+  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
     []
 
 let on_reply t ~now ~dag ~from msg =
@@ -378,14 +262,10 @@ let on_reply t ~now ~dag ~from msg =
   | Some s when Int.equal s.dst from ->
     let s = { s with last_activity = now } in
     let t = { t with retries = 0 } in
-    (* Everything a reply carries is evidence of the responder's
-       holdings: block payloads it shipped and hashes it advertised in
-       digest leaves both enter the peer's knowledge cache. *)
-    let t = cache_note t from (served_blocks msg) in
-    let advertised = Reconcile.advertised_hashes msg in
-    let t = cache_note t from advertised in
+    (* Hashes the responder advertised in digest leaves: it provably
+       holds them, which the host's pending pool uses for eviction. *)
     let advert_trace =
-      match advertised with
+      match Reconcile.advertised_hashes msg with
       | [] -> []
       | hashes -> [ Trace (Peer_advertised { from; hashes }) ]
     in
@@ -407,9 +287,8 @@ let on_reply t ~now ~dag ~from msg =
           advert_trace @ redundant @ [ Send { dst = from; bytes = encode next } ] )
       | Reconcile.Ignored ->
         (* Even a stale or foreign reply is evidence — the peer held
-           whatever it carried or advertised — so the cache ingested it
-           above; emit the advertisement trace too, keeping the pending
-           pool and obs counters consistent with the cache. *)
+           whatever it advertised — so the advertisement trace still
+           reaches the pending pool. *)
         ({ t with session = Some s }, advert_trace)
       | Reconcile.Finished { new_blocks; stats } ->
         let t = { t with session = None } in
@@ -443,7 +322,6 @@ let on_message t ~now ~dag ~from bytes =
     (t, [ Trace (Trace_context_received { from; trace; span }) ])
   | Some
       (( Reconcile.Frontier_request _ | Reconcile.Frontier_reply _
-       | Reconcile.Sync_request _ | Reconcile.Sync_reply _
        | Reconcile.Bloom_request _ | Reconcile.Bloom_reply _
        | Reconcile.Blocks_request _ | Reconcile.Blocks_reply _
        | Reconcile.Digest_request _ | Reconcile.Digest_reply _ ) as msg) -> begin
@@ -455,38 +333,15 @@ let on_message t ~now ~dag ~from bytes =
          | Honest | Withholding -> false)
       then (t, [ Trace (Request_suppressed { src = from }) ])
       else
-        (* What the request itself proves the peer holds — and proves it
-           lacks (an explicit block fetch retracts any cached
-           attribution) — then the cache filter: blocks the cache still
-           attributes to the peer are withheld from the payload. What
-           ships is deliberately *not* recorded: delivery is
-           unconfirmed until the peer's own later traffic (its next
-           frontier or digest leaves) acknowledges the blocks. *)
-        let t = cache_note t from (request_evidence msg) in
-        let t = cache_forget t from (request_retraction msg) in
-        let reply, dropped =
-          if cache_enabled t then suppress_known (known_set t from) reply
-          else (reply, [])
-        in
-        let suppressed =
-          match dropped with
-          | [] -> []
-          | blocks ->
-            [
-              Trace
-                (Blocks_suppressed
-                   {
-                     dst = from;
-                     blocks = List.map (fun (b : Block.t) -> b.Block.hash) blocks;
-                   });
-            ]
-        in
+        (* The responder keeps no per-peer memory: the reply is a
+           function of the request and the serving view alone, so a
+           retransmitted request gets the same answer. *)
         let serving =
           match served_blocks reply with
           | [] -> []
           | blocks -> [ Trace (Blocks_served { dst = from; blocks }) ]
         in
-        (t, (Send { dst = from; bytes = encode reply } :: serving) @ suppressed)
+        (t, Send { dst = from; bytes = encode reply } :: serving)
     | None -> on_reply t ~now ~dag ~from msg
   end
 
@@ -539,8 +394,6 @@ let event_equal a b =
     Int.equal a.dst b.dst && List.equal Hash_id.equal a.blocks b.blocks
   | Redundant_received a, Redundant_received b ->
     Int.equal a.from b.from && List.equal Hash_id.equal a.blocks b.blocks
-  | Blocks_suppressed a, Blocks_suppressed b ->
-    Int.equal a.dst b.dst && List.equal Hash_id.equal a.blocks b.blocks
   | Peer_advertised a, Peer_advertised b ->
     Int.equal a.from b.from && List.equal Hash_id.equal a.hashes b.hashes
   | Trace_context_sent a, Trace_context_sent b ->
@@ -555,8 +408,7 @@ let event_equal a b =
   | ( ( Session_started _ | Request_resent _ | Session_completed _
       | Session_aborted _ | Request_suppressed _ | Reply_ignored _
       | Decode_failed _ | Blocks_served _ | Redundant_received _
-      | Blocks_suppressed _ | Peer_advertised _ | Trace_context_sent _
-      | Trace_context_received _ ),
+      | Peer_advertised _ | Trace_context_sent _ | Trace_context_received _ ),
       _ ) ->
     false
 
@@ -593,8 +445,6 @@ let pp_event ppf = function
     Fmt.pf ppf "blocks-served(dst=%d %d blocks)" dst (List.length blocks)
   | Redundant_received { from; blocks } ->
     Fmt.pf ppf "redundant-received(from=%d %d blocks)" from (List.length blocks)
-  | Blocks_suppressed { dst; blocks } ->
-    Fmt.pf ppf "blocks-suppressed(dst=%d %d blocks)" dst (List.length blocks)
   | Peer_advertised { from; hashes } ->
     Fmt.pf ppf "peer-advertised(from=%d %d hashes)" from (List.length hashes)
   | Trace_context_sent { dst; generation; trace; span } ->

@@ -42,25 +42,6 @@ module Config : sig
     session_timeout_ms : float;  (** per-session hard deadline *)
     retry_limit : int;
         (** peer-level retransmit budget — see {!create} *)
-    knowledge_cache : int;
-        (** per-peer knowledge-cache capacity in hashes; [0] (the
-            default) disables caching entirely, keeping the engine's
-            effect stream byte-identical to the pre-cache protocol.
-            When enabled, the engine remembers per peer every hash that
-            peer has {e proven} to hold — blocks it shipped us, hashes
-            it advertised in request frontiers or digest leaves — and
-            filters sweep-reply payloads down to the true difference
-            ([Blocks_suppressed] traces account the savings). Only
-            receive-side evidence is cached: blocks we ship are never
-            recorded at send time (the frame may be lost), entering
-            the cache only once the peer's later traffic acknowledges
-            them; and an explicit [Blocks_request] both bypasses the
-            filter and retracts its hashes from the cache (a fetch by
-            hash is proof the sender lacks those blocks). Safe under
-            loss, duplication and reordering. On overflow a peer's
-            cache resets to empty — a deterministic epoch clear; a
-            cold cache costs only redundant transfer, never
-            correctness. *)
     trace_sample : float;
         (** head-sampling rate for cross-daemon span tracing: the
             fraction of initiated sessions that announce a
@@ -75,7 +56,7 @@ module Config : sig
 
   val default : t
   (** [Honest], [Naive] mode, 5 s stale, 30 s timeout, 3 retries,
-      caching disabled, trace sampling off. *)
+      trace sampling off. *)
 end
 
 (** {1 Timers} *)
@@ -151,17 +132,11 @@ type event =
           wasted transfer work; the hash-level counterpart of
           [Reconcile.stats.redundant_blocks] and the waste term of the
           health monitor's gossip-efficiency metric *)
-  | Blocks_suppressed of { dst : int; blocks : Hash_id.t list }
-      (** the knowledge cache withheld these block payloads from a reply
-          to [dst] because the cache already attributes them to it — the
-          savings term of the per-peer cache, journaled so the
-          scoreboard can report cache effectiveness *)
   | Peer_advertised of { from : int; hashes : Hash_id.t list }
       (** a reply from [from] advertised these hashes without shipping
           the blocks (digest leaves): [from] provably holds them. Hosts
           feed this to {!Vegvisir.Pending_pool.advertise} so eviction
-          prefers blocks no peer ever advertised, and to the knowledge
-          cache when enabled *)
+          prefers blocks no peer ever advertised *)
   | Trace_context_sent of {
       dst : int;
       generation : int;
@@ -232,11 +207,6 @@ val policy : t -> policy
 val config : t -> Config.t
 val generation : t -> int
 (** Number of sessions ever initiated; the current session's identity. *)
-
-val known_to : t -> peer:int -> Hash_id.t list
-(** The knowledge cache's current view of [peer]'s holdings, in
-    {!Hash_id.compare} order. Empty when caching is disabled or the
-    peer is unknown. *)
 
 (** {1 Equality and printing (test/driver support)} *)
 

@@ -12,7 +12,7 @@ let union_width gossip =
   let union = ref (V.Node.dag (Gossip.node gossip 0)) in
   for i = 1 to n - 1 do
     let merged, _ =
-      V.Reconcile.sync_dags V.Reconcile.Indexed !union (V.Node.dag (Gossip.node gossip i))
+      V.Reconcile.sync_dags V.Reconcile.Digest !union (V.Node.dag (Gossip.node gossip i))
     in
     union := merged
   done;

@@ -10,20 +10,20 @@ let run_depth d =
   Workload.append_chain b ~label:"b" ~n:d;
   let dag_a = V.Node.dag a and dag_b = V.Node.dag b in
   let _, naive = V.Reconcile.sync_dags V.Reconcile.Naive dag_a dag_b in
-  let merged, indexed = V.Reconcile.sync_dags V.Reconcile.Indexed dag_a dag_b in
+  let merged, digest = V.Reconcile.sync_dags V.Reconcile.Digest dag_a dag_b in
   assert (V.Dag.cardinal merged = V.Dag.cardinal dag_b);
-  (naive, indexed, full_dag_bytes dag_b)
+  (naive, digest, full_dag_bytes dag_b)
 
 let row d =
-  let naive, indexed, full = run_depth d in
+  let naive, digest, full = run_depth d in
   let tx s = s.V.Reconcile.bytes_sent + s.V.Reconcile.bytes_received in
   [
     Report.fi d;
     Report.fi naive.V.Reconcile.rounds;
     Report.ff (kb (tx naive));
     Report.fi naive.V.Reconcile.redundant_blocks;
-    Report.fi indexed.V.Reconcile.rounds;
-    Report.ff (kb (tx indexed));
+    Report.fi digest.V.Reconcile.rounds;
+    Report.ff (kb (tx digest));
     Report.ff (kb full);
   ]
 
@@ -41,15 +41,16 @@ let run ?(quick = false) () =
         "naive rounds";
         "naive KB";
         "redundant blks";
-        "indexed rounds";
-        "indexed KB";
+        "digest rounds";
+        "digest KB";
         "full-DAG KB";
       ];
     rows = List.map row depths;
     notes =
       [
         "divergence: responder is ahead by <depth> chained blocks";
-        "naive = paper's Algorithm 1; indexed = future-work variant (§VI)";
+        "naive = paper's Algorithm 1; digest = height-interval digest \
+         narrowing, a future-work variant (§VI)";
       ];
     registry = [];
   }

@@ -6,6 +6,6 @@
     a full-DAG-exchange baseline column. Expected shape: rounds grow with
     the {e depth} of the divergence; bytes grow quadratically for the
     naive protocol on deep chains (each escalation re-sends the previous
-    levels) but stay linear for the indexed variant. *)
+    levels) but stay linear for the digest variant. *)
 
 val run : ?quick:bool -> unit -> Report.table

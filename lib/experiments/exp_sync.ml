@@ -1,16 +1,15 @@
 open Vegvisir_net
 module V = Vegvisir
 
-(* One fleet per (mode, cache) cell so the sweep's cells are fully
-   independent: same topology, same seed, same append schedule — the
-   only variables are the sync strategy and the knowledge-cache knob. *)
-let run_one ~scale ~obs ~mode ~cache =
+(* One fleet per mode so the sweep's cells are fully independent: same
+   topology, same seed, same append schedule — the only variable is the
+   sync strategy. *)
+let run_one ~scale ~obs ~mode =
   let ms x = x *. scale in
   let n = 8 in
   let topo = Topology.clique ~n in
   let fleet =
     Scenario.build ~seed:43L ~topo ~mode
-      ~knowledge_cache:(if cache then 4096 else 0)
       ~interval_ms:(ms 800.) ~stale_after_ms:(ms 2_000.)
       ~session_timeout_ms:(ms 20_000.) ~obs
       ~init_crdts:[ ("log", Workload.log_spec) ]
@@ -57,7 +56,6 @@ let run_one ~scale ~obs ~mode ~cache =
   let converged = Gossip.honest_converged g in
   [
     V.Reconcile.Mode.to_string mode;
-    (if cache then "on" else "off");
     (if converged then "yes" else "NO");
     Report.fi useful;
     Report.fi redundant;
@@ -70,23 +68,17 @@ let run_one ~scale ~obs ~mode ~cache =
 let run ?(quick = false) () =
   let scale = if quick then 0.3 else 1.0 in
   let obs = Vegvisir_obs.Context.create () in
-  let rows =
-    List.concat_map
-      (fun mode ->
-        List.map (fun cache -> run_one ~scale ~obs ~mode ~cache) [ false; true ])
-      V.Reconcile.Mode.all
-  in
+  let rows = List.map (fun mode -> run_one ~scale ~obs ~mode) V.Reconcile.Mode.all in
   {
     Report.id = "E12";
     title = "Sync-strategy sweep: redundancy vs convergence";
     claim =
       "set reconciliation (digest narrowing) converges as fast as naive \
        frontier-escalation while driving redundant block transfer from \
-       ~95% to single digits; the per-peer knowledge cache strips \
-       re-shipments of blocks a peer has proven to hold";
+       ~95% to single digits";
     header =
       [
-        "mode"; "cache"; "converged"; "useful"; "redundant"; "redundancy";
+        "mode"; "converged"; "useful"; "redundant"; "redundancy";
         "conv lag (s)"; "rounds"; "session bytes";
       ];
     rows;

@@ -39,7 +39,7 @@ type t = {
 let max_fed = 4096
 
 let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
-    ?(knowledge_cache = 0) ?(interval_ms = 1000.) ?(stale_after_ms = 5_000.)
+    ?(interval_ms = 1000.) ?(stale_after_ms = 5_000.)
     ?(session_timeout_ms = 30_000.) ?(trace_sample = 0.) ?tap ?obs () =
   let n = Array.length nodes in
   if Topology.size (Simnet.topo net) <> n then
@@ -70,7 +70,6 @@ let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
                        it is abandoned; "recent" scales with the cadence. *)
                     stale_after_ms = max stale_after_ms (2. *. interval_ms);
                     session_timeout_ms;
-                    knowledge_cache;
                     trace_sample;
                   }
                 ~user_id:(Node.user_id nodes.(i))
@@ -245,14 +244,6 @@ let apply_effect t i ~src (eff : Peer_engine.effect_) =
             (Obs.Event.Block_redundant
                { node = node_name i; block = h; peer = Some (node_name from) }))
         blocks
-    | Peer_engine.Blocks_suppressed { dst; blocks } ->
-      emit t
-        (Obs.Event.Blocks_suppressed
-           {
-             node = node_name i;
-             peer = node_name dst;
-             blocks = List.length blocks;
-           })
     | Peer_engine.Peer_advertised { from; hashes } ->
       (* Advertisement evidence flows two ways: the pending pool learns
          which buffered orphans some peer vouches for (eviction spares

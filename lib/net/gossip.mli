@@ -46,7 +46,6 @@ val create :
   nodes:Vegvisir.Node.t array ->
   ?behaviors:behavior array ->
   ?mode:Vegvisir.Reconcile.mode ->
-  ?knowledge_cache:int ->
   ?interval_ms:float ->
   ?stale_after_ms:float ->
   ?session_timeout_ms:float ->
@@ -56,10 +55,6 @@ val create :
   unit ->
   t
 (** One gossip peer per node; array sizes must match the topology.
-
-    [knowledge_cache] sets every engine's
-    {!Vegvisir_engine.Peer_engine.Config} per-peer knowledge-cache
-    capacity (default [0]: disabled, byte-identical legacy behavior).
 
     [trace_sample] sets every engine's cross-node span-tracing rate
     (default [0.]: no [Trace_context] frames, no session spans). Sampled

@@ -24,9 +24,9 @@ let make_signer kind i =
   | Mss h -> Signer.mss ~height:h ~seed:(Printf.sprintf "peer-seed-%d" i) ()
 
 let build ?(seed = 1L) ?(link = Link.default) ?behaviors
-    ?(mode = Reconcile.Naive) ?knowledge_cache ?(interval_ms = 1000.)
-    ?stale_after_ms ?session_timeout_ms ?trace_sample ?tap ?obs
-    ?(signer = Oracle) ?role_of ?(init_crdts = []) ~topo () =
+    ?(mode = Reconcile.Naive) ?(interval_ms = 1000.) ?stale_after_ms
+    ?session_timeout_ms ?trace_sample ?tap ?obs ?(signer = Oracle) ?role_of
+    ?(init_crdts = []) ~topo () =
   let n = Topology.size topo in
   if n = 0 then invalid_arg "Scenario.build: empty topology";
   let role_of =
@@ -64,8 +64,8 @@ let build ?(seed = 1L) ?(link = Link.default) ?behaviors
   in
   Simnet.set_obs net obs;
   let gossip =
-    Gossip.create ~net ~nodes ?behaviors ~mode ?knowledge_cache ~interval_ms
-      ?stale_after_ms ?session_timeout_ms ?trace_sample ?tap ~obs ()
+    Gossip.create ~net ~nodes ?behaviors ~mode ~interval_ms ?stale_after_ms
+      ?session_timeout_ms ?trace_sample ?tap ~obs ()
   in
   Array.iteri (fun i _ -> Gossip.receive gossip i genesis) nodes;
   { net; gossip; genesis; certs; obs; started = false }

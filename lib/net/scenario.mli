@@ -29,7 +29,6 @@ val build :
   ?link:Link.t ->
   ?behaviors:Gossip.behavior array ->
   ?mode:Vegvisir.Reconcile.mode ->
-  ?knowledge_cache:int ->
   ?interval_ms:float ->
   ?stale_after_ms:float ->
   ?session_timeout_ms:float ->

@@ -11,7 +11,7 @@
     topology clique            # clique | line S R | grid S R | random A R
     seed 42
     interval 800               # gossip period, ms
-    mode naive                 # naive | indexed | bloom | digest
+    mode naive                 # naive | bloom | digest
     duty 4000 0.25             # optional: sleep period ms, awake fraction
     crdt log gset string       # name kind elem (kind: gset|orset|counter|rga)
 

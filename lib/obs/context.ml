@@ -17,8 +17,6 @@ let derive reg ev =
   | Event.Block_dropped { node; _ } -> count reg ~node "gossip.blocks_dropped"
   | Event.Block_redundant { node; _ } ->
     count reg ~node "gossip.blocks_redundant"
-  | Event.Blocks_suppressed { node; blocks; _ } ->
-    count_n reg ~node "gossip.blocks_suppressed" blocks
   | Event.Blocks_advertised { node; hashes; _ } ->
     count_n reg ~node "gossip.blocks_advertised" hashes
   | Event.Net_sent { src; _ } -> count reg ~node:src "net.sent"

@@ -17,7 +17,6 @@ type t =
     }
   | Block_dropped of { node : node; block : Hash_id.t }
   | Block_redundant of { node : node; block : Hash_id.t; peer : node option }
-  | Blocks_suppressed of { node : node; peer : node; blocks : int }
   | Blocks_advertised of { node : node; peer : node; hashes : int }
   | Net_sent of { src : node; dst : node; bytes : int }
   | Net_delivered of { src : node; dst : node; bytes : int }
@@ -122,9 +121,7 @@ let groups_equal a b =
 
 let subsystem = function
   | Block _ -> "block"
-  | Block_dropped _ | Block_redundant _ | Blocks_suppressed _
-  | Blocks_advertised _ ->
-    "gossip"
+  | Block_dropped _ | Block_redundant _ | Blocks_advertised _ -> "gossip"
   | Net_sent _ | Net_delivered _ | Net_dropped _ | Partition_changed _ -> "net"
   | Session_started _ | Session_completed _ | Session_aborted _
   | Request_resent _ ->
@@ -139,7 +136,6 @@ let primary_node = function
   | Block { node; _ }
   | Block_dropped { node; _ }
   | Block_redundant { node; _ }
-  | Blocks_suppressed { node; _ }
   | Blocks_advertised { node; _ }
   | Session_started { node; _ }
   | Session_completed { node; _ }
@@ -162,7 +158,6 @@ let kind = function
   | Block { phase; _ } -> phase_to_string phase
   | Block_dropped _ -> "block-dropped"
   | Block_redundant _ -> "block-redundant"
-  | Blocks_suppressed _ -> "blocks-suppressed"
   | Blocks_advertised _ -> "blocks-advertised"
   | Net_sent _ -> "sent"
   | Net_delivered _ -> "delivered"
@@ -206,9 +201,6 @@ let equal a b =
     String.equal a.node b.node
     && Hash_id.equal a.block b.block
     && opt_node_equal a.peer b.peer
-  | Blocks_suppressed a, Blocks_suppressed b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.blocks b.blocks
   | Blocks_advertised a, Blocks_advertised b ->
     String.equal a.node b.node && String.equal a.peer b.peer
     && Int.equal a.hashes b.hashes
@@ -266,9 +258,8 @@ let equal a b =
     && opt_node_equal a.parent b.parent
     && String.equal a.name b.name
     && Float.equal a.dur_ms b.dur_ms
-  | ( ( Block _ | Block_dropped _ | Block_redundant _ | Blocks_suppressed _
-      | Blocks_advertised _ | Net_sent _
-      | Net_delivered _ | Net_dropped _ | Partition_changed _
+  | ( ( Block _ | Block_dropped _ | Block_redundant _ | Blocks_advertised _
+      | Net_sent _ | Net_delivered _ | Net_dropped _ | Partition_changed _
       | Session_started _ | Session_completed _ | Session_aborted _
       | Request_resent _ | Leader_elected _ | Block_archived _
       | Store_loaded _ | Store_saved _ | Sync_started _ | Sync_completed _
@@ -339,8 +330,6 @@ let fields = function
   | Block_redundant { node; block; peer } ->
     [ ("node", S node); ("block", S (Hash_id.to_hex block)) ]
     @ (match peer with None -> [] | Some p -> [ ("peer", S p) ])
-  | Blocks_suppressed { node; peer; blocks } ->
-    [ ("node", S node); ("peer", S peer); ("blocks", I blocks) ]
   | Blocks_advertised { node; peer; hashes } ->
     [ ("node", S node); ("peer", S peer); ("hashes", I hashes) ]
   | Net_sent { src; dst; bytes } | Net_delivered { src; dst; bytes } ->
@@ -437,10 +426,6 @@ let add_fields b = function
     add_str b ",\"node\":" node;
     add_hash b ",\"block\":" block;
     add_opt_peer b peer
-  | Blocks_suppressed { node; peer; blocks } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"blocks\":" blocks
   | Blocks_advertised { node; peer; hashes } ->
     add_str b ",\"node\":" node;
     add_str b ",\"peer\":" peer;
@@ -684,9 +669,6 @@ let decode assoc =
           block = hash_field "block" assoc;
           peer = List.assoc_opt "peer" assoc;
         }
-    | "gossip", "blocks-suppressed" ->
-      Blocks_suppressed
-        { node = node (); peer = peer (); blocks = int_field "blocks" assoc }
     | "gossip", "blocks-advertised" ->
       Blocks_advertised
         { node = node (); peer = peer (); hashes = int_field "hashes" assoc }

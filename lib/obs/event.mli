@@ -43,14 +43,10 @@ type t =
       (** a block delivered by a gossip session that the node already
           held — redundant transfer work, the waste term of gossip
           efficiency *)
-  | Blocks_suppressed of { node : node; peer : node; blocks : int }
-      (** [node]'s per-peer knowledge cache withheld [blocks] block
-          payloads from a reply to [peer] (it already holds them) — the
-          savings term of the engine's knowledge cache *)
   | Blocks_advertised of { node : node; peer : node; hashes : int }
       (** [peer] advertised [hashes] block hashes to [node] without
-          shipping the blocks (digest leaves) — knowledge the cache and
-          {!Vegvisir.Pending_pool} eviction feed on *)
+          shipping the blocks (digest leaves) — knowledge
+          {!Vegvisir.Pending_pool} eviction feeds on *)
   | Net_sent of { src : node; dst : node; bytes : int }
   | Net_delivered of { src : node; dst : node; bytes : int }
   | Net_dropped of { src : node; dst : node; bytes : int; reason : drop_reason }

@@ -40,7 +40,6 @@ type entry = {
   mutable redundant : int;  (* blocks it shipped that we already held *)
   mutable exchanges : int;  (* clean Sync_completed exchanges *)
   mutable failures : int;  (* engine sessions aborted (stalled/timeout) *)
-  mutable suppressed : int;  (* payloads our knowledge cache withheld from it *)
   mutable advertised : int;  (* hashes it advertised without shipping blocks *)
   mutable acked : int;  (* |held| at this peer's last clean exchange *)
   mutable last_contact : float option;  (* ts of the latest event naming it *)
@@ -55,7 +54,6 @@ type row = {
   redundant : int;
   exchanges : int;
   failures : int;
-  suppressed : int;
   advertised : int;
   last_contact : float option;
   latencies : float list;  (* ms, oldest first *)
@@ -79,7 +77,6 @@ let entry t peer =
         redundant = 0;
         exchanges = 0;
         failures = 0;
-        suppressed = 0;
         advertised = 0;
         acked = 0;
         last_contact = None;
@@ -114,10 +111,6 @@ let observe t ~ts ev =
     let e = entry t p in
     e.redundant <- e.redundant + 1;
     e.last_contact <- Some ts
-  | Event.Blocks_suppressed { node; peer; blocks } when mine t node ->
-    let e = entry t peer in
-    e.suppressed <- e.suppressed + blocks;
-    e.last_contact <- Some ts
   | Event.Blocks_advertised { node; peer; hashes } when mine t node ->
     let e = entry t peer in
     e.advertised <- e.advertised + hashes;
@@ -150,7 +143,7 @@ let observe t ~ts ev =
     e.acked <- HSet.cardinal t.held;
     e.last_contact <- Some ts
   | Event.Block _ | Event.Block_dropped _ | Event.Block_redundant _
-  | Event.Blocks_suppressed _ | Event.Blocks_advertised _
+  | Event.Blocks_advertised _
   | Event.Net_sent _ | Event.Net_delivered _ | Event.Net_dropped _
   | Event.Partition_changed _ | Event.Session_started _
   | Event.Session_completed _ | Event.Session_aborted _
@@ -175,7 +168,6 @@ let row_of t peer (e : entry) =
     redundant = e.redundant;
     exchanges = e.exchanges;
     failures = e.failures;
-    suppressed = e.suppressed;
     advertised = e.advertised;
     last_contact = e.last_contact;
     latencies =
@@ -248,7 +240,6 @@ let report t =
           "redundant=" ^ string_of_int r.redundant;
           "exchanges=" ^ string_of_int r.exchanges;
           "failures=" ^ string_of_int r.failures;
-          "suppressed=" ^ string_of_int r.suppressed;
           "advertised=" ^ string_of_int r.advertised;
           "last_contact=" ^ opt_fms r.last_contact;
           "lat_count=" ^ string_of_int (List.length r.latencies);
@@ -280,8 +271,6 @@ let to_json t =
       Buffer.add_string b (string_of_int r.exchanges);
       Buffer.add_string b ",\"failures\":";
       Buffer.add_string b (string_of_int r.failures);
-      Buffer.add_string b ",\"suppressed\":";
-      Buffer.add_string b (string_of_int r.suppressed);
       Buffer.add_string b ",\"advertised\":";
       Buffer.add_string b (string_of_int r.advertised);
       Buffer.add_string b ",\"last_contact_ms\":";
@@ -308,7 +297,6 @@ let export t reg =
       set "peer.redundant_blocks" (float_of_int r.redundant);
       set "peer.exchanges" (float_of_int r.exchanges);
       set "peer.failures" (float_of_int r.failures);
-      set "peer.suppressed_blocks" (float_of_int r.suppressed);
       set "peer.advertised_hashes" (float_of_int r.advertised);
       (match r.last_contact with
       | Some ts -> set "peer.last_contact_ms" ts

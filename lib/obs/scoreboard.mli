@@ -30,9 +30,6 @@ type row = {
   redundant : int;  (** blocks it shipped that we already held *)
   exchanges : int;  (** clean exchanges completed *)
   failures : int;  (** engine sessions aborted (stalled / timed out) *)
-  suppressed : int;
-      (** block payloads our knowledge cache withheld from replies to it
-          (it already held them) — the savings term of the cache *)
   advertised : int;
       (** hashes it advertised (digest leaves) without shipping blocks *)
   last_contact : float option;  (** ts of the latest event naming it *)

@@ -85,7 +85,7 @@ let of_event ~ts (ev : Event.t) =
         Some (root_of_trace trace)
     in
     Some { trace; span; parent; name; node; start_ms = ts; dur_ms = 0. }
-  | Event.Block_dropped _ | Event.Block_redundant _ | Event.Blocks_suppressed _
+  | Event.Block_dropped _ | Event.Block_redundant _
   | Event.Blocks_advertised _ | Event.Net_sent _ | Event.Net_delivered _
   | Event.Net_dropped _ | Event.Partition_changed _ | Event.Session_started _
   | Event.Session_completed _ | Event.Session_aborted _
@@ -136,7 +136,7 @@ module Collector = struct
       t.stamps.(i) <- ts;
       t.next <- t.next + 1
     | Event.Block_dropped _ | Event.Block_redundant _
-    | Event.Blocks_suppressed _ | Event.Blocks_advertised _ | Event.Net_sent _
+    | Event.Blocks_advertised _ | Event.Net_sent _
     | Event.Net_delivered _ | Event.Net_dropped _ | Event.Partition_changed _
     | Event.Session_started _ | Event.Session_completed _
     | Event.Session_aborted _ | Event.Request_resent _ | Event.Leader_elected _

@@ -25,7 +25,7 @@ let record t ~ts ev =
         (function None -> Some [ e ] | Some es -> Some (e :: es))
         t.spans
   | Event.Block_dropped _ | Event.Block_redundant _ | Event.Net_sent _
-  | Event.Blocks_suppressed _ | Event.Blocks_advertised _
+  | Event.Blocks_advertised _
   | Event.Net_delivered _ | Event.Net_dropped _ | Event.Partition_changed _
   | Event.Session_started _ | Event.Session_completed _
   | Event.Session_aborted _ | Event.Request_resent _ | Event.Leader_elected _

@@ -152,8 +152,7 @@ let scripted_pull ?(mode = Reconcile.Naive) ?(mangle = fun ~round:_ frames -> fr
           | Peer_engine.Session_completed _ | Peer_engine.Request_suppressed _
           | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _
           | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
-          | Peer_engine.Blocks_suppressed _ | Peer_engine.Peer_advertised _
-          | Peer_engine.Trace_context_sent _
+          | Peer_engine.Peer_advertised _ | Peer_engine.Trace_context_sent _
           | Peer_engine.Trace_context_received _ ->
             ())
         | Peer_engine.Send _ | Peer_engine.Set_timer _ -> ())
@@ -216,7 +215,7 @@ let scripted_matches_sync_dags () =
       | Some s -> check_b "stats agree" true (Reconcile.stats_equal s ref_stats)
       | None -> ());
       check_b "no spurious abort" true (Option.is_none o.aborted))
-    [ Reconcile.Naive; Reconcile.Indexed; Reconcile.Bloom; Reconcile.Digest ]
+    Reconcile.Mode.all
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial transports                                               *)
@@ -229,9 +228,8 @@ let has_resent events =
       | Peer_engine.Session_aborted _ | Peer_engine.Request_suppressed _
       | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _
       | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
-          | Peer_engine.Blocks_suppressed _ | Peer_engine.Peer_advertised _
-          | Peer_engine.Trace_context_sent _
-          | Peer_engine.Trace_context_received _ ->
+      | Peer_engine.Peer_advertised _ | Peer_engine.Trace_context_sent _
+      | Peer_engine.Trace_context_received _ ->
         false)
     events
 
@@ -261,9 +259,8 @@ let duplicated_replies_ignored () =
          | Peer_engine.Session_completed _ | Peer_engine.Session_aborted _
          | Peer_engine.Request_suppressed _ | Peer_engine.Decode_failed _
          | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
-          | Peer_engine.Blocks_suppressed _ | Peer_engine.Peer_advertised _
-          | Peer_engine.Trace_context_sent _
-          | Peer_engine.Trace_context_received _ ->
+         | Peer_engine.Peer_advertised _ | Peer_engine.Trace_context_sent _
+         | Peer_engine.Trace_context_received _ ->
            false)
        o.events)
 
@@ -303,9 +300,8 @@ let garbage_frame_traced () =
          | Peer_engine.Session_completed _ | Peer_engine.Session_aborted _
          | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
          | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
-          | Peer_engine.Blocks_suppressed _ | Peer_engine.Peer_advertised _
-          | Peer_engine.Trace_context_sent _
-          | Peer_engine.Trace_context_received _ ->
+         | Peer_engine.Peer_advertised _ | Peer_engine.Trace_context_sent _
+         | Peer_engine.Trace_context_received _ ->
            false)
        o.events)
 
@@ -328,9 +324,8 @@ let retry_exhaustion_aborts () =
            | Peer_engine.Session_aborted _ | Peer_engine.Request_suppressed _
            | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _
            | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
-          | Peer_engine.Blocks_suppressed _ | Peer_engine.Peer_advertised _
-          | Peer_engine.Trace_context_sent _
-          | Peer_engine.Trace_context_received _ ->
+           | Peer_engine.Peer_advertised _ | Peer_engine.Trace_context_sent _
+           | Peer_engine.Trace_context_received _ ->
              false)
          o.events)
   in
@@ -423,31 +418,6 @@ let stale_generation_timer_ignored () =
 let a_request () =
   encode_msg (Reconcile.Frontier_request { level = 1 })
 
-(* Shared driver for the knowledge-cache tests: a responder engine on
-   [ahead]'s replica with the cache enabled, fed raw frames from peer 0. *)
-let cache_responder () =
-  let ahead = Node.dag ahead_node in
-  let responder =
-    ref
-      (Peer_engine.create
-         ~config:
-           {
-             Peer_engine.Config.default with
-             Peer_engine.Config.mode = Reconcile.Indexed;
-             knowledge_cache = 1024;
-           }
-         ~user_id:(Node.user_id ahead_node) ~dag:ahead ())
-  in
-  let serve bytes =
-    let r', effs =
-      Peer_engine.handle !responder ~now:0. ~dag:ahead
-        (Peer_engine.Message_received { from = 0; bytes })
-    in
-    responder := r';
-    effs
-  in
-  (responder, serve)
-
 let served_of effs =
   List.concat_map
     (fun (e : Peer_engine.effect_) ->
@@ -456,126 +426,66 @@ let served_of effs =
       | _ -> [])
     effs
 
-let suppressed_of effs =
-  List.concat_map
-    (fun (e : Peer_engine.effect_) ->
-      match e with
-      | Peer_engine.Trace (Peer_engine.Blocks_suppressed { blocks; _ }) -> blocks
-      | _ -> [])
-    effs
-
-(* The per-peer knowledge cache is fed by receive-side evidence: hashes
-   a peer's own requests prove it holds are stripped from later sweep
-   replies, traced as Blocks_suppressed. *)
-let knowledge_cache_suppresses_proven () =
-  let responder, serve = cache_responder () in
-  let frontier = Hash_id.Set.elements (Dag.frontier (Node.dag ahead_node)) in
-  check_b "fixture has frontier blocks" true (frontier <> []);
-  (* Peer 0's indexed request advertises that it already holds our whole
-     frontier; the reply ships nothing, and the cache learns the claim. *)
-  let effs1 =
-    serve (encode_msg (Reconcile.Sync_request { frontier; recent = [] }))
-  in
-  check_b "in-sync indexed pull ships nothing" true (served_of effs1 = []);
-  let known = Peer_engine.known_to !responder ~peer:0 in
-  check_b "cache learned the advertised hashes" true
-    (List.for_all (fun h -> List.exists (Hash_id.equal h) known) frontier);
-  (* A naive pull from the same peer would re-ship exactly those
-     frontier blocks; the cache strips them all. *)
-  let effs2 = serve (encode_msg (Reconcile.Frontier_request { level = 1 })) in
-  check_b "proven blocks not re-shipped" true (served_of effs2 = []);
-  let dropped = suppressed_of effs2 in
-  check_i "suppressed exactly the proven set" (List.length frontier)
-    (List.length dropped);
-  check_b "suppressed set = proven set" true
-    (List.for_all (fun h -> List.exists (Hash_id.equal h) frontier) dropped)
-
-(* An explicit Blocks_request is positive proof the sender lacks those
-   blocks: it bypasses the suppression filter AND retracts the hashes
-   from the cache — a peer re-requesting a block the cache attributes
-   to it (pending-pool eviction, a lost earlier reply) must get it. *)
-let explicit_fetch_overrides_cache () =
-  let responder, serve = cache_responder () in
-  let frontier = Hash_id.Set.elements (Dag.frontier (Node.dag ahead_node)) in
-  let _ = serve (encode_msg (Reconcile.Sync_request { frontier; recent = [] })) in
-  let h = ahead_own_block.Block.hash in
-  check_b "fetched hash is cached as held" true
-    (List.exists (Hash_id.equal h) (Peer_engine.known_to !responder ~peer:0));
-  let effs = serve (encode_msg (Reconcile.Blocks_request { hashes = [ h ] })) in
-  check_b "explicit fetch served despite the cache" true
-    (List.exists (Hash_id.equal h) (served_of effs));
-  check_b "nothing suppressed on an explicit fetch" true
-    (suppressed_of effs = []);
-  check_b "fetch retracted the cached attribution" true
-    (not (List.exists (Hash_id.equal h) (Peer_engine.known_to !responder ~peer:0)))
-
-(* Shipping a reply is NOT evidence of delivery: served blocks stay out
-   of the cache, so a retransmitted request after a lost reply gets the
-   full payload again instead of a fully-suppressed empty reply. *)
-let serving_leaves_cache_unconfirmed () =
-  let responder, serve = cache_responder () in
-  let request =
-    let _s, m = Reconcile.start Reconcile.Indexed (Node.dag behind_node) in
-    encode_msg m
-  in
-  let effs1 = serve request in
-  let served = served_of effs1 in
-  check_b "first reply ships blocks" true (served <> []);
-  check_b "nothing suppressed on first contact" true (suppressed_of effs1 = []);
-  let known = Peer_engine.known_to !responder ~peer:0 in
-  check_b "served blocks not attributed at send time" true
-    (not (List.exists (fun h -> List.exists (Hash_id.equal h) known) served));
-  (* The identical request again — the initiator's retransmission after
-     a lost reply — must be answered in full. *)
-  let effs2 = serve request in
-  check_i "retransmission re-served in full" (List.length served)
-    (List.length (served_of effs2));
-  check_b "retransmission suppresses nothing" true (suppressed_of effs2 = [])
-
-(* With the cache off (the default), a repeated pull re-ships everything
-   and no suppression trace ever appears â the legacy behavior. *)
-let knowledge_cache_off_is_legacy () =
-  let behind = Node.dag behind_node in
-  let ahead = Node.dag ahead_node in
+(* The responder keeps no per-peer memory: every request of a full pull,
+   served twice (the second copy is the initiator's retransmission after
+   a lost reply), gets an identical reply frame and Blocks_served trace. *)
+let stateless_responder mode () =
+  let behind = Node.dag behind_node and ahead = Node.dag ahead_node in
   let responder =
     ref
       (Peer_engine.create
-         ~config:
-           {
-             Peer_engine.Config.default with
-             Peer_engine.Config.mode = Reconcile.Indexed;
-           }
+         ~config:{ Peer_engine.Config.default with Peer_engine.Config.mode }
          ~user_id:(Node.user_id ahead_node) ~dag:ahead ())
   in
-  let request =
-    let _s, m = Reconcile.start Reconcile.Indexed behind in
-    encode_msg m
-  in
-  let serve bytes =
+  let serve request =
     let r', effs =
       Peer_engine.handle !responder ~now:0. ~dag:ahead
-        (Peer_engine.Message_received { from = 0; bytes })
+        (Peer_engine.Message_received { from = 0; bytes = encode_msg request })
     in
     responder := r';
     effs
   in
-  let count_served effs =
-    List.fold_left
-      (fun acc (e : Peer_engine.effect_) ->
-        match e with
-        | Peer_engine.Trace (Peer_engine.Blocks_served { blocks; _ }) ->
-          acc + List.length blocks
-        | Peer_engine.Trace (Peer_engine.Blocks_suppressed _) ->
-          Alcotest.fail "suppression with the cache off"
-        | _ -> acc)
-      0 effs
+  let rec pull session request served =
+    let first = serve request in
+    let again = serve request in
+    check_b "retransmission answered identically" true
+      (List.equal Peer_engine.effect_equal first again);
+    let served = served + List.length (served_of first) in
+    let reply =
+      match sends first with
+      | [ bytes ] -> Wire.decode_string Reconcile.decode_message bytes
+      | _ -> None
+    in
+    match Option.map (Reconcile.handle_reply session behind) reply with
+    | Some (session, Reconcile.Send next) -> pull session next served
+    | Some (_, Reconcile.Finished _) -> served
+    | Some (_, Reconcile.Ignored) | None -> Alcotest.fail "no usable reply"
   in
-  let first = count_served (serve request) in
-  let second = count_served (serve request) in
-  check_b "served blocks both times" true (first > 0);
-  check_i "identical re-serve" first second;
-  check_b "no knowledge recorded" true
-    (Peer_engine.known_to !responder ~peer:0 = [])
+  let session, first = Reconcile.start mode behind in
+  check_b "the pull shipped blocks" true (pull session first 0 > 0)
+
+(* Frames of the retired wire tags 3 and 4 (the indexed strategy's
+   request and reply) are undecodable garbage to the engine. *)
+let retired_tags_decode_failed () =
+  let e =
+    Peer_engine.create ~user_id:(Node.user_id ahead_node)
+      ~dag:(Node.dag ahead_node) ()
+  in
+  List.iter
+    (fun hex ->
+      let _, effs =
+        Peer_engine.handle e ~now:0. ~dag:(Node.dag ahead_node)
+          (Peer_engine.Message_received
+             { from = 1; bytes = Vegvisir_crypto.Hex.decode hex })
+      in
+      check_b "decode failure traced" true
+        (List.equal Peer_engine.effect_equal effs
+           [ Peer_engine.Trace (Peer_engine.Decode_failed { from = 1 }) ]))
+    [
+      "030000000100000020" ^ Vegvisir_crypto.Hex.encode (String.make 32 'h')
+      ^ "00000000";
+      "0400000000";
+    ]
 
 let silent_policy () =
   let e =
@@ -785,6 +695,8 @@ let () =
           Alcotest.test_case "reordered replies recover" `Quick
             reordered_replies_recover;
           Alcotest.test_case "garbage frame traced" `Quick garbage_frame_traced;
+          Alcotest.test_case "retired tags 3 and 4 traced" `Quick
+            retired_tags_decode_failed;
           Alcotest.test_case "retry exhaustion aborts" `Quick
             retry_exhaustion_aborts;
           QCheck_alcotest.to_alcotest qcheck_random_transport;
@@ -800,14 +712,12 @@ let () =
         ] );
       ( "policies",
         [
-          Alcotest.test_case "knowledge cache suppresses proven holdings"
-            `Quick knowledge_cache_suppresses_proven;
-          Alcotest.test_case "explicit fetch overrides the cache" `Quick
-            explicit_fetch_overrides_cache;
-          Alcotest.test_case "serving leaves the cache unconfirmed" `Quick
-            serving_leaves_cache_unconfirmed;
-          Alcotest.test_case "knowledge cache off is legacy" `Quick
-            knowledge_cache_off_is_legacy;
+          Alcotest.test_case "stateless responder: naive" `Quick
+            (stateless_responder Reconcile.Naive);
+          Alcotest.test_case "stateless responder: bloom" `Quick
+            (stateless_responder Reconcile.Bloom);
+          Alcotest.test_case "stateless responder: digest" `Quick
+            (stateless_responder Reconcile.Digest);
           Alcotest.test_case "silent" `Quick silent_policy;
           Alcotest.test_case "withholding serves only own" `Quick
             withholding_serves_only_own;

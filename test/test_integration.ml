@@ -51,18 +51,19 @@ let transitivity_property () =
   advance fleet 120_000.;
   check_i "all peers hold the block" 9 (Gossip.coverage g b.V.Block.hash)
 
-let indexed_mode_fleet () =
-  (* The whole gossip layer also runs on the indexed protocol. *)
+let bloom_mode_fleet () =
+  (* The whole gossip layer also runs on the bloom protocol. *)
   let topo = Topology.clique ~n:6 in
   let fleet =
-    Scenario.build ~seed:62L ~topo ~mode:Vegvisir.Reconcile.Indexed ~init_crdts:[ ("log", spec_log) ] ()
+    Scenario.build ~seed:62L ~topo ~mode:Vegvisir.Reconcile.Bloom
+      ~init_crdts:[ ("log", spec_log) ] ()
   in
   let g = fleet.Scenario.gossip in
   advance fleet 2_000.;
   for i = 0 to 5 do
     ignore (add g i (Printf.sprintf "ix-%d" i))
   done;
-  check_b "indexed fleet converges" true (converge fleet);
+  check_b "bloom fleet converges" true (converge fleet);
   check_b "sessions completed" true (Gossip.sessions_completed g > 0)
 
 let nested_partitions_heal () =
@@ -239,7 +240,7 @@ let () =
         ] );
       ( "resilience",
         [
-          Alcotest.test_case "indexed-mode fleet" `Slow indexed_mode_fleet;
+          Alcotest.test_case "bloom-mode fleet" `Slow bloom_mode_fleet;
           Alcotest.test_case "nested partitions" `Slow nested_partitions_heal;
           Alcotest.test_case "mobility" `Slow mobile_network_converges;
           Alcotest.test_case "offload during partition" `Slow offload_during_partition;

@@ -334,7 +334,7 @@ peers 4
 topology clique
 seed 9
 interval 500
-mode indexed
+mode bloom
 crdt log gset string
 
 at 1000 partition 0 0 1 1

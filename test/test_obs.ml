@@ -92,7 +92,14 @@ let jsonl_rejects_garbage () =
   List.iter
     (fun line ->
       check_b line true (Event.of_json line = None))
-    [ ""; "{}"; "not json"; {|{"t":1.0,"sub":"block","ev":"nope"}|} ]
+    [
+      "";
+      "{}";
+      "not json";
+      {|{"t":1.0,"sub":"block","ev":"nope"}|};
+      (* A retired kind, as older journals recorded it: skipped on load. *)
+      {|{"t":1.0,"sub":"gossip","ev":"blocks-suppressed","node":"0","peer":"1","blocks":3}|};
+    ]
 
 let json_float_exact () =
   List.iter
