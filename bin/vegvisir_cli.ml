@@ -237,20 +237,22 @@ let serve_cmd =
     match metrics with
     | None -> ()
     | Some mport ->
-      let server =
-        or_die (Vegvisir_cli.Metrics_server.start ~port:mport ())
+      (* A store-less loop with only the /metrics listener: it answers
+         every scrape until SIGINT/SIGTERM. *)
+      let loop = Vegvisir_cli.Event_loop.create () in
+      let (_ : int) =
+        or_die (Vegvisir_cli.Event_loop.listen_metrics loop ~port:mport ())
       in
+      Vegvisir_cli.Event_loop.set_render loop (render_prometheus [ dir ]);
       Vegvisir_cli.Unix_compat.install_stop_handler (fun () ->
-          Vegvisir_cli.Metrics_server.request_stop server);
+          Vegvisir_cli.Event_loop.request_stop loop);
       Printf.printf "metrics on http://127.0.0.1:%d/metrics\n%!" mport;
+      let r = Vegvisir_cli.Event_loop.run loop in
       let answered =
-        let r =
-          Vegvisir_cli.Metrics_server.drive server
-            ~render:(render_prometheus [ dir ])
-        in
-        Vegvisir_cli.Metrics_server.stop server;
-        or_die r
+        (Vegvisir_cli.Event_loop.stats loop).Vegvisir_cli.Event_loop.http_closed
       in
+      Vegvisir_cli.Event_loop.shutdown loop;
+      or_die r;
       Printf.printf "answered %d scrape(s)\n" answered
   in
   Cmd.v

@@ -2,15 +2,16 @@
    Peer_engine exchange sessions, the /metrics HTTP endpoint, and
    periodic anti-entropy timers over non-blocking sockets.
 
-   This replaces the three ad-hoc socket hosts the CLI used to carry
-   (Live_sync's blocking two-endpoint driver, Metrics_server's
-   one-request-at-a-time responder, and the serve command's
-   accept-then-exchange plumbing): all of them are now thin adapters
-   over this loop. The protocol brain stays the sans-IO Peer_engine —
-   the loop only moves bytes, applies Deliver effects to the store's
-   node, and turns Set_timer effects into timer-wheel deadlines, so a
-   daemon session and a `sync --live` session run byte-for-byte the
-   same exchange.
+   This replaced the three ad-hoc socket hosts the CLI used to carry (a
+   blocking two-endpoint driver, a one-request-at-a-time /metrics
+   responder, and the serve command's accept-then-exchange plumbing):
+   Live_sync is now a thin adapter over this loop, and serve --metrics
+   drives a store-less loop directly. The protocol brain stays the
+   sans-IO Peer_engine — the loop only moves bytes, applies Deliver
+   effects to the store's node, turns Set_timer effects into
+   timer-wheel deadlines, and maps Trace effects to obs events through
+   Obs.Engine_events (the simulator's mapping too), so a daemon session
+   and a `sync --live` session run byte-for-byte the same exchange.
 
    Structure of one loop iteration (run):
      1. fire due timers (engine deadlines, housekeeping wakeups,
@@ -41,7 +42,7 @@ let remote_id = 0
    drops it — scrapers are fast; anything slower is not a scraper. *)
 let http_idle_ms = 10_000.
 
-(* Longest plausible scrape request head (as Metrics_server). *)
+(* Longest plausible scrape request head. *)
 let max_request_bytes = 16 * 1024
 
 type config = {
@@ -544,66 +545,21 @@ let apply_effect t s (eff : Peer_engine.effect_) =
   end
   | Peer_engine.Session_done pull_stats -> s.pulled <- Some pull_stats
   | Peer_engine.Trace ev -> begin
+    let journal_ev () =
+      journal t
+        (Obs.Engine_events.of_event ~node:t.me
+           ~peer:(fun _ -> s.label)
+           ?exchange:s.trace_ctx ev)
+    in
     match ev with
-    | Peer_engine.Session_aborted { generation; reason; _ } ->
-      journal t
-        [
-          Obs.Event.Session_aborted
-            {
-              node = t.me;
-              peer = s.label;
-              generation;
-              reason =
-                (match reason with
-                | Peer_engine.Stalled -> Obs.Event.Stalled
-                | Peer_engine.Timed_out -> Obs.Event.Timed_out);
-            };
-        ];
-      fail_session t s
-        (match reason with
-        | Peer_engine.Stalled -> "sync failed: the peer stopped answering"
-        | Peer_engine.Timed_out -> "sync failed: session deadline exceeded")
-    | Peer_engine.Session_started { generation; _ } ->
-      journal t
-        [ Obs.Event.Session_started { node = t.me; peer = s.label; generation } ]
-    | Peer_engine.Request_resent { generation; attempt; _ } ->
-      journal t
-        [
-          Obs.Event.Request_resent
-            { node = t.me; peer = s.label; generation; attempt };
-        ]
-    | Peer_engine.Session_completed { generation; blocks; duration_ms; _ } ->
-      journal t
-        [
-          Obs.Event.Session_completed
-            { node = t.me; peer = s.label; generation; blocks; duration_ms };
-        ];
-      (* A traced session closes with a timed exchange span under the
-         announced root — same trace id on both daemons. *)
-      (match s.trace_ctx with
-      | None -> ()
-      | Some (trace, root) ->
-        journal t
-          [
-            Obs.Event.Span
-              {
-                node = t.me;
-                trace;
-                span = Obs.Span.derive ~trace ~node:t.me ~name:"session.exchange";
-                parent = Some root;
-                name = "session.exchange";
-                dur_ms = duration_ms;
-              };
-          ])
-    | Peer_engine.Blocks_served { blocks; _ } ->
-      journal t (List.map (fun h -> block_event t s Obs.Event.Sent h) blocks)
-    | Peer_engine.Redundant_received { blocks; _ } ->
-      journal t
-        (List.map
-           (fun h ->
-             Obs.Event.Block_redundant
-               { node = t.me; block = h; peer = Some s.label })
-           blocks)
+    (* Span stitching: a sampled outbound session announces its trace;
+       the responder, on hearing it, serves under the announced root.
+       Either way the ids ride the session so its completion span joins
+       the same tree — across both processes. *)
+    | Peer_engine.Trace_context_sent { trace; span; _ }
+    | Peer_engine.Trace_context_received { trace; span; _ } ->
+      s.trace_ctx <- Some (trace, span);
+      journal_ev ()
     | Peer_engine.Peer_advertised { hashes; _ } ->
       (* Feed advertisement evidence to the pending pool so eviction
          spares buffered orphans a live peer still vouches for. *)
@@ -611,47 +567,18 @@ let apply_effect t s (eff : Peer_engine.effect_) =
       | Some store ->
         List.iter (Node.note_advertised store.Node_store.node) hashes
       | None -> ());
-      journal t
-        [
-          Obs.Event.Blocks_advertised
-            { node = t.me; peer = s.label; hashes = List.length hashes };
-        ]
-    (* Span stitching: a sampled outbound session announces its trace
-       (the announcement is the trace's root span); the responder, on
-       hearing it, opens a serve span under the announced root. Either
-       way the ids ride the session so the completion span below joins
-       the same tree — across both processes. *)
-    | Peer_engine.Trace_context_sent { trace; span; _ } ->
-      s.trace_ctx <- Some (trace, span);
-      journal t
-        [
-          Obs.Event.Span
-            {
-              node = t.me;
-              trace;
-              span;
-              parent = None;
-              name = "session.announce";
-              dur_ms = 0.;
-            };
-        ]
-    | Peer_engine.Trace_context_received { trace; span; _ } ->
-      s.trace_ctx <- Some (trace, span);
-      journal t
-        [
-          Obs.Event.Span
-            {
-              node = t.me;
-              trace;
-              span = Obs.Span.derive ~trace ~node:t.me ~name:"session.serve";
-              parent = Some span;
-              name = "session.serve";
-              dur_ms = 0.;
-            };
-        ]
-    | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
-    | Peer_engine.Decode_failed _ ->
-      ()
+      journal_ev ()
+    | Peer_engine.Session_aborted { reason; _ } ->
+      journal_ev ();
+      fail_session t s
+        (match reason with
+        | Peer_engine.Stalled -> "sync failed: the peer stopped answering"
+        | Peer_engine.Timed_out -> "sync failed: session deadline exceeded")
+    | Peer_engine.Session_started _ | Peer_engine.Request_resent _
+    | Peer_engine.Session_completed _ | Peer_engine.Blocks_served _
+    | Peer_engine.Redundant_received _ | Peer_engine.Request_suppressed _
+    | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _ ->
+      journal_ev ()
   end
 
 (* Feed one input to the session's engine, replay its effects, re-arm

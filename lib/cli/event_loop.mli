@@ -4,13 +4,14 @@
     non-blocking sockets ({!Unix_compat.wait_ready}) and a deterministic
     {!Timer_wheel}.
 
-    This is the single socket host of the CLI: {!Live_sync},
-    {!Metrics_server}, and the [serve] / [sync --live] / [daemon]
-    commands are thin adapters over it. The protocol brain stays the
-    sans-IO engine; the loop only moves bytes, applies [Deliver] effects
-    to the store's node, and turns [Set_timer] effects into wheel
-    deadlines — a daemon session and a one-shot [sync --live] run
-    byte-for-byte the same exchange.
+    This is the single socket host of the CLI: the [daemon] and
+    [serve --metrics] commands drive it directly, and {!Live_sync} (behind
+    [serve] and [sync --live]) is a thin adapter over it. The protocol
+    brain stays the sans-IO engine; the loop only moves bytes, applies
+    [Deliver] effects to the store's node, turns [Set_timer] effects
+    into wheel deadlines, and journals [Trace] effects through
+    {!Vegvisir_obs.Engine_events} — a daemon session and a one-shot
+    [sync --live] run byte-for-byte the same exchange.
 
     A loop without a store can still serve [/metrics]; adopting or
     dialing peer sessions requires one. *)
@@ -56,9 +57,8 @@ type config = {
 
 val default_config : config
 (** [Naive] mode, 128-session budget, 8 MiB outbound budget, 2 s stale
-    / 20 s session timeouts (as {!Live_sync}), 30 s idle timeout, 5 s
-    drain grace, 100 ms slow-iteration threshold, tracing off, 4096-event
-    flight ring. *)
+    / 20 s session timeouts, 30 s idle timeout, 5 s drain grace, 100 ms
+    slow-iteration threshold, tracing off, 4096-event flight ring. *)
 
 val create : ?store:Node_store.t -> ?config:config -> unit -> t
 

@@ -27,7 +27,7 @@ val mono_ms : unit -> float
 
 (** {1 Framed TCP}
 
-    A minimal blocking transport for {!Live_sync}: length-prefixed
+    A minimal blocking transport for simple clients: length-prefixed
     frames (4-byte big-endian count, then the payload) over a TCP
     connection. An empty frame is legal and is used by the sync protocol
     as a turn-over sentinel. All functions return [Error] with a

@@ -188,23 +188,29 @@ let add t (b : Block.t) =
     end
   end
 
+(* L(n) = L(n-1) ∪ parents(L(n-1)) as a layered BFS: only hashes the
+   previous layer added can bring new parents, and a layer that adds
+   nothing is the fixpoint, where the walk stops however large [n] is
+   (a wire level can be any u32). *)
 let level_frontier t n =
   if n < 1 then invalid_arg "Dag.level_frontier: level must be >= 1";
-  let rec go n set =
-    if n <= 1 then set
+  let rec go n acc added =
+    if n <= 1 || HSet.is_empty added then acc
     else begin
-      let expanded =
+      let next =
         HSet.fold
-          (fun h acc ->
+          (fun h next ->
             List.fold_left
-              (fun acc p -> if mem t p then HSet.add p acc else acc)
-              acc (parents t h))
-          set set
+              (fun next p ->
+                if mem t p && not (HSet.mem p acc) then HSet.add p next
+                else next)
+              next (parents t h))
+          added HSet.empty
       in
-      go (n - 1) expanded
+      go (n - 1) (HSet.union acc next) next
     end
   in
-  go n t.frontier
+  go n t.frontier t.frontier
 
 let ancestors t h =
   let rec go frontier acc =
@@ -402,6 +408,25 @@ let byte_size t = t.bytes
 
 module Oracle = struct
   let topo_order = kahn
+
+  (* The paper's definition verbatim: refold the whole set [n - 1] times. *)
+  let level_frontier t n =
+    if n < 1 then invalid_arg "Dag.Oracle.level_frontier: level must be >= 1";
+    let rec go n set =
+      if n <= 1 then set
+      else begin
+        let expanded =
+          HSet.fold
+            (fun h acc ->
+              List.fold_left
+                (fun acc p -> if mem t p then HSet.add p acc else acc)
+                acc (parents t h))
+            set set
+        in
+        go (n - 1) expanded
+      end
+    in
+    go n t.frontier
 
   let below t hs =
     List.fold_left

@@ -49,7 +49,10 @@ val cardinal : t -> int
 val genesis : t -> Block.t option
 val frontier : t -> Hash_id.Set.t
 val level_frontier : t -> int -> Hash_id.Set.t
-(** [level_frontier t n] for [n >= 1]; pruned parents are skipped.
+(** [level_frontier t n] for [n >= 1]: the frontier plus every resident
+    ancestor within [n - 1] parent steps (the paper's L(n)); pruned
+    parents are skipped. Stops at the fixpoint, so any [n] costs at most
+    one pass over the DAG.
     @raise Invalid_argument if [n < 1]. *)
 
 val parents : t -> Hash_id.t -> Hash_id.t list
@@ -168,6 +171,10 @@ val byte_size : t -> int
 module Oracle : sig
   val topo_order : t -> Block.t list
   (** Fresh Kahn recomputation of the canonical order. *)
+
+  val level_frontier : t -> int -> Hash_id.Set.t
+  (** The paper's L(n) = L(n-1) ∪ parents(L(n-1)), refolding the whole
+      set [n - 1] times (no fixpoint stop). *)
 
   val below : t -> Hash_id.t list -> Hash_id.Set.t
   (** Per-hash [ancestors] unions — the pre-index reply closure. *)

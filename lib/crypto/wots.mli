@@ -5,7 +5,7 @@
     attacker from advancing chains (increasing a chunk forces the checksum
     down, which would require inverting a chain). With the default [b = 4]
     a signature is 67 chains of 32 bytes ≈ 2.1 KB — an order of magnitude
-    smaller than {!Lamport}.
+    smaller than a 16 KB Lamport signature.
 
     One-time: signing two distinct messages with one key breaks security.
     {!Mss} layers many-time use on top. *)

@@ -7,9 +7,11 @@
     a typed {!input} with an explicit [now], and every consequence leaves
     as a typed {!effect_} that the hosting driver replays onto its
     transport. The same engine therefore runs over the discrete-event
-    simulator ({!Vegvisir_net.Gossip}), over real loopback sockets
-    ({!Vegvisir_cli.Live_sync}), and directly under unit tests — byte for
-    byte the same protocol.
+    simulator ({!Vegvisir_net.Gossip}), over real sockets
+    ({!Vegvisir_cli.Event_loop}), and directly under unit tests — byte for
+    byte the same protocol. Both hosts turn [Trace] effects into
+    telemetry through one shared mapping,
+    {!Vegvisir_obs.Engine_events.of_event}.
 
     [handle] is a pure transition function: given the same state, clock,
     DAG, and input it returns the same successor state and the same

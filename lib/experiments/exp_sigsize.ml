@@ -85,7 +85,10 @@ let run ?(quick = false) () =
     [
       ("ECDSA-class", 64);
       ("MSS h=8 (ours)", Vegvisir_crypto.Mss.signature_size ~height:8 ());
-      ("Lamport-class", Vegvisir_crypto.Lamport.signature_size);
+      (* A Lamport one-time signature over a 256-bit digest reveals one
+         32-byte preimage per bit and carries the hash of the other:
+         256 bits x 2 x 32 bytes. *)
+      ("Lamport-class", 16_384);
     ]
   in
   {

@@ -16,6 +16,9 @@ type peer = {
   mutable fed : Block.t list; (* buffered-at-node blocks awaiting arrival record *)
   mutable fed_len : int; (* |fed|, maintained (the cap check is O(1)) *)
   arrivals : (Hash_id.t, float) Hashtbl.t;
+  mutable announced : (int * (string * string)) option;
+      (* (generation, (trace, root)) of the last session this peer's
+         engine announced a trace context for *)
 }
 
 type tap =
@@ -78,6 +81,7 @@ let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
             fed = [];
             fed_len = 0;
             arrivals = Hashtbl.create 64;
+            announced = None;
           });
     interval_ms;
     births = Hashtbl.create 64;
@@ -196,96 +200,43 @@ let apply_effect t i ~src (eff : Peer_engine.effect_) =
   | Peer_engine.Session_done stats ->
     t.total_stats <- Reconcile.add_stats t.total_stats stats
   | Peer_engine.Trace ev -> begin
+    let p = t.peers.(i) in
+    let emit_all ?exchange () =
+      List.iter (emit t)
+        (Obs.Engine_events.of_event ~node:(node_name i) ~peer:node_name
+           ?exchange ev)
+    in
     match ev with
-    | Peer_engine.Session_started { dst; generation } ->
-      emit t
-        (Obs.Event.Session_started
-           { node = node_name i; peer = node_name dst; generation })
-    | Peer_engine.Request_resent { dst; generation; attempt } ->
-      emit t
-        (Obs.Event.Request_resent
-           { node = node_name i; peer = node_name dst; generation; attempt })
-    | Peer_engine.Session_completed { dst; generation; blocks; duration_ms } ->
-      emit t
-        (Obs.Event.Session_completed
-           {
-             node = node_name i;
-             peer = node_name dst;
-             generation;
-             blocks;
-             duration_ms;
-           })
-    | Peer_engine.Session_aborted { dst; generation; reason } ->
-      emit t
-        (Obs.Event.Session_aborted
-           {
-             node = node_name i;
-             peer = node_name dst;
-             generation;
-             reason =
-               (match reason with
-               | Peer_engine.Stalled -> Obs.Event.Stalled
-               | Peer_engine.Timed_out -> Obs.Event.Timed_out);
-           });
+    | Peer_engine.Trace_context_sent { generation; trace; span; _ } ->
+      (* Remember the announced context so this session's completion
+         closes with an exchange span under it, as on a daemon. *)
+      p.announced <- Some (generation, (trace, span));
+      emit_all ()
+    | Peer_engine.Session_completed { generation; _ } ->
+      let exchange =
+        match p.announced with
+        | Some (g, ctx) when Int.equal g generation -> Some ctx
+        | Some _ | None -> None
+      in
+      emit_all ?exchange ()
+    | Peer_engine.Peer_advertised { hashes; _ } ->
+      (* The pending pool learns which buffered orphans some peer vouches
+         for, so eviction spares them. *)
+      List.iter (Node.note_advertised p.node_) hashes;
+      emit_all ()
+    | Peer_engine.Session_aborted { dst; reason; _ } ->
+      emit_all ();
       Log.debug (fun m ->
           m "peer %d: abandoning %s session with %d" i
             (match reason with
             | Peer_engine.Stalled -> "stalled"
             | Peer_engine.Timed_out -> "timed-out")
             dst)
-    | Peer_engine.Blocks_served { dst; blocks } ->
-      List.iter
-        (fun h -> emit_block t i Obs.Event.Sent ~peer:(node_name dst) h)
-        blocks
-    | Peer_engine.Redundant_received { from; blocks } ->
-      List.iter
-        (fun h ->
-          emit t
-            (Obs.Event.Block_redundant
-               { node = node_name i; block = h; peer = Some (node_name from) }))
-        blocks
-    | Peer_engine.Peer_advertised { from; hashes } ->
-      (* Advertisement evidence flows two ways: the pending pool learns
-         which buffered orphans some peer vouches for (eviction spares
-         them), and the trace counts the hashes. *)
-      List.iter (Node.note_advertised t.peers.(i).node_) hashes;
-      emit t
-        (Obs.Event.Blocks_advertised
-           {
-             node = node_name i;
-             peer = node_name from;
-             hashes = List.length hashes;
-           })
-    (* Sampled sessions surface as instant spans: the initiator's
-       announcement opens the trace, the responder's serve span parents
-       under the announced ids — so a simulated fleet exercises the same
-       cross-node stitching the real daemons do. *)
-    | Peer_engine.Trace_context_sent { dst = _; generation = _; trace; span } ->
-      emit t
-        (Obs.Event.Span
-           {
-             node = node_name i;
-             trace;
-             span;
-             parent = None;
-             name = "session.announce";
-             dur_ms = 0.;
-           })
-    | Peer_engine.Trace_context_received { from = _; trace; span } ->
-      emit t
-        (Obs.Event.Span
-           {
-             node = node_name i;
-             trace;
-             span =
-               Obs.Span.derive ~trace ~node:(node_name i) ~name:"session.serve";
-             parent = Some span;
-             name = "session.serve";
-             dur_ms = 0.;
-           })
-    | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
-    | Peer_engine.Decode_failed _ ->
-      ()
+    | Peer_engine.Session_started _ | Peer_engine.Request_resent _
+    | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
+    | Peer_engine.Trace_context_received _ | Peer_engine.Request_suppressed _
+    | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _ ->
+      emit_all ()
   end
 
 let step t i input =

@@ -58,8 +58,10 @@ val create :
 
     [trace_sample] sets every engine's cross-node span-tracing rate
     (default [0.]: no [Trace_context] frames, no session spans). Sampled
-    sessions emit [session.announce] / [session.serve] {!Vegvisir_obs.Event.Span}
-    events into the fleet's context, stitched by a shared trace id.
+    sessions emit [session.announce] / [session.serve] /
+    [session.exchange] {!Vegvisir_obs.Event.Span} events into the fleet's
+    context, stitched by a shared trace id — the spans a daemon journals,
+    through the same {!Vegvisir_obs.Engine_events.of_event}.
 
     [obs] routes block-lifecycle and session telemetry into an
     observability context. When omitted, the agent shares the radio's

@@ -1,0 +1,27 @@
+(** The one translation from {!Vegvisir_engine.Peer_engine.event} traces
+    to telemetry events, shared by both engine hosts: the simulator's
+    gossip agent and the daemon's event loop. Host-specific work (which
+    trace context a session joins, pending-pool feeding, failing a
+    session on abort, logging) stays at each host's call site.
+
+    Pure (the [engine-events] lint boundary): no clock, no randomness,
+    no IO, no global mutable state. *)
+
+val of_event :
+  node:Event.node ->
+  peer:(int -> Event.node) ->
+  ?exchange:string * string ->
+  Vegvisir_engine.Peer_engine.event ->
+  Event.t list
+(** The events a host emits for one engine trace, in emission order;
+    [node] names the host replica and [peer] an engine peer index.
+    Session traces map to their [Event] twins; [Blocks_served] and
+    [Redundant_received] give one [Block {phase = Sent}] /
+    [Block_redundant] per hash, [Peer_advertised] one
+    [Blocks_advertised] with the hash count. [Trace_context_sent] gives
+    the instant [session.announce] root span, [Trace_context_received]
+    the instant [session.serve] span under the announced one, and
+    [Session_completed] with [~exchange:(trace, root)] is followed by
+    the timed [session.exchange] span under [root].
+    [Request_suppressed], [Reply_ignored] and [Decode_failed] give
+    nothing. *)

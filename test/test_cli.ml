@@ -1115,8 +1115,12 @@ let metrics_endpoint () =
   let reg = Obs.Registry.create () in
   Obs.Registry.add (Obs.Registry.counter reg ~node:"0" "gossip.blocks") 7;
   let render () = Obs.Registry.to_prometheus (Obs.Registry.snapshot reg) in
-  let server = Result.get_ok (Metrics_server.start ~port:0 ()) in
-  let port = Metrics_server.port server in
+  (* A store-less loop with only the /metrics listener, as serve --metrics
+     runs it. *)
+  let loop = Event_loop.create () in
+  ignore (Result.get_ok (Event_loop.listen_metrics loop ~port:0 ()));
+  let port = Option.get (Event_loop.metrics_port loop) in
+  Event_loop.set_render loop render;
   let http_get target =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -1141,6 +1145,16 @@ let metrics_endpoint () =
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
   in
+  (* Run the loop until it has answered one more scrape (10 s at most). *)
+  let handle_one () =
+    let target = (Event_loop.stats loop).Event_loop.http_closed + 1 in
+    let deadline = Unix.gettimeofday () +. 10. in
+    let answered (st : Event_loop.stats) = st.Event_loop.http_closed >= target in
+    Result.is_ok
+      (Event_loop.run loop ~until:(fun st ->
+           answered st || Unix.gettimeofday () > deadline))
+    && answered (Event_loop.stats loop)
+  in
   match Unix.fork () with
   | 0 ->
     let ok =
@@ -1149,12 +1163,12 @@ let metrics_endpoint () =
     in
     Unix._exit (if ok then 0 else 1)
   | child ->
-    let r1 = Metrics_server.handle_one ~timeout_s:10. server ~render in
-    let r2 = Metrics_server.handle_one ~timeout_s:10. server ~render in
-    Metrics_server.stop server;
+    let r1 = handle_one () in
+    let r2 = handle_one () in
+    Event_loop.shutdown loop;
     let _, status = Unix.waitpid [] child in
-    check_b "scrape answered" true (Result.is_ok r1);
-    check_b "bad target answered" true (Result.is_ok r2);
+    check_b "scrape answered" true r1;
+    check_b "bad target answered" true r2;
     check_b "client saw the exposition and the 404" true
       (status = Unix.WEXITED 0)
 

@@ -292,6 +292,26 @@ let dag_level_frontier () =
     (Invalid_argument "Dag.level_frontier: level must be >= 1") (fun () ->
       ignore (lf 0))
 
+(* A wire request can ask for any u32 level; the walk must stop at its
+   fixpoint. Refolding the whole set [level] times, as the paper's
+   definition reads, does not return for [max_int]. *)
+let dag_level_frontier_fixpoint () =
+  let dag = ref (dag_with_genesis ()) in
+  let tip = ref genesis.Block.hash in
+  for i = 1 to 999 do
+    let b = mk_block ~t:(i * 10) ~parents:[ !tip ] (Printf.sprintf "c%d" i) in
+    dag := Result.get_ok (Dag.add !dag b);
+    tip := b.Block.hash
+  done;
+  let dag = !dag in
+  check_i "1k chain" 1000 (Dag.cardinal dag);
+  let whole = Dag.level_frontier dag (Dag.cardinal dag) in
+  check_i "level = cardinal reaches genesis" 1000 (Hash_id.Set.cardinal whole);
+  check_b "level max_int = level cardinal" true
+    (Hash_id.Set.equal (Dag.level_frontier dag max_int) whole);
+  check_i "level 8 on a chain" 8
+    (Hash_id.Set.cardinal (Dag.level_frontier dag 8))
+
 let dag_topo_order () =
   let dag, _, _, _, _ = diamond () in
   let order = Dag.topo_order dag in
@@ -1441,6 +1461,17 @@ let qcheck_tests =
             if pruned then Hash_id.Set.subset oracle index
             else Hash_id.Set.equal oracle index)
           (Dag.blocks dag));
+    Test.make ~name:"level frontier vs paper-definition oracle" ~count:50
+      (list_of_size Gen.(0 -- 25) (int_range 0 30))
+      (fun script ->
+        (* Random DAGs, pruned ones included: every level from 1 to past
+           the fixpoint matches L(n) = L(n-1) ∪ parents(L(n-1)). *)
+        let dag, _ = random_indexed_dag script in
+        List.for_all
+          (fun n ->
+            Hash_id.Set.equal (Dag.level_frontier dag n)
+              (Dag.Oracle.level_frontier dag n))
+          (List.init (Dag.cardinal dag + 2) (fun i -> i + 1)));
     Test.make ~name:"below vs per-hash ancestors-union oracle" ~count:50
       (pair
          (list_of_size Gen.(0 -- 25) (int_range 0 30))
@@ -1565,6 +1596,8 @@ let () =
           Alcotest.test_case "basics" `Quick dag_basics;
           Alcotest.test_case "diamond queries" `Quick dag_diamond_queries;
           Alcotest.test_case "level frontier" `Quick dag_level_frontier;
+          Alcotest.test_case "level frontier stops at its fixpoint" `Quick
+            dag_level_frontier_fixpoint;
           Alcotest.test_case "topo order" `Quick dag_topo_order;
           Alcotest.test_case "prune" `Quick dag_prune;
           Alcotest.test_case "incremental indices" `Quick dag_incremental_indices;

@@ -197,31 +197,6 @@ let merkle_root_changes () =
   check_b "order matters" true (r1 <> r3)
 
 (* ------------------------------------------------------------------ *)
-(* Lamport                                                              *)
-
-let lamport_roundtrip () =
-  let rng = Rng.create 11L in
-  let sk, pk = Lamport.generate rng in
-  check_s "pk derivable" (hex pk) (hex (Lamport.public_of_secret sk));
-  let s = Lamport.sign sk "message" in
-  check_b "verifies" true (Lamport.verify pk "message" s);
-  check_b "other message fails" false (Lamport.verify pk "messagf" s);
-  let _, pk2 = Lamport.generate rng in
-  check_b "other key fails" false (Lamport.verify pk2 "message" s)
-
-let lamport_serialization () =
-  let rng = Rng.create 12L in
-  let sk, pk = Lamport.generate rng in
-  let s = Lamport.sign sk "hello" in
-  let raw = Lamport.signature_to_string s in
-  check_i "size" Lamport.signature_size (String.length raw);
-  (match Lamport.signature_of_string raw with
-  | Some s2 -> check_b "roundtrip verifies" true (Lamport.verify pk "hello" s2)
-  | None -> Alcotest.fail "decode failed");
-  check_b "truncated rejected" true
-    (Lamport.signature_of_string (String.sub raw 0 100) = None)
-
-(* ------------------------------------------------------------------ *)
 (* W-OTS                                                                *)
 
 let wots_params () =
@@ -623,11 +598,6 @@ let () =
           Alcotest.test_case "paths" `Quick merkle_basics;
           Alcotest.test_case "single leaf" `Quick merkle_single_leaf;
           Alcotest.test_case "root sensitivity" `Quick merkle_root_changes;
-        ] );
-      ( "lamport",
-        [
-          Alcotest.test_case "roundtrip" `Quick lamport_roundtrip;
-          Alcotest.test_case "serialization" `Quick lamport_serialization;
         ] );
       ( "wots",
         [

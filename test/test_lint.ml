@@ -90,7 +90,7 @@ let test_unordered_iteration () =
   (* The CLI renders journals and summaries: order-sensitive output. *)
   check_fires "no-unordered-iteration" "lib/cli/node_store.ml"
     "let f h = Hashtbl.iter (fun _ _ -> ()) h";
-  check_fires "no-unordered-iteration" "lib/cli/metrics_server.ml"
+  check_fires "no-unordered-iteration" "lib/cli/event_loop.ml"
     "let f h = Hashtbl.to_seq_keys h";
   (* Sync strategies encode wire messages: hash-order iteration there
      would break byte-identical seeded runs. *)

@@ -503,10 +503,106 @@ let two_node_stitching () =
     (Registry.total reg "block.delivered" > 0);
   check_b "sessions completed" true (Registry.total reg "session.completed" > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Engine trace -> obs events                                           *)
+
+module Peer_engine = Vegvisir_engine.Peer_engine
+
+(* Adding a Peer_engine.event constructor breaks this exhaustive match,
+   which points here: the golden table below then needs a row for it
+   and its row count a bump. *)
+let engine_event_tag = function
+  | Peer_engine.Session_started _ -> 0
+  | Peer_engine.Request_resent _ -> 1
+  | Peer_engine.Session_completed _ -> 2
+  | Peer_engine.Session_aborted _ -> 3
+  | Peer_engine.Request_suppressed _ -> 4
+  | Peer_engine.Reply_ignored _ -> 5
+  | Peer_engine.Decode_failed _ -> 6
+  | Peer_engine.Blocks_served _ -> 7
+  | Peer_engine.Redundant_received _ -> 8
+  | Peer_engine.Peer_advertised _ -> 9
+  | Peer_engine.Trace_context_sent _ -> 10
+  | Peer_engine.Trace_context_received _ -> 11
+
+(* Every engine trace and the events a daemon session journals for it
+   (node "ab12cd34", engine peer 7 named "peer-7"), written out
+   literally, span ids included, so the table pins the journal bytes. *)
+let engine_events_golden () =
+  let a = h "golden-a" and b = h "golden-b" and c = h "golden-c" in
+  let node = "ab12cd34" and peer = "peer-7" in
+  let trace = "aabbccddeeff0011" and root = "1122334455667788" in
+  let ctx = Some (trace, root) in
+  let completed =
+    Peer_engine.Session_completed
+      { dst = 7; generation = 3; blocks = 5; duration_ms = 12.5 }
+  in
+  let completed_ev =
+    Event.Session_completed
+      { node; peer; generation = 3; blocks = 5; duration_ms = 12.5 }
+  in
+  let span span parent name dur_ms =
+    Event.Span { node; trace; span; parent; name; dur_ms }
+  in
+  let sent block =
+    Event.Block { node; phase = Event.Sent; block; peer = Some peer }
+  in
+  let rows =
+    Peer_engine.
+      [
+        ( Session_started { dst = 7; generation = 3 }, None,
+          [ Event.Session_started { node; peer; generation = 3 } ] );
+        ( Request_resent { dst = 7; generation = 3; attempt = 2 }, None,
+          [ Event.Request_resent { node; peer; generation = 3; attempt = 2 } ]
+        );
+        (completed, None, [ completed_ev ]);
+        ( completed, ctx,
+          [ completed_ev;
+            span "37b7ceb30ef0d0d0" (Some root) "session.exchange" 12.5 ] );
+        ( Session_aborted { dst = 7; generation = 4; reason = Stalled }, None,
+          [ Event.Session_aborted
+              { node; peer; generation = 4; reason = Event.Stalled } ] );
+        ( Session_aborted { dst = 7; generation = 5; reason = Timed_out }, ctx,
+          [ Event.Session_aborted
+              { node; peer; generation = 5; reason = Event.Timed_out } ] );
+        (Request_suppressed { src = 7 }, None, []);
+        (Reply_ignored { from = 7 }, None, []);
+        (Decode_failed { from = 7 }, None, []);
+        ( Blocks_served { dst = 7; blocks = [ a; b ] }, None,
+          [ sent a; sent b ] );
+        ( Redundant_received { from = 7; blocks = [ c; a ] }, None,
+          [ Event.Block_redundant { node; block = c; peer = Some peer };
+            Event.Block_redundant { node; block = a; peer = Some peer } ] );
+        ( Peer_advertised { from = 7; hashes = [ a; b; c ] }, None,
+          [ Event.Blocks_advertised { node; peer; hashes = 3 } ] );
+        ( Trace_context_sent { dst = 7; generation = 3; trace; span = root },
+          None, [ span root None "session.announce" 0. ] );
+        ( Trace_context_received { from = 7; trace; span = root }, ctx,
+          [ span "081c9ebcb0cb427e" (Some root) "session.serve" 0. ] );
+      ]
+  in
+  List.iter
+    (fun (ev, exchange, expected) ->
+      let got =
+        Engine_events.of_event ~node ~peer:(Printf.sprintf "peer-%d") ?exchange
+          ev
+      in
+      check_b
+        (Fmt.str "%a%s" Peer_engine.pp_event ev
+           (if Option.is_some exchange then " ~exchange" else ""))
+        true
+        (List.equal Event.equal expected got))
+    rows;
+  check_i "one row per engine trace constructor" 12
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun (ev, _, _) -> engine_event_tag ev) rows)))
+
 (* With sampling on, a simulated fleet's initiators announce their trace
    context over the wire and responders stitch under it: both sides of a
    session share one trace id, and the serve span parents on the
-   announced span. *)
+   announced span. Every completed session closes with a timed exchange
+   span under its own announcement, as a daemon's does. *)
 let fleet_trace_sampling () =
   let run seed =
     let obs = Context.create () in
@@ -523,15 +619,15 @@ let fleet_trace_sampling () =
     | Ok _, Ok _ -> ()
     | (Error _, _ | _, Error _) -> Alcotest.fail "fixture append failed");
     Net.Scenario.run fleet ~until_ms:30_000.;
-    Span.Collector.spans coll
+    check_i "ring kept every span" 0 (Span.Collector.dropped coll);
+    ( Span.Collector.spans coll,
+      Registry.total (Context.registry obs) "session.completed" )
   in
-  let spans = run 404L in
-  let announces =
-    List.filter (fun s -> String.equal s.Span.name "session.announce") spans
-  in
-  let serves =
-    List.filter (fun s -> String.equal s.Span.name "session.serve") spans
-  in
+  let spans, completed = run 404L in
+  let named n = List.filter (fun s -> String.equal s.Span.name n) spans in
+  let announces = named "session.announce" in
+  let serves = named "session.serve" in
+  let exchanges = named "session.exchange" in
   check_b "announce spans emitted" true (announces <> []);
   check_b "serve spans emitted" true (serves <> []);
   List.iter
@@ -548,10 +644,23 @@ let fleet_trace_sampling () =
         check_s "serve parents on the announced span" an.Span.span
           (Option.get sv.Span.parent))
     serves;
+  check_b "sessions completed" true (completed > 0);
+  check_i "one exchange span per completed session" completed
+    (List.length exchanges);
+  List.iter
+    (fun (ex : Span.t) ->
+      check_b "exchange parents on its node's announce" true
+        (List.exists
+           (fun (an : Span.t) ->
+             String.equal an.Span.trace ex.Span.trace
+             && String.equal an.Span.node ex.Span.node
+             && Some an.Span.span = ex.Span.parent)
+           announces))
+    exchanges;
   (* Ids are hash-derived, never random: the same seed reproduces the
      span stream byte for byte. *)
   check_s "same seed, identical span ids" (Span.render_json spans)
-    (Span.render_json (run 404L));
+    (Span.render_json (fst (run 404L)));
   check_b "sampling off emits no session spans" true
     (let obs = Context.create () in
      let coll = Span.Collector.create ~capacity:4096 in
@@ -564,7 +673,8 @@ let fleet_trace_sampling () =
        (fun (s : Span.t) ->
          not
            (String.equal s.Span.name "session.announce"
-           || String.equal s.Span.name "session.serve"))
+           || String.equal s.Span.name "session.serve"
+           || String.equal s.Span.name "session.exchange"))
        (Span.Collector.spans coll))
 
 let same_seed_identical_trace () =
@@ -951,6 +1061,13 @@ let () =
         ] );
       ( "flight",
         [ Alcotest.test_case "dump format" `Quick flight_dump_format ] );
+      (* Suite names stay within 10 characters: alcotest widens its name
+         column to the longest one and truncates long case names to fit. *)
+      ( "eng-events",
+        [
+          Alcotest.test_case "golden table, every trace" `Quick
+            engine_events_golden;
+        ] );
       ( "fleet",
         [
           Alcotest.test_case "two-node span stitching" `Quick
