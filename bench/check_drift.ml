@@ -43,6 +43,10 @@ let guarded name =
   || String.equal name "M2-signatures/wots-verify"
   || String.equal name "M2-signatures/mss-verify"
   || String.equal name "M2-signatures/wots-chain-15"
+  (* The batch intake a rejoining replica runs, and the per-block fold
+     beside it. *)
+  || String.equal name "M2-signatures/intake-200"
+  || String.equal name "M2-signatures/intake-200-each"
 
 (* Minimal extraction of [("name", ns_per_op)] pairs from the snapshot
    JSON: every result row is written on its own line as

@@ -17,9 +17,12 @@
      dune exec bench/main.exe -- obs-micro   instrumentation rows only, to
                                              BENCH_obs.fresh.json (the
                                              @bench-check drift gate)
-     dune exec bench/main.exe -- core-micro  hashing and verification rows
-                                             only, to BENCH_core.fresh.json
-                                             (the same gate) *)
+     dune exec bench/main.exe -- core-micro  hashing, verification and
+                                             batch-intake rows only, to
+                                             BENCH_core.fresh.json (the
+                                             same gate)
+     bench/main.exe daemon DIR               serve DIR until SIGINT: the
+                                             daemon process M13 starts *)
 
 open Bechamel
 open Toolkit
@@ -133,6 +136,47 @@ let core_tests =
       ];
   ]
 
+(* The catch-up client's Deliver: a 200-block MSS batch (a height-8 CA's
+   genesis and 199 blocks on it) taken into a fresh node, by the batch
+   intake and by a fold of Node.receive over the same list. Built on
+   first use; keygen and signing take about half a second. *)
+let intake_batch =
+  lazy
+    (let ca = V.Signer.mss ~height:8 ~seed:"bench-intake" () in
+     let ca_cert = V.Certificate.self_signed ~signer:ca ~role:"ca" in
+     let g =
+       V.Node.genesis_block ~signer:ca ~cert:ca_cert ~timestamp:(V.Timestamp.of_ms 0L)
+         ~extra:[ V.Transaction.create_crdt ~name:"log" log_spec ]
+         ()
+     in
+     let rec chain acc parent i =
+       if i > 199 then List.rev acc
+       else
+         let b =
+           V.Block.create ~signer:ca ~creator:ca_cert.V.Certificate.user_id
+             ~timestamp:(V.Timestamp.of_ms (Int64.of_int (i * 10)))
+             ~parents:[ parent ] [ tx i ]
+         in
+         chain (b :: acc) b.V.Block.hash (i + 1)
+     in
+     chain [ g ] g.V.Block.hash 1)
+
+let intake_now = V.Timestamp.of_ms 1_000_000L
+
+(* About 40-80 ms a call: a 4 s quota buys each row a dozen samples. *)
+let intake_tests () =
+  let batch = Lazy.force intake_batch in
+  let fresh () = V.Node.create ~signer ~cert () in
+  Test.make_grouped ~name:"M2-signatures"
+    [
+      Test.make ~name:"intake-200"
+        (stage (fun () -> V.Node.receive_all (fresh ()) ~now:intake_now batch));
+      Test.make ~name:"intake-200-each"
+        (stage (fun () ->
+             let n = fresh () in
+             List.iter (fun b -> ignore (V.Node.receive n ~now:intake_now b)) batch));
+    ]
+
 let tests =
   [
     Test.make_grouped ~name:"M2-signatures"
@@ -235,6 +279,12 @@ let tests =
    anti-entropy round against an in-sync peer: one digest request over
    a 1k-block replica, one empty reply, no blocks.                     *)
 
+(* dag_16's blocks in topological order, genesis left out. *)
+let dag_16_hashes =
+  List.filter_map
+    (fun (b : V.Block.t) -> if V.Block.is_genesis b then None else Some b.V.Block.hash)
+    (V.Dag.topo_order dag_16)
+
 let sync_tests =
   Test.make_grouped ~name:"M15-sync"
     [
@@ -247,14 +297,16 @@ let sync_tests =
         (stage (fun () ->
              V.Reconcile.respond dag_1k
                (V.Reconcile.Digest_request { upto = 0; intervals = [] })));
+      (* An honest initiator names its hashes in ascending order
+         ([Hash_id.Set.elements]); any other order pays for a set of
+         the hashes seen, which the -unsorted leg keeps in view. *)
       Test.make ~name:"respond-blocks-16"
         (stage
-           (let hashes =
-              List.filter_map
-                (fun (b : V.Block.t) ->
-                  if V.Block.is_genesis b then None else Some b.V.Block.hash)
-                (V.Dag.topo_order dag_16)
-            in
+           (let hashes = List.sort V.Hash_id.compare dag_16_hashes in
+            fun () -> V.Reconcile.respond dag_16 (V.Reconcile.Blocks_request { hashes })));
+      Test.make ~name:"respond-blocks-16-unsorted"
+        (stage
+           (let hashes = dag_16_hashes in
             fun () -> V.Reconcile.respond dag_16 (V.Reconcile.Blocks_request { hashes })));
     ]
 
@@ -779,6 +831,25 @@ let write_bench_net ?(file = "BENCH_net.json") ?(daemon_rows = []) sync_rows =
       output_string oc "\n  ]\n}\n");
   Printf.printf "  (snapshot written to %s)\n" file
 
+(* The [daemon DIR] role behind M13: serve the replica in DIR with
+   buffered telemetry, print the bound port, and run until SIGINT. *)
+let serve_daemon dir =
+  match Cli.Node_store.load ~dir with
+  | Error _ -> 1
+  | Ok store -> (
+    Cli.Node_store.buffer_telemetry store true;
+    let loop = Cli.Event_loop.create ~store () in
+    match Cli.Event_loop.listen_peers loop ~port:0 () with
+    | Error _ -> 1
+    | Ok port -> (
+      Cli.Unix_compat.install_stop_handler (fun () -> Cli.Event_loop.request_stop loop);
+      Printf.printf "%d\n%!" port;
+      match Cli.Event_loop.run loop with
+      | Ok () ->
+        Cli.Node_store.buffer_telemetry store false;
+        0
+      | Error _ -> 1))
+
 let run_daemon_bench ~sync_rows () =
   let tmp =
     Filename.concat
@@ -811,86 +882,68 @@ let run_daemon_bench ~sync_rows () =
     (* Still snapshot the micro rows so the drift gate has a baseline. *)
     write_bench_net sync_rows
   | Ok client -> begin
-    let pr, pw = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
+    (* The daemon is this executable in its [daemon DIR] role, started
+       with create_process: a process whose intake has spawned verifier
+       domains cannot fork. It prints its port once it listens. *)
+    let pr, pw = Unix.pipe ~cloexec:true () in
+    let exe = Sys.executable_name in
+    let daemon =
+      Unix.create_process exe [| exe; "daemon"; ca_dir |] Unix.stdin pw Unix.stderr
+    in
+    Unix.close pw;
+    let port =
+      let buf = Buffer.create 8 and b = Bytes.create 1 in
+      let rec go () =
+        match Unix.read pr b 0 1 with
+        | 0 -> ()
+        | _ -> if Bytes.get b 0 = '\n' then () else begin
+            Buffer.add_bytes buf b;
+            go ()
+          end
+      in
+      go ();
       Unix.close pr;
-      let rc =
-        match Cli.Node_store.load ~dir:ca_dir with
-        | Error _ -> 1
-        | Ok store ->
-          Cli.Node_store.buffer_telemetry store true;
-          let loop = Cli.Event_loop.create ~store () in
-          (match Cli.Event_loop.listen_peers loop ~port:0 () with
-          | Error _ -> 1
-          | Ok port ->
-            Cli.Unix_compat.install_stop_handler (fun () ->
-                Cli.Event_loop.request_stop loop);
-            let msg = Printf.sprintf "%d\n" port in
-            ignore (Unix.write_substring pw msg 0 (String.length msg));
-            Unix.close pw;
-            (match Cli.Event_loop.run loop with
-            | Ok () ->
-              Cli.Node_store.buffer_telemetry store false;
-              0
-            | Error _ -> 1))
+      int_of_string (Buffer.contents buf)
+    in
+    let leg concurrency =
+      let loop = Cli.Event_loop.create ~store:client () in
+      let t0 = Cli.Unix_compat.mono_ms () in
+      let dial_failures = ref 0 in
+      for _ = 1 to concurrency do
+        match
+          Cli.Event_loop.connect_exchange ~timeout_s:10. loop
+            ~host:"127.0.0.1" ~port ()
+        with
+        | Ok _ -> ()
+        | Error _ -> incr dial_failures
+      done;
+      let wanted = concurrency - !dial_failures in
+      let r =
+        Cli.Event_loop.run loop ~until:(fun st ->
+            st.Cli.Event_loop.completed + st.Cli.Event_loop.failed >= wanted)
       in
-      Unix._exit rc
-    | daemon ->
-      Unix.close pw;
-      let port =
-        let buf = Buffer.create 8 and b = Bytes.create 1 in
-        let rec go () =
-          match Unix.read pr b 0 1 with
-          | 0 -> ()
-          | _ -> if Bytes.get b 0 = '\n' then () else begin
-              Buffer.add_bytes buf b;
-              go ()
-            end
-        in
-        go ();
-        Unix.close pr;
-        int_of_string (Buffer.contents buf)
+      let t1 = Cli.Unix_compat.mono_ms () in
+      let failed =
+        !dial_failures
+        + (Cli.Event_loop.stats loop).Cli.Event_loop.failed
+        + (match r with Ok () -> 0 | Error _ -> wanted)
       in
-      let leg concurrency =
-        let loop = Cli.Event_loop.create ~store:client () in
-        let t0 = Cli.Unix_compat.mono_ms () in
-        let dial_failures = ref 0 in
-        for _ = 1 to concurrency do
-          match
-            Cli.Event_loop.connect_exchange ~timeout_s:10. loop
-              ~host:"127.0.0.1" ~port ()
-          with
-          | Ok _ -> ()
-          | Error _ -> incr dial_failures
-        done;
-        let wanted = concurrency - !dial_failures in
-        let r =
-          Cli.Event_loop.run loop ~until:(fun st ->
-              st.Cli.Event_loop.completed + st.Cli.Event_loop.failed >= wanted)
-        in
-        let t1 = Cli.Unix_compat.mono_ms () in
-        let failed =
-          !dial_failures
-          + (Cli.Event_loop.stats loop).Cli.Event_loop.failed
-          + (match r with Ok () -> 0 | Error _ -> wanted)
-        in
-        Cli.Event_loop.shutdown loop;
-        (concurrency, (t1 -. t0) /. 1000., failed)
-      in
-      let rows = List.map leg daemon_concurrency in
-      Unix.kill daemon Sys.sigint;
-      ignore (Unix.waitpid [] daemon);
-      List.iter
-        (fun (c, secs, failed) ->
-          Printf.printf
-            "  %-42s %14.1f sessions/s   (%.2f ms/session%s)\n"
-            (Printf.sprintf "exchange-x%d" c)
-            (float_of_int c /. secs)
-            (secs *. 1000. /. float_of_int c)
-            (if failed > 0 then Printf.sprintf ", %d FAILED" failed else ""))
-        rows;
-      write_bench_net ~daemon_rows:rows sync_rows
+      Cli.Event_loop.shutdown loop;
+      (concurrency, (t1 -. t0) /. 1000., failed)
+    in
+    let rows = List.map leg daemon_concurrency in
+    Unix.kill daemon Sys.sigint;
+    ignore (Unix.waitpid [] daemon);
+    List.iter
+      (fun (c, secs, failed) ->
+        Printf.printf
+          "  %-42s %14.1f sessions/s   (%.2f ms/session%s)\n"
+          (Printf.sprintf "exchange-x%d" c)
+          (float_of_int c /. secs)
+          (secs *. 1000. /. float_of_int c)
+          (if failed > 0 then Printf.sprintf ", %d FAILED" failed else ""))
+      rows;
+    write_bench_net ~daemon_rows:rows sync_rows
   end
 
 let obs_benchmark = "M8-obs+M10-health+M14-live-health+M16-trace"
@@ -909,9 +962,12 @@ let run_obs_micro () =
   write_snapshot ~benchmark:obs_benchmark ~file:"BENCH_obs.fresh.json" rows
 
 (* The M1/M2 core rows alone, for the @bench-check drift gate. *)
+let core_rows () =
+  List.sort compare (List.concat_map estimate core_tests @ estimate ~quota:4. (intake_tests ()))
+
 let run_core_micro () =
   print_endline "== core micro (ns per call, OLS estimate) ==";
-  let rows = List.concat_map estimate core_tests in
+  let rows = core_rows () in
   print_rows rows;
   write_snapshot ~benchmark:core_benchmark ~file:"BENCH_core.fresh.json" rows
 
@@ -925,7 +981,7 @@ let run_sync_micro () =
 
 let run_micro () =
   print_endline "== Micro-benchmarks (ns per call, OLS estimate) ==";
-  let core_rows = List.concat_map estimate core_tests in
+  let core_rows = core_rows () in
   print_rows core_rows;
   write_snapshot ~benchmark:core_benchmark ~file:"BENCH_core.json" core_rows;
   List.iter (fun test -> print_rows (estimate test)) tests;
@@ -948,12 +1004,13 @@ let run_micro () =
   | _ -> print_endline "  (M12-lint skipped: not at the repo root)");
   let sync_rows = estimate sync_tests in
   print_rows sync_rows;
-  print_endline "== M13-daemon (loopback exchange sessions vs a forked daemon) ==";
+  print_endline "== M13-daemon (loopback exchange sessions vs a daemon process) ==";
   run_daemon_bench ~sync_rows ();
   print_newline ()
 
 let () =
   let args = Array.to_list Sys.argv in
+  (match args with _ :: "daemon" :: [ dir ] -> exit (serve_daemon dir) | _ -> ());
   if List.mem "obs-micro" args then begin
     run_obs_micro ();
     exit 0

@@ -212,9 +212,9 @@ let load ~dir =
       Error "key file does not match certificate"
     else begin
       let node = Node.create ~signer ~cert () in
-      Node.receive_seq node
+      Node.receive_all node
         ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (Dag.topo_seq dag);
+        (List.of_seq (Dag.topo_seq dag));
       Hashtbl.replace registry dir (signer, height, seed);
       let t = { dir; node; ca_cert } in
       record t
@@ -242,9 +242,9 @@ let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
       in
       let* () = save ca in
       let node = Node.create ~signer:subject ~cert () in
-      Node.receive_seq node
+      Node.receive_all node
         ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (Dag.topo_seq (Node.dag ca.node));
+        (List.of_seq (Dag.topo_seq (Node.dag ca.node)));
       Hashtbl.replace registry dir (subject, height, seed);
       let t = { dir; node; ca_cert = ca.ca_cert } in
       let* () = save t in
@@ -290,9 +290,9 @@ let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
       Hashtbl.replace registry dir (fresh, height, seed);
       let* () = save t in
       (* The CA should learn the rotation block too. *)
-      Node.receive_seq ca.node
+      Node.receive_all ca.node
         ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (Dag.topo_seq (Node.dag t.node));
+        (List.of_seq (Dag.topo_seq (Node.dag t.node)));
       let* () = save ca in
       Ok t)
 
@@ -308,9 +308,9 @@ let sync t ~from ~mode =
     |> Seq.filter (fun (b : Block.t) -> not (Dag.mem mine b.Block.hash))
     |> List.of_seq
   in
-  Node.receive_seq t.node
+  Node.receive_all t.node
     ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-    (Dag.topo_seq merged);
+    (List.of_seq (Dag.topo_seq merged));
   let me = node_name t in
   record_all t
     (List.concat_map
@@ -352,9 +352,9 @@ let recover t ~from ?below () =
         not (Dag.mem mine b.Block.hash || Dag.is_archived mine b.Block.hash))
       served
   in
-  Node.receive_seq t.node
+  Node.receive_all t.node
     ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-    (List.to_seq fresh);
+    fresh;
   let dag = Node.dag t.node in
   let restored =
     List.filter (fun (b : Block.t) -> Dag.mem dag b.Block.hash) fresh

@@ -29,9 +29,6 @@ type listener = Unix.file_descr
 type conn = Unix.file_descr
 type recv = Frame of string | Timeout | Closed
 
-(* Frames over ~64 MiB mean a corrupt or hostile length prefix, not a
-   blockchain: refuse before allocating. *)
-let max_frame = 64 * 1024 * 1024
 
 (* Once a frame has started arriving, how long until a stall mid-frame is
    a dead peer rather than scheduling jitter. *)
@@ -179,7 +176,7 @@ let write_all fd buf =
 
 let send_frame fd payload =
   let len = String.length payload in
-  if len > max_frame then Error "send_frame: frame too large"
+  if len > Vegvisir.Wire.max_frame then Error "send_frame: frame too large"
   else begin
     let buf = Bytes.create (4 + len) in
     Bytes.set_int32_be buf 0 (Int32.of_int len);
@@ -325,7 +322,7 @@ let encode_frame payload =
 
 let decode_frame_header header =
   let len = Int32.to_int (Bytes.get_int32_be header 0) in
-  if len < 0 || len > max_frame then Error "bad frame length" else Ok len
+  if len < 0 || len > Vegvisir.Wire.max_frame then Error "bad frame length" else Ok len
 
 let set_nonblocking fd = try Unix.set_nonblock fd with Unix.Unix_error _ -> ()
 
@@ -420,7 +417,7 @@ let recv_frame ?(timeout_s = 30.) fd =
   | Ok `Eof -> Ok Closed
   | Ok `Full ->
     let len = Int32.to_int (Bytes.get_int32_be header 0) in
-    if len < 0 || len > max_frame then Error "recv_frame: bad frame length"
+    if len < 0 || len > Vegvisir.Wire.max_frame then Error "recv_frame: bad frame length"
     else if len = 0 then Ok (Frame "")
     else begin
       let payload = Bytes.create len in

@@ -166,7 +166,6 @@ val wait_ready :
     The length-prefix format of {!send_frame}/{!recv_frame}, exposed so
     the event loop can frame into its own outbound buffers. *)
 
-val max_frame : int
 val frame_header_bytes : int
 
 val encode_frame : string -> string
@@ -174,7 +173,7 @@ val encode_frame : string -> string
 
 val decode_frame_header : Bytes.t -> (int, string) result
 (** Payload length from the first {!frame_header_bytes} bytes; [Error]
-    when negative or over {!max_frame}. *)
+    when negative or over {!Vegvisir.Wire.max_frame}. *)
 
 (** {1 Signals} *)
 

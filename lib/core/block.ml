@@ -6,6 +6,7 @@ type t = {
   transactions : Transaction.t list;
   signature : string;
   hash : Hash_id.t;
+  size : int;
 }
 
 let encode_body b ~creator ~timestamp ~location ~parents ~transactions =
@@ -50,16 +51,21 @@ let create ~(signer : Signer.t) ~creator ~timestamp ?location ~parents
       transactions;
       signature;
       hash = Hash_id.digest "";
+      size = 0;
     }
   in
-  { t with hash = Hash_id.digest (to_string t) }
+  let raw = to_string t in
+  { t with hash = Hash_id.digest raw; size = String.length raw }
 
-let verify_signature ~public ~scheme t =
-  let body =
-    signing_bytes ~creator:t.creator ~timestamp:t.timestamp
-      ~location:t.location ~parents:t.parents ~transactions:t.transactions
-  in
-  Signer.verify ~scheme ~public ~msg:body ~signature:t.signature
+let body t =
+  signing_bytes ~creator:t.creator ~timestamp:t.timestamp ~location:t.location
+    ~parents:t.parents ~transactions:t.transactions
+
+let verify_signature ?ots ~public ~scheme t =
+  Signer.verify ?ots ~scheme ~public ~msg:(body t) t.signature
+
+(* lint: parallel-safe *)
+let ots_holds t = Signer.ots_holds ~msg:(body t) ~signature:t.signature
 
 let is_genesis t = t.parents = []
 
@@ -84,10 +90,11 @@ let decode c =
     transactions;
     signature;
     hash = Hash_id.digest raw;
+    size = String.length raw;
   }
 
 let of_string s = Wire.decode_string decode s
-let byte_size t = String.length (to_string t)
+let byte_size t = t.size
 let equal a b = Hash_id.equal a.hash b.hash
 let compare a b = Hash_id.compare a.hash b.hash
 

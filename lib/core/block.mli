@@ -15,6 +15,7 @@ type t = private {
   transactions : Transaction.t list;
   signature : string;
   hash : Hash_id.t;  (** cached identity: hash of the encoding *)
+  size : int;  (** cached length of the encoding, {!byte_size} *)
 }
 
 val signing_bytes :
@@ -38,7 +39,15 @@ val create :
 (** Sign and seal a block. Parents are de-duplicated and sorted, making
     the encoding canonical. *)
 
-val verify_signature : public:string -> scheme:string -> t -> bool
+val verify_signature : ?ots:bool -> public:string -> scheme:string -> t -> bool
+(** [ots] is an earlier {!ots_holds} result for this block; see
+    {!Signer.verify}. *)
+
+val ots_holds : t -> bool option
+(** {!Signer.ots_holds} over the block's signing bytes and signature: the
+    costly, certificate-free half of its MSS check. The block hash
+    covers both, so a result keyed by hash names exactly the bytes it
+    checked. *)
 
 val is_genesis : t -> bool
 val encode : Buffer.t -> t -> unit

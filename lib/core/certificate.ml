@@ -56,7 +56,7 @@ let verify ~ca t =
   let verifier_public = if is_self_signed t then t.public else ca.public in
   let verifier_scheme = if is_self_signed t then t.scheme else ca.scheme in
   Signer.verify ~scheme:verifier_scheme ~public:verifier_public ~msg:body
-    ~signature:t.signature
+    t.signature
 
 let encode b t =
   Wire.put_str b (Hash_id.to_raw t.user_id);

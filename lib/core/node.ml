@@ -30,6 +30,8 @@ type t = {
   mutable dag : Dag.t;
   mutable csm : Csm.t;
   mutable pending : Pending_pool.t; (* capacity-bounded; drained on progress *)
+  mutable prechecked : bool Hash_id.Map.t;
+      (* Block.ots_holds by block hash, for one receive_all call *)
   max_skew_ms : int64;
   stats : stats;
 }
@@ -42,6 +44,7 @@ let create ?(max_skew_ms = Validation.default_max_skew_ms) ?(max_pending = 4096)
     dag = Dag.empty;
     csm = Csm.empty;
     pending = Pending_pool.create ~capacity:max_pending ();
+    prechecked = Hash_id.Map.empty;
     max_skew_ms;
     stats = { created = 0; accepted = 0; rejected = 0; duplicates = 0 };
   }
@@ -71,6 +74,7 @@ let commit t (b : Block.t) =
     true
 
 let try_accept t ~now (b : Block.t) : receive_result =
+  let ots = Hash_id.Map.find_opt b.Block.hash t.prechecked in
   if Dag.mem t.dag b.Block.hash || Dag.is_archived t.dag b.Block.hash then
     Duplicate
   else if Block.is_genesis b then begin
@@ -79,7 +83,7 @@ let try_accept t ~now (b : Block.t) : receive_result =
       if Block.equal g b then Duplicate
       else Rejected Validation.Duplicate_genesis
     | None -> begin
-      match Validation.check_genesis b with
+      match Validation.check_genesis ?ots b with
       | Error e -> Rejected e
       | Ok _membership ->
         if commit t b then Accepted else Rejected Validation.Duplicate_genesis
@@ -91,7 +95,7 @@ let try_accept t ~now (b : Block.t) : receive_result =
     | Some m -> begin
       match
         Validation.check_block ~membership:m ~dag:t.dag ~now
-          ~max_skew_ms:t.max_skew_ms b
+          ~max_skew_ms:t.max_skew_ms ?ots b
       with
       | Ok () ->
         if commit t b then Accepted
@@ -140,8 +144,42 @@ let receive t ~now b =
     t.stats.rejected <- t.stats.rejected + 1);
   r
 
-let receive_all t ~now blocks = List.iter (fun b -> ignore (receive t ~now b)) blocks
-let receive_seq t ~now blocks = Seq.iter (fun b -> ignore (receive t ~now b)) blocks
+(* Blocks of a batch that may need an MSS check: neither resident nor
+   archived, once each, and not by a member known to sign otherwise. *)
+let precheck_candidates t blocks =
+  let other_scheme (b : Block.t) =
+    match Option.bind (membership t) (fun m -> Membership.certificate m b.Block.creator) with
+    | Some c -> not (String.equal c.Certificate.scheme "mss")
+    | None -> false
+  in
+  let _, fresh =
+    List.fold_left
+      (fun (seen, acc) (b : Block.t) ->
+        let h = b.Block.hash in
+        if
+          Hash_id.Set.mem h seen || Dag.mem t.dag h || Dag.is_archived t.dag h
+          || other_scheme b
+        then (seen, acc)
+        else (Hash_id.Set.add h seen, b :: acc))
+      (Hash_id.Set.empty, []) blocks
+  in
+  Array.of_list (List.rev fresh)
+
+(* The costly half of each candidate's check runs first, across domains;
+   then every block goes through [receive] in order, as it would one at
+   a time, with those results standing in for that half. *)
+let receive_all t ~now blocks =
+  let fresh = precheck_candidates t blocks in
+  let results = Domain_pool.map Block.ots_holds fresh in
+  let add acc (b : Block.t) = function
+    | Some ok -> Hash_id.Map.add b.Block.hash ok acc
+    | None -> acc
+  in
+  t.prechecked <-
+    Seq.fold_left2 add Hash_id.Map.empty (Array.to_seq fresh) (Array.to_seq results);
+  Fun.protect
+    ~finally:(fun () -> t.prechecked <- Hash_id.Map.empty)
+    (fun () -> List.iter (fun b -> ignore (receive t ~now b)) blocks)
 
 let missing_dependencies t =
   Pending_pool.fold

@@ -63,10 +63,15 @@ val receive : t -> now:Timestamp.t -> Block.t -> receive_result
     buffer to a fixpoint. *)
 
 val receive_all : t -> now:Timestamp.t -> Block.t list -> unit
-
-val receive_seq : t -> now:Timestamp.t -> Block.t Seq.t -> unit
-(** {!receive_all} over a sequence (e.g. {!Dag.topo_seq} of a loaded
-    replica) without materializing the list. *)
+(** Batch intake, with the same outcome as {!receive} on each block in
+    order. First the W-OTS half of the MSS check ({!Block.ots_holds}) of
+    every block that is neither resident nor archived runs on
+    {!Domain_pool}, before any certificate is needed, so a batch may
+    enrol its own signers. The results, keyed by block hash, serve this
+    call only (its drains included); every block is still decided by
+    {!Validation}, which checks the leaf index, the path to the
+    creator's key, membership, revocation and timestamps. A block
+    buffered now and drained by a later call is checked inline. *)
 
 val missing_dependencies : t -> Hash_id.Set.t
 (** Parent hashes that block the transient buffer — what a device should

@@ -36,8 +36,19 @@ val oracle : ?signature_size:int -> id:string -> unit -> t
     that byte accounting matches the real scheme. *)
 
 val verify :
-  scheme:string -> public:string -> msg:string -> signature:string -> bool
-(** Dispatches on [scheme]; unknown schemes verify as [false]. *)
+  ?ots:bool -> scheme:string -> public:string -> msg:string -> string -> bool
+(** [verify ~scheme ~public ~msg signature] dispatches on [scheme];
+    unknown schemes verify as [false]. [ots] is an earlier
+    {!ots_holds} result over the same [msg] and signature bytes: an MSS
+    check uses it instead of rebuilding the W-OTS chains, and still
+    checks the leaf index and the path to [public]. Other schemes ignore
+    it. *)
+
+val ots_holds : msg:string -> signature:string -> bool option
+(** The key-independent half of an MSS check ({!Vegvisir_crypto.Mss.ots_holds}):
+    [None] when [signature] does not parse as MSS. It needs no
+    certificate, so a batch can run it before its signers are known,
+    and any domain may run it. *)
 
 val user_id_of_public : string -> Hash_id.t
 (** A user's ID is the hash of its serialized public key. *)

@@ -222,9 +222,38 @@ module type S = sig
   val respond : Dag.t -> message -> message option
 end
 
-(* Shared by bloom and digest gap recovery: every resident block named. *)
+(* Honest initiators name [HSet.elements]: strictly ascending, so
+   repeat-free at any length. *)
+let rec ascending = function
+  | a :: (b :: _ as rest) -> Hash_id.compare a b < 0 && ascending rest
+  | [] | [ _ ] -> true
+
+(* Shared by bloom and digest gap recovery: every resident block named,
+   once, in the order first named, until the next block would push the
+   encoded reply (tag and list count, then the blocks) past
+   [Wire.max_frame]. Only a list that is not ascending pays for a set of
+   the hashes seen. The initiator asks again for whatever a reply that
+   brought something new left out (see [recover]). *)
 let respond_blocks dag hashes =
-  Blocks_reply { blocks = List.filter_map (Dag.find dag) hashes }
+  let hashes =
+    if ascending hashes then hashes
+    else
+      List.fold_left
+        (fun (seen, acc) h ->
+          if HSet.mem h seen then (seen, acc) else (HSet.add h seen, h :: acc))
+        (HSet.empty, []) hashes
+      |> snd |> List.rev
+  in
+  let rec go used acc = function
+    | [] -> List.rev acc
+    | h :: rest -> (
+      match Dag.find dag h with
+      | None -> go used acc rest
+      | Some b ->
+        let used = used + Block.byte_size b in
+        if used > Wire.max_frame then List.rev acc else go used (b :: acc) rest)
+  in
+  Blocks_reply { blocks = go 5 [] hashes }
 
 module Naive_impl = struct
   type state = { level : int; last_reply_count : int }
@@ -286,26 +315,50 @@ let bloom_of_dag dag =
     (Dag.archived_hashes dag);
   Vegvisir_crypto.Bloom.to_string bloom
 
-(* Parents neither local, collected, nor already asked for: false
-   positives of a probabilistic advertisement (or genuinely absent
-   ancestry). The initiator recovers them with explicit requests. *)
-let parent_gaps dag ~collected ~requested =
-  let have =
+(* The hashes a [Blocks_request] named; nothing for any other request. *)
+let asked_hashes = function
+  | Blocks_request { hashes } -> hashes
+  | Frontier_request _ | Frontier_reply _ | Bloom_request _ | Bloom_reply _
+  | Blocks_reply _ | Digest_request _ | Digest_reply _ | Trace_context _ ->
+    []
+
+(* One round of gap recovery, after a reply delivering [blocks] to the
+   request that named [asked]. Returns the new collection and the hashes
+   to ask for next:
+   - parents neither local, collected, nor asked for before: false
+     positives of a probabilistic advertisement, or genuinely absent
+     ancestry;
+   - if the reply brought a block neither local nor collected before,
+     every hash of [asked] still missing. A responder stops a
+     [Blocks_reply] before it would pass [Wire.max_frame], so those may
+     have been cut off rather than refused.
+   A reply that brings nothing new repeats nothing, so every repeat
+   follows progress and an honest session ends. *)
+let recover dag ~collected ~requested ~asked blocks =
+  let add acc (b : Block.t) = HSet.add b.Block.hash acc in
+  let had = List.fold_left add HSet.empty collected in
+  let fresh =
+    List.filter
+      (fun (b : Block.t) -> not (Dag.mem dag b.Block.hash || HSet.mem b.Block.hash had))
+      blocks
+  in
+  let collected = fresh @ collected in
+  let have = List.fold_left add had fresh in
+  let missing h = not (Dag.mem dag h || Dag.is_archived dag h || HSet.mem h have) in
+  let gaps =
     List.fold_left
-      (fun acc (b : Block.t) -> HSet.add b.Block.hash acc)
+      (fun acc (b : Block.t) ->
+        List.fold_left
+          (fun acc p ->
+            if missing p && not (HSet.mem p requested) then HSet.add p acc else acc)
+          acc b.Block.parents)
       HSet.empty collected
   in
-  List.fold_left
-    (fun acc (b : Block.t) ->
-      List.fold_left
-        (fun acc p ->
-          if
-            Dag.mem dag p || Dag.is_archived dag p || HSet.mem p have
-            || HSet.mem p requested
-          then acc
-          else HSet.add p acc)
-        acc b.Block.parents)
-    HSet.empty collected
+  match fresh with
+  | [] -> (collected, gaps)
+  | _ :: _ ->
+    let again acc h = if missing h then HSet.add h acc else acc in
+    (collected, List.fold_left again gaps asked)
 
 module Bloom_impl = struct
   type state = {
@@ -327,23 +380,18 @@ module Bloom_impl = struct
 
   let on_reply st dag = function
     | Bloom_reply { blocks } | Blocks_reply { blocks } ->
-      let st =
-        {
-          st with
-          collected =
-            List.filter (fun (b : Block.t) -> not (Dag.mem dag b.Block.hash)) blocks
-            @ st.collected;
-        }
+      let asked = Option.fold ~none:[] ~some:asked_hashes st.pending_request in
+      let collected, next =
+        recover dag ~collected:st.collected ~requested:st.requested ~asked blocks
       in
-      let gaps = parent_gaps dag ~collected:st.collected ~requested:st.requested in
-      let got_nothing_new = match blocks with [] -> true | _ :: _ -> false in
-      if HSet.is_empty gaps || got_nothing_new then (st, Done st.collected)
+      let st = { st with collected } in
+      if HSet.is_empty next then (st, Done collected)
       else
-        let req = Blocks_request { hashes = HSet.elements gaps } in
+        let req = Blocks_request { hashes = HSet.elements next } in
         let st =
           {
             st with
-            requested = HSet.union st.requested gaps;
+            requested = HSet.union st.requested next;
             pending_request = Some req;
           }
         in
@@ -386,14 +434,17 @@ module Height_table = struct
 
   let of_dag dag = { buckets = Dag.by_height dag; max_h = Dag.max_height dag }
 
+  (* Only the heights present in [lo, hi]: both bounds come off the
+     wire, so the walk must not cost one step per integer in between.
+     Two splits cut the range out in O(log n); the fold then visits its
+     buckets in height order. *)
   let fold_range t ~lo ~hi f acc =
-    let acc = ref acc in
-    for h = max 0 lo to hi do
-      match IMap.find_opt h t.buckets with
-      | None -> ()
-      | Some hs -> acc := List.fold_left f !acc hs
-    done;
-    !acc
+    if hi < lo then acc
+    else
+      let bucket acc = function None -> acc | Some hs -> List.fold_left f acc hs in
+      let _, at_lo, above = IMap.split lo t.buckets in
+      let inside, at_hi, _ = IMap.split hi above in
+      bucket (IMap.fold (fun _ hs acc -> List.fold_left f acc hs) inside (bucket acc at_lo)) at_hi
 
   let digest t ~lo ~hi =
     let buf = Buffer.create 256 in
@@ -466,7 +517,18 @@ module Digest_impl = struct
 
   let empty_digest = Vegvisir_crypto.Sha256.digest ""
 
+  (* Honest narrowing only ever sends non-empty intervals in ascending
+     order, disjoint: each split answers one mismatched interval with
+     its two halves, in order. *)
+  let ascending intervals =
+    let rec go prev_hi = function
+      | [] -> true
+      | ({ lo; hi; _ } : interval) :: rest -> prev_hi < lo && lo <= hi && go hi rest
+    in
+    go (-1) intervals
+
   let respond dag = function
+    | Digest_request { intervals; _ } when not (ascending intervals) -> None
     | Digest_request { upto; intervals } ->
       let table = Height_table.of_dag dag in
       let intervals =
@@ -533,21 +595,15 @@ module Digest_impl = struct
             (st, Continue req)
       end
     | Blocks_reply { blocks } when st.fetching ->
-      let st =
-        {
-          st with
-          collected =
-            List.filter (fun (b : Block.t) -> not (Dag.mem dag b.Block.hash)) blocks
-            @ st.collected;
-        }
+      let collected, next =
+        recover dag ~collected:st.collected ~requested:st.requested
+          ~asked:(asked_hashes st.pending) blocks
       in
-      let gaps = parent_gaps dag ~collected:st.collected ~requested:st.requested in
-      if HSet.is_empty gaps then (st, Done st.collected)
+      let st = { st with collected } in
+      if HSet.is_empty next then (st, Done collected)
       else
-        let req = Blocks_request { hashes = HSet.elements gaps } in
-        let st =
-          { st with requested = HSet.union st.requested gaps; pending = req }
-        in
+        let req = Blocks_request { hashes = HSet.elements next } in
+        let st = { st with requested = HSet.union st.requested next; pending = req } in
         (st, Continue req)
     | Digest_reply _ | Blocks_reply _ (* wrong phase: stale frame *)
     | Frontier_request _ | Frontier_reply _ | Bloom_request _ | Bloom_reply _

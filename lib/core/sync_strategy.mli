@@ -144,7 +144,28 @@ val session_step : packed -> Dag.t -> message -> packed * outcome
 val respond : Dag.t -> message -> message option
 (** Responder side over all strategies: dispatches requests to their
     owning strategy (plus the shared {!message.Blocks_request});
-    [None] for replies. *)
+    [None] for replies. The work is bounded by the request and the DAG:
+
+    - a {!message.Blocks_request} is answered once per distinct resident
+      hash, in the order first named, and the reply stops before its
+      encoding would pass {!Wire.max_frame} (the bloom and digest
+      sessions then ask again for what the reply left out);
+    - a {!message.Digest_request} whose intervals are not non-empty,
+      ascending and disjoint gets no reply ([None]), and each interval
+      costs only the heights present in it. *)
+
+(** The digest strategy's view of a replica: every known hash (resident
+    or archived) bucketed by DAG height, each bucket in [Hash_id] order. *)
+module Height_table : sig
+  type t
+
+  val of_dag : Dag.t -> t
+
+  val fold_range : t -> lo:int -> hi:int -> ('a -> Hash_id.t -> 'a) -> 'a -> 'a
+  (** Folds over the hashes at heights [lo..hi], lowest height first. It
+      visits only the heights present, so its cost does not grow with
+      [hi - lo]. *)
+end
 
 (** {1 Deterministic span identity}
 

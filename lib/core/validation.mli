@@ -25,20 +25,26 @@ type error =
 val default_max_skew_ms : int64
 (** 5000 ms of tolerated clock skew. *)
 
-val check_genesis : Block.t -> (Membership.t, error) result
+val check_genesis : ?ots:bool -> Block.t -> (Membership.t, error) result
 (** Validate a genesis block standalone: no parents, carries a self-signed
     owner certificate whose subject is the creator, signature valid under
-    that certificate. Returns the bootstrapped membership. *)
+    that certificate. Returns the bootstrapped membership. [ots] is an
+    earlier {!Block.ots_holds} result for this block (see
+    {!Signer.verify}). *)
 
 val check_block :
   membership:Membership.t ->
   dag:Dag.t ->
   now:Timestamp.t ->
   ?max_skew_ms:int64 ->
+  ?ots:bool ->
   Block.t ->
   (unit, error) result
 (** Validate a non-genesis block against local state. Assumes the DAG
-    already holds a genesis. *)
+    already holds a genesis. [ots] is an earlier {!Block.ots_holds}
+    result for this block: it replaces only the W-OTS half of check 4,
+    so membership, revocation, timestamps, the leaf index and the path
+    to the creator's key still decide. *)
 
 val is_transient : error -> bool
 (** Errors worth buffering the block for ({!Unknown_creator},

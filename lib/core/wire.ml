@@ -1,5 +1,10 @@
 exception Malformed of string
 
+(* Frames over ~64 MiB mean a corrupt or hostile length prefix, not a
+   blockchain: the framer refuses them before allocating, and responders
+   stop filling a reply before it would pass this size. *)
+let max_frame = 64 * 1024 * 1024
+
 type cursor = { data : string; mutable pos : int }
 
 let cursor data = { data; pos = 0 }

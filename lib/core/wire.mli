@@ -8,6 +8,11 @@
 
 exception Malformed of string
 
+val max_frame : int
+(** The largest frame payload peers exchange, 64 MiB. The socket framer
+    refuses longer length prefixes, and a responder stops adding blocks
+    before its encoded reply would pass it. *)
+
 type cursor = { data : string; mutable pos : int }
 
 val cursor : string -> cursor

@@ -165,7 +165,7 @@ let finalize ctx =
   string_of_state ctx.h
 
 (* Digesting allocates a fresh ctx per call and shares nothing, so the
-   multicore block-validation fan-out (ROADMAP item 5) may call these
+   batch intake's signature prechecks (Node.receive_all) may call these
    from any domain. The annotations are checked: vegvisir-lint's
    parallel-safety rule walks the call graph and fails the build if a
    path to top-level mutable state ever appears. *)

@@ -13,8 +13,8 @@ let diverged_pair ~shared ~each =
     let da, _ = V.Reconcile.sync_dags V.Reconcile.Digest (V.Node.dag a) (V.Node.dag b) in
     let db, _ = V.Reconcile.sync_dags V.Reconcile.Digest (V.Node.dag b) (V.Node.dag a) in
     (* Re-inject the merged DAGs through the node receive path. *)
-    V.Node.receive_seq a ~now:(V.Timestamp.of_ms 100_000L) (V.Dag.topo_seq da);
-    V.Node.receive_seq b ~now:(V.Timestamp.of_ms 100_000L) (V.Dag.topo_seq db)
+    V.Node.receive_all a ~now:(V.Timestamp.of_ms 100_000L) (List.of_seq (V.Dag.topo_seq da));
+    V.Node.receive_all b ~now:(V.Timestamp.of_ms 100_000L) (List.of_seq (V.Dag.topo_seq db))
   done;
   Workload.append_chain a ~label:"priv-a" ~n:each;
   Workload.append_chain b ~label:"priv-b" ~n:each;

@@ -17,6 +17,92 @@ let fresh_dir name =
 let init name = Result.get_ok (Node_store.init ~dir:(fresh_dir name) ~seed:(name ^ "-seed")
     ~height:4 ~init_crdts:[ ("log", Vegvisir_crdt.Schema.spec Vegvisir_crdt.Schema.Gset Value.T_string) ] ())
 
+let read_line_fd fd =
+  let buf = Buffer.create 16 and b = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd b 0 1 with
+    | 0 -> ()
+    | _ -> if Bytes.get b 0 = '\n' then () else begin
+        Buffer.add_bytes buf b; go ()
+      end
+  in
+  go ();
+  Buffer.contents buf
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Child processes. They are started with Unix.create_process and
+   never forked: once a batch intake has spawned its verifier domains,
+   OCaml 5.1 refuses to fork the process. A daemon child is the real
+   [vegvisir-cli daemon]; every other child re-runs this binary with a
+   [child ROLE ...] argv, dispatched by [child_main] before Alcotest
+   reads the arguments. *)
+
+type child = {
+  pid : int;
+  out : Unix.file_descr;  (** its stdout, open until {!reap} *)
+  line : string;  (** the first line it printed *)
+}
+
+let cli_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ ".."; "bin"; "vegvisir_cli.exe" ]
+
+(* Start [prog args]; with [report], wait for its first stdout line.
+   The pipe stays open until [reap], so later writes never hit a closed
+   pipe. *)
+let start ?(report = true) prog args =
+  let pr, pw = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process prog (Array.of_list (prog :: args)) Unix.stdin pw
+      Unix.stderr
+  in
+  Unix.close pw;
+  { pid; out = pr; line = (if report then read_line_fd pr else "") }
+
+let start_child ?report role args =
+  start ?report Sys.executable_name ("child" :: role :: args)
+
+let reap c =
+  let _, status = Unix.waitpid [] c.pid in
+  Unix.close c.out;
+  status
+
+(* The port printed right after [marker] in a child's first line. *)
+let port_after c marker =
+  let n = String.length c.line and m = String.length marker in
+  let rec find i =
+    if i + m > n then Alcotest.failf "no %S in %S" marker c.line
+    else if String.equal (String.sub c.line i m) marker then begin
+      let j = ref (i + m) in
+      while !j < n && c.line.[!j] >= '0' && c.line.[!j] <= '9' do incr j done;
+      int_of_string (String.sub c.line (i + m) (!j - i - m))
+    end
+    else find (i + 1)
+  in
+  find 0
+
+(* [vegvisir-cli daemon] over [dir] on ephemeral ports; returns the child
+   and its peer port. Its first line names the ports it bound. *)
+let start_daemon ?(metrics = false) ?anti_entropy_ms ?(peers = [])
+    ?trace_sample dir =
+  let flag name = function Some v -> [ name; v ] | None -> [] in
+  let c =
+    start cli_exe
+      ([ "daemon"; "--dir"; dir; "--listen"; "0" ]
+      @ (if metrics then [ "--metrics"; "0" ] else [])
+      @ flag "--anti-entropy-ms" (Option.map string_of_int anti_entropy_ms)
+      @ List.concat_map (fun p -> [ "--peer"; Printf.sprintf "127.0.0.1:%d" p ]) peers
+      @ flag "--trace-sample" (Option.map string_of_float trace_sample))
+  in
+  (c, port_after c " on 127.0.0.1:")
+
+let metrics_port c = port_after c "http://127.0.0.1:"
+
 let lifecycle () =
   let ca = init "ca1" in
   (* Append, reload, and confirm the key position advanced on disk. *)
@@ -111,10 +197,29 @@ let corruption_detected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "double init accepted"
 
+(* Child role [serve-once DIR]: load the replica in DIR, bind an
+   ephemeral port, print it, and serve one live exchange. The port is
+   printed only once the listener is bound, so the client cannot race
+   it. *)
+let serve_once dir =
+  match Node_store.load ~dir with
+  | Error _ -> 1
+  | Ok store ->
+    let listener = Result.get_ok (Unix_compat.listen ~port:0 ()) in
+    Printf.printf "%d\n%!" (Unix_compat.bound_port listener);
+    let ok =
+      match Unix_compat.accept ~timeout_s:10. listener with
+      | Ok conn ->
+        let r = Live_sync.serve_conn ~store conn in
+        Unix_compat.close_conn conn;
+        Result.is_ok r
+      | Error _ -> false
+    in
+    Unix_compat.close_listener listener;
+    if ok then 0 else 1
+
 (* Live socket sync: two divergent file-backed replicas reconcile over a
-   real loopback connection. The listener binds an ephemeral port before
-   the fork so the client cannot race it; the child serves one exchange
-   and exits without running at_exit (Alcotest must not report twice). *)
+   real loopback connection, bob's side served by a child process. *)
 let live_sync () =
   let ca = init "ca5" in
   let bob_dir = fresh_dir "bob5" in
@@ -123,86 +228,73 @@ let live_sync () =
   let ca = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
   let _ = Result.get_ok (Node_store.append ca ~crdt:"log" ~op:"add" [ Value.String "from-ca" ]) in
   let _ = Result.get_ok (Node_store.append bob ~crdt:"log" ~op:"add" [ Value.String "from-bob" ]) in
-  let listener = Result.get_ok (Unix_compat.listen ~port:0 ()) in
-  let port = Unix_compat.bound_port listener in
-  match Unix.fork () with
-  | 0 ->
-    let ok =
-      match Unix_compat.accept ~timeout_s:10. listener with
-      | Ok conn ->
-        let r = Live_sync.serve_conn ~store:bob conn in
-        Unix_compat.close_conn conn;
-        Result.is_ok r
-      | Error _ -> false
-    in
-    Unix._exit (if ok then 0 else 1)
-  | child ->
-    let report =
-      match Unix_compat.connect ~host:"127.0.0.1" ~port () with
-      | Error e -> Error e
-      | Ok conn ->
-        let r = Live_sync.pull_conn ~store:ca conn in
-        Unix_compat.close_conn conn;
-        r
-    in
-    Unix_compat.close_listener listener;
-    let _, status = Unix.waitpid [] child in
-    check_b "server exchange succeeded" true (status = Unix.WEXITED 0);
-    (match report with
-     | Error e -> Alcotest.failf "pull failed: %s" e
-     | Ok r ->
-       check_b "pulled bob's block" true (r.Live_sync.pulled.V.Reconcile.blocks_received >= 1);
-       check_b "answered the pull back" true (r.Live_sync.served >= 1));
-    (* Both directories were saved by their own endpoint; reload from disk
-       and check the replicas converged to the same frontier and state. *)
-    let ca = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
-    let bob = Result.get_ok (Node_store.load ~dir:bob.Node_store.dir) in
-    check_b "equal frontiers" true
-      (V.Hash_id.Set.equal
-         (V.Dag.frontier (V.Node.dag ca.Node_store.node))
-         (V.Dag.frontier (V.Node.dag bob.Node_store.node)));
-    List.iter
-      (fun (store, entry) ->
-         match V.Csm.query (V.Node.csm store.Node_store.node) ~crdt:"log"
-                 ~op:"mem" [ Value.String entry ] with
-         | Ok (Value.Bool true) -> ()
-         | _ -> Alcotest.failf "%s missing after live sync" entry)
-      [ (ca, "from-bob"); (bob, "from-ca"); (ca, "from-ca"); (bob, "from-bob") ];
-    (* Both endpoints journalled the exchange: replaying the two
-       trace.jsonl files must stitch each block's causal timeline from
-       created at its author to delivered at the other replica. *)
-    let module Obs = Vegvisir_obs in
-    let tr = Obs.Trace.create () in
-    List.iter
-      (fun dir ->
-        let events = Node_store.load_trace ~dir in
-        check_b (dir ^ " wrote trace.jsonl") true (events <> []);
-        List.iter (fun (ts, ev) -> Obs.Trace.record tr ~ts ev) events)
-      [ ca.Node_store.dir; bob.Node_store.dir ];
-    let crossed =
-      List.filter
-        (fun b ->
-          let entries = Obs.Trace.span tr b in
-          let nodes_at p =
-            List.filter_map
-              (fun (e : Obs.Trace.entry) ->
-                if Obs.Event.block_phase_equal e.Obs.Trace.phase p then
-                  Some e.Obs.Trace.node
-                else None)
-              entries
-          in
-          match nodes_at Obs.Event.Created with
-          | [ creator ] ->
-            List.exists
-              (fun n -> not (String.equal n creator))
-              (nodes_at Obs.Event.Delivered)
-            && nodes_at Obs.Event.Received <> []
-          | _ -> false)
-        (Obs.Trace.blocks tr)
-    in
-    check_b "a block traces created -> received -> delivered across replicas"
-      true
-      (List.length crossed >= 2)
+  let child = start_child "serve-once" [ bob.Node_store.dir ] in
+  let port = int_of_string child.line in
+  let report =
+    match Unix_compat.connect ~host:"127.0.0.1" ~port () with
+    | Error e -> Error e
+    | Ok conn ->
+      let r = Live_sync.pull_conn ~store:ca conn in
+      Unix_compat.close_conn conn;
+      r
+  in
+  let status = reap child in
+  check_b "server exchange succeeded" true (status = Unix.WEXITED 0);
+  (match report with
+   | Error e -> Alcotest.failf "pull failed: %s" e
+   | Ok r ->
+     check_b "pulled bob's block" true (r.Live_sync.pulled.V.Reconcile.blocks_received >= 1);
+     check_b "answered the pull back" true (r.Live_sync.served >= 1));
+  (* Both directories were saved by their own endpoint; reload from disk
+     and check the replicas converged to the same frontier and state. *)
+  let ca = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
+  let bob = Result.get_ok (Node_store.load ~dir:bob.Node_store.dir) in
+  check_b "equal frontiers" true
+    (V.Hash_id.Set.equal
+       (V.Dag.frontier (V.Node.dag ca.Node_store.node))
+       (V.Dag.frontier (V.Node.dag bob.Node_store.node)));
+  List.iter
+    (fun (store, entry) ->
+       match V.Csm.query (V.Node.csm store.Node_store.node) ~crdt:"log"
+               ~op:"mem" [ Value.String entry ] with
+       | Ok (Value.Bool true) -> ()
+       | _ -> Alcotest.failf "%s missing after live sync" entry)
+    [ (ca, "from-bob"); (bob, "from-ca"); (ca, "from-ca"); (bob, "from-bob") ];
+  (* Both endpoints journalled the exchange: replaying the two
+     trace.jsonl files must stitch each block's causal timeline from
+     created at its author to delivered at the other replica. *)
+  let module Obs = Vegvisir_obs in
+  let tr = Obs.Trace.create () in
+  List.iter
+    (fun dir ->
+      let events = Node_store.load_trace ~dir in
+      check_b (dir ^ " wrote trace.jsonl") true (events <> []);
+      List.iter (fun (ts, ev) -> Obs.Trace.record tr ~ts ev) events)
+    [ ca.Node_store.dir; bob.Node_store.dir ];
+  let crossed =
+    List.filter
+      (fun b ->
+        let entries = Obs.Trace.span tr b in
+        let nodes_at p =
+          List.filter_map
+            (fun (e : Obs.Trace.entry) ->
+              if Obs.Event.block_phase_equal e.Obs.Trace.phase p then
+                Some e.Obs.Trace.node
+              else None)
+            entries
+        in
+        match nodes_at Obs.Event.Created with
+        | [ creator ] ->
+          List.exists
+            (fun n -> not (String.equal n creator))
+            (nodes_at Obs.Event.Delivered)
+          && nodes_at Obs.Event.Received <> []
+        | _ -> false)
+      (Obs.Trace.blocks tr)
+  in
+  check_b "a block traces created -> received -> delivered across replicas"
+    true
+    (List.length crossed >= 2)
 
 (* Batch ancestry recovery: a stale replica re-admits everything missing
    below the source's frontier, journals it, and still verifies. *)
@@ -242,7 +334,39 @@ let recover_ancestry () =
   let _, restored2 = Result.get_ok (Node_store.recover bob ~from:ca ()) in
   check_i "idempotent" 0 restored2
 
-(* Daemon soak: one forked daemon, 8 forked clients, each client running
+(* Child role [soak-client DIR PORT N]: load the replica in DIR and run N
+   concurrent outbound exchanges against PORT on one event loop; exit 0
+   when every one succeeded. *)
+let soak_client dir port n =
+  match Node_store.load ~dir with
+  | Error _ -> 1
+  | Ok store ->
+    let loop = Event_loop.create ~store () in
+    let dials =
+      List.init n (fun _ ->
+          Event_loop.connect_exchange ~timeout_s:10. loop ~host:"127.0.0.1"
+            ~port ())
+    in
+    if List.exists Result.is_error dials then 1
+    else begin
+      match
+        Event_loop.run loop ~until:(fun st ->
+            st.Event_loop.completed + st.Event_loop.failed >= n)
+      with
+      | Error _ -> 1
+      | Ok () ->
+        let outcomes = Event_loop.outcomes loop in
+        let ok =
+          List.length outcomes = n
+          && List.for_all
+               (fun (_, (o : Event_loop.outcome)) -> o.Event_loop.error = None)
+               outcomes
+        in
+        Event_loop.shutdown loop;
+        if ok then 0 else 1
+    end
+
+(* Daemon soak: one daemon process, 8 client processes, each client running
    8 concurrent outbound exchanges on its own event loop — 64 sessions
    hitting the daemon — while the parent scrapes /metrics mid-run
    (including a dribbled two-part request). Afterwards a sequential
@@ -274,196 +398,114 @@ let daemon_soak () =
      client additionally holds its own appended block. Fully converged,
      every replica has all of it. *)
   let expect_blocks = 1 + n_clients + n_clients in
-  let pr, pw = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    (* Daemon: load the CA directory, buffer telemetry, report the bound
-       ports up the pipe, and serve until SIGINT. *)
-    Unix.close pr;
-    let rc =
-      match Node_store.load ~dir:ca_dir with
-      | Error _ -> 1
-      | Ok store ->
-        Node_store.buffer_telemetry store true;
-        let loop = Event_loop.create ~store () in
-        (match
-           ( Event_loop.listen_peers loop ~port:0 (),
-             Event_loop.listen_metrics loop ~port:0 () )
-         with
-        | Ok pport, Ok mport ->
-          Unix_compat.install_stop_handler (fun () ->
-              Event_loop.request_stop loop);
-          let msg = Printf.sprintf "%d %d\n" pport mport in
-          ignore (Unix.write_substring pw msg 0 (String.length msg));
-          Unix.close pw;
-          (match Event_loop.run loop with
-          | Ok () ->
-            Node_store.buffer_telemetry store false;
-            0
-          | Error _ -> 1)
-        | _ -> 1)
-    in
-    Unix._exit rc
-  | daemon ->
-    Unix.close pw;
-    let ports =
-      let buf = Buffer.create 16 and b = Bytes.create 1 in
-      let rec go () =
-        match Unix.read pr b 0 1 with
-        | 0 -> ()
-        | _ -> if Bytes.get b 0 = '\n' then () else begin
-            Buffer.add_bytes buf b; go ()
-          end
-      in
-      go ();
-      Unix.close pr;
-      Scanf.sscanf (Buffer.contents buf) "%d %d" (fun p m -> (p, m))
-    in
-    let pport, mport = ports in
-    (* 8 clients, each dialing [per_client] concurrent exchanges. *)
-    let client_pids =
-      List.map
-        (fun dir ->
-          match Unix.fork () with
-          | 0 ->
-            let rc =
-              match Node_store.load ~dir with
-              | Error _ -> 1
-              | Ok store ->
-                let loop = Event_loop.create ~store () in
-                let dials =
-                  List.init per_client (fun _ ->
-                      Event_loop.connect_exchange ~timeout_s:10. loop
-                        ~host:"127.0.0.1" ~port:pport ())
-                in
-                if List.exists Result.is_error dials then 1
-                else begin
-                  match
-                    Event_loop.run loop ~until:(fun st ->
-                        st.Event_loop.completed + st.Event_loop.failed
-                        >= per_client)
-                  with
-                  | Error _ -> 1
-                  | Ok () ->
-                    let outcomes = Event_loop.outcomes loop in
-                    let ok =
-                      List.length outcomes = per_client
-                      && List.for_all
-                           (fun (_, (o : Event_loop.outcome)) ->
-                             o.Event_loop.error = None)
-                           outcomes
-                    in
-                    Event_loop.shutdown loop;
-                    if ok then 0 else 1
-                end
-            in
-            Unix._exit rc
-          | pid -> pid)
-        client_dirs
-    in
-    (* Scrape mid-run: once whole, once dribbled in two writes with a
-       pause between — the daemon must reassemble the request head. *)
-    let scrape ?(dribble = false) () =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, mport));
-      let req = "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n" in
-      (if dribble then begin
-         ignore (Unix.write_substring fd req 0 9);
-         Unix.sleepf 0.05;
-         ignore (Unix.write_substring fd req 9 (String.length req - 9))
-       end
-       else ignore (Unix.write_substring fd req 0 (String.length req)));
-      let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read fd chunk 0 4096 with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-      in
-      drain ();
-      Unix.close fd;
-      Buffer.contents buf
-    in
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    let mid1 = scrape () in
-    let mid2 = scrape ~dribble:true () in
-    check_b "mid-run scrape exposes the live session gauge" true
-      (contains mid1 "vegvisir_daemon_sessions_active");
-    check_b "dribbled scrape answered" true
-      (contains mid2 "HTTP/1.1 200" && contains mid2 "vegvisir_daemon_accepted");
-    List.iter
-      (fun pid ->
-        let _, status = Unix.waitpid [] pid in
-        check_b "client exchanges all succeeded" true
-          (status = Unix.WEXITED 0))
-      client_pids;
-    (* Catch-up round: by now the daemon holds every replica's blocks;
-       one more pull each makes all nine directories identical. *)
-    List.iter
+  (* The daemon serves the CA directory with buffered telemetry until
+     SIGINT; its first line names both bound ports. *)
+  let daemon, pport = start_daemon ~metrics:true ca_dir in
+  let mport = metrics_port daemon in
+  (* 8 clients, each dialing [per_client] concurrent exchanges. *)
+  let clients =
+    List.map
       (fun dir ->
-        let store = Result.get_ok (Node_store.load ~dir) in
-        match
-          Live_sync.pull ~store ~timeout_s:10. ~host:"127.0.0.1" ~port:pport ()
-        with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "catch-up pull from %s failed: %s" dir e)
-      client_dirs;
-    (* The final scrape must account for every session the soak opened. *)
-    let final = scrape () in
-    let accepted =
-      let key = "\nvegvisir_daemon_accepted " in
-      let rec find i =
-        if i + String.length key > String.length final then None
-        else if String.sub final i (String.length key) = key then begin
-          let j = i + String.length key in
-          let k = ref j in
-          while
-            !k < String.length final
-            && final.[!k] >= '0'
-            && final.[!k] <= '9'
-          do
-            incr k
-          done;
-          Some (int_of_string (String.sub final j (!k - j)))
-        end
-        else find (i + 1)
-      in
-      find 0
+        start_child ~report:false "soak-client"
+          [ dir; string_of_int pport; string_of_int per_client ])
+      client_dirs
+  in
+  (* Scrape mid-run: once whole, once dribbled in two writes with a
+     pause between — the daemon must reassemble the request head. *)
+  let scrape ?(dribble = false) () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, mport));
+    let req = "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n" in
+    (if dribble then begin
+       ignore (Unix.write_substring fd req 0 9);
+       Unix.sleepf 0.05;
+       ignore (Unix.write_substring fd req 9 (String.length req - 9))
+     end
+     else ignore (Unix.write_substring fd req 0 (String.length req)));
+    let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+    let rec drain () =
+      match Unix.read fd chunk 0 4096 with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
     in
-    (match accepted with
-    | Some n ->
-      check_b "daemon accepted all soak sessions" true
-        (n >= n_clients * per_client)
-    | None -> Alcotest.fail "no vegvisir_daemon_accepted in final scrape");
-    check_b "final scrape shows completed sessions" true
-      (contains final "vegvisir_daemon_sessions_completed");
-    (* Graceful shutdown: SIGINT drains and flushes the journal. *)
-    Unix.kill daemon Sys.sigint;
-    let _, status = Unix.waitpid [] daemon in
-    check_b "daemon drained cleanly on SIGINT" true (status = Unix.WEXITED 0);
-    (* Byte-identical convergence, checked on the persisted state. *)
-    let canon dir =
+    drain ();
+    Unix.close fd;
+    Buffer.contents buf
+  in
+  let mid1 = scrape () in
+  let mid2 = scrape ~dribble:true () in
+  check_b "mid-run scrape exposes the live session gauge" true
+    (contains mid1 "vegvisir_daemon_sessions_active");
+  check_b "dribbled scrape answered" true
+    (contains mid2 "HTTP/1.1 200" && contains mid2 "vegvisir_daemon_accepted");
+  List.iter
+    (fun c ->
+      check_b "client exchanges all succeeded" true
+        (reap c = Unix.WEXITED 0))
+    clients;
+  (* Catch-up round: by now the daemon holds every replica's blocks;
+     one more pull each makes all nine directories identical. *)
+  List.iter
+    (fun dir ->
       let store = Result.get_ok (Node_store.load ~dir) in
-      V.Dag.to_string (V.Node.dag store.Node_store.node)
+      match
+        Live_sync.pull ~store ~timeout_s:10. ~host:"127.0.0.1" ~port:pport ()
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "catch-up pull from %s failed: %s" dir e)
+    client_dirs;
+  (* The final scrape must account for every session the soak opened. *)
+  let final = scrape () in
+  let accepted =
+    let key = "\nvegvisir_daemon_accepted " in
+    let rec find i =
+      if i + String.length key > String.length final then None
+      else if String.sub final i (String.length key) = key then begin
+        let j = i + String.length key in
+        let k = ref j in
+        while
+          !k < String.length final
+          && final.[!k] >= '0'
+          && final.[!k] <= '9'
+        do
+          incr k
+        done;
+        Some (int_of_string (String.sub final j (!k - j)))
+      end
+      else find (i + 1)
     in
-    let daemon_dag = canon ca_dir in
-    check_i "daemon holds the full soak DAG" expect_blocks
-      (V.Dag.cardinal
-         (V.Node.dag
-            (Result.get_ok (Node_store.load ~dir:ca_dir)).Node_store.node));
-    List.iter
-      (fun dir ->
-        check_b (dir ^ " converged byte-identically") true
-          (String.equal daemon_dag (canon dir)))
-      client_dirs;
-    (* The SIGINT path flushed the daemon's buffered telemetry. *)
-    check_b "daemon journal flushed on shutdown" true
-      (Node_store.load_trace ~dir:ca_dir <> [])
+    find 0
+  in
+  (match accepted with
+  | Some n ->
+    check_b "daemon accepted all soak sessions" true
+      (n >= n_clients * per_client)
+  | None -> Alcotest.fail "no vegvisir_daemon_accepted in final scrape");
+  check_b "final scrape shows completed sessions" true
+    (contains final "vegvisir_daemon_sessions_completed");
+  (* Graceful shutdown: SIGINT drains and flushes the journal. *)
+  Unix.kill daemon.pid Sys.sigint;
+  check_b "daemon drained cleanly on SIGINT" true (reap daemon = Unix.WEXITED 0);
+  (* Byte-identical convergence, checked on the persisted state. *)
+  let canon dir =
+    let store = Result.get_ok (Node_store.load ~dir) in
+    V.Dag.to_string (V.Node.dag store.Node_store.node)
+  in
+  let daemon_dag = canon ca_dir in
+  check_i "daemon holds the full soak DAG" expect_blocks
+    (V.Dag.cardinal
+       (V.Node.dag
+          (Result.get_ok (Node_store.load ~dir:ca_dir)).Node_store.node));
+  List.iter
+    (fun dir ->
+      check_b (dir ^ " converged byte-identically") true
+        (String.equal daemon_dag (canon dir)))
+    client_dirs;
+  (* The SIGINT path flushed the daemon's buffered telemetry. *)
+  check_b "daemon journal flushed on shutdown" true
+    (Node_store.load_trace ~dir:ca_dir <> [])
 
 (* Live in-daemon health: a three-daemon fleet where A runs anti-entropy
    against B and C, while the parent polls A's /health endpoint mid-run.
@@ -473,23 +515,6 @@ let daemon_soak () =
    and the scoreboard-driven dial order is reproducible across two
    identically-seeded runs (modulo ephemeral ports, normalised away by
    mapping dial labels to their rank in sorted-label order). *)
-
-let read_line_fd fd =
-  let buf = Buffer.create 16 and b = Bytes.create 1 in
-  let rec go () =
-    match Unix.read fd b 0 1 with
-    | 0 -> ()
-    | _ -> if Bytes.get b 0 = '\n' then () else begin
-        Buffer.add_bytes buf b; go ()
-      end
-  in
-  go ();
-  Buffer.contents buf
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* The ["dials"] array of a /health body, as label strings. *)
 let dials_of_health body =
@@ -514,37 +539,7 @@ let dials_of_health body =
              | [ _; label; _ ] -> label
              | _ -> Alcotest.failf "unparseable dial entry %S" s)
 
-(* Fork a plain serving daemon over [dir] (buffered telemetry, SIGINT
-   drain); returns its pid and peer port. *)
-let spawn_daemon dir =
-  let pr, pw = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close pr;
-    let rc =
-      match Node_store.load ~dir with
-      | Error _ -> 1
-      | Ok store ->
-        Node_store.buffer_telemetry store true;
-        let loop = Event_loop.create ~store () in
-        (match Event_loop.listen_peers loop ~port:0 () with
-        | Ok port ->
-          Unix_compat.install_stop_handler (fun () ->
-              Event_loop.request_stop loop);
-          let msg = Printf.sprintf "%d\n" port in
-          ignore (Unix.write_substring pw msg 0 (String.length msg));
-          Unix.close pw;
-          (match Event_loop.run loop with Ok () -> 0 | Error _ -> 1)
-        | Error _ -> 1)
-    in
-    Unix._exit rc
-  | pid ->
-    Unix.close pw;
-    let port = int_of_string (read_line_fd pr) in
-    Unix.close pr;
-    (pid, port)
-
-(* One fleet run: fork B and C as plain serving daemons, fork A with
+(* One fleet run: start B and C as plain serving daemons, and A with
    anti-entropy pointed at both plus a metrics listener, then poll
    /health until both peer rows report divergence 0 and at least
    [want_dials] dials are on record. Returns (peer labels of B and C,
@@ -573,42 +568,15 @@ let run_live_fleet ~tag ~want_dials =
         dir)
       [ "b"; "c" ]
   in
-  let peers = List.map spawn_daemon peer_dirs in
+  let peers = List.map (fun dir -> start_daemon dir) peer_dirs in
   let labels =
     List.map (fun (_, port) -> Printf.sprintf "127.0.0.1:%d" port) peers
   in
-  let pr, pw = Unix.pipe () in
-  let a_pid =
-    match Unix.fork () with
-    | 0 ->
-      Unix.close pr;
-      let rc =
-        match Node_store.load ~dir:ca_dir with
-        | Error _ -> 1
-        | Ok store ->
-          Node_store.buffer_telemetry store true;
-          let loop = Event_loop.create ~store () in
-          (match
-             ( Event_loop.listen_peers loop ~port:0 (),
-               Event_loop.listen_metrics loop ~port:0 () )
-           with
-          | Ok _, Ok mport ->
-            Event_loop.set_anti_entropy loop ~every_ms:50.
-              ~peers:(List.map (fun (_, p) -> ("127.0.0.1", p)) peers);
-            Unix_compat.install_stop_handler (fun () ->
-                Event_loop.request_stop loop);
-            let msg = Printf.sprintf "%d\n" mport in
-            ignore (Unix.write_substring pw msg 0 (String.length msg));
-            Unix.close pw;
-            (match Event_loop.run loop with Ok () -> 0 | Error _ -> 1)
-          | _ -> 1)
-      in
-      Unix._exit rc
-    | pid -> pid
+  let a, _ =
+    start_daemon ~metrics:true ~anti_entropy_ms:50 ~peers:(List.map snd peers)
+      ca_dir
   in
-  Unix.close pw;
-  let mport = int_of_string (read_line_fd pr) in
-  Unix.close pr;
+  let mport = metrics_port a in
   let get path =
     match
       Http_probe.get ~timeout_s:5. ~host:"127.0.0.1" ~port:mport ~path ()
@@ -636,12 +604,11 @@ let run_live_fleet ~tag ~want_dials =
   in
   let health = poll () in
   let metrics = get "/metrics" in
-  List.iter (fun pid -> Unix.kill pid Sys.sigint) (a_pid :: List.map fst peers);
+  let daemons = a :: List.map fst peers in
+  List.iter (fun c -> Unix.kill c.pid Sys.sigint) daemons;
   List.iter
-    (fun pid ->
-      let _, status = Unix.waitpid [] pid in
-      check_b "daemon drained cleanly" true (status = Unix.WEXITED 0))
-    (a_pid :: List.map fst peers);
+    (fun c -> check_b "daemon drained cleanly" true (reap c = Unix.WEXITED 0))
+    daemons;
   (labels, health, metrics, dials_of_health health)
 
 let live_health_soak () =
@@ -746,53 +713,14 @@ let daemon_span_stitch_and_flight () =
       (Node_store.append b_store ~crdt:"log" ~op:"add"
          [ Value.String "from-b" ])
   in
-  let config =
-    { Event_loop.default_config with Event_loop.trace_sample = 1.0 }
+  (* Both daemons sample every session they initiate for tracing. *)
+  let b, b_pport = start_daemon ~metrics:true ~trace_sample:1.0 b_dir in
+  let b_mport = metrics_port b in
+  let a, _ =
+    start_daemon ~metrics:true ~trace_sample:1.0 ~anti_entropy_ms:50
+      ~peers:[ b_pport ] ca_dir
   in
-  (* Fork one daemon; reports "peer-port metrics-port" over a pipe. *)
-  let spawn dir ~anti_entropy_to =
-    let pr, pw = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close pr;
-      let rc =
-        match Node_store.load ~dir with
-        | Error _ -> 1
-        | Ok store ->
-          Node_store.buffer_telemetry store true;
-          let loop = Event_loop.create ~store ~config () in
-          (match
-             ( Event_loop.listen_peers loop ~port:0 (),
-               Event_loop.listen_metrics loop ~port:0 () )
-           with
-          | Ok pport, Ok mport ->
-            (match anti_entropy_to with
-            | Some peer ->
-              Event_loop.set_anti_entropy loop ~every_ms:50. ~peers:[ peer ]
-            | None -> ());
-            Unix_compat.install_stop_handler (fun () ->
-                Event_loop.request_stop loop);
-            Unix_compat.install_quit_handler (fun () ->
-                Event_loop.request_flight_dump loop);
-            let msg = Printf.sprintf "%d %d\n" pport mport in
-            ignore (Unix.write_substring pw msg 0 (String.length msg));
-            Unix.close pw;
-            (match Event_loop.run loop with Ok () -> 0 | Error _ -> 1)
-          | _ -> 1)
-      in
-      Unix._exit rc
-    | pid ->
-      Unix.close pw;
-      let line = read_line_fd pr in
-      Unix.close pr;
-      (match String.split_on_char ' ' line with
-      | [ p; m ] -> (pid, int_of_string p, int_of_string m)
-      | _ -> Alcotest.failf "unparseable port report %S" line)
-  in
-  let b_pid, b_pport, b_mport = spawn b_dir ~anti_entropy_to:None in
-  let a_pid, _, a_mport =
-    spawn ca_dir ~anti_entropy_to:(Some ("127.0.0.1", b_pport))
-  in
+  let a_mport = metrics_port a in
   let get port path =
     match
       Http_probe.get ~timeout_s:5. ~host:"127.0.0.1" ~port ~path ()
@@ -861,7 +789,7 @@ let daemon_span_stitch_and_flight () =
      serving. *)
   let flight_file = Filename.concat ca_dir "flight.jsonl" in
   check_b "no dump before SIGQUIT" false (Sys.file_exists flight_file);
-  Unix.kill a_pid Sys.sigquit;
+  Unix.kill a.pid Sys.sigquit;
   let deadline = Unix_compat.now () +. 10. in
   let rec wait_dump () =
     if Sys.file_exists flight_file then ()
@@ -879,12 +807,10 @@ let daemon_span_stitch_and_flight () =
   check_b "dump carries the registry" true (contains dumped {|{"registry":|});
   check_b "daemon survives SIGQUIT" true
     (String.length (get a_mport "/health") > 0);
-  List.iter (fun pid -> Unix.kill pid Sys.sigint) [ a_pid; b_pid ];
+  List.iter (fun c -> Unix.kill c.pid Sys.sigint) [ a; b ];
   List.iter
-    (fun pid ->
-      let _, status = Unix.waitpid [] pid in
-      check_b "daemon drained cleanly" true (status = Unix.WEXITED 0))
-    [ a_pid; b_pid ]
+    (fun c -> check_b "daemon drained cleanly" true (reap c = Unix.WEXITED 0))
+    [ a; b ]
 
 (* Timer wheel edge cases: the determinism contract the event loop's
    anti-entropy scheduler leans on (same deadline feed, same firing
@@ -912,13 +838,13 @@ let serve_only_daemon () =
     | _ -> false
   in
   let saves_before = count saved in
-  let daemon, port = spawn_daemon ca_dir in
+  let daemon, port = start_daemon ca_dir in
   (* A failed check must not leave the daemon orphaned. *)
   let drained = ref false in
   Fun.protect ~finally:(fun () ->
       if not !drained then begin
-        Unix.kill daemon Sys.sigkill;
-        ignore (Unix.waitpid [] daemon)
+        Unix.kill daemon.pid Sys.sigkill;
+        ignore (reap daemon)
       end)
   @@ fun () ->
   let pulls = 3 in
@@ -949,8 +875,8 @@ let serve_only_daemon () =
   wait 250;
   check_i "every session journaled before shutdown" pulls (count completed);
   check_i "no save while serving" saves_before (count saved);
-  Unix.kill daemon Sys.sigint;
-  let _, status = Unix.waitpid [] daemon in
+  Unix.kill daemon.pid Sys.sigint;
+  let status = reap daemon in
   drained := true;
   check_b "daemon drained cleanly on SIGINT" true (status = Unix.WEXITED 0);
   check_i "no save at shutdown either" saves_before (count saved)
@@ -1042,7 +968,7 @@ let hostile_frame_header () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let frame = Bytes.make (4 + 16) 'x' in
-  Bytes.set_int32_be frame 0 (Int32.of_int Unix_compat.max_frame);
+  Bytes.set_int32_be frame 0 (Int32.of_int V.Wire.max_frame);
   ignore (Unix.write fd frame 0 (Bytes.length frame));
   Unix.close fd;
   let before = Gc.allocated_bytes () in
@@ -1058,16 +984,11 @@ let hostile_frame_header () =
     (Printf.sprintf "allocated %.1f MiB" (allocated /. 1048576.))
     true (allocated < 1048576.)
 
-(* Frames far larger than the first read chunk must reach the engine
-   intact, also when a later frame reuses the chunks of an earlier one
-   and then needs more. Each request names thousands of unknown hashes
-   and, last, one the loop holds: only a byte-exact reassembly gets that
-   block back. *)
-let multi_chunk_frames () =
-  let store = init "chunks" in
-  let known = V.Hash_id.Set.min_elt (V.Dag.frontier (V.Node.dag store.Node_store.node)) in
-  let loop = Event_loop.create ~store () in
-  let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
+(* Child role [frame-client PORT HASH]: send three Blocks_request frames
+   of 3000, 10 and 6000 unknown hashes, each followed by HASH, and exit 0
+   when every reply carries exactly the block HASH names. *)
+let frame_client port known =
+  let known = Option.get (V.Hash_id.of_hex known) in
   let request n =
     let filler i = V.Hash_id.of_raw_exn (Printf.sprintf "%032d" i) in
     let b = Buffer.create 256 in
@@ -1085,30 +1006,68 @@ let multi_chunk_frames () =
       | Some _ | None -> false)
     | Ok (Unix_compat.Timeout | Unix_compat.Closed) | Error _ -> false
   in
-  match Unix.fork () with
-  | 0 ->
-    let ok =
-      match Unix_compat.connect ~host:"127.0.0.1" ~port () with
-      | Error _ -> false
-      | Ok conn ->
-        let ok = List.for_all (answered conn) [ 3000; 10; 6000 ] in
-        Unix_compat.close_conn conn;
-        ok
-    in
-    Unix._exit (if ok then 0 else 1)
-  | child ->
-    (* The client hangs up without a turn-over, which ends the session. *)
-    let deadline = Unix.gettimeofday () +. 20. in
-    let r =
-      Event_loop.run loop ~until:(fun st ->
-          st.Event_loop.failed + st.Event_loop.completed >= 1
-          || Unix.gettimeofday () > deadline)
-    in
-    Event_loop.shutdown loop;
-    let _, status = Unix.waitpid [] child in
-    check_b "loop ran" true (Result.is_ok r);
-    check_b "every reply carried the known block" true (status = Unix.WEXITED 0);
-    check_b "three requests served" true ((Event_loop.stats loop).Event_loop.served = 3)
+  let ok =
+    match Unix_compat.connect ~host:"127.0.0.1" ~port () with
+    | Error _ -> false
+    | Ok conn ->
+      let ok = List.for_all (answered conn) [ 3000; 10; 6000 ] in
+      Unix_compat.close_conn conn;
+      ok
+  in
+  if ok then 0 else 1
+
+(* Frames far larger than the first read chunk must reach the engine
+   intact, also when a later frame reuses the chunks of an earlier one
+   and then needs more. Each request names thousands of unknown hashes
+   and, last, one the loop holds: only a byte-exact reassembly gets that
+   block back. *)
+let multi_chunk_frames () =
+  let store = init "chunks" in
+  let known = V.Hash_id.Set.min_elt (V.Dag.frontier (V.Node.dag store.Node_store.node)) in
+  let loop = Event_loop.create ~store () in
+  let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
+  let child =
+    start_child ~report:false "frame-client"
+      [ string_of_int port; V.Hash_id.to_hex known ]
+  in
+  (* The client hangs up without a turn-over, which ends the session. *)
+  let deadline = Unix.gettimeofday () +. 20. in
+  let r =
+    Event_loop.run loop ~until:(fun st ->
+        st.Event_loop.failed + st.Event_loop.completed >= 1
+        || Unix.gettimeofday () > deadline)
+  in
+  Event_loop.shutdown loop;
+  let status = reap child in
+  check_b "loop ran" true (Result.is_ok r);
+  check_b "every reply carried the known block" true (status = Unix.WEXITED 0);
+  check_b "three requests served" true ((Event_loop.stats loop).Event_loop.served = 3)
+
+(* Child role [http-client PORT]: scrape /metrics and a bad target from a
+   loop's metrics listener; exit 0 when both answers are right. *)
+let http_get port target =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n" target in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let buf = Buffer.create 1024 and chunk = Bytes.create 1024 in
+  let rec drain () =
+    match Unix.read fd chunk 0 1024 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      drain ()
+  in
+  drain ();
+  Unix.close fd;
+  Buffer.contents buf
+
+let http_client port =
+  let ok =
+    contains (http_get port "/metrics") "vegvisir_gossip_blocks{node=\"0\"} 7"
+    && contains (http_get port "/nope") "404 Not Found"
+  in
+  if ok then 0 else 1
 
 let metrics_endpoint () =
   let module Obs = Vegvisir_obs in
@@ -1121,30 +1080,6 @@ let metrics_endpoint () =
   ignore (Result.get_ok (Event_loop.listen_metrics loop ~port:0 ()));
   let port = Option.get (Event_loop.metrics_port loop) in
   Event_loop.set_render loop render;
-  let http_get target =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    let req =
-      Printf.sprintf "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n" target
-    in
-    ignore (Unix.write_substring fd req 0 (String.length req));
-    let buf = Buffer.create 1024 and chunk = Bytes.create 1024 in
-    let rec drain () =
-      match Unix.read fd chunk 0 1024 with
-      | 0 -> ()
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-    in
-    drain ();
-    Unix.close fd;
-    Buffer.contents buf
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   (* Run the loop until it has answered one more scrape (10 s at most). *)
   let handle_one () =
     let target = (Event_loop.stats loop).Event_loop.http_closed + 1 in
@@ -1155,24 +1090,30 @@ let metrics_endpoint () =
            answered st || Unix.gettimeofday () > deadline))
     && answered (Event_loop.stats loop)
   in
-  match Unix.fork () with
-  | 0 ->
-    let ok =
-      contains (http_get "/metrics") "vegvisir_gossip_blocks{node=\"0\"} 7"
-      && contains (http_get "/nope") "404 Not Found"
-    in
-    Unix._exit (if ok then 0 else 1)
-  | child ->
-    let r1 = handle_one () in
-    let r2 = handle_one () in
-    Event_loop.shutdown loop;
-    let _, status = Unix.waitpid [] child in
-    check_b "scrape answered" true r1;
-    check_b "bad target answered" true r2;
-    check_b "client saw the exposition and the 404" true
-      (status = Unix.WEXITED 0)
+  let child = start_child ~report:false "http-client" [ string_of_int port ] in
+  let r1 = handle_one () in
+  let r2 = handle_one () in
+  Event_loop.shutdown loop;
+  let status = reap child in
+  check_b "scrape answered" true r1;
+  check_b "bad target answered" true r2;
+  check_b "client saw the exposition and the 404" true
+    (status = Unix.WEXITED 0)
+
+(* A child process started by a test runs one role and exits, before
+   Alcotest ever sees its arguments. *)
+let child_main = function
+  | [ "serve-once"; dir ] -> serve_once dir
+  | [ "soak-client"; dir; port; n ] ->
+    soak_client dir (int_of_string port) (int_of_string n)
+  | [ "frame-client"; port; known ] -> frame_client (int_of_string port) known
+  | [ "http-client"; port ] -> http_client (int_of_string port)
+  | args -> Printf.eprintf "unknown child role: %s\n" (String.concat " " args); 2
 
 let () =
+  (match Array.to_list Sys.argv with
+  | _ :: "child" :: role -> exit (child_main role)
+  | _ -> ());
   Random.self_init ();
   Alcotest.run "cli"
     [

@@ -105,19 +105,19 @@ let signer_schemes () =
   let msg = "message" in
   let sg = mss.Signer.sign msg in
   check_b "mss verify" true
-    (Signer.verify ~scheme:"mss" ~public:mss.Signer.public ~msg ~signature:sg);
+    (Signer.verify ~scheme:"mss" ~public:mss.Signer.public ~msg sg);
   check_b "mss wrong msg" false
-    (Signer.verify ~scheme:"mss" ~public:mss.Signer.public ~msg:"other" ~signature:sg);
+    (Signer.verify ~scheme:"mss" ~public:mss.Signer.public ~msg:"other" sg);
   check_b "remaining counts" true (mss.Signer.remaining () = Some 3);
   let o = Signer.oracle ~signature_size:64 ~id:"x" () in
   let so = o.Signer.sign msg in
   check_i "oracle size" 64 (String.length so);
   check_b "oracle verify" true
-    (Signer.verify ~scheme:"oracle" ~public:o.Signer.public ~msg ~signature:so);
+    (Signer.verify ~scheme:"oracle" ~public:o.Signer.public ~msg so);
   check_b "oracle wrong public" false
-    (Signer.verify ~scheme:"oracle" ~public:"oracle:y" ~msg ~signature:so);
+    (Signer.verify ~scheme:"oracle" ~public:"oracle:y" ~msg so);
   check_b "unknown scheme" false
-    (Signer.verify ~scheme:"rsa" ~public:o.Signer.public ~msg ~signature:so)
+    (Signer.verify ~scheme:"rsa" ~public:o.Signer.public ~msg so)
 
 let certificate_checks () =
   check_b "self-signed verifies" true (Certificate.verify ~ca:owner_cert owner_cert);
@@ -171,6 +171,10 @@ let block_roundtrip_and_tamper () =
       [ add_tx "x"; add_tx "y" ]
   in
   check_b "not genesis" false (Block.is_genesis b);
+  check_i "byte_size is the encoded length" (String.length (Block.to_string b))
+    (Block.byte_size b);
+  check_i "genesis byte_size" (String.length (Block.to_string genesis))
+    (Block.byte_size genesis);
   check_b "signature verifies" true
     (Block.verify_signature ~public:alice_signer.Signer.public ~scheme:"oracle" b);
   (match Block.of_string (Block.to_string b) with
@@ -841,6 +845,271 @@ let reconcile_block_requests () =
   | Some (Reconcile.Bloom_reply { blocks = [] }) -> ()
   | _ -> Alcotest.fail "garbage bloom should yield an empty reply"
 
+(* A linear chain of [n] oracle-signed blocks over the genesis. *)
+let chain_dag ?(signer = alice_signer) n =
+  let rec go dag parent i =
+    if i > n then dag
+    else
+      let b = mk_block ~signer ~t:(i * 10) ~parents:[ parent ] (string_of_int i) in
+      go (Result.get_ok (Dag.add dag b)) b.Block.hash (i + 1)
+  in
+  go (dag_with_genesis ()) genesis.Block.hash 1
+
+let iv lo hi : Reconcile.interval = { lo; hi; digest = "mismatch" }
+
+(* Both bounds of a digest interval come off the wire: the widest u32
+   interval on a 1,000-block chain must cost what the chain costs. *)
+let reconcile_digest_wide_interval () =
+  let dag = chain_dag 1000 in
+  let top = 0xFFFF_FFFF in
+  let t0 = Sys.time () in
+  let reply =
+    Reconcile.respond dag (Reconcile.Digest_request { upto = top; intervals = [ iv 0 top ] })
+  in
+  let dt = Sys.time () -. t0 in
+  (match reply with
+  | Some (Reconcile.Digest_reply { splits = [ l; r ]; leaves = [] }) ->
+    check_b "split on the raw bounds" true
+      (l.Reconcile.lo = 0 && l.Reconcile.hi = top / 2 && r.Reconcile.lo = (top / 2) + 1
+     && r.Reconcile.hi = top)
+  | _ -> Alcotest.fail "a wide mismatched interval must split in two");
+  check_b (Printf.sprintf "answered in %.3f s" dt) true (dt < 0.5)
+
+(* A list that is not ascending and disjoint is refused unanswered; the
+   honest shape still gets its reply. *)
+let reconcile_digest_refuses_disorder () =
+  let dag = chain_dag 40 in
+  let refused intervals =
+    match Reconcile.respond dag (Reconcile.Digest_request { upto = 40; intervals }) with
+    | None -> true
+    | Some _ -> false
+  in
+  check_b "overlapping" true (refused [ iv 0 20; iv 10 30 ]);
+  check_b "touching" true (refused [ iv 0 20; iv 20 30 ]);
+  check_b "descending" true (refused [ iv 21 40; iv 0 20 ]);
+  check_b "repeated" true (refused [ iv 0 40; iv 0 40 ]);
+  check_b "inverted" true (refused [ iv 30 10 ]);
+  check_b "ascending, disjoint" false (refused [ iv 0 20; iv 21 40 ]);
+  check_b "no intervals" false (refused [])
+
+let reconcile_blocks_request_dedup () =
+  let dag, a, b, _, d = diamond () in
+  let reply hashes =
+    match Reconcile.respond dag (Reconcile.Blocks_request { hashes }) with
+    | Some (Reconcile.Blocks_reply { blocks }) ->
+      List.map (fun (x : Block.t) -> x.Block.hash) blocks
+    | _ -> Alcotest.fail "blocks request"
+  in
+  check_i "10,000 copies of one hash: one block" 1
+    (List.length (reply (List.init 10_000 (fun _ -> a.Block.hash))));
+  check_b "repeats dropped, first-seen order kept" true
+    (List.equal Hash_id.equal
+       [ b.Block.hash; a.Block.hash; d.Block.hash ]
+       (reply [ b.Block.hash; a.Block.hash; b.Block.hash; d.Block.hash; a.Block.hash ]))
+
+let big_signer size = Signer.oracle ~signature_size:size ~id:"alice" ()
+
+(* The reply stops at the last block that fits a frame, in request
+   order, measured on the real encoding. After 63 blocks with 1 MiB
+   signatures, a filler brings the reply's encoding to exactly
+   [Wire.max_frame], which must be sent whole, or to one byte more,
+   which must stop one block short. *)
+let reconcile_blocks_reply_fits_a_frame () =
+  let buf = Buffer.create (Wire.max_frame + (2 lsl 20)) in
+  let encoded_size blocks =
+    Buffer.clear buf;
+    Reconcile.encode_message buf (Reconcile.Blocks_reply { blocks });
+    Buffer.length buf
+  in
+  let dag = chain_dag ~signer:(big_signer (1 lsl 20)) 63 in
+  let body = List.of_seq (Seq.filter (fun b -> not (Block.is_genesis b)) (Dag.topo_seq dag)) in
+  let tip = (List.nth body 62).Block.hash in
+  let filler extra label =
+    let probe = mk_block ~signer:(big_signer 64) ~t:640 ~parents:[ tip ] label in
+    let want = Wire.max_frame + extra - encoded_size body in
+    let signer = big_signer (64 + want - Block.byte_size probe) in
+    let f = mk_block ~signer ~t:640 ~parents:[ tip ] label in
+    check_i ("filler " ^ label) (Wire.max_frame + extra) (encoded_size (body @ [ f ]));
+    f
+  in
+  let exact = filler 0 "exact" and over = filler 1 "over" in
+  let next = mk_block ~t:650 ~parents:[ exact.Block.hash ] "next" in
+  let dag =
+    List.fold_left (fun d b -> Result.get_ok (Dag.add d b)) dag [ exact; over; next ]
+  in
+  let served asked =
+    let hashes = List.map (fun (b : Block.t) -> b.Block.hash) asked in
+    match Reconcile.respond dag (Reconcile.Blocks_request { hashes }) with
+    | Some (Reconcile.Blocks_reply { blocks }) ->
+      let n = List.length blocks in
+      check_b "request order kept" true
+        (List.equal Block.equal (List.filteri (fun i _ -> i < n) asked) blocks);
+      check_b "reply fits a frame" true (encoded_size blocks <= Wire.max_frame);
+      if n < List.length asked then
+        check_b "the next block would not" true
+          (encoded_size (blocks @ [ List.nth asked n ]) > Wire.max_frame);
+      n
+    | _ -> Alcotest.fail "blocks request"
+  in
+  check_i "exactly a frame: sent whole" 64 (served (body @ [ exact; next ]));
+  check_i "a byte over: one block short" 63 (served (body @ [ over ]))
+
+(* The digest session's one Blocks_request names 66 blocks with 1 MiB
+   signatures; the capped reply leaves some out, and the session must
+   ask again. *)
+let reconcile_capped_reply_converges () =
+  let src = chain_dag ~signer:(big_signer (1 lsl 20)) 66 in
+  let merged, stats = Reconcile.sync_dags Reconcile.Digest (dag_with_genesis ()) src in
+  check_i "every block pulled" (Dag.cardinal src) (Dag.cardinal merged);
+  check_i "all 66 received once" 66 stats.Reconcile.blocks_received
+
+(* Bloom gap recovery, fed by hand: [d]'s parents [b] and [c] are asked
+   for, and a reply cut after one of them must not end the session. A
+   reply that brings nothing new does. *)
+let reconcile_bloom_reasks_cut_off () =
+  let src, a, b, c, d = diamond () in
+  let dst = dag_with_genesis () in
+  let hashes xs =
+    List.sort Hash_id.compare (List.map (fun (x : Block.t) -> x.Block.hash) xs)
+  in
+  let asked = function
+    | Reconcile.Send (Reconcile.Blocks_request { hashes }) -> hashes
+    | Reconcile.Send _ | Reconcile.Finished _ | Reconcile.Ignored ->
+      Alcotest.fail "expected a blocks request"
+  in
+  let session, _ = Reconcile.start Reconcile.Bloom dst in
+  let session, step =
+    Reconcile.handle_reply session dst (Reconcile.Bloom_reply { blocks = [ d ] })
+  in
+  let first = asked step in
+  check_b "asks for b and c" true (List.equal Hash_id.equal (hashes [ b; c ]) first);
+  let kept = Option.get (Dag.find src (List.hd first)) in
+  let cut = Option.get (Dag.find src (List.nth first 1)) in
+  let session, step =
+    Reconcile.handle_reply session dst (Reconcile.Blocks_reply { blocks = [ kept ] })
+  in
+  check_b "asks again for the cut block, and for a" true
+    (List.equal Hash_id.equal (hashes [ a; cut ]) (asked step));
+  (match Reconcile.handle_reply session dst (Reconcile.Blocks_reply { blocks = [] }) with
+  | _, Reconcile.Finished { new_blocks; _ } ->
+    check_i "an empty reply ends it" 2 (List.length new_blocks)
+  | _, (Reconcile.Send _ | Reconcile.Ignored) -> Alcotest.fail "an empty reply must end it");
+  match Reconcile.handle_reply session dst (Reconcile.Blocks_reply { blocks = [ cut; a ] }) with
+  | _, Reconcile.Finished { new_blocks; _ } ->
+    check_b "all four pulled" true
+      (List.equal Hash_id.equal (hashes [ a; b; c; d ]) (hashes new_blocks))
+  | _, (Reconcile.Send _ | Reconcile.Ignored) -> Alcotest.fail "the session must end"
+
+(* ------------------------------------------------------------------ *)
+(* Batch intake                                                         *)
+
+let tamper (b : Block.t) ~sig_offset ~flip =
+  let raw = Bytes.of_string (Block.to_string b) in
+  let at = Bytes.length raw - String.length b.Block.signature + sig_offset in
+  Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor flip));
+  Option.get (Block.of_string (Bytes.to_string raw))
+
+(* A small MSS world: a CA enrols creators B and C in one block, both
+   write, the CA revokes C, and C writes once concurrently with the
+   revocation and once after it. Beside these, three tampered blocks
+   whose W-OTS half (a chain byte flipped) fails, or holds under the
+   wrong leaf (a rewritten index) or the wrong key (an outsider signing
+   as B). The batch-intake property draws its batches from this list. *)
+let mss_world =
+  lazy
+    (let ca = Signer.mss ~height:4 ~seed:"intake-ca" () in
+     let ca_cert = Certificate.self_signed ~signer:ca ~role:"ca" in
+     let member seed =
+       let s = Signer.mss ~height:3 ~seed () in
+       (s, Certificate.issue ~ca:ca_cert ~ca_signer:ca ~subject:s ~role:"member")
+     in
+     let b_signer, b_cert = member "intake-b" and c_signer, c_cert = member "intake-c" in
+     let outsider = Signer.mss ~height:2 ~seed:"intake-outsider" () in
+     let mk signer (cert : Certificate.t) t parents txs =
+       Block.create ~signer ~creator:cert.Certificate.user_id ~timestamp:(ts t)
+         ~parents:(List.map (fun (p : Block.t) -> p.Block.hash) parents)
+         txs
+     in
+     let g =
+       Node.genesis_block ~signer:ca ~cert:ca_cert ~timestamp:(ts 0)
+         ~extra:[ Transaction.create_crdt ~name:"log" log_spec ]
+         ()
+     in
+     let enrol =
+       mk ca ca_cert 10 [ g ] [ Transaction.add_user b_cert; Transaction.add_user c_cert ]
+     in
+     let b1 = mk b_signer b_cert 20 [ enrol ] [ add_tx "b1" ] in
+     let c1 = mk c_signer c_cert 25 [ enrol ] [ add_tx "c1" ] in
+     let b2 = mk b_signer b_cert 30 [ b1; c1 ] [ add_tx "b2" ] in
+     let revoke = mk ca ca_cert 40 [ b2 ] [ Transaction.revoke_user c_cert ] in
+     let c2 = mk c_signer c_cert 45 [ b2 ] [ add_tx "c2" ] in
+     let c_revoked = mk c_signer c_cert 50 [ revoke ] [ add_tx "c3" ] in
+     let b3 = mk b_signer b_cert 60 [ revoke; c2 ] [ add_tx "b3" ] in
+     let b4 = mk b_signer b_cert 70 [ b3 ] [ add_tx "b4" ] in
+     let flipped_chain = tamper b4 ~sig_offset:(4 + 32 + 100) ~flip:0x01 in
+     let rewritten_index = tamper b2 ~sig_offset:3 ~flip:0x01 in
+     let outsider_as_b = mk outsider b_cert 35 [ b1 ] [ add_tx "forged" ] in
+     [| g; enrol; b1; c1; b2; c2; revoke; c_revoked; b3; b4; flipped_chain;
+        rewritten_index; outsider_as_b |])
+
+let observer () =
+  let signer = Signer.oracle ~signature_size:64 ~id:"observer" () in
+  Node.create ~signer ~cert:(Certificate.self_signed ~signer ~role:"ca") ()
+
+let resident n =
+  Seq.fold_left
+    (fun acc (b : Block.t) -> Hash_id.Set.add b.Block.hash acc)
+    Hash_id.Set.empty (Dag.blocks_seq (Node.dag n))
+
+(* [receive_all] against today's fold of [receive], batch by batch. *)
+let same_intake batches =
+  let batched = observer () and each = observer () in
+  List.iter
+    (fun batch ->
+      Node.receive_all batched ~now:(ts 1_000) batch;
+      List.iter (fun b -> ignore (Node.receive each ~now:(ts 1_000) b)) batch)
+    batches;
+  let sa = Node.stats batched and sb = Node.stats each in
+  Hash_id.Set.equal (resident batched) (resident each)
+  && Csm.converged (Node.csm batched) (Node.csm each)
+  && sa.Node.accepted = sb.Node.accepted
+  && sa.Node.rejected = sb.Node.rejected
+  && sa.Node.duplicates = sb.Node.duplicates
+  && Node.pending_count batched = Node.pending_count each
+
+(* In world order every honest block is admitted (C's second block
+   arrives before its revocation), and the four others are refused. *)
+let intake_tampered_rejected () =
+  let w = Lazy.force mss_world in
+  let n = observer () in
+  Node.receive_all n ~now:(ts 1_000) (Array.to_list w);
+  let has i = Dag.mem (Node.dag n) w.(i).Block.hash in
+  check_b "every honest block is resident" true
+    (List.for_all has [ 0; 1; 2; 3; 4; 5; 6; 8; 9 ]);
+  check_b "no tampered or revoked block is resident" false
+    (List.exists has [ 7; 10; 11; 12 ]);
+  (* Rejected: the flipped chain, the rewritten index, the outsider,
+     and C's post-revocation block. *)
+  check_i "rejected" 4 (Node.stats n).Node.rejected;
+  check_b "same as one receive at a time" true (same_intake [ Array.to_list w ])
+
+(* The pool runs whatever map it is given, reports a failure from any
+   domain, and never spawns twice. *)
+let domain_pool_map () =
+  let xs = Array.init 1000 (fun i -> i) in
+  check_b "map = Array.map" true (Domain_pool.map (fun i -> i * i) xs = Array.map (fun i -> i * i) xs);
+  check_b "empty" true (Domain_pool.map succ [||] = [||]);
+  check_b "one item" true (Domain_pool.map succ [| 41 |] = [| 42 |]);
+  let spawned = Domain_pool.spawned () in
+  check_i "one worker per spare CPU" (Domain.recommended_domain_count () - 1) spawned;
+  (match Domain_pool.map (fun i -> if i = 600 || i = 700 then failwith (string_of_int i) else i) xs with
+  | _ -> Alcotest.fail "a failing item must raise"
+  | exception Failure m -> check_s "the first failing item" "600" m);
+  for _ = 1 to 5 do
+    ignore (Domain_pool.map succ xs)
+  done;
+  check_i "spawned once" spawned (Domain_pool.spawned ())
+
 (* ------------------------------------------------------------------ *)
 (* Support / Offload                                                    *)
 
@@ -1350,6 +1619,41 @@ let random_indexed_dag script =
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"receive_all = fold of receive (MSS batches)" ~count:60
+      (pair (list_of_size Gen.(0 -- 24) (int_range 0 12)) (int_range 0 3))
+      (fun (picks, cut) ->
+        (* Random order and duplicates buffer some blocks and drain them
+           later; a cut splits the picks into two calls, so a block
+           buffered by the first is drained by the second. *)
+        let w = Lazy.force mss_world in
+        let batch = List.map (fun i -> w.(i)) picks in
+        let k = cut * List.length batch / 3 in
+        same_intake
+          [ List.filteri (fun i _ -> i < k) batch; List.filteri (fun i _ -> i >= k) batch ]);
+    Test.make ~name:"Height_table.fold_range = per-height fold" ~count:200
+      (triple (list_of_size Gen.(0 -- 20) (int_range 0 3)) (int_range 0 30) (int_range (-1) 30))
+      (fun (picks, lo, hi) ->
+        (* A random DAG: block i hangs under one of the last four. *)
+        let dag, _ =
+          List.fold_left
+            (fun (dag, recent) pick ->
+              let parent = List.nth recent (pick mod List.length recent) in
+              let b = mk_block ~t:((Dag.cardinal dag + 1) * 10) ~parents:[ parent ] "x" in
+              (Result.get_ok (Dag.add dag b), List.filteri (fun i _ -> i < 4) (b.Block.hash :: recent)))
+            (dag_with_genesis (), [ genesis.Block.hash ])
+            picks
+        in
+        let buckets = Dag.by_height dag in
+        let oracle = ref [] in
+        for h = Int.max 0 lo to hi do
+          match Dag.Int_map.find_opt h buckets with
+          | None -> ()
+          | Some hs -> List.iter (fun x -> oracle := x :: !oracle) hs
+        done;
+        let got =
+          Sync_strategy.Height_table.fold_range (Sync_strategy.Height_table.of_dag dag) ~lo ~hi (fun acc x -> x :: acc) []
+        in
+        List.equal Hash_id.equal !oracle got);
     Test.make ~name:"random DAG pairs reconcile to equality" ~count:30
       (pair (list_of_size Gen.(0 -- 12) (int_range 0 2)) int64)
       (fun (script, seed) ->
@@ -1634,6 +1938,13 @@ let () =
           Alcotest.test_case "respond ignores replies" `Quick reconcile_respond_ignores_replies;
           Alcotest.test_case "block requests + bloom responder" `Quick reconcile_block_requests;
           Alcotest.test_case "digest extension responder" `Quick reconcile_digest_extension;
+          Alcotest.test_case "digest wide interval" `Quick reconcile_digest_wide_interval;
+          Alcotest.test_case "digest refuses disorder" `Quick reconcile_digest_refuses_disorder;
+          Alcotest.test_case "blocks request dedup" `Quick reconcile_blocks_request_dedup;
+          Alcotest.test_case "blocks reply fits a frame" `Quick
+            reconcile_blocks_reply_fits_a_frame;
+          Alcotest.test_case "capped reply converges" `Quick reconcile_capped_reply_converges;
+          Alcotest.test_case "bloom re-asks a cut reply" `Quick reconcile_bloom_reasks_cut_off;
           Alcotest.test_case "foreign replies ignored" `Quick reconcile_foreign_reply_ignored;
         ] );
       ( "support",
@@ -1655,6 +1966,9 @@ let () =
           Alcotest.test_case "signer exhaustion" `Quick node_signer_exhaustion;
           Alcotest.test_case "prune_to" `Quick node_prune_to;
           Alcotest.test_case "key rotation" `Quick node_key_rotation;
+          Alcotest.test_case "batch intake rejects tampering" `Quick
+            intake_tampered_rejected;
+          Alcotest.test_case "domain pool" `Quick domain_pool_map;
         ] );
       ( "persistence",
         [

@@ -284,6 +284,27 @@ let mss_cross_key () =
   let s = Mss.sign sk1 "msg" in
   check_b "cross-key rejected" false (Mss.verify pk2 "msg" s)
 
+(* A precomputed W-OTS half only replaces recomputing it: it can reject
+   a signature, but never vouches for a key or a leaf. *)
+let mss_precheck_never_vouches () =
+  let sk, pk = Mss.generate ~height:2 ~seed:"pre-k1" () in
+  let _, other = Mss.generate ~height:2 ~seed:"pre-k2" () in
+  let s = Mss.sign sk "msg" in
+  check_b "the W-OTS half holds" true (Mss.ots_holds "msg" s);
+  check_b "and fails for another message" false (Mss.ots_holds "other" s);
+  check_b "verifies with its precheck" true (Mss.verify ~ots:true pk "msg" s);
+  check_b "a failed precheck rejects" false (Mss.verify ~ots:false pk "msg" s);
+  check_b "path to another root" false (Mss.verify ~ots:true other "msg" s);
+  (* The index is the big-endian u32 that opens the signature: flipping
+     its low bit names the sibling leaf, which the path does not fit. *)
+  let raw = Bytes.of_string (Mss.signature_to_string s) in
+  Bytes.set raw 3 (Char.chr (Char.code (Bytes.get raw 3) lxor 1));
+  match Mss.signature_of_string (Bytes.to_string raw) with
+  | None -> Alcotest.fail "rewritten signature must still parse"
+  | Some twin ->
+    check_b "rewritten index keeps the W-OTS half" true (Mss.ots_holds "msg" twin);
+    check_b "rewritten index" false (Mss.verify ~ots:true pk "msg" twin)
+
 let mss_height_zero () =
   let sk, pk = Mss.generate ~height:0 ~seed:"tiny" () in
   check_i "capacity 1" 1 (Mss.capacity sk);
@@ -614,6 +635,7 @@ let () =
           Alcotest.test_case "cross-key" `Quick mss_cross_key;
           Alcotest.test_case "height zero" `Quick mss_height_zero;
           Alcotest.test_case "index bound to path" `Quick mss_index_bound;
+          Alcotest.test_case "precheck never vouches" `Quick mss_precheck_never_vouches;
         ] );
       ( "bloom",
         [
