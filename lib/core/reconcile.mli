@@ -1,34 +1,53 @@
 (** Opportunistic DAG reconciliation (§IV-G, Algorithm 1, Fig. 3).
 
-    The protocol logic itself lives in {!Sync_strategy} — each mode is a
-    first-class strategy module owning its message constructors,
-    responder logic and session step. This module is the session
-    {e driver}: it threads the packed strategy state, accounts transfer
-    statistics, orders merged blocks parents-first, and keeps the
-    pre-strategy API shape so hosts (the sans-IO
-    {!Vegvisir_engine.Peer_engine}, the simnet adapter, the daemon)
-    are strategy-agnostic.
+    One request/reply pull protocol with a closed set of three modes.
+    This module owns the messages and their codec, the stateless
+    responder, and the initiator's pull session for every mode, so hosts
+    (the sans-IO {!Vegvisir_engine.Peer_engine}, the simnet adapter, the
+    daemon) stay mode-agnostic.
 
-    Available modes:
-    - [Naive] — the paper's Algorithm 1 (level escalation; re-ships
-      every level each round).
+    - [Naive] — the paper's Algorithm 1: repeated level-frontier
+      requests with escalation (re-ships every level each round, hence
+      the measured 95–98% gossip redundancy at steady state).
     - [Bloom] — the request is a Bloom filter over {e all} held hashes
       (~10 bits/block instead of 32 bytes/hash); false positives are
       recovered with explicit block requests.
-    - [Digest] — Merkle-style height-interval digests with recursive
-      narrowing; at convergence a session costs one tiny request and
-      one empty reply, and no block is ever shipped twice. *)
+    - [Digest] — Merkle-style recursive narrowing: the request carries
+      height-interval digests (SHA-256 over the Hash_id-sorted hashes in
+      the interval, resident and archived); the responder answers each
+      mismatched interval with either two sub-interval digests or, for
+      small intervals, an explicit hash-list leaf. The initiator narrows
+      recursively (O(log height) rounds) and finally pulls exactly the
+      blocks it lacks with {!message.Blocks_request} — at convergence a
+      session costs one ~40-byte request and one empty reply, and no
+      block is ever shipped twice.
 
-type mode = Sync_strategy.mode = Naive | Bloom | Digest
+    Everything here is pure: no clock, no randomness, no I/O. *)
 
-module Mode = Sync_strategy.Mode
+type mode = Naive | Bloom | Digest
+
 (** [Mode.of_string] / [Mode.to_string] / [Mode.all] for CLI flags,
     experiment drivers and bench groups. *)
+module Mode : sig
+  type t = mode
 
-type interval = Sync_strategy.interval = { lo : int; hi : int; digest : string }
-type leaf = Sync_strategy.leaf = { lo : int; hi : int; hashes : Hash_id.t list }
+  val all : mode list
+  (** In presentation order: [Naive; Bloom; Digest]. *)
 
-type message = Sync_strategy.message =
+  val to_string : mode -> string
+  val of_string : string -> mode option
+  val equal : mode -> mode -> bool
+  val pp : Format.formatter -> mode -> unit
+end
+
+type interval = { lo : int; hi : int; digest : string }
+(** A height range [lo..hi] (inclusive) and the SHA-256 digest of the
+    Hash_id-sorted hashes whose DAG height falls inside it. *)
+
+type leaf = { lo : int; hi : int; hashes : Hash_id.t list }
+(** A narrowed-to-the-bottom range: the responder's explicit hashes. *)
+
+type message =
   | Frontier_request of { level : int }
   | Frontier_reply of { level : int; blocks : Block.t list }
   | Bloom_request of { filter : string }
@@ -36,8 +55,40 @@ type message = Sync_strategy.message =
   | Blocks_request of { hashes : Hash_id.t list }
   | Blocks_reply of { blocks : Block.t list }
   | Digest_request of { upto : int; intervals : interval list }
+      (** [upto] is the highest height any request of this session has
+          covered so far; the responder treats everything it holds above
+          [upto] as one extra mismatched interval. *)
   | Digest_reply of { splits : interval list; leaves : leaf list }
   | Trace_context of { trace : string; span : string }
+      (** Optional span-tracing context (tag 11), sent by an initiator
+          ahead of its first request so the responder can stitch its
+          serve-side spans into the initiator's trace. Carries no
+          protocol state: no session takes it as a reply, {!respond}
+          answers [None], and peers predating the tag drop the frame at
+          {!Wire.decode_string}. *)
+
+val encode_message : Buffer.t -> message -> unit
+(** Wire tags 1, 2 and 5–8 are byte-identical to the encoding before the
+    digest mode (old journals and same-seed traces replay unchanged);
+    digest messages use tags 9/10, the span-tracing context frame tag
+    11. Tags 3 and 4 (the retired indexed strategy) are never reused and
+    no longer decode. *)
+
+val decode_message : Wire.cursor -> message
+(** @raise Wire.Malformed on an unknown tag or truncated payload. *)
+
+val message_size : message -> int
+(** Encoded size in bytes (used for bandwidth/energy accounting). *)
+
+val message_equal : message -> message -> bool
+val is_request : message -> bool
+
+val reply_blocks : message -> Block.t list
+(** Block payload of a reply ([[]] for requests and digest messages). *)
+
+val advertised_hashes : message -> Hash_id.t list
+(** Hashes the sender claims to hold without shipping the blocks
+    (digest leaves) — {!Pending_pool} advertisement fodder. *)
 
 type stats = {
   rounds : int;  (** request/reply round trips *)
@@ -51,45 +102,36 @@ type stats = {
 val empty_stats : stats
 val add_stats : stats -> stats -> stats
 val stats_equal : stats -> stats -> bool
-val message_size : message -> int
-(** Encoded size in bytes (used for bandwidth/energy accounting). *)
 
-val encode_message : Buffer.t -> message -> unit
-val decode_message : Wire.cursor -> message
-val message_equal : message -> message -> bool
+(** {1 Responder} *)
 
-val is_request : message -> bool
-val reply_blocks : message -> Block.t list
-(** Block payload of a reply ([[]] for requests and digest messages). *)
-
-val advertised_hashes : message -> Hash_id.t list
-(** Hashes the sender claims to hold without shipping the blocks
-    (digest leaves) — {!Pending_pool} advertisement fodder. *)
-
-val session_trace_ids : initiator:Hash_id.t -> generation:int -> string * string
-(** Deterministic [(trace_id, span_id)] for a session — see
-    {!Sync_strategy.session_trace_ids}. *)
-
-val trace_sampled : initiator:Hash_id.t -> generation:int -> rate:float -> bool
-(** Deterministic head-sampling decision — see
-    {!Sync_strategy.trace_sampled}. *)
-
-(** Responder side: answer any request from the local DAG. *)
 val respond : Dag.t -> message -> message option
-(** [None] for messages that are not requests. *)
+(** Answer any request from the local DAG, keeping no per-peer memory.
+    [None] means a reply, or a request it refuses: a
+    {!message.Digest_request} whose intervals are not non-empty,
+    ascending and disjoint. The work is bounded by the request and the
+    DAG:
 
-(** Initiator side: a pull session.
+    - a {!message.Blocks_request} is answered once per distinct resident
+      hash, in the order first named;
+    - a {!message.Bloom_request} is answered with the blocks the filter
+      lacks, parents first;
+    - both replies stop before their encoding would pass
+      {!Wire.max_frame} (the session then asks again, or the next one
+      does, for what a reply left out);
+    - each digest interval costs only the heights present in it. *)
+
+(** {1 Initiator: a pull session}
 
     A [session] is an immutable value: {!handle_reply} returns the
     successor state alongside the step, so drivers (the sans-IO
     {!Vegvisir_engine.Peer_engine}, tests, the local {!sync_dags} loop)
     can thread, snapshot, and replay sessions freely. *)
+
 type session
 
 val start : mode -> Dag.t -> session * message
 (** The session and the first request to send. *)
-
-val session_mode : session -> mode
 
 type step =
   | Send of message  (** escalate: send this next request *)
@@ -106,7 +148,7 @@ type step =
 
 val handle_reply : session -> Dag.t -> message -> session * step
 (** Feed the responder's reply. A reply that does not belong to this
-    session's strategy (a stale or foreign frame) is [Ignored].
+    session's mode and phase (a stale or foreign frame) is [Ignored].
     @raise Invalid_argument on a request (not a reply). *)
 
 val current_request : session -> message
@@ -118,3 +160,35 @@ val sync_dags : mode -> Dag.t -> Dag.t -> Dag.t * stats
 (** Run a whole pull session locally: merge [src] into [dst], returning
     the updated [dst] and transfer statistics. Blocks are inserted without
     re-validation (both DAGs are assumed validated). *)
+
+(** The digest mode's view of a replica: every known hash (resident or
+    archived) bucketed by DAG height, each bucket in [Hash_id] order. *)
+module Height_table : sig
+  type t
+
+  val of_dag : Dag.t -> t
+
+  val fold_range : t -> lo:int -> hi:int -> ('a -> Hash_id.t -> 'a) -> 'a -> 'a
+  (** Folds over the hashes at heights [lo..hi], lowest height first. It
+      visits only the heights present, so its cost does not grow with
+      [hi - lo]. *)
+end
+
+(** {1 Deterministic span identity}
+
+    Cross-daemon tracing needs ids both ends can mint without
+    coordination and without randomness. Both helpers are pure SHA-256
+    derivations over the initiating node's identity and its session
+    sequence number, so same-seed runs produce byte-identical ids. *)
+
+val session_trace_ids : initiator:Hash_id.t -> generation:int -> string * string
+(** [(trace_id, span_id)] for the exchange session [generation]
+    initiated by [initiator] — 16 lowercase hex characters each. The
+    responder recovers the same pair from the {!message.Trace_context}
+    frame, never by re-derivation (it does not know the initiator's
+    generation counter). *)
+
+val trace_sampled : initiator:Hash_id.t -> generation:int -> rate:float -> bool
+(** Head-sampling decision for that session: a deterministic uniform
+    hash of (initiator, generation) compared against [rate]. [rate >= 1.]
+    keeps everything, [rate <= 0.] nothing. *)

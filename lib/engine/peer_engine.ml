@@ -247,15 +247,8 @@ let tick t ~now ~dag ~peer =
    only place the engine parts with block data, so the [Blocks_served]
    trace emitted alongside the reply is the ground truth for the "sent"
    phase of a block's causal timeline. *)
-let served_blocks = function
-  | Reconcile.Frontier_reply { blocks; _ }
-  | Reconcile.Bloom_reply { blocks }
-  | Reconcile.Blocks_reply { blocks } ->
-    List.map (fun (b : Block.t) -> b.Block.hash) blocks
-  | Reconcile.Frontier_request _ | Reconcile.Bloom_request _
-  | Reconcile.Blocks_request _ | Reconcile.Digest_request _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    []
+let served_blocks m =
+  List.map (fun (b : Block.t) -> b.Block.hash) (Reconcile.reply_blocks m)
 
 let on_reply t ~now ~dag ~from msg =
   match t.session with
@@ -342,6 +335,10 @@ let on_message t ~now ~dag ~from bytes =
           | blocks -> [ Trace (Blocks_served { dst = from; blocks }) ]
         in
         (t, Send { dst = from; bytes = encode reply } :: serving)
+    | None when Reconcile.is_request msg ->
+      (* A request the responder refuses is malformed, like a frame that
+         does not decode: no reply, and no session state moves. *)
+      (t, [ Trace (Decode_failed { from }) ])
     | None -> on_reply t ~now ~dag ~from msg
   end
 

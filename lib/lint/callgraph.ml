@@ -300,19 +300,20 @@ let lookup_in t u target subpath fname =
 (* Resolve [modpath.fname] seen in unit [u] inside submodule
    [sub_prefix] to its definition, if it names one in the tree. *)
 let resolve_value t u ~sub_prefix ~local_opens modpath fname =
+  (* [key] as defined in submodule [chain] of this unit or in the
+     nearest submodule enclosing it. *)
+  let rec up chain key =
+    match find_def u (String.concat "." (chain @ [ key ])) with
+    | Some d -> Some d
+    | None -> begin
+      match chain with
+      | [] -> None
+      | chain -> up (List.filteri (fun i _ -> i < List.length chain - 1) chain) key
+    end
+  in
   match modpath with
   | [] -> begin
-    let rec up chain =
-      let key = String.concat "." (chain @ [ fname ]) in
-      match find_def u key with
-      | Some d -> Some d
-      | None -> begin
-        match chain with
-        | [] -> None
-        | chain -> up (List.filteri (fun i _ -> i < List.length chain - 1) chain)
-      end
-    in
-    match up sub_prefix with
+    match up sub_prefix fname with
     | Some d -> Some d
     | None ->
       List.find_map
@@ -323,9 +324,16 @@ let resolve_value t u ~sub_prefix ~local_opens modpath fname =
         (local_opens @ u.opens)
   end
   | _ -> begin
-    match resolve_module t u ~use_opens:true modpath with
-    | Some (target, sub) -> lookup_in t u target sub fname
-    | None -> None
+    (* [Sub.f] names this unit's own submodule [Sub] (or a module alias
+       of it) before any other unit of that name, as in OCaml. *)
+    let key = String.concat "." (expand_alias u 0 modpath @ [ fname ]) in
+    match up sub_prefix key with
+    | Some d -> Some d
+    | None -> begin
+      match resolve_module t u ~use_opens:true modpath with
+      | Some (target, sub) -> lookup_in t u target sub fname
+      | None -> None
+    end
   end
 
 (* ------------------------------------------------------------------ *)

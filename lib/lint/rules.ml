@@ -216,6 +216,7 @@ let check ~path structure =
     || has_prefix [ "lib"; "engine" ] lp
     || has_prefix [ "lib"; "obs" ] lp
     || has_prefix [ "lib"; "cli" ] lp
+    || path_eq lp [ "lib"; "core"; "reconcile.ml" ]
     || path_eq lp [ "lib"; "core"; "sync_strategy.ml" ]
   in
   let engine_on = has_prefix [ "lib"; "engine" ] lp in

@@ -984,6 +984,112 @@ let hostile_frame_header () =
     (Printf.sprintf "allocated %.1f MiB" (allocated /. 1048576.))
     true (allocated < 1048576.)
 
+(* A raw client socket whose frames are written without blocking: what
+   the kernel does not take at once is written later by [pump], which
+   also collects whatever the far end sent. *)
+type raw = { fd : Unix.file_descr; mutable out : string; got : Buffer.t }
+
+let pump c =
+  (if String.length c.out > 0 then
+     match Unix.write_substring c.fd c.out 0 (String.length c.out) with
+     | n -> c.out <- String.sub c.out n (String.length c.out - n)
+     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  let chunk = Bytes.create 65536 in
+  let rec read () =
+    match Unix.read c.fd chunk 0 65536 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes c.got chunk 0 n;
+      read ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  read ()
+
+let raw_client port frames =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.set_nonblock fd;
+  let c = { fd; out = String.concat "" frames; got = Buffer.create 256 } in
+  pump c;
+  c
+
+(* The messages in the complete frames [c] has received so far. *)
+let received c =
+  let s = Buffer.contents c.got in
+  let rec go at =
+    if at + 4 > String.length s then []
+    else
+      let n = Int32.to_int (String.get_int32_be s at) in
+      if at + 4 + n > String.length s then []
+      else V.Wire.decode_string V.Reconcile.decode_message (String.sub s (at + 4) n) :: go (at + 4 + n)
+  in
+  go 0
+
+let framed m =
+  let b = Buffer.create 64 in
+  V.Reconcile.encode_message b m;
+  Unix_compat.encode_frame (Buffer.contents b)
+
+(* Hostile requests to one in-process loop. The first client writes, in
+   one 114-byte write, a request, the turn-over, and a digest request
+   whose intervals descend, which the loop must refuse while its own
+   pull from that client is in flight. The second writes three costly
+   requests: a frontier at the top u32 level, a digest over [0, 2^32-1],
+   and one resident hash named 10,000 times. Each costly request gets
+   one reply, the refused one none, and the loop still answers a fresh
+   connection. *)
+let hostile_requests () =
+  let store = init "hostile-requests" in
+  let known = V.Hash_id.Set.min_elt (V.Dag.frontier (V.Node.dag store.Node_store.node)) in
+  let loop = Event_loop.create ~store () in
+  let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
+  let top = 0xFFFF_FFFF in
+  let iv lo hi = { V.Reconcile.lo; hi; digest = String.make 32 'd' } in
+  let refused =
+    [
+      framed (V.Reconcile.Frontier_request { level = 1 });
+      Unix_compat.encode_frame "";
+      framed (V.Reconcile.Digest_request { upto = 0; intervals = [ iv 5 6; iv 1 2 ] });
+    ]
+  in
+  check_i "one 114-byte write" 114 (String.length (String.concat "" refused));
+  let killer = raw_client port refused in
+  let costly =
+    raw_client port
+      [
+        framed (V.Reconcile.Frontier_request { level = top });
+        framed (V.Reconcile.Digest_request { upto = top; intervals = [ iv 0 top ] });
+        framed (V.Reconcile.Blocks_request { hashes = List.init 10_000 (fun _ -> known) });
+      ]
+  in
+  let deadline = Unix.gettimeofday () +. 20. in
+  let run_until clients enough =
+    Event_loop.run loop ~until:(fun _ ->
+        List.iter pump clients;
+        enough () || Unix.gettimeofday () > deadline)
+  in
+  let count c = List.length (received c) in
+  let r1 = run_until [ killer; costly ] (fun () -> count killer >= 2 && count costly >= 3) in
+  let fresh = raw_client port [ framed (V.Reconcile.Frontier_request { level = 1 }) ] in
+  let r2 = run_until [ killer; costly; fresh ] (fun () -> count fresh >= 1) in
+  Event_loop.shutdown loop;
+  List.iter (fun c -> Unix.close c.fd) [ killer; costly; fresh ];
+  check_b "loop survived" true (Result.is_ok r1 && Result.is_ok r2);
+  (match received killer with
+  | [ Some (V.Reconcile.Frontier_reply _); Some (V.Reconcile.Frontier_request _) ] -> ()
+  | _ -> Alcotest.fail "expected the request's reply and the pull-back, then nothing");
+  (match received costly with
+  | [
+   Some (V.Reconcile.Frontier_reply _);
+   Some (V.Reconcile.Digest_reply _);
+   Some (V.Reconcile.Blocks_reply { blocks = [ b ] });
+  ] ->
+    check_b "the named block, once" true (V.Hash_id.equal b.V.Block.hash known)
+  | _ -> Alcotest.fail "expected one reply per costly request");
+  match received fresh with
+  | [ Some (V.Reconcile.Frontier_reply _) ] -> ()
+  | _ -> Alcotest.fail "a fresh connection must still be answered"
+
 (* Child role [frame-client PORT HASH]: send three Blocks_request frames
    of 3000, 10 and 6000 unknown hashes, each followed by HASH, and exit 0
    when every reply carries exactly the block HASH names. *)
@@ -1129,6 +1235,7 @@ let () =
       ( "event-loop",
         [
           Alcotest.test_case "hostile frame header" `Quick hostile_frame_header;
+          Alcotest.test_case "hostile requests" `Quick hostile_requests;
           Alcotest.test_case "multi-chunk frames" `Quick multi_chunk_frames;
         ] );
       ( "timer-wheel",

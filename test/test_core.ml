@@ -963,6 +963,21 @@ let reconcile_capped_reply_converges () =
   check_i "every block pulled" (Dag.cardinal src) (Dag.cardinal merged);
   check_i "all 66 received once" 66 stats.Reconcile.blocks_received
 
+(* A bloom reply walks the responder's blocks parents first and stops
+   before a frame: from a genesis-only replica, the 66-block chain with
+   1 MiB signatures takes two sessions, and the cut loses nothing. *)
+let reconcile_bloom_reply_capped () =
+  let src = chain_dag ~signer:(big_signer (1 lsl 20)) 66 in
+  let dst = dag_with_genesis () in
+  (match Reconcile.respond src (snd (Reconcile.start Reconcile.Bloom dst)) with
+  | Some (Reconcile.Bloom_reply { blocks = _ :: _ } as reply) ->
+    check_b "reply fits a frame" true (Reconcile.message_size reply <= Wire.max_frame)
+  | _ -> Alcotest.fail "bloom request");
+  let once, _ = Reconcile.sync_dags Reconcile.Bloom dst src in
+  check_b "one session falls short" true (Dag.cardinal once < Dag.cardinal src);
+  let twice, _ = Reconcile.sync_dags Reconcile.Bloom once src in
+  check_i "two sessions pull every block" (Dag.cardinal src) (Dag.cardinal twice)
+
 (* Bloom gap recovery, fed by hand: [d]'s parents [b] and [c] are asked
    for, and a reply cut after one of them must not end the session. A
    reply that brings nothing new does. *)
@@ -1651,9 +1666,57 @@ let qcheck_tests =
           | Some hs -> List.iter (fun x -> oracle := x :: !oracle) hs
         done;
         let got =
-          Sync_strategy.Height_table.fold_range (Sync_strategy.Height_table.of_dag dag) ~lo ~hi (fun acc x -> x :: acc) []
+          Reconcile.Height_table.fold_range (Reconcile.Height_table.of_dag dag) ~lo ~hi (fun acc x -> x :: acc) []
         in
         List.equal Hash_id.equal !oracle got);
+    Test.make ~name:"respond is bounded by its request and the DAG" ~count:150
+      (pair (list_of_size Gen.(0 -- 24) (int_range 0 11)) int64)
+      (fun (script, seed) ->
+        (* Every reply fits in c = 8 times the request plus the DAG's
+           encoded blocks plus 36 B (a leaf entry) per archived hash;
+           replies that ship blocks also fit in a frame. Requests are
+           random or hostile: u32 extremes, disordered and inverted
+           intervals, repeated and unknown hashes, garbage filters. *)
+        let dag, _ = random_indexed_dag script in
+        let rng = Vegvisir_crypto.Rng.create seed in
+        let int n = Vegvisir_crypto.Rng.int rng n in
+        let pick l = List.nth l (int (List.length l)) in
+        let u32 () = pick [ 0; 1; 5; 0xFFFF_FFFE; 0xFFFF_FFFF; int 40 ] in
+        let hashes =
+          Hash_id.digest "unknown"
+          :: List.map (fun (b : Block.t) -> b.Block.hash) (Dag.topo_order dag)
+          @ Hash_id.Set.elements (Dag.archived_hashes dag)
+        in
+        let some f = List.init (int 6) (fun _ -> f ()) in
+        let interval () =
+          { Reconcile.lo = u32 (); hi = u32 (); digest = pick [ ""; "junk"; String.make 32 'd' ] }
+        in
+        let requests =
+          [
+            Reconcile.Frontier_request { level = u32 () };
+            Reconcile.Bloom_request { filter = String.init (int 40) (fun _ -> Char.chr (int 256)) };
+            snd (Reconcile.start Reconcile.Bloom (dag_with_genesis ()));
+            Reconcile.Blocks_request { hashes = some (fun () -> pick hashes) };
+            Reconcile.Blocks_request { hashes = List.init 1_000 (fun _ -> pick hashes) };
+            Reconcile.Digest_request { upto = u32 (); intervals = some interval };
+            Reconcile.Digest_request
+              { upto = u32 (); intervals = [ { Reconcile.lo = 0; hi = 0xFFFF_FFFF; digest = "" } ] };
+            snd (Reconcile.start Reconcile.Digest (dag_with_genesis ()));
+          ]
+        in
+        let budget = Dag.byte_size dag + (36 * Dag.archived_count dag) in
+        List.for_all
+          (fun request ->
+            match Reconcile.respond dag request with
+            | None -> true
+            | Some reply ->
+              let n = Reconcile.message_size reply in
+              n <= 8 * (Reconcile.message_size request + budget)
+              &&
+              match reply with
+              | Reconcile.Blocks_reply _ | Reconcile.Bloom_reply _ -> n <= Wire.max_frame
+              | _ -> true)
+          requests);
     Test.make ~name:"random DAG pairs reconcile to equality" ~count:30
       (pair (list_of_size Gen.(0 -- 12) (int_range 0 2)) int64)
       (fun (script, seed) ->
@@ -1944,6 +2007,7 @@ let () =
           Alcotest.test_case "blocks reply fits a frame" `Quick
             reconcile_blocks_reply_fits_a_frame;
           Alcotest.test_case "capped reply converges" `Quick reconcile_capped_reply_converges;
+          Alcotest.test_case "bloom reply fits a frame" `Quick reconcile_bloom_reply_capped;
           Alcotest.test_case "bloom re-asks a cut reply" `Quick reconcile_bloom_reasks_cut_off;
           Alcotest.test_case "foreign replies ignored" `Quick reconcile_foreign_reply_ignored;
         ] );

@@ -286,8 +286,20 @@ let reordered_replies_recover () =
   check_b "converged despite reordering" true
     (frontier_eq o.dag (reference_merge Reconcile.Naive))
 
+(* Two mangled frames ride along with every round's replies: bytes
+   that do not decode, and a request the responder refuses (digest
+   intervals out of order). Neither may disturb the session. *)
 let garbage_frame_traced () =
-  let mangle ~round:_ frames = "\xff\xfenot-a-message" :: frames in
+  let refused =
+    encode_msg
+      (Reconcile.Digest_request
+         {
+           upto = 0;
+           intervals =
+             [ { Reconcile.lo = 5; hi = 6; digest = "" }; { Reconcile.lo = 1; hi = 2; digest = "" } ];
+         })
+  in
+  let mangle ~round:_ frames = "\xff\xfenot-a-message" :: refused :: frames in
   let o =
     scripted_pull ~mangle ~a_node:behind_node ~b_node:ahead_node ()
   in
@@ -355,6 +367,64 @@ let qcheck_random_transport =
       | None, Some Peer_engine.Stalled ->
         frontier_eq o.dag (Node.dag behind_node)
       | None, (Some Peer_engine.Timed_out | None) -> false)
+
+(* Whatever one frame holds, [handle] returns: random bytes, or any
+   message with hostile fields (u32 extremes, inverted, overlapping and
+   descending intervals, unknown and repeated hashes, garbage filters),
+   delivered to an engine of each mode whose session is in flight to
+   the sender. *)
+let qcheck_no_frame_raises =
+  let open QCheck.Gen in
+  let ahead = Node.dag ahead_node and dag = Node.dag behind_node in
+  let blocks = Dag.topo_order ahead in
+  let hashes =
+    Hash_id.digest "unknown" :: List.map (fun (b : Block.t) -> b.Block.hash) blocks
+  in
+  let u32 = oneof [ oneofl [ 0; 1; 0xFFFF_FFFF; 0xFFFF_FFFE ]; int_bound 12 ] in
+  let interval =
+    map3
+      (fun lo hi digest -> { Reconcile.lo; hi; digest })
+      u32 u32 (oneofl [ ""; "junk"; String.make 32 '\x00' ])
+  in
+  let some g = list_size (int_bound 5) g in
+  let message =
+    oneof
+      [
+        map (fun level -> Reconcile.Frontier_request { level }) u32;
+        map2 (fun level blocks -> Reconcile.Frontier_reply { level; blocks }) u32 (some (oneofl blocks));
+        map (fun filter -> Reconcile.Bloom_request { filter }) (string_size (int_bound 40));
+        map (fun blocks -> Reconcile.Bloom_reply { blocks }) (some (oneofl blocks));
+        map (fun hashes -> Reconcile.Blocks_request { hashes }) (some (oneofl hashes));
+        map (fun blocks -> Reconcile.Blocks_reply { blocks }) (some (oneofl blocks));
+        map2 (fun upto intervals -> Reconcile.Digest_request { upto; intervals }) u32 (some interval);
+        map2
+          (fun splits leaves -> Reconcile.Digest_reply { splits; leaves })
+          (some interval)
+          (some (map3 (fun lo hi hashes -> { Reconcile.lo; hi; hashes }) u32 u32 (some (oneofl hashes))));
+        map2 (fun trace span -> Reconcile.Trace_context { trace; span }) string string;
+      ]
+  in
+  let frame = oneof [ string_size (int_bound 64); map encode_msg message ] in
+  QCheck.Test.make ~count:300 ~name:"no frame raises"
+    (QCheck.make (list_size (1 -- 4) frame))
+    (fun frames ->
+      List.iter
+        (fun mode ->
+          let e =
+            Peer_engine.create
+              ~config:{ Peer_engine.Config.default with Peer_engine.Config.mode }
+              ~user_id:(Node.user_id behind_node) ~dag:dag ()
+          in
+          let e, _ = Peer_engine.handle e ~now:0. ~dag:dag (Peer_engine.Tick { peer = Some 1 }) in
+          ignore
+            (List.fold_left
+               (fun e bytes ->
+                 fst
+                   (Peer_engine.handle e ~now:1. ~dag:dag
+                      (Peer_engine.Message_received { from = 1; bytes })))
+               e frames))
+        Reconcile.Mode.all;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Timeouts and stale generations                                       *)
@@ -700,6 +770,7 @@ let () =
           Alcotest.test_case "retry exhaustion aborts" `Quick
             retry_exhaustion_aborts;
           QCheck_alcotest.to_alcotest qcheck_random_transport;
+          QCheck_alcotest.to_alcotest qcheck_no_frame_raises;
         ] );
       ( "timers",
         [

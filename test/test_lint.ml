@@ -92,8 +92,10 @@ let test_unordered_iteration () =
     "let f h = Hashtbl.iter (fun _ _ -> ()) h";
   check_fires "no-unordered-iteration" "lib/cli/event_loop.ml"
     "let f h = Hashtbl.to_seq_keys h";
-  (* Sync strategies encode wire messages: hash-order iteration there
-     would break byte-identical seeded runs. *)
+  (* The sync protocol encodes wire messages and orders merged blocks:
+     hash-order iteration there would break byte-identical seeded runs. *)
+  check_fires "no-unordered-iteration" "lib/core/reconcile.ml"
+    "let f h = Hashtbl.fold (fun _ b acc -> b :: acc) h []";
   check_fires "no-unordered-iteration" "lib/core/sync_strategy.ml"
     "let f h = Hashtbl.iter (fun _ _ -> ()) h";
   check_silent ~rule:"no-unordered-iteration" "lib/core/sync_strategy.ml"
@@ -360,6 +362,41 @@ let test_effect_laundering () =
           Unix.gettimeofday"
          f)
   | fs -> Alcotest.failf "expected one boundary-purity finding, got %d" (List.length fs)
+
+(* A unit's own submodules are resolved before other units: an engine
+   entry reaching a clock read through [Sub.f], and through an alias of
+   [Sub], is reported with the chain through both. *)
+let test_submodule_resolution () =
+  let files =
+    [
+      ( "lib/engine/entry.ml",
+        "module Sub = struct\n\
+        \  let f () = Unix.gettimeofday ()\n\
+         end\n\
+         module A = Sub\n\
+         let g () = A.f ()\n\
+         let step () = Sub.f () +. g ()\n" );
+    ]
+  in
+  let fs = find_rule "boundary-purity" (project ~manifest:engine_manifest files) in
+  match
+    List.find_opt
+      (fun (f : Veglint.Finding.t) -> f.key = "engine clock Vegvisir_engine.Entry.step")
+      fs
+  with
+  | Some f ->
+    Alcotest.(check bool) "chain through Sub.f" true
+      (msg_contains
+         "Vegvisir_engine.Entry.step -> Vegvisir_engine.Entry.Sub.f -> \
+          Unix.gettimeofday"
+         f);
+    Alcotest.(check bool) "the alias resolves too" true
+      (List.exists
+         (fun (f : Veglint.Finding.t) ->
+           f.key = "engine clock Vegvisir_engine.Entry.g"
+           && msg_contains "Vegvisir_engine.Entry.g -> Vegvisir_engine.Entry.Sub.f" f)
+         fs)
+  | None -> Alcotest.fail "no boundary-purity finding at Entry.step"
 
 let test_fixpoint_mutual_recursion () =
   (* A clock read inside a mutually recursive pair: the SCC fixpoint
@@ -696,6 +733,7 @@ let () =
       ( "interproc",
         [
           Alcotest.test_case "effect laundering" `Quick test_effect_laundering;
+          Alcotest.test_case "submodule resolution" `Quick test_submodule_resolution;
           Alcotest.test_case "fixpoint on mutual recursion" `Quick
             test_fixpoint_mutual_recursion;
           Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
