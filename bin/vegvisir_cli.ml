@@ -540,12 +540,69 @@ let trace_cmd =
                 chrome://tracing: one process row per node, one thread \
                 per trace.")
   in
+  let module Event = Vegvisir_obs.Event in
+  let module Hash_id = Vegvisir.Hash_id in
+  (* One block's timeline is its [Block] events in merged journal order:
+     a line per event, then the latencies since its first [Created]. *)
+  let print_timeline events id =
+    let entries =
+      List.filter_map
+        (fun (ts, (ev : Event.t)) ->
+          match ev with
+          | Block { node; phase; block; peer } when Hash_id.equal block id ->
+            Some (ts, node, phase, peer)
+          | _ -> None)
+        events
+    in
+    Printf.printf "block %s\n" (Hash_id.to_hex id);
+    List.iter
+      (fun (ts, node, (phase : Event.block_phase), peer) ->
+        let peer =
+          match (phase, peer) with
+          | Received, Some p -> " from " ^ p
+          | Sent, Some p -> " to " ^ p
+          | Witnessed, Some p -> " by " ^ p
+          | _ -> ""
+        in
+        Printf.printf "  %10s  %-9s node=%s%s\n" (Event.json_float ts)
+          (Event.phase_to_string phase) node peer)
+      entries;
+    let at phase =
+      List.filter_map
+        (fun (ts, _, p, _) ->
+          if Event.block_phase_equal p phase then Some ts else None)
+        entries
+    in
+    match at Created with
+    | [] -> ()
+    | t0 :: _ ->
+      (match List.map (fun t -> t -. t0) (at Delivered) with
+      | [] -> ()
+      | d :: ds ->
+        let d = List.fold_left (fun m d -> if d > m then d else m) d ds in
+        Printf.printf "  propagation latency: %s\n" (Event.json_float d));
+      (match at Witnessed with
+      | [] -> ()
+      | t :: _ ->
+        Printf.printf "  first-witness latency: %s\n"
+          (Event.json_float (t -. t0)))
+  in
   let run block chrome dirs =
     let events = load_events dirs in
-    let trace = Vegvisir_obs.Trace.create () in
-    List.iter (fun (ts, ev) -> Vegvisir_obs.Trace.record trace ~ts ev) events;
+    let blocks =
+      List.fold_left
+        (fun acc (_, (ev : Event.t)) ->
+          match ev with
+          | Block { block; _ } -> Hash_id.Set.add block acc
+          | _ -> acc)
+        Hash_id.Set.empty events
+    in
     let resolve prefix =
-      match Vegvisir_obs.Trace.find trace prefix with
+      match
+        List.filter
+          (fun id -> String.starts_with ~prefix (Hash_id.to_hex id))
+          (Hash_id.Set.elements blocks)
+      with
       | [] -> or_die (Error ("no trace entries for block " ^ prefix))
       | [ id ] -> id
       | ids ->
@@ -577,7 +634,7 @@ let trace_cmd =
     | None -> begin
       match block with
       | None -> or_die (Error "BLOCK is required unless --chrome is given")
-      | Some prefix -> print_string (Vegvisir_obs.Trace.render trace (resolve prefix))
+      | Some prefix -> print_timeline events (resolve prefix)
     end
   in
   Cmd.v

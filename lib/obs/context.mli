@@ -7,7 +7,8 @@
     context only ever {!emit}; counting happens here, identically for
     simulated and real nodes. The context retains no events, so its
     memory stays flat however long it runs; a caller that wants block
-    timelines attaches its own {!Trace.sink}. *)
+    timelines attaches its own sink (a {!Sink.Ring}, or a list collector
+    folded through {!Span.of_events}). *)
 
 type t
 

@@ -98,26 +98,21 @@ let abort_reason_of_string = function
   | "timed-out" -> Some Timed_out
   | _ -> None
 
-(* Partition groups ride in one flat string field ("0,0,1,1"; "-" when the
-   partition is lifted) — the JSONL codec only carries flat objects of
-   strings and numbers, and one group id per node index is tiny. *)
+(* Partition groups ride in one flat string field ("0,0,1,1"; "" for an
+   empty map; "-" when the partition is lifted) — the JSONL codec only
+   carries flat objects of strings and numbers, and one group id per node
+   index is tiny. *)
 let groups_to_string = function
   | None -> "-"
   | Some gs -> String.concat "," (List.map string_of_int gs)
 
 let groups_of_string = function
   | "-" -> Some None
+  | "" -> Some (Some [])
   | s ->
     let parts = String.split_on_char ',' s in
     let ids = List.filter_map int_of_string_opt parts in
-    if List.length ids = List.length parts && ids <> [] then Some (Some ids)
-    else None
-
-let groups_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> List.equal Int.equal x y
-  | (None | Some _), (None | Some _) -> false
+    if List.compare_lengths ids parts = 0 then Some (Some ids) else None
 
 let subsystem = function
   | Block _ -> "block"
@@ -176,96 +171,8 @@ let kind = function
   | Recovery_completed _ -> "recovered"
   | Span { name; _ } -> name
 
-(* ------------------------------------------------------------------ *)
-(* Equality                                                             *)
-
-let opt_node_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> String.equal a b
-  | (None | Some _), (None | Some _) -> false
-
 let block_phase_equal (a : block_phase) b =
   String.equal (phase_to_string a) (phase_to_string b)
-
-let equal a b =
-  match (a, b) with
-  | Block a, Block b ->
-    String.equal a.node b.node
-    && block_phase_equal a.phase b.phase
-    && Hash_id.equal a.block b.block
-    && opt_node_equal a.peer b.peer
-  | Block_dropped a, Block_dropped b ->
-    String.equal a.node b.node && Hash_id.equal a.block b.block
-  | Block_redundant a, Block_redundant b ->
-    String.equal a.node b.node
-    && Hash_id.equal a.block b.block
-    && opt_node_equal a.peer b.peer
-  | Blocks_advertised a, Blocks_advertised b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.hashes b.hashes
-  | Partition_changed a, Partition_changed b -> groups_equal a.groups b.groups
-  | Net_sent a, Net_sent b ->
-    String.equal a.src b.src && String.equal a.dst b.dst
-    && Int.equal a.bytes b.bytes
-  | Net_delivered a, Net_delivered b ->
-    String.equal a.src b.src && String.equal a.dst b.dst
-    && Int.equal a.bytes b.bytes
-  | Net_dropped a, Net_dropped b ->
-    String.equal a.src b.src && String.equal a.dst b.dst
-    && Int.equal a.bytes b.bytes
-    && String.equal (drop_reason_to_string a.reason)
-         (drop_reason_to_string b.reason)
-  | Session_started a, Session_started b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.generation b.generation
-  | Session_completed a, Session_completed b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.generation b.generation
-    && Int.equal a.blocks b.blocks
-    && Float.equal a.duration_ms b.duration_ms
-  | Session_aborted a, Session_aborted b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.generation b.generation
-    && String.equal (abort_reason_to_string a.reason)
-         (abort_reason_to_string b.reason)
-  | Request_resent a, Request_resent b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.generation b.generation
-    && Int.equal a.attempt b.attempt
-  | Leader_elected a, Leader_elected b ->
-    String.equal a.node b.node && Int.equal a.term b.term
-  | Block_archived a, Block_archived b ->
-    String.equal a.node b.node
-    && Hash_id.equal a.block b.block
-    && Int.equal a.index b.index
-  | Store_loaded a, Store_loaded b ->
-    String.equal a.node b.node && Int.equal a.blocks b.blocks
-  | Store_saved a, Store_saved b ->
-    String.equal a.node b.node && Int.equal a.blocks b.blocks
-  | Sync_started a, Sync_started b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-  | Sync_completed a, Sync_completed b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.pulled b.pulled
-    && Int.equal a.served b.served
-  | Recovery_completed a, Recovery_completed b ->
-    String.equal a.node b.node && String.equal a.peer b.peer
-    && Int.equal a.blocks b.blocks
-  | Span a, Span b ->
-    String.equal a.node b.node && String.equal a.trace b.trace
-    && String.equal a.span b.span
-    && opt_node_equal a.parent b.parent
-    && String.equal a.name b.name
-    && Float.equal a.dur_ms b.dur_ms
-  | ( ( Block _ | Block_dropped _ | Block_redundant _ | Blocks_advertised _
-      | Net_sent _ | Net_delivered _ | Net_dropped _ | Partition_changed _
-      | Session_started _ | Session_completed _ | Session_aborted _
-      | Request_resent _ | Leader_elected _ | Block_archived _
-      | Store_loaded _ | Store_saved _ | Sync_started _ | Sync_completed _
-      | Recovery_completed _ | Span _ ),
-      _ ) ->
-    false
 
 (* ------------------------------------------------------------------ *)
 (* JSON encoding                                                        *)
@@ -319,177 +226,120 @@ let json_string s =
   add_json_string b s;
   Buffer.contents b
 
+(* ------------------------------------------------------------------ *)
+(* The field schema                                                     *)
+
 type field = S of string | I of int | F of float
 
-let fields = function
+let emit_hash emit k h = emit k (S (Hash_id.to_hex h))
+let emit_opt emit k = function None -> () | Some v -> emit k (S v)
+
+(* The one encode-side listing of each constructor's fields, in journal
+   order: the encoder, [fields] (so [pp]) and [equal] all derive from
+   it, and only the decoder spells the key names again. Every record
+   field is bound by name, never with [; _], so a field added to [t]
+   fails the build here until it is listed (warning 9), and so does a
+   bound field left unemitted (warning 27). [phase] and [name] ride in
+   [kind], so they are bound as [_]. *)
+let iter_fields ev emit =
+  match ev with
   | Block { node; phase = _; block; peer } ->
-    [ ("node", S node); ("block", S (Hash_id.to_hex block)) ]
-    @ (match peer with None -> [] | Some p -> [ ("peer", S p) ])
+    emit "node" (S node);
+    emit_hash emit "block" block;
+    emit_opt emit "peer" peer
   | Block_dropped { node; block } ->
-    [ ("node", S node); ("block", S (Hash_id.to_hex block)) ]
+    emit "node" (S node);
+    emit_hash emit "block" block
   | Block_redundant { node; block; peer } ->
-    [ ("node", S node); ("block", S (Hash_id.to_hex block)) ]
-    @ (match peer with None -> [] | Some p -> [ ("peer", S p) ])
+    emit "node" (S node);
+    emit_hash emit "block" block;
+    emit_opt emit "peer" peer
   | Blocks_advertised { node; peer; hashes } ->
-    [ ("node", S node); ("peer", S peer); ("hashes", I hashes) ]
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "hashes" (I hashes)
   | Net_sent { src; dst; bytes } | Net_delivered { src; dst; bytes } ->
-    [ ("src", S src); ("dst", S dst); ("bytes", I bytes) ]
-  | Partition_changed { groups } -> [ ("groups", S (groups_to_string groups)) ]
+    emit "src" (S src);
+    emit "dst" (S dst);
+    emit "bytes" (I bytes)
+  | Partition_changed { groups } -> emit "groups" (S (groups_to_string groups))
   | Net_dropped { src; dst; bytes; reason } ->
-    [
-      ("src", S src);
-      ("dst", S dst);
-      ("bytes", I bytes);
-      ("reason", S (drop_reason_to_string reason));
-    ]
+    emit "src" (S src);
+    emit "dst" (S dst);
+    emit "bytes" (I bytes);
+    emit "reason" (S (drop_reason_to_string reason))
   | Session_started { node; peer; generation } ->
-    [ ("node", S node); ("peer", S peer); ("gen", I generation) ]
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "gen" (I generation)
   | Session_completed { node; peer; generation; blocks; duration_ms } ->
-    [
-      ("node", S node);
-      ("peer", S peer);
-      ("gen", I generation);
-      ("blocks", I blocks);
-      ("dur_ms", F duration_ms);
-    ]
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "gen" (I generation);
+    emit "blocks" (I blocks);
+    emit "dur_ms" (F duration_ms)
   | Session_aborted { node; peer; generation; reason } ->
-    [
-      ("node", S node);
-      ("peer", S peer);
-      ("gen", I generation);
-      ("reason", S (abort_reason_to_string reason));
-    ]
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "gen" (I generation);
+    emit "reason" (S (abort_reason_to_string reason))
   | Request_resent { node; peer; generation; attempt } ->
-    [
-      ("node", S node);
-      ("peer", S peer);
-      ("gen", I generation);
-      ("attempt", I attempt);
-    ]
-  | Leader_elected { node; term } -> [ ("node", S node); ("term", I term) ]
-  | Block_archived { node; block; index } ->
-    [
-      ("node", S node);
-      ("block", S (Hash_id.to_hex block));
-      ("index", I index);
-    ]
-  | Store_loaded { node; blocks } | Store_saved { node; blocks } ->
-    [ ("node", S node); ("blocks", I blocks) ]
-  | Sync_started { node; peer } -> [ ("node", S node); ("peer", S peer) ]
-  | Sync_completed { node; peer; pulled; served } ->
-    [
-      ("node", S node);
-      ("peer", S peer);
-      ("pulled", I pulled);
-      ("served", I served);
-    ]
-  | Recovery_completed { node; peer; blocks } ->
-    [ ("node", S node); ("peer", S peer); ("blocks", I blocks) ]
-  | Span { node; trace; span; parent; name = _; dur_ms } ->
-    [ ("node", S node); ("trace", S trace); ("span", S span);
-      ("dur_ms", F dur_ms) ]
-    @ (match parent with None -> [] | Some p -> [ ("parent", S p) ])
-
-(* The encoder writes each variant's fields straight into the caller's
-   buffer — no per-event assoc list, no per-field string allocation.
-   The key literals below carry their own leading comma/quotes/colon;
-   names and order must stay in lockstep with [fields] above (pp and
-   the decoder share the vocabulary), and the emitted bytes are pinned
-   by the round-trip and same-seed determinism tests. *)
-let add_str b k v =
-  Buffer.add_string b k;
-  add_json_string b v
-
-let add_int b k v =
-  Buffer.add_string b k;
-  Buffer.add_string b (string_of_int v)
-
-let add_float b k v =
-  Buffer.add_string b k;
-  Buffer.add_string b (json_float v)
-
-let add_hash b k v = add_str b k (Hash_id.to_hex v)
-
-let add_opt_peer b = function
-  | None -> ()
-  | Some p -> add_str b ",\"peer\":" p
-
-let add_fields b = function
-  | Block { node; phase = _; block; peer } ->
-    add_str b ",\"node\":" node;
-    add_hash b ",\"block\":" block;
-    add_opt_peer b peer
-  | Block_dropped { node; block } ->
-    add_str b ",\"node\":" node;
-    add_hash b ",\"block\":" block
-  | Block_redundant { node; block; peer } ->
-    add_str b ",\"node\":" node;
-    add_hash b ",\"block\":" block;
-    add_opt_peer b peer
-  | Blocks_advertised { node; peer; hashes } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"hashes\":" hashes
-  | Net_sent { src; dst; bytes } | Net_delivered { src; dst; bytes } ->
-    add_str b ",\"src\":" src;
-    add_str b ",\"dst\":" dst;
-    add_int b ",\"bytes\":" bytes
-  | Partition_changed { groups } ->
-    add_str b ",\"groups\":" (groups_to_string groups)
-  | Net_dropped { src; dst; bytes; reason } ->
-    add_str b ",\"src\":" src;
-    add_str b ",\"dst\":" dst;
-    add_int b ",\"bytes\":" bytes;
-    add_str b ",\"reason\":" (drop_reason_to_string reason)
-  | Session_started { node; peer; generation } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"gen\":" generation
-  | Session_completed { node; peer; generation; blocks; duration_ms } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"gen\":" generation;
-    add_int b ",\"blocks\":" blocks;
-    add_float b ",\"dur_ms\":" duration_ms
-  | Session_aborted { node; peer; generation; reason } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"gen\":" generation;
-    add_str b ",\"reason\":" (abort_reason_to_string reason)
-  | Request_resent { node; peer; generation; attempt } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"gen\":" generation;
-    add_int b ",\"attempt\":" attempt
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "gen" (I generation);
+    emit "attempt" (I attempt)
   | Leader_elected { node; term } ->
-    add_str b ",\"node\":" node;
-    add_int b ",\"term\":" term
+    emit "node" (S node);
+    emit "term" (I term)
   | Block_archived { node; block; index } ->
-    add_str b ",\"node\":" node;
-    add_hash b ",\"block\":" block;
-    add_int b ",\"index\":" index
+    emit "node" (S node);
+    emit_hash emit "block" block;
+    emit "index" (I index)
   | Store_loaded { node; blocks } | Store_saved { node; blocks } ->
-    add_str b ",\"node\":" node;
-    add_int b ",\"blocks\":" blocks
+    emit "node" (S node);
+    emit "blocks" (I blocks)
   | Sync_started { node; peer } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer
+    emit "node" (S node);
+    emit "peer" (S peer)
   | Sync_completed { node; peer; pulled; served } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"pulled\":" pulled;
-    add_int b ",\"served\":" served
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "pulled" (I pulled);
+    emit "served" (I served)
   | Recovery_completed { node; peer; blocks } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"peer\":" peer;
-    add_int b ",\"blocks\":" blocks
+    emit "node" (S node);
+    emit "peer" (S peer);
+    emit "blocks" (I blocks)
   | Span { node; trace; span; parent; name = _; dur_ms } ->
-    add_str b ",\"node\":" node;
-    add_str b ",\"trace\":" trace;
-    add_str b ",\"span\":" span;
-    add_float b ",\"dur_ms\":" dur_ms;
-    (match parent with None -> () | Some p -> add_str b ",\"parent\":" p)
+    emit "node" (S node);
+    emit "trace" (S trace);
+    emit "span" (S span);
+    emit "dur_ms" (F dur_ms);
+    emit_opt emit "parent" parent
 
+let fields ev =
+  let acc = ref [] in
+  iter_fields ev (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
+
+let field_equal (k, a) (k', b) =
+  String.equal k k'
+  &&
+  match (a, b) with
+  | S x, S y -> String.equal x y
+  | I x, I y -> Int.equal x y
+  | F x, F y -> Float.equal x y
+  | (S _ | I _ | F _), (S _ | I _ | F _) -> false
+
+(* (subsystem, kind) names the constructor and carries [phase] or
+   [name]; the field list carries everything else. *)
+let equal a b =
+  String.equal (subsystem a) (subsystem b)
+  && String.equal (kind a) (kind b)
+  && List.equal field_equal (fields a) (fields b)
+
+(* Keys are plain identifiers, written without escaping. The emitted
+   bytes are pinned by the round-trip and same-seed determinism tests. *)
 let to_json_buf b ~ts ev =
   Buffer.add_string b "{\"t\":";
   Buffer.add_string b (json_float ts);
@@ -497,7 +347,14 @@ let to_json_buf b ~ts ev =
   add_json_string b (subsystem ev);
   Buffer.add_string b ",\"ev\":";
   add_json_string b (kind ev);
-  add_fields b ev;
+  iter_fields ev (fun k v ->
+      Buffer.add_string b ",\"";
+      Buffer.add_string b k;
+      Buffer.add_string b "\":";
+      match v with
+      | S s -> add_json_string b s
+      | I i -> Buffer.add_string b (string_of_int i)
+      | F f -> Buffer.add_string b (json_float f));
   Buffer.add_char b '}'
 
 let to_json ~ts ev =

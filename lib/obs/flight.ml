@@ -1,9 +1,9 @@
 (* The always-on flight recorder: a bounded ring of the most recent
    events that every daemon keeps regardless of journaling flags, plus a
    one-shot JSONL dump format pairing those events with a registry
-   snapshot. The ring costs one array slot write per event; the price is
-   only paid at dump time (SIGQUIT, a slow-iteration anomaly, or
-   GET /debug/flight). *)
+   snapshot. Recording fills one ring slot and allocates nothing; the
+   price is only paid at dump time (SIGQUIT, a slow-iteration anomaly,
+   or GET /debug/flight). *)
 
 type t = { ring : Sink.Ring.t; capacity : int }
 
@@ -13,7 +13,7 @@ let create ?(capacity = default_capacity) () =
   { ring = Sink.Ring.create ~capacity; capacity }
 
 let sink t = Sink.Ring.sink t.ring
-let record t ~ts ev = Sink.emit (sink t) ~ts ev
+let record t ~ts ev = Sink.Ring.record t.ring ~ts ev
 let recorded t = Sink.Ring.recorded t.ring
 let dropped t = Sink.Ring.dropped t.ring
 let events t = Sink.Ring.events t.ring

@@ -3,8 +3,9 @@
     A bounded ring of the most recent events that a daemon keeps even
     when journaling is off, so there is always a recent-history record
     to dump when something goes wrong (SIGQUIT, a slow event-loop
-    iteration, or [GET /debug/flight]). Recording costs one array-slot
-    write per event; all serialization cost is deferred to {!dump}. *)
+    iteration, or [GET /debug/flight]). Recording writes one ring slot
+    (the event and its stamp) and allocates nothing; all serialization
+    cost is deferred to {!dump}. *)
 
 type t
 

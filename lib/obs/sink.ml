@@ -10,19 +10,33 @@ let jsonl ?flush write =
       write (Event.to_json ~ts ev);
       write "\n")
 
+(* The ring keeps events and their stamps in two parallel arrays, so
+   recording is two slot writes and allocates nothing (the event was
+   already allocated by its emitter). *)
 module Ring = struct
   type t = {
     capacity : int;
-    slots : (float * Event.t) option array;
+    events : Event.t array;  (* slots >= next hold the unread sentinel *)
+    stamps : float array;
     mutable next : int;  (* total events ever recorded *)
   }
 
+  (* Unwritten slots are never read; this just keeps them inert. *)
+  let sentinel = Event.Partition_changed { groups = None }
+
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Sink.Ring.create: capacity must be positive";
-    { capacity; slots = Array.make capacity None; next = 0 }
+    {
+      capacity;
+      events = Array.make capacity sentinel;
+      stamps = Array.make capacity 0.;
+      next = 0;
+    }
 
   let record t ~ts ev =
-    t.slots.(t.next mod t.capacity) <- Some (ts, ev);
+    let i = t.next mod t.capacity in
+    t.events.(i) <- ev;
+    t.stamps.(i) <- ts;
     t.next <- t.next + 1
 
   let sink t = make (fun ~ts ev -> record t ~ts ev)
@@ -32,7 +46,7 @@ module Ring = struct
   let events t =
     let kept = min t.next t.capacity in
     let first = t.next - kept in
-    List.filter_map
-      (fun i -> t.slots.((first + i) mod t.capacity))
-      (List.init kept (fun i -> i))
+    List.init kept (fun i ->
+        let j = (first + i) mod t.capacity in
+        (t.stamps.(j), t.events.(j)))
 end

@@ -26,6 +26,9 @@ module Ring : sig
   val create : capacity:int -> t
   (** @raise Invalid_argument unless [capacity > 0]. *)
 
+  val record : t -> ts:float -> Event.t -> unit
+  (** Two array-slot writes; allocates nothing. *)
+
   val sink : t -> sink
   val events : t -> (float * Event.t) list
   (** Oldest first; at most [capacity] entries. *)

@@ -97,44 +97,25 @@ let of_event ~ts (ev : Event.t) =
 let of_events events = List.filter_map (fun (ts, ev) -> of_event ~ts ev) events
 
 (* ------------------------------------------------------------------ *)
-(* Live collector (a bounded ring, like Sink.Ring but span-typed)       *)
+(* Live collector: a span-event filter in front of a Sink.Ring         *)
 
 module Collector = struct
   type span = t
 
   (* The ring stores raw [(ts, event)] pairs and defers span
-     materialisation to [spans]: the emit path is two array stores with
-     no allocation (the event itself was already heap-allocated by its
-     emitter), and the SHA-256 id derivation for block spans only runs
-     when the ring is actually read. *)
-  type t = {
-    capacity : int;
-    events : Event.t array;  (* slots >= next hold the unread sentinel *)
-    stamps : float array;
-    mutable next : int;  (* total span events ever collected *)
-  }
-
-  (* Any constructor [of_event] maps to [None] works here; unwritten
-     slots are never read, this just keeps them inert if that changes. *)
-  let sentinel = Event.Partition_changed { groups = None }
+     materialisation to [spans]: the emit path allocates nothing, and the
+     SHA-256 id derivation for block spans only runs when the ring is
+     actually read. *)
+  type t = Sink.Ring.t
 
   let create ~capacity =
     if capacity <= 0 then
       invalid_arg "Span.Collector.create: capacity must be positive";
-    {
-      capacity;
-      events = Array.make capacity sentinel;
-      stamps = Array.make capacity 0.;
-      next = 0;
-    }
+    Sink.Ring.create ~capacity
 
   let observe t ~ts (ev : Event.t) =
     match ev with
-    | Event.Span _ | Event.Block _ ->
-      let i = t.next mod t.capacity in
-      t.events.(i) <- ev;
-      t.stamps.(i) <- ts;
-      t.next <- t.next + 1
+    | Event.Span _ | Event.Block _ -> Sink.Ring.record t ~ts ev
     | Event.Block_dropped _ | Event.Block_redundant _
     | Event.Blocks_advertised _ | Event.Net_sent _
     | Event.Net_delivered _ | Event.Net_dropped _ | Event.Partition_changed _
@@ -147,17 +128,11 @@ module Collector = struct
 
   (* lint: allow boundary-purity — Sink.make's flush defaults to a no-op; the io in the witness chain belongs to other call sites' flush callbacks, merged by the higher-order analysis *)
   let sink t = Sink.make (fun ~ts ev -> observe t ~ts ev)
-  let collected t = t.next
-  let dropped t = max 0 (t.next - t.capacity)
+  let collected = Sink.Ring.recorded
+  let dropped = Sink.Ring.dropped
 
   let spans t =
-    let kept = min t.next t.capacity in
-    let first = t.next - kept in
-    List.filter_map
-      (fun i ->
-        let j = (first + i) mod t.capacity in
-        of_event ~ts:t.stamps.(j) t.events.(j))
-      (List.init kept (fun i -> i))
+    List.filter_map (fun (ts, ev) -> of_event ~ts ev) (Sink.Ring.events t)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -200,16 +175,22 @@ let render_json spans =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export (Perfetto / chrome://tracing)              *)
 
-(* First-seen interning without hash tables: assoc lists keyed by the
-   span's node (process) and trace (thread). Journals are small and the
-   export is offline; determinism beats asymptotics here. *)
-let intern key table =
-  match List.assoc_opt key !table with
+module Ids = Map.Make (String)
+
+(* First-appearance interning: ids count up from 1 in the order keys are
+   first seen, so the export is byte-deterministic. An ordered map keeps
+   it O(log n) per span and free of hash-table iteration order. *)
+type interner = { mutable ids : int Ids.t; mutable count : int }
+
+let interner () = { ids = Ids.empty; count = 0 }
+
+let intern t key =
+  match Ids.find_opt key t.ids with
   | Some id -> id
   | None ->
-    let id = List.length !table + 1 in
-    table := !table @ [ (key, id) ];
-    id
+    t.count <- t.count + 1;
+    t.ids <- Ids.add key t.count t.ids;
+    t.count
 
 let add_chrome_args b (s : t) =
   Buffer.add_string b ",\"args\":{\"trace\":";
@@ -232,11 +213,8 @@ let add_chrome_args b (s : t) =
    instant spans "i" points; timestamps are microseconds as the format
    demands. Loadable directly in Perfetto. *)
 let chrome_trace spans =
-  let pids = ref [] in
-  let tids = ref [] in
-  (* Register processes in first-appearance order before emitting rows,
-     so metadata rows lead the document. *)
-  List.iter (fun s -> ignore (intern s.node pids)) spans;
+  let pids = interner () in
+  let tids = interner () in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   let first = ref true in
@@ -244,20 +222,26 @@ let chrome_trace spans =
     if !first then first := false else Buffer.add_string b ",";
     Buffer.add_string b "\n  "
   in
-  List.iter
-    (fun (node, pid) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
-           pid);
-      Buffer.add_string b (Event.json_string ("node " ^ node));
-      Buffer.add_string b "}}")
-    !pids;
+  (* Metadata rows lead the document, one per process in
+     first-appearance order. *)
   List.iter
     (fun s ->
-      let pid = intern s.node pids in
-      let tid = intern s.trace tids in
+      let known = pids.count in
+      let pid = intern pids s.node in
+      if pid > known then begin
+        sep ();
+        Buffer.add_string b
+          (Printf.sprintf
+             "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
+             pid);
+        Buffer.add_string b (Event.json_string ("node " ^ s.node));
+        Buffer.add_string b "}}"
+      end)
+    spans;
+  List.iter
+    (fun s ->
+      let pid = intern pids s.node in
+      let tid = intern tids s.trace in
       sep ();
       if s.dur_ms > 0. then begin
         Buffer.add_string b

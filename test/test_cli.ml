@@ -264,33 +264,35 @@ let live_sync () =
      trace.jsonl files must stitch each block's causal timeline from
      created at its author to delivered at the other replica. *)
   let module Obs = Vegvisir_obs in
-  let tr = Obs.Trace.create () in
-  List.iter
-    (fun dir ->
-      let events = Node_store.load_trace ~dir in
-      check_b (dir ^ " wrote trace.jsonl") true (events <> []);
-      List.iter (fun (ts, ev) -> Obs.Trace.record tr ~ts ev) events)
-    [ ca.Node_store.dir; bob.Node_store.dir ];
+  let events =
+    List.concat_map
+      (fun dir ->
+        let events = Node_store.load_trace ~dir in
+        check_b (dir ^ " wrote trace.jsonl") true (events <> []);
+        events)
+      [ ca.Node_store.dir; bob.Node_store.dir ]
+  in
+  let spans = Obs.Span.of_events events in
+  let nodes_at trace name =
+    List.filter_map
+      (fun (s : Obs.Span.t) ->
+        if String.equal s.trace trace && String.equal s.name name then
+          Some s.node
+        else None)
+      spans
+  in
   let crossed =
     List.filter
-      (fun b ->
-        let entries = Obs.Trace.span tr b in
-        let nodes_at p =
-          List.filter_map
-            (fun (e : Obs.Trace.entry) ->
-              if Obs.Event.block_phase_equal e.Obs.Trace.phase p then
-                Some e.Obs.Trace.node
-              else None)
-            entries
-        in
-        match nodes_at Obs.Event.Created with
+      (fun trace ->
+        match nodes_at trace "block.created" with
         | [ creator ] ->
           List.exists
             (fun n -> not (String.equal n creator))
-            (nodes_at Obs.Event.Delivered)
-          && nodes_at Obs.Event.Received <> []
+            (nodes_at trace "block.delivered")
+          && nodes_at trace "block.received" <> []
         | _ -> false)
-      (Obs.Trace.blocks tr)
+      (List.sort_uniq String.compare
+         (List.map (fun (s : Obs.Span.t) -> s.trace) spans))
   in
   check_b "a block traces created -> received -> delivered across replicas"
     true
@@ -333,6 +335,133 @@ let recover_ancestry () =
   (* Recovering again is a no-op: everything is already present. *)
   let _, restored2 = Result.get_ok (Node_store.recover bob ~from:ca ()) in
   check_i "idempotent" 0 restored2
+
+(* [vegvisir-cli trace] over hand-written journals. Run the built CLI to
+   completion with stdout and stderr in temp files (no pipe to fill);
+   returns both and the exit code. *)
+let run_cli args =
+  let out_path = Filename.temp_file "vv-cli" ".out" in
+  let err_path = Filename.temp_file "vv-cli" ".err" in
+  let open_w p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_fd = open_w out_path and err_fd = open_w err_path in
+  let pid =
+    Unix.create_process cli_exe (Array.of_list (cli_exe :: args)) Unix.stdin
+      out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let out = read out_path and err = read err_path in
+  Sys.remove out_path;
+  Sys.remove err_path;
+  (out, err, status)
+
+let hex_a = "aaaa1111" ^ String.make 56 '0'
+let hex_b = "aaaa2222" ^ String.make 56 '0'
+let hex_c = "c0ffee00" ^ String.make 56 '1'
+
+(* Two replicas' journals. Block B first appears before block A, so a
+   listing in hash order differs from journal order; a's [sent] and b's
+   [received] tie at t=2, so their order pins the stable merge; one line
+   is not an event and is skipped on load. *)
+let trace_journals () =
+  let write name lines =
+    let dir = fresh_dir name in
+    Sys.mkdir dir 0o700;
+    Out_channel.with_open_bin (Filename.concat dir "trace.jsonl") (fun oc ->
+        List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+    dir
+  in
+  let block t ev node hex extra =
+    Printf.sprintf {|{"t":%s,"sub":"block","ev":"%s","node":"%s","block":"%s"%s}|}
+      t ev node hex extra
+  in
+  let a =
+    write "trace-a"
+      [
+        block "1.0" "created" "n-a" hex_a "";
+        block "2.0" "sent" "n-a" hex_a {|,"peer":"n-b"|};
+        block "5.5" "witnessed" "n-a" hex_a {|,"peer":"w-1"|};
+        {|{"t":3.0,"sub":"store","ev":"saved","node":"n-a","blocks":2}|};
+        block "0.5" "created" "n-a" hex_b "";
+        {|{"flight":{"capacity":2,"recorded":3,"dropped":1}}|};
+      ]
+  in
+  let b =
+    write "trace-b"
+      [
+        block "2.0" "received" "n-b" hex_a {|,"peer":"n-a"|};
+        block "2.5" "validated" "n-b" hex_a "";
+        block "3.125" "delivered" "n-b" hex_a "";
+        block "9.0" "witnessed" "n-b" hex_a {|,"peer":"w-2"|};
+        block "4.0" "created" "n-b" hex_c "";
+        {|{"t":6.0,"sub":"span","ev":"session.exchange","node":"n-b","trace":"aabbccddeeff0011","span":"1122334455667788","dur_ms":2.5,"parent":"8877665544332211"}|};
+      ]
+  in
+  (a, b)
+
+let vv_trace_timeline () =
+  let a, b = trace_journals () in
+  let out, err, status = run_cli [ "trace"; "aaaa1"; "--dir"; a; "--dir"; b ] in
+  Alcotest.(check string)
+    "block A's timeline"
+    (String.concat "\n"
+       [
+         "block " ^ hex_a;
+         "         1.0  created   node=n-a";
+         "         2.0  sent      node=n-a to n-b";
+         "         2.0  received  node=n-b from n-a";
+         "         2.5  validated node=n-b";
+         "       3.125  delivered node=n-b";
+         "         5.5  witnessed node=n-a by w-1";
+         "         9.0  witnessed node=n-b by w-2";
+         "  propagation latency: 2.125";
+         "  first-witness latency: 4.5";
+         "";
+       ])
+    out;
+  Alcotest.(check string) "no stderr" "" err;
+  check_b "exit 0" true (status = Unix.WEXITED 0);
+  (* A block nobody delivered or witnessed prints no latency lines. *)
+  let out, _, status = run_cli [ "trace"; "c0f"; "--dir"; a; "--dir"; b ] in
+  Alcotest.(check string)
+    "block C's timeline"
+    ("block " ^ hex_c ^ "\n         4.0  created   node=n-b\n")
+    out;
+  check_b "exit 0 for C" true (status = Unix.WEXITED 0)
+
+let vv_trace_prefixes () =
+  let a, b = trace_journals () in
+  let out, err, status = run_cli [ "trace"; "aaaa"; "--dir"; a; "--dir"; b ] in
+  Alcotest.(check string)
+    "ambiguous prefix lists both, in hash order"
+    (Printf.sprintf "prefix aaaa is ambiguous:\n  %s\n  %s\n" hex_a hex_b)
+    out;
+  Alcotest.(check string) "ambiguous: no stderr" "" err;
+  check_b "ambiguous exits 1" true (status = Unix.WEXITED 1);
+  let out, err, status = run_cli [ "trace"; "dead"; "--dir"; a; "--dir"; b ] in
+  Alcotest.(check string) "unknown: no stdout" "" out;
+  Alcotest.(check string)
+    "unknown prefix" "error: no trace entries for block dead\n" err;
+  check_b "unknown exits 1" true (status = Unix.WEXITED 1)
+
+let vv_trace_chrome () =
+  let module Obs = Vegvisir_obs in
+  let a, b = trace_journals () in
+  let out, err, status =
+    run_cli [ "trace"; "--chrome"; "-"; "--dir"; a; "--dir"; b ]
+  in
+  let events =
+    List.concat_map (fun dir -> Node_store.load_trace ~dir) [ a; b ]
+    |> List.stable_sort (fun (x, _) (y, _) -> Float.compare x y)
+  in
+  Alcotest.(check string)
+    "the journals' spans"
+    (Obs.Span.chrome_trace (Obs.Span.of_events events))
+    out;
+  Alcotest.(check string) "no stderr" "" err;
+  check_b "exit 0" true (status = Unix.WEXITED 0)
 
 (* Child role [soak-client DIR PORT N]: load the replica in DIR and run N
    concurrent outbound exchanges against PORT on one event loop; exit 0
@@ -1248,6 +1377,13 @@ let () =
         ] );
       ( "metrics-server",
         [ Alcotest.test_case "GET /metrics over loopback" `Quick metrics_endpoint ] );
+      ( "vv-trace",
+        [
+          Alcotest.test_case "timeline golden" `Quick vv_trace_timeline;
+          Alcotest.test_case "ambiguous and unknown prefix" `Quick
+            vv_trace_prefixes;
+          Alcotest.test_case "chrome export to stdout" `Quick vv_trace_chrome;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "64-session soak" `Slow daemon_soak;

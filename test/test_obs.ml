@@ -33,6 +33,7 @@ let all_events =
       Block { node = "1"; phase = Delivered; block = b; peer = None };
       Block { node = "1"; phase = Witnessed; block = b; peer = Some "ab12cd34" };
       Block_dropped { node = "2"; block = h "block-b" };
+      Blocks_advertised { node = "1"; peer = "0"; hashes = 17 };
       Net_sent { src = "0"; dst = "1"; bytes = 512 };
       Net_delivered { src = "0"; dst = "1"; bytes = 512 };
       Net_dropped { src = "0"; dst = "1"; bytes = 9; reason = Link_loss };
@@ -54,6 +55,7 @@ let all_events =
       Block_redundant { node = "2"; block = b; peer = None };
       Partition_changed { groups = Some [ 0; 0; 1; 1 ] };
       Partition_changed { groups = None };
+      Partition_changed { groups = Some [] };
       Recovery_completed { node = "ab12cd34"; peer = "remote"; blocks = 4 };
       Span
         {
@@ -75,18 +77,139 @@ let all_events =
         };
     ]
 
+(* Adding an Event.t constructor breaks this exhaustive match, which
+   points here: [all_events] then needs a sample of it, and
+   [gen_event] a generator. *)
+let event_tag : Event.t -> int = function
+  | Block _ -> 0
+  | Block_dropped _ -> 1
+  | Block_redundant _ -> 2
+  | Blocks_advertised _ -> 3
+  | Net_sent _ -> 4
+  | Net_delivered _ -> 5
+  | Net_dropped _ -> 6
+  | Partition_changed _ -> 7
+  | Session_started _ -> 8
+  | Session_completed _ -> 9
+  | Session_aborted _ -> 10
+  | Request_resent _ -> 11
+  | Leader_elected _ -> 12
+  | Block_archived _ -> 13
+  | Store_loaded _ -> 14
+  | Store_saved _ -> 15
+  | Sync_started _ -> 16
+  | Sync_completed _ -> 17
+  | Recovery_completed _ -> 18
+  | Span _ -> 19
+
+let event_tags = 20
+
+(* [Event.equal] reads the encoder's own field list, so the round trip
+   compares structurally instead. *)
 let jsonl_roundtrip () =
+  let sampled = List.map event_tag all_events in
+  List.iter
+    (fun tag ->
+      check_b (Printf.sprintf "constructor %d sampled" tag) true
+        (List.mem tag sampled))
+    (List.init event_tags Fun.id);
   List.iteri
     (fun i ev ->
       let ts = 0.5 +. (float_of_int i *. 13.25) in
       let line = Event.to_json ~ts ev in
       match Event.of_json line with
       | None -> Alcotest.failf "event %d did not decode: %s" i line
-      | Some (ts', ev') ->
-        check_f (Printf.sprintf "ts %d" i) ts ts';
-        check_b (Printf.sprintf "event %d round-trips" i) true
-          (Event.equal ev ev'))
+      | Some decoded ->
+        check_b (Printf.sprintf "event %d round-trips: %s" i line) true
+          (decoded = (ts, ev)))
     all_events
+
+(* Strings with quotes, backslashes, control bytes, DEL, UTF-8 and
+   arbitrary bytes, or empty. *)
+let gen_string =
+  QCheck.Gen.(
+    let piece =
+      oneof
+        [
+          map (String.make 1) char;
+          oneofl
+            [ "\""; "\\"; "\\u0041"; "\n"; "\r\t"; "\000"; "\031"; "\127";
+              "é"; "漢字"; "🙂"; "-"; ","; "node-7" ];
+        ]
+    in
+    map (String.concat "") (list_size (int_bound 6) piece))
+
+let gen_int =
+  QCheck.Gen.(oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ])
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        map (fun f -> if Float.is_finite f then f else 2.5) float;
+        oneofl [ 0.; -0.; 5e-324; 1e15; 1e300; -1e-300; 0.1; 1. /. 3. ];
+      ])
+
+let gen_event =
+  let open QCheck.Gen in
+  let str = gen_string and int = gen_int in
+  let hash = map V.Hash_id.digest gen_string in
+  let peer = opt gen_string in
+  let phase =
+    oneofl Event.[ Created; Sent; Received; Validated; Delivered; Witnessed ]
+  in
+  let ( let+ ) g f = map f g and ( and+ ) = pair in
+  oneof
+    [
+      (let+ node = str and+ phase = phase and+ block = hash and+ peer = peer in
+       Event.Block { node; phase; block; peer });
+      (let+ node = str and+ block = hash in Event.Block_dropped { node; block });
+      (let+ node = str and+ block = hash and+ peer = peer in
+       Event.Block_redundant { node; block; peer });
+      (let+ node = str and+ peer = str and+ hashes = int in
+       Event.Blocks_advertised { node; peer; hashes });
+      (let+ src = str and+ dst = str and+ bytes = int in
+       Event.Net_sent { src; dst; bytes });
+      (let+ src = str and+ dst = str and+ bytes = int in
+       Event.Net_delivered { src; dst; bytes });
+      (let+ src = str and+ dst = str and+ bytes = int
+       and+ reason = oneofl Event.[ Link_loss; Disconnected; Asleep ] in
+       Event.Net_dropped { src; dst; bytes; reason });
+      (let+ groups = opt (list_size (int_bound 5) int) in
+       Event.Partition_changed { groups });
+      (let+ node = str and+ peer = str and+ generation = int in
+       Event.Session_started { node; peer; generation });
+      (let+ node = str and+ peer = str and+ generation = int and+ blocks = int
+       and+ duration_ms = gen_float in
+       Event.Session_completed { node; peer; generation; blocks; duration_ms });
+      (let+ node = str and+ peer = str and+ generation = int
+       and+ reason = oneofl Event.[ Stalled; Timed_out ] in
+       Event.Session_aborted { node; peer; generation; reason });
+      (let+ node = str and+ peer = str and+ generation = int
+       and+ attempt = int in
+       Event.Request_resent { node; peer; generation; attempt });
+      (let+ node = str and+ term = int in Event.Leader_elected { node; term });
+      (let+ node = str and+ block = hash and+ index = int in
+       Event.Block_archived { node; block; index });
+      (let+ node = str and+ blocks = int in Event.Store_loaded { node; blocks });
+      (let+ node = str and+ blocks = int in Event.Store_saved { node; blocks });
+      (let+ node = str and+ peer = str in Event.Sync_started { node; peer });
+      (let+ node = str and+ peer = str and+ pulled = int and+ served = int in
+       Event.Sync_completed { node; peer; pulled; served });
+      (let+ node = str and+ peer = str and+ blocks = int in
+       Event.Recovery_completed { node; peer; blocks });
+      (let+ node = str and+ trace = str and+ span = str and+ parent = opt str
+       and+ name = str and+ dur_ms = gen_float in
+       Event.Span { node; trace; span; parent; name; dur_ms });
+    ]
+
+let codec_roundtrip_qcheck =
+  QCheck.Test.make ~count:1000 ~name:"random events round-trip"
+    (QCheck.make
+       ~print:(fun (ts, ev) -> Event.to_json ~ts ev)
+       QCheck.Gen.(pair gen_float gen_event))
+    (fun (ts, ev) -> Event.of_json (Event.to_json ~ts ev) = Some (ts, ev))
 
 let jsonl_rejects_garbage () =
   List.iter
@@ -204,34 +327,42 @@ let snapshot_order_and_aggregate () =
   check_s "render_text" "a 1\nb{node=0} 2\nb{node=1} 3\n" text
 
 (* ------------------------------------------------------------------ *)
-(* Trace queries                                                        *)
+(* A block's trace: its lifecycle events fold into one span tree        *)
 
 let trace_queries () =
-  let tr = Trace.create () in
   let b = h "traced" in
-  let ev phase peer = Event.Block { node = "1"; phase; block = b; peer } in
-  Trace.record tr ~ts:0. (Event.Block { node = "0"; phase = Event.Created; block = b; peer = None });
-  Trace.record tr ~ts:1. (Event.Block { node = "0"; phase = Event.Sent; block = b; peer = Some "1" });
-  Trace.record tr ~ts:2. (ev Event.Received (Some "0"));
-  Trace.record tr ~ts:2. (ev Event.Validated None);
-  Trace.record tr ~ts:3. (ev Event.Delivered None);
-  Trace.record tr ~ts:4. (ev Event.Witnessed (Some "w1"));
-  Trace.record tr ~ts:9. (ev Event.Witnessed (Some "w2"));
-  (* Non-block events must be ignored by the collector. *)
-  Trace.record tr ~ts:5. (Event.Net_sent { src = "0"; dst = "1"; bytes = 1 });
-  check_i "one block" 1 (List.length (Trace.blocks tr));
-  check_i "span length" 7 (List.length (Trace.span tr b));
-  check_f "propagation" 3. (Option.get (Trace.propagation_latency tr b));
-  check_f "witness q1" 4. (Option.get (Trace.witness_latency tr b));
-  check_f "witness q2" 9. (Option.get (Trace.witness_latency ~quorum:2 tr b));
-  check_b "witness q3 unmet" true (Trace.witness_latency ~quorum:3 tr b = None);
-  check_i "fan-in" 1 (Trace.fan_in tr b);
-  let hex = V.Hash_id.to_hex b in
-  check_b "find by prefix" true
-    (Trace.find tr (String.sub hex 0 6) = [ b ]);
-  check_b "find miss" true (Trace.find tr "zz" = []);
-  let rendered = Trace.render tr b in
-  check_b "render mentions created" true (contains rendered "created")
+  let ev node phase peer = Event.Block { node; phase; block = b; peer } in
+  let spans =
+    Span.of_events
+      [
+        (0., ev "0" Event.Created None);
+        (1., ev "0" Event.Sent (Some "1"));
+        (2., ev "1" Event.Received (Some "0"));
+        (2., ev "1" Event.Validated None);
+        (3., ev "1" Event.Delivered None);
+        (4., ev "1" Event.Witnessed (Some "w1"));
+        (* A non-block event yields no span. *)
+        (5., Event.Net_sent { src = "0"; dst = "1"; bytes = 1 });
+        (9., ev "1" Event.Witnessed (Some "w2"));
+      ]
+  in
+  let trace = Span.trace_of_block b in
+  let root = Span.root_of_trace trace in
+  check_i "seven spans" 7 (List.length spans);
+  check_b "all in the block's trace" true
+    (List.for_all (fun (s : Span.t) -> String.equal s.trace trace) spans);
+  Alcotest.(check (list string))
+    "names in journal order"
+    [ "block.created"; "block.sent"; "block.received"; "block.validated";
+      "block.delivered"; "block.witnessed"; "block.witnessed" ]
+    (List.map (fun (s : Span.t) -> s.name) spans);
+  match spans with
+  | created :: children ->
+    check_s "created is the root" root created.Span.span;
+    check_b "root has no parent" true (created.Span.parent = None);
+    check_b "the other six are its children" true
+      (List.for_all (fun (s : Span.t) -> s.parent = Some root) children)
+  | [] -> Alcotest.fail "no spans"
 
 (* ------------------------------------------------------------------ *)
 (* Spans: deterministic ids, event folding, collector, exporters        *)
@@ -416,6 +547,36 @@ let span_chrome_export () =
     doc;
   check_b "balanced json" true (!ok && !depth = 0)
 
+(* Pids and tids count up in first-appearance order, not key order:
+   node "b" appears before "a", trace "z" before "y". *)
+let span_chrome_first_appearance () =
+  let span ?parent node trace name start_ms dur_ms =
+    { Span.trace; span = "s-" ^ name; parent; name; node; start_ms; dur_ms }
+  in
+  let doc =
+    Span.chrome_trace
+      [
+        span "b" "z" "one" 1. 0.;
+        span ~parent:"s-one" "a" "y" "two" 2. 1.;
+        span "b" "y" "three" 3. 0.;
+        span "a" "z" "four" 4. 0.;
+      ]
+  in
+  check_s "rows and ids"
+    (String.concat "\n"
+       [
+         {|{"traceEvents":[|};
+         {|  {"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"node b"}},|};
+         {|  {"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"node a"}},|};
+         {|  {"ph":"i","pid":1,"tid":1,"ts":1000.0,"s":"p","name":"one","args":{"trace":"z","span":"s-one","node":"b"}},|};
+         {|  {"ph":"X","pid":2,"tid":2,"ts":2000.0,"dur":1000.0,"name":"two","args":{"trace":"y","span":"s-two","parent":"s-one","node":"a"}},|};
+         {|  {"ph":"i","pid":1,"tid":2,"ts":3000.0,"s":"p","name":"three","args":{"trace":"y","span":"s-three","node":"b"}},|};
+         {|  {"ph":"i","pid":2,"tid":1,"ts":4000.0,"s":"p","name":"four","args":{"trace":"z","span":"s-four","node":"a"}}|};
+         {|]}|};
+         "";
+       ])
+    doc
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                      *)
 
@@ -470,32 +631,42 @@ let run_fleet ?jsonl_into ?attach ~seed until_ms =
   fleet
 
 let two_node_stitching () =
-  let tr = Trace.create () in
-  let fleet = run_fleet ~attach:(Trace.sink tr) ~seed:404L 30_000. in
-  (* Find a block that one node created and the other delivered. *)
+  let events = ref [] in
+  let collect = Sink.make (fun ~ts ev -> events := (ts, ev) :: !events) in
+  let fleet = run_fleet ~attach:collect ~seed:404L 30_000. in
+  let spans = Span.of_events (List.rev !events) in
+  (* The (node, time) of each span of one name within one trace. *)
+  let at trace name =
+    List.filter_map
+      (fun (s : Span.t) ->
+        if String.equal s.trace trace && String.equal s.name name then
+          Some (s.node, s.start_ms)
+        else None)
+      spans
+  in
+  let traces =
+    List.sort_uniq String.compare (List.map (fun (s : Span.t) -> s.trace) spans)
+  in
+  (* A block one node created and another received and delivered. *)
   let stitched =
-    List.filter
-      (fun b ->
-        let entries = Trace.span tr b in
-        let phase_node p =
-          List.filter_map
-            (fun (e : Trace.entry) ->
-              if Event.block_phase_equal e.Trace.phase p then Some e.Trace.node
-              else None)
-            entries
-        in
-        match (phase_node Event.Created, phase_node Event.Delivered) with
-        | [ creator ], delivs ->
-          List.exists (fun n -> not (String.equal n creator)) delivs
-        | _ -> false)
-      (Trace.blocks tr)
+    List.filter_map
+      (fun trace ->
+        match at trace "block.created" with
+        | [ (creator, t0) ] ->
+          let away = List.filter (fun (n, _) -> not (String.equal n creator)) in
+          if away (at trace "block.received") <> [] then
+            match away (at trace "block.delivered") with
+            | [] -> None
+            | delivs -> Some (t0, delivs)
+          else None
+        | _ -> None)
+      traces
   in
   check_b "some block crossed nodes" true (stitched <> []);
   List.iter
-    (fun b ->
-      match Trace.propagation_latency tr b with
-      | None -> Alcotest.fail "stitched block has no propagation latency"
-      | Some l -> check_b "latency positive" true (l > 0.))
+    (fun (t0, delivs) ->
+      check_b "latency positive" true
+        (List.for_all (fun (_, t) -> t -. t0 > 0.) delivs))
     stitched;
   (* Counters derived from the same stream agree with the trace. *)
   let reg = Context.registry fleet.Net.Scenario.obs in
@@ -1031,6 +1202,7 @@ let () =
         [
           Alcotest.test_case "jsonl round-trip (all variants)" `Quick
             jsonl_roundtrip;
+          QCheck_alcotest.to_alcotest codec_roundtrip_qcheck;
           Alcotest.test_case "rejects garbage" `Quick jsonl_rejects_garbage;
           Alcotest.test_case "float codec exact" `Quick json_float_exact;
         ] );
@@ -1057,6 +1229,8 @@ let () =
           Alcotest.test_case "event fold" `Quick span_of_event_fold;
           Alcotest.test_case "render_json shape" `Quick span_render_json_shape;
           Alcotest.test_case "chrome export" `Quick span_chrome_export;
+          Alcotest.test_case "chrome ids by first appearance" `Quick
+            span_chrome_first_appearance;
           QCheck_alcotest.to_alcotest span_collector_matches_oracle;
         ] );
       ( "flight",
