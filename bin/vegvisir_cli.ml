@@ -15,6 +15,8 @@ open Cmdliner
 module Value = Vegvisir_crdt.Value
 module Schema = Vegvisir_crdt.Schema
 
+let ( let* ) = Result.bind
+
 let or_die = function
   | Ok v -> v
   | Error msg ->
@@ -111,6 +113,29 @@ let print_stats (stats : Vegvisir.Reconcile.stats) =
     stats.Vegvisir.Reconcile.blocks_received stats.Vegvisir.Reconcile.rounds
     (stats.Vegvisir.Reconcile.bytes_sent + stats.Vegvisir.Reconcile.bytes_received)
 
+(* [serve] and [sync --live] run one exchange on a loop of their own, as
+   [daemon] runs many. [start] installs the listener or dials the peer
+   and returns when to stop waiting for a session; the first finished
+   session's outcome becomes the report: its pull stats and the
+   requests it answered. *)
+let live_exchange store mode start =
+  let module Loop = Vegvisir_cli.Event_loop in
+  let loop = Loop.create ~store ~config:{ Loop.default_config with Loop.mode } () in
+  let outcome =
+    let* give_up = start loop in
+    let* () =
+      Loop.run loop ~until:(fun st ->
+          st.Loop.completed + st.Loop.failed > 0 || give_up st)
+    in
+    match Loop.outcomes loop with
+    | (_, { Loop.error = Some e; _ }) :: _ -> Error e
+    | (_, o) :: _ -> Ok o
+    | [] -> Error "timed out waiting for a peer to connect"
+  in
+  Loop.shutdown loop;
+  let o = or_die outcome in
+  (Option.value o.Loop.pulled ~default:Vegvisir.Reconcile.empty_stats, o.Loop.served)
+
 let sync_cmd =
   let from =
     Arg.(
@@ -142,14 +167,16 @@ let sync_cmd =
       let src = or_die (Vegvisir_cli.Node_store.load ~dir:from) in
       print_stats (Vegvisir_cli.Node_store.sync t ~from:src ~mode)
     | None, Some (host, port) ->
-      let report =
-        or_die
-          (Vegvisir_cli.Live_sync.pull ~store:t ~mode ~timeout_s:connect_timeout
-             ~host ~port ())
+      let pulled, served =
+        live_exchange t mode (fun loop ->
+            let* (_ : int) =
+              Vegvisir_cli.Event_loop.connect_exchange ~label:"remote"
+                ~timeout_s:connect_timeout loop ~host ~port ()
+            in
+            Ok (fun _ -> false))
       in
-      print_stats report.Vegvisir_cli.Live_sync.pulled;
-      Printf.printf "answered %d request(s) for the peer's pull back\n"
-        report.Vegvisir_cli.Live_sync.served
+      print_stats pulled;
+      Printf.printf "answered %d request(s) for the peer's pull back\n" served
   in
   Cmd.v
     (Cmd.info "sync"
@@ -226,20 +253,27 @@ let serve_cmd =
   in
   let run dir port timeout mode metrics =
     let t = or_die (Vegvisir_cli.Node_store.load ~dir) in
-    Printf.printf "serving %s on 127.0.0.1:%d\n%!" dir port;
-    let report =
-      or_die
-        (Vegvisir_cli.Live_sync.serve ~store:t ~mode ?accept_timeout_s:timeout
-           ~port ())
+    let pulled, served =
+      live_exchange t mode (fun loop ->
+          let* bound = Vegvisir_cli.Event_loop.listen_peers loop ~port () in
+          Printf.printf "serving %s on 127.0.0.1:%d\n%!" dir bound;
+          let mono_ms = Vegvisir_cli.Unix_compat.mono_ms in
+          let deadline =
+            Option.map (fun s -> mono_ms () +. (s *. 1000.)) timeout
+          in
+          Ok
+            (fun st ->
+              st.Vegvisir_cli.Event_loop.accepted = 0
+              && match deadline with Some d -> mono_ms () >= d | None -> false))
     in
-    Printf.printf "answered %d request(s)\n" report.Vegvisir_cli.Live_sync.served;
-    print_stats report.Vegvisir_cli.Live_sync.pulled;
+    Printf.printf "answered %d request(s)\n" served;
+    print_stats pulled;
     match metrics with
     | None -> ()
     | Some mport ->
-      (* A store-less loop with only the /metrics listener: it answers
-         every scrape until SIGINT/SIGTERM. *)
-      let loop = Vegvisir_cli.Event_loop.create () in
+      (* A loop over the same store with only the /metrics listener: it
+         answers every scrape until SIGINT/SIGTERM. *)
+      let loop = Vegvisir_cli.Event_loop.create ~store:t () in
       let (_ : int) =
         or_die (Vegvisir_cli.Event_loop.listen_metrics loop ~port:mport ())
       in

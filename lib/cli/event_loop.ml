@@ -2,20 +2,18 @@
    Peer_engine exchange sessions, the /metrics HTTP endpoint, and
    periodic anti-entropy timers over non-blocking sockets.
 
-   This replaced the three ad-hoc socket hosts the CLI used to carry (a
-   blocking two-endpoint driver, a one-request-at-a-time /metrics
-   responder, and the serve command's accept-then-exchange plumbing):
-   Live_sync is now a thin adapter over this loop, and serve --metrics
-   drives a store-less loop directly. The protocol brain stays the
-   sans-IO Peer_engine — the loop only moves bytes, applies Deliver
-   effects to the store's node, turns Set_timer effects into
-   timer-wheel deadlines, and maps Trace effects to obs events through
-   Obs.Engine_events (the simulator's mapping too), so a daemon session
-   and a `sync --live` session run byte-for-byte the same exchange.
+   This is the CLI's only socket host: daemon, serve, sync --live and
+   serve --metrics each drive a loop over their store directly. The
+   protocol brain stays the sans-IO Peer_engine — the loop only moves
+   bytes, applies Deliver effects to the store's node, turns Set_timer
+   effects into timer-wheel deadlines, and maps Trace effects to obs
+   events through Obs.Engine_events (the simulator's mapping too), so a
+   daemon session and a `sync --live` session run byte-for-byte the
+   same exchange.
 
    Structure of one loop iteration (run):
      1. fire due timers (engine deadlines, housekeeping wakeups,
-        anti-entropy dials, idle sweeps, host closures);
+        anti-entropy dials, idle sweeps);
      2. reap sessions that finished or failed;
      3. one wait_ready (select) over: the peer listener (only while
         under the session budget — backpressure at accept), the metrics
@@ -27,7 +25,7 @@
    Time: the engine and the timer wheel run on Unix_compat.mono_ms (a
    wall clock step backwards cannot un-expire a deadline); block
    admission timestamps use the wall clock plus the validation layer's
-   skew allowance, exactly as Live_sync did. *)
+   skew allowance. *)
 
 open Vegvisir
 module Peer_engine = Vegvisir_engine.Peer_engine
@@ -66,7 +64,7 @@ type config = {
       (* flight-recorder ring size in events *)
   flight_path : string option;
       (* where SIGQUIT / slow-iteration flight dumps land; None falls
-         back to <store dir>/flight.jsonl (no dump without a store) *)
+         back to <store dir>/flight.jsonl *)
 }
 
 let default_config =
@@ -157,7 +155,6 @@ type tev =
   | Housekeep of int  (* Peer_engine.next_wakeup: Tick {peer = None} *)
   | Anti_entropy
   | Idle_sweep
-  | Host of (unit -> unit)
 
 type fd_owner = Session_fd of int | Http_fd of int
 
@@ -203,7 +200,7 @@ type anti_entropy = {
 let backoff_cap_doublings = 6
 
 type t = {
-  store : Node_store.t option;
+  store : Node_store.t;
   config : config;
   ctx : Obs.Context.t;
   me : string;
@@ -270,8 +267,6 @@ type t = {
 let max_dial_log = 64
 
 let context t = t.ctx
-let monitor t = t.monitor
-let scoreboard t = t.scoreboard
 
 (* The live registry (daemon / loop / derived session counters) merged
    with a per-call projection of the monitor and scoreboard folds
@@ -290,12 +285,10 @@ let merged_snapshot t =
   Obs.Scoreboard.export t.scoreboard derived;
   List.merge reg_key_compare live (Obs.Registry.snapshot derived)
 
-let create ?store ?(config = default_config) () =
+let create ~store ?(config = default_config) () =
   let ctx = Obs.Context.create () in
   let reg = Obs.Context.registry ctx in
-  let me =
-    match store with Some st -> Node_store.node_name st | None -> "daemon"
-  in
+  let me = Node_store.node_name store in
   let monitor = Obs.Monitor.create ~nodes:[ me ] () in
   let scoreboard = Obs.Scoreboard.create ~me () in
   let flight = Obs.Flight.create ~capacity:config.flight_capacity () in
@@ -389,25 +382,19 @@ let request_flight_dump t = t.flight_dump_requested <- true
 
 let flight_target t =
   match t.config.flight_path with
-  | Some _ as p -> p
-  | None -> (
-    match t.store with
-    | Some st -> Some (Filename.concat st.Node_store.dir "flight.jsonl")
-    | None -> None)
+  | Some p -> p
+  | None -> Filename.concat t.store.Node_store.dir "flight.jsonl"
 
 (* Write the dump where configured. Failures are swallowed: the flight
    recorder is a diagnostic of last resort and must never take the
    daemon down with it. *)
 let write_flight_dump t =
-  match flight_target t with
-  | None -> ()
-  | Some path -> (
-    t.last_flight_dump <- Unix_compat.mono_ms ();
-    match open_out path with
-    | oc ->
-      (try output_string oc (flight_dump t) with Sys_error _ -> ());
-      close_out_noerr oc
-    | exception Sys_error _ -> ())
+  t.last_flight_dump <- Unix_compat.mono_ms ();
+  match open_out (flight_target t) with
+  | oc ->
+    (try output_string oc (flight_dump t) with Sys_error _ -> ());
+    close_out_noerr oc
+  | exception Sys_error _ -> ()
 
 (* One GC/fd/timer-depth gauge refresh, rate-limited by the caller. *)
 let refresh_runtime_gauges t =
@@ -440,9 +427,7 @@ let outcomes t = IntMap.bindings t.outcomes
 (* Every journaled event also feeds the live obs context, so /metrics
    reflects the loop's sessions as they run, not on the next replay. *)
 let journal t evs =
-  (match t.store with
-  | Some st -> Node_store.record_all st evs
-  | None -> ());
+  Node_store.record_all t.store evs;
   let ts = Unix_compat.now_ms () in
   List.iter (fun ev -> Obs.Context.emit t.ctx ~ts ev) evs
 
@@ -464,7 +449,7 @@ let block_event t s phase (h : Hash_id.t) =
   Obs.Event.Block { node = t.me; phase; block = h; peer = Some s.label }
 
 (* Blocks arriving now may be stamped slightly ahead of our clock; admit
-   the same skew the validation layer tolerates (as Live_sync did). *)
+   the same skew the validation layer tolerates. *)
 let apply_ts () =
   Timestamp.add_ms
     (Timestamp.of_seconds (Unix_compat.now ()))
@@ -491,7 +476,7 @@ let save_if_dirty t =
   if not t.dirty then Ok ()
   else begin
     t.dirty <- false;
-    match t.store with None -> Ok () | Some store -> Node_store.save store
+    Node_store.save t.store
   end
 
 let apply_effect t s (eff : Peer_engine.effect_) =
@@ -514,35 +499,32 @@ let apply_effect t s (eff : Peer_engine.effect_) =
       (* The gossip cadence is host-driven (anti-entropy timer). *)
       ()
   end
-  | Peer_engine.Deliver blocks -> begin
-    match t.store with
-    | None -> ()
-    | Some store ->
-      journal t
-        (List.map
-           (fun (b : Block.t) -> block_event t s Obs.Event.Received b.Block.hash)
-           blocks);
-      let before = Dag.cardinal (Node.dag store.Node_store.node) in
-      Node.receive_all store.Node_store.node ~now:(apply_ts ()) blocks;
-      (* Anything now resident passed validation and was applied. *)
-      let dag = Node.dag store.Node_store.node in
-      journal t
-        (List.concat_map
-           (fun (b : Block.t) ->
-             if Dag.mem dag b.Block.hash then
-               [
-                 block_event t s Obs.Event.Validated b.Block.hash;
-                 block_event t s Obs.Event.Delivered b.Block.hash;
-               ]
-             else [])
-           blocks);
-      let n = List.length blocks in
-      s.delivered <- s.delivered + n;
-      t.n_delivered <- t.n_delivered + n;
-      (* Only a block made resident changes what a save writes; every
-         finished pull delivers, usually nothing new. *)
-      if Dag.cardinal dag > before then t.dirty <- true
-  end
+  | Peer_engine.Deliver blocks ->
+    let node = t.store.Node_store.node in
+    journal t
+      (List.map
+         (fun (b : Block.t) -> block_event t s Obs.Event.Received b.Block.hash)
+         blocks);
+    let before = Dag.cardinal (Node.dag node) in
+    Node.receive_all node ~now:(apply_ts ()) blocks;
+    (* Anything now resident passed validation and was applied. *)
+    let dag = Node.dag node in
+    journal t
+      (List.concat_map
+         (fun (b : Block.t) ->
+           if Dag.mem dag b.Block.hash then
+             [
+               block_event t s Obs.Event.Validated b.Block.hash;
+               block_event t s Obs.Event.Delivered b.Block.hash;
+             ]
+           else [])
+         blocks);
+    let n = List.length blocks in
+    s.delivered <- s.delivered + n;
+    t.n_delivered <- t.n_delivered + n;
+    (* Only a block made resident changes what a save writes; every
+       finished pull delivers, usually nothing new. *)
+    if Dag.cardinal dag > before then t.dirty <- true
   | Peer_engine.Session_done pull_stats -> s.pulled <- Some pull_stats
   | Peer_engine.Trace ev -> begin
     let journal_ev () =
@@ -563,10 +545,7 @@ let apply_effect t s (eff : Peer_engine.effect_) =
     | Peer_engine.Peer_advertised { hashes; _ } ->
       (* Feed advertisement evidence to the pending pool so eviction
          spares buffered orphans a live peer still vouches for. *)
-      (match t.store with
-      | Some store ->
-        List.iter (Node.note_advertised store.Node_store.node) hashes
-      | None -> ());
+      List.iter (Node.note_advertised t.store.Node_store.node) hashes;
       journal_ev ()
     | Peer_engine.Session_aborted { reason; _ } ->
       journal_ev ();
@@ -584,47 +563,44 @@ let apply_effect t s (eff : Peer_engine.effect_) =
 (* Feed one input to the session's engine, replay its effects, re-arm
    its housekeeping wakeup, and run the pull-completion transition. *)
 let step t s input =
-  match t.store with
-  | None -> []
-  | Some store ->
-    let now = Unix_compat.mono_ms () in
-    let dag = Node.dag store.Node_store.node in
-    let engine, effects = Peer_engine.handle s.engine ~now ~dag input in
-    Obs.Registry.observe t.h_engine (Unix_compat.mono_ms () -. now);
-    s.engine <- engine;
-    List.iter (apply_effect t s) effects;
-    (match s.wakeup_timer with
-    | Some id ->
-      t.wheel <- Timer_wheel.cancel t.wheel id;
-      s.wakeup_timer <- None
-    | None -> ());
-    (match s.closing with
-    | Some _ -> ()
-    | None -> begin
-      match Peer_engine.next_wakeup s.engine with
-      | Some at ->
-        let w, id = Timer_wheel.schedule t.wheel ~at_ms:at (Housekeep s.sid) in
-        t.wheel <- w;
-        s.wakeup_timer <- Some id
-      | None -> ()
-    end);
-    (match s.pulled with
-    | Some _ when not s.turned -> begin
-      s.turned <- true;
-      (* Our pull is done: hand the turn over (empty frame). For an
-         outbound session that opens the serve phase; for an inbound one
-         the pull-back was the exchange's tail, so the sentinel is the
-         final frame and the session drains to close. *)
-      enqueue_out s "";
-      match s.origin with
-      | `Outbound -> s.phase <- Serving
-      | `Inbound -> (
-        match s.closing with
-        | None -> s.closing <- Some Complete
-        | Some _ -> ())
-    end
-    | Some _ | None -> ());
-    effects
+  let now = Unix_compat.mono_ms () in
+  let dag = Node.dag t.store.Node_store.node in
+  let engine, effects = Peer_engine.handle s.engine ~now ~dag input in
+  Obs.Registry.observe t.h_engine (Unix_compat.mono_ms () -. now);
+  s.engine <- engine;
+  List.iter (apply_effect t s) effects;
+  (match s.wakeup_timer with
+  | Some id ->
+    t.wheel <- Timer_wheel.cancel t.wheel id;
+    s.wakeup_timer <- None
+  | None -> ());
+  (match s.closing with
+  | Some _ -> ()
+  | None -> begin
+    match Peer_engine.next_wakeup s.engine with
+    | Some at ->
+      let w, id = Timer_wheel.schedule t.wheel ~at_ms:at (Housekeep s.sid) in
+      t.wheel <- w;
+      s.wakeup_timer <- Some id
+    | None -> ()
+  end);
+  (match s.pulled with
+  | Some _ when not s.turned -> begin
+    s.turned <- true;
+    (* Our pull is done: hand the turn over (empty frame). For an
+       outbound session that opens the serve phase; for an inbound one
+       the pull-back was the exchange's tail, so the sentinel is the
+       final frame and the session drains to close. *)
+    enqueue_out s "";
+    match s.origin with
+    | `Outbound -> s.phase <- Serving
+    | `Inbound -> (
+      match s.closing with
+      | None -> s.closing <- Some Complete
+      | Some _ -> ())
+  end
+  | Some _ | None -> ());
+  effects
 
 let dispatch_frame t s frame =
   if String.length frame = 0 then begin
@@ -852,7 +828,7 @@ let finalize t s =
   (* A session that saved nothing still journaled its lines; without a
      flush here a serve-only daemon would buffer them for its whole
      life. *)
-  match t.store with Some st -> Node_store.flush_trace st | None -> ()
+  Node_store.flush_trace t.store
 
 let reap t =
   let finished =
@@ -867,87 +843,70 @@ let reap t =
   List.iter (finalize t) (List.rev finished)
 
 let new_session t ~origin ?label conn =
-  match t.store with
-  | None -> Error "event loop has no node store; cannot host peer sessions"
-  | Some store ->
-    let sid = t.next_id in
-    t.next_id <- sid + 1;
-    let label =
-      match label with Some l -> l | None -> "peer-" ^ string_of_int sid
-    in
-    Unix_compat.set_nonblocking conn;
-    let node = store.Node_store.node in
-    let engine =
-      Peer_engine.create
-        ~config:
-          {
-            Peer_engine.Config.default with
-            Peer_engine.Config.mode = t.config.mode;
-            stale_after_ms = t.config.stale_after_ms;
-            session_timeout_ms = t.config.session_timeout_ms;
-            trace_sample = t.config.trace_sample;
-          }
-        ~user_id:(Node.user_id node) ~dag:(Node.dag node) ()
-    in
-    let s =
-      {
-        sid;
-        conn;
-        origin;
-        label;
-        engine;
-        header = Bytes.create Unix_compat.frame_header_bytes;
-        header_got = 0;
-        chunks = [];
-        payload_len = -1;
-        payload_got = 0;
-        outq = Queue.create ();
-        out_head = 0;
-        out_bytes = 0;
-        phase = Serving;
-        closing = None;
-        timeout_timer = None;
-        wakeup_timer = None;
-        pulled = None;
-        turned = false;
-        delivered = 0;
-        served = 0;
-        last_io = Unix_compat.mono_ms ();
-        trace_ctx = None;
-      }
-    in
-    t.sessions <- IntMap.add sid s t.sessions;
-    t.by_fd <- IntMap.add (Unix_compat.conn_id conn) (Session_fd sid) t.by_fd;
-    set_active t;
-    arm_idle_sweep t;
-    journal t [ Obs.Event.Sync_started { node = t.me; peer = label } ];
-    Ok s
+  let sid = t.next_id in
+  t.next_id <- sid + 1;
+  let label =
+    match label with Some l -> l | None -> "peer-" ^ string_of_int sid
+  in
+  Unix_compat.set_nonblocking conn;
+  let node = t.store.Node_store.node in
+  let engine =
+    Peer_engine.create
+      ~config:
+        {
+          Peer_engine.Config.default with
+          Peer_engine.Config.mode = t.config.mode;
+          stale_after_ms = t.config.stale_after_ms;
+          session_timeout_ms = t.config.session_timeout_ms;
+          trace_sample = t.config.trace_sample;
+        }
+      ~user_id:(Node.user_id node) ~dag:(Node.dag node) ()
+  in
+  let s =
+    {
+      sid;
+      conn;
+      origin;
+      label;
+      engine;
+      header = Bytes.create Unix_compat.frame_header_bytes;
+      header_got = 0;
+      chunks = [];
+      payload_len = -1;
+      payload_got = 0;
+      outq = Queue.create ();
+      out_head = 0;
+      out_bytes = 0;
+      phase = Serving;
+      closing = None;
+      timeout_timer = None;
+      wakeup_timer = None;
+      pulled = None;
+      turned = false;
+      delivered = 0;
+      served = 0;
+      last_io = Unix_compat.mono_ms ();
+      trace_ctx = None;
+    }
+  in
+  t.sessions <- IntMap.add sid s t.sessions;
+  t.by_fd <- IntMap.add (Unix_compat.conn_id conn) (Session_fd sid) t.by_fd;
+  set_active t;
+  arm_idle_sweep t;
+  journal t [ Obs.Event.Sync_started { node = t.me; peer = label } ];
+  s
 
-let adopt_inbound ?label t conn =
-  match new_session t ~origin:`Inbound ?label conn with
-  | Error _ as e -> e
-  | Ok s -> Ok s.sid
-
-let adopt_outbound ?label t conn =
-  match new_session t ~origin:`Outbound ?label conn with
-  | Error _ as e -> e
-  | Ok s ->
+let connect_exchange ?label ?timeout_s t ~host ~port () =
+  match Unix_compat.connect ?timeout_s ~host ~port () with
+  | Error e -> Error e
+  | Ok conn ->
+    t.n_dialed <- t.n_dialed + 1;
+    let s = new_session t ~origin:`Outbound ?label conn in
     s.phase <- Pulling;
     let (_ : Peer_engine.effect_ list) =
       step t s (Peer_engine.Tick { peer = Some remote_id })
     in
     Ok s.sid
-
-let connect_exchange ?label ?timeout_s t ~host ~port () =
-  match t.store with
-  | None -> Error "event loop has no node store; cannot dial peers"
-  | Some _ -> begin
-    match Unix_compat.connect ?timeout_s ~host ~port () with
-    | Error e -> Error e
-    | Ok conn ->
-      t.n_dialed <- t.n_dialed + 1;
-      adopt_outbound ?label t conn
-  end
 
 (* {2 The /metrics and /health HTTP side} *)
 
@@ -1155,11 +1114,6 @@ let listen_metrics ?host t ~port () =
       Ok (Unix_compat.bound_port l)
   end
 
-let peer_port t =
-  match t.peer_listener with
-  | Some l -> Some (Unix_compat.bound_port l)
-  | None -> None
-
 let metrics_port t =
   match t.metrics_listener with
   | Some l -> Some (Unix_compat.bound_port l)
@@ -1178,9 +1132,7 @@ let accept_peers t =
         | Ok (`Conn conn) ->
           t.n_accepted <- t.n_accepted + 1;
           Obs.Registry.incr t.c_accepted;
-          (match adopt_inbound t conn with
-          | Ok (_ : int) -> ()
-          | Error (_ : string) -> Unix_compat.close_conn conn);
+          let (_ : session) = new_session t ~origin:`Inbound conn in
           go ()
       end
     in
@@ -1294,12 +1246,6 @@ let dial_next t ae =
           now +. (ae.every_ms *. Float.of_int (Int.shift_left 1 doublings)))
   end
 
-let after t ~ms f =
-  let w, _id =
-    Timer_wheel.schedule t.wheel ~at_ms:(Unix_compat.mono_ms () +. ms) (Host f)
-  in
-  t.wheel <- w
-
 let idle_sweep t =
   t.idle_armed <- false;
   let now = Unix_compat.mono_ms () in
@@ -1368,7 +1314,6 @@ let fire t ev =
     let t0 = Unix_compat.mono_ms () in
     idle_sweep t;
     Obs.Registry.observe t.h_sweep (Unix_compat.mono_ms () -. t0)
-  | Host f -> f ()
 
 (* {2 The loop} *)
 
@@ -1548,7 +1493,7 @@ let finish_shutdown t =
   (match save_if_dirty t with
   | Ok () -> ()
   | Error (_ : string) -> ());
-  match t.store with Some st -> Node_store.flush_trace st | None -> ()
+  Node_store.flush_trace t.store
 
 let shutdown t =
   t.stop_requested <- true;

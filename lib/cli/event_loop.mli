@@ -4,17 +4,14 @@
     non-blocking sockets ({!Unix_compat.wait_ready}) and a deterministic
     {!Timer_wheel}.
 
-    This is the single socket host of the CLI: the [daemon] and
-    [serve --metrics] commands drive it directly, and {!Live_sync} (behind
-    [serve] and [sync --live]) is a thin adapter over it. The protocol
-    brain stays the sans-IO engine; the loop only moves bytes, applies
-    [Deliver] effects to the store's node, turns [Set_timer] effects
-    into wheel deadlines, and journals [Trace] effects through
-    {!Vegvisir_obs.Engine_events} — a daemon session and a one-shot
-    [sync --live] run byte-for-byte the same exchange.
-
-    A loop without a store can still serve [/metrics]; adopting or
-    dialing peer sessions requires one. *)
+    This is the single socket host of the CLI: the [daemon], [serve],
+    [sync --live] and [serve --metrics] commands each drive a loop over
+    their node store directly. The protocol brain stays the sans-IO
+    engine; the loop only moves bytes, applies [Deliver] effects to the
+    store's node, turns [Set_timer] effects into wheel deadlines, and
+    journals [Trace] effects through {!Vegvisir_obs.Engine_events} — a
+    daemon session and a one-shot [sync --live] run byte-for-byte the
+    same exchange. *)
 
 type t
 
@@ -51,8 +48,7 @@ type config = {
           (default {!Vegvisir_obs.Flight.default_capacity}) *)
   flight_path : string option;
       (** where SIGQUIT- and anomaly-triggered flight dumps are written;
-          [None] (the default) falls back to [<store dir>/flight.jsonl],
-          and a store-less loop never writes one *)
+          [None] (the default) falls back to [<store dir>/flight.jsonl] *)
 }
 
 val default_config : config
@@ -60,7 +56,9 @@ val default_config : config
     / 20 s session timeouts, 30 s idle timeout, 5 s drain grace, 100 ms
     slow-iteration threshold, tracing off, 4096-event flight ring. *)
 
-val create : ?store:Node_store.t -> ?config:config -> unit -> t
+val create : store:Node_store.t -> ?config:config -> unit -> t
+(** A loop hosting sessions over [store]: it journals into the store's
+    [trace.jsonl], applies deliveries to its node and saves it. *)
 
 val context : t -> Vegvisir_obs.Context.t
 (** The loop's live observability context: every journaled session or
@@ -74,18 +72,13 @@ val context : t -> Vegvisir_obs.Context.t
     the [loop.slow_iterations] counter, threshold
     [config.slow_iteration_ms]). The default [/metrics] rendering is
     the Prometheus exposition of this registry merged with a live
-    projection of {!monitor} ([health.*]) and {!scoreboard}
-    ([peer.*]). *)
-
-val monitor : t -> Vegvisir_obs.Monitor.t
-(** The streaming health fold attached to the loop's bus: every
-    journaled event updates it as it happens, so [/health] and
-    [/metrics] reflect sessions mid-run, not on the next replay. *)
-
-val scoreboard : t -> Vegvisir_obs.Scoreboard.t
-(** The per-peer scoreboard fold attached to the same bus. Anti-entropy
-    sessions are labelled ["host:port"], so configured peers' rows are
-    keyed by their dial address. *)
+    projection of the loop's streaming health fold
+    ({!Vegvisir_obs.Monitor}, [health.*]) and per-peer scoreboard
+    ({!Vegvisir_obs.Scoreboard}, [peer.*]). Both folds ride the same
+    bus, so [/health] and [/metrics] reflect sessions mid-run, not on
+    the next replay. Anti-entropy sessions are labelled ["host:port"],
+    so configured peers' scoreboard rows are keyed by their dial
+    address. *)
 
 (** {1 Flight recorder and spans}
 
@@ -132,21 +125,7 @@ val set_render : t -> (unit -> string) -> unit
 (** Replace the [/metrics] body renderer (default: {!context}'s registry
     as Prometheus text). Called once per successful scrape. *)
 
-val peer_port : t -> int option
 val metrics_port : t -> int option
-
-val adopt_inbound :
-  ?label:string -> t -> Unix_compat.conn -> (int, string) result
-(** Hand an accepted connection to the loop as a serving-side exchange
-    session (the far end pulls first, then we pull back); the conn is
-    switched to non-blocking and owned by the loop from here on. Returns
-    the session id. [label] is the peer's telemetry identity (default
-    ["peer-<id>"]). *)
-
-val adopt_outbound :
-  ?label:string -> t -> Unix_compat.conn -> (int, string) result
-(** Same, as the initiating side: the session pulls immediately, hands
-    the turn over, then serves the remote's pull-back. *)
 
 val connect_exchange :
   ?label:string ->
@@ -156,14 +135,18 @@ val connect_exchange :
   port:int ->
   unit ->
   (int, string) result
-(** Dial (blocking, bounded by [timeout_s]) and {!adopt_outbound}. *)
+(** Dial (blocking, bounded by [timeout_s]) and hand the conn to the
+    loop as an initiating exchange session: it pulls immediately, hands
+    the turn over, then serves the remote's pull-back. Returns the
+    session id. [label] is the peer's telemetry identity (default
+    ["peer-<id>"], the label of every accepted conn). *)
 
 val set_anti_entropy :
   ?dial_timeout_s:float -> t -> every_ms:float -> peers:(string * int) list -> unit
 (** Every [every_ms], dial one configured peer and run a full exchange
     with it (skipped entirely while at the session budget or stopping).
     The peer is chosen by {!Vegvisir_obs.Scoreboard.priority} over the
-    live {!scoreboard}: most diverged first, then longest unseen,
+    live scoreboard: most diverged first, then longest unseen,
     deterministic label tie-break — skipping peers that are already
     mid-exchange with us or inside their dial-failure backoff window.
     Consecutive connect failures back a peer off exponentially (2, 4,
@@ -180,13 +163,8 @@ val dials : t -> string list
 val health_body : t -> string
 (** The [GET /health] JSON body: node identity, build, uptime, daemon
     counters (including {!dials}), {!Vegvisir_obs.Health.to_json} of
-    {!monitor}, {!Vegvisir_obs.Scoreboard.to_json} of {!scoreboard},
-    and the [loop.*] self-profiling metrics. *)
-
-val after : t -> ms:float -> (unit -> unit) -> unit
-(** Run [f] on the loop after [ms] milliseconds — the host-closure hook
-    adapters use for accept deadlines and test harnesses for fault
-    injection. *)
+    the health fold, {!Vegvisir_obs.Scoreboard.to_json} of the
+    scoreboard, and the [loop.*] self-profiling metrics. *)
 
 (** {1 Observation} *)
 
@@ -215,7 +193,7 @@ type outcome = {
 }
 
 val outcome : t -> int -> outcome option
-(** The result of a finished session, by the id the adopt/dial call
+(** The result of a finished session, by the id {!connect_exchange}
     returned; [None] while it is still running (or for unknown ids). *)
 
 val outcomes : t -> (int * outcome) list
@@ -237,5 +215,5 @@ val request_stop : t -> unit
     blocks, flushes buffered telemetry, and returns from {!run}. *)
 
 val shutdown : t -> unit
-(** Immediate teardown for adapters: fail any open sessions, close every
-    conn and listener, save-if-dirty and flush telemetry. *)
+(** Immediate teardown for one-shot callers: fail any open sessions,
+    close every conn and listener, save-if-dirty and flush telemetry. *)

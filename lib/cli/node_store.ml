@@ -2,7 +2,12 @@ open Vegvisir
 module Schema = Vegvisir_crdt.Schema
 module Obs = Vegvisir_obs
 
-type t = { dir : string; node : Node.t; ca_cert : Certificate.t }
+(* The signer is embedded in the node; to persist its position a handle
+   keeps it at hand, with the height and seed that re-derive it. Each
+   handle saves the position of its own signer. *)
+type key = { signer : Signer.t; height : int; seed : string }
+
+type t = { dir : string; node : Node.t; ca_cert : Certificate.t; key : key }
 
 let ( let* ) = Result.bind
 let ( // ) = Filename.concat
@@ -22,8 +27,9 @@ let node_name t = Hash_id.short (Node.user_id t.node)
 (* Buffered journaling: a long-lived daemon multiplexing dozens of
    sessions would otherwise open/append/close trace.jsonl once per
    event. When a directory opts in, encoded lines accumulate here and
-   reach disk on [flush_trace] (and on every [save]). Keyed by dir, like
-   the signer registry: process-lifetime cache only. *)
+   reach disk on [flush_trace] (and on every [save]). Keyed by dir, not
+   by handle, so a client that reloads its directory for every exchange
+   keeps buffering into the same lines: process-lifetime cache only. *)
 let trace_buffers : (string, Buffer.t) Hashtbl.t = Hashtbl.create 4
 
 let append_lines t lines =
@@ -116,41 +122,31 @@ let decode_key contents =
 
 let now_ts () = Timestamp.of_seconds (Unix_compat.now ())
 
-let signer_used (signer : Signer.t) ~height =
+let key_used { signer; height; seed = _ } =
   match signer.Signer.remaining () with
   | Some r -> (1 lsl height) - r
   | None -> 0
 
-let save_parts ~dir ~node ~ca_cert ~signer ~height ~seed =
-  let* () = write_file (dir // "chain.dag") (Dag.to_string (Node.dag node)) in
+let save_parts t =
+  let* () = write_file (t.dir // "chain.dag") (Dag.to_string (Node.dag t.node)) in
   let* () =
-    write_file (dir // "key")
-      (encode_key ~height ~used:(signer_used signer ~height) ~seed)
+    write_file (t.dir // "key")
+      (encode_key ~height:t.key.height ~used:(key_used t.key) ~seed:t.key.seed)
   in
-  let* () = write_file (dir // "cert") (Certificate.to_string (Node.cert node)) in
-  write_file (dir // "ca.cert") (Certificate.to_string ca_cert)
-
-(* The signer is embedded in the node; to persist its position we must
-   keep it at hand. We stash (signer, height, seed) per directory in a
-   registry keyed by dir — loads re-derive them, so the registry is only
-   a cache for the lifetime of the process. *)
-let registry : (string, Signer.t * int * string) Hashtbl.t = Hashtbl.create 8
+  let* () = write_file (t.dir // "cert") (Certificate.to_string (Node.cert t.node)) in
+  write_file (t.dir // "ca.cert") (Certificate.to_string t.ca_cert)
 
 let save t =
-  match Hashtbl.find_opt registry t.dir with
-  | None -> Error "node not registered (load or init first)"
-  | Some (signer, height, seed) -> begin
-    match save_parts ~dir:t.dir ~node:t.node ~ca_cert:t.ca_cert ~signer ~height ~seed with
-    | Ok () ->
-      record t
-        (Obs.Event.Store_saved
-           { node = node_name t; blocks = Dag.cardinal (Node.dag t.node) });
-      (* A save is a durability point: buffered telemetry reaches disk
-         with the data it describes. *)
-      flush_trace t;
-      Ok ()
-    | Error _ as e -> e
-  end
+  match save_parts t with
+  | Ok () ->
+    record t
+      (Obs.Event.Store_saved
+         { node = node_name t; blocks = Dag.cardinal (Node.dag t.node) });
+    (* A save is a durability point: buffered telemetry reaches disk
+       with the data it describes. *)
+    flush_trace t;
+    Ok ()
+  | Error _ as e -> e
 
 let exists dir = Sys.file_exists (dir // "chain.dag")
 
@@ -176,8 +172,7 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
     let node = Node.create ~signer ~cert () in
     match Node.receive node ~now:(Timestamp.add_ms (now_ts ()) 1L) genesis with
     | Node.Accepted ->
-      Hashtbl.replace registry dir (signer, height, seed);
-      let t = { dir; node; ca_cert = cert } in
+      let t = { dir; node; ca_cert = cert; key = { signer; height; seed } } in
       record t
         (Obs.Event.Block
            {
@@ -215,8 +210,7 @@ let load ~dir =
       Node.receive_all node
         ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
         (List.of_seq (Dag.topo_seq dag));
-      Hashtbl.replace registry dir (signer, height, seed);
-      let t = { dir; node; ca_cert } in
+      let t = { dir; node; ca_cert; key = { signer; height; seed } } in
       record t
         (Obs.Event.Store_loaded
            { node = node_name t; blocks = Dag.cardinal (Node.dag node) });
@@ -229,26 +223,26 @@ let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
   let* () = ensure_dir dir in
   if exists dir then Error (dir ^ " already contains a node")
   else begin
-    match Hashtbl.find_opt registry ca_dir with
-    | None -> Error "CA signer not available"
-    | Some (ca_signer, _, _) ->
-      let subject = Signer.mss ~height ~seed () in
-      let cert = Certificate.issue ~ca:ca.ca_cert ~ca_signer ~subject ~role in
-      (* Enrolment goes on the CA's chain. *)
-      let* _block =
-        Result.map_error
-          (Fmt.str "enrolment append failed: %a" Node.pp_append_error)
-          (Node.append ca.node ~now:(now_ts ()) [ Transaction.add_user cert ])
-      in
-      let* () = save ca in
-      let node = Node.create ~signer:subject ~cert () in
-      Node.receive_all node
-        ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (List.of_seq (Dag.topo_seq (Node.dag ca.node)));
-      Hashtbl.replace registry dir (subject, height, seed);
-      let t = { dir; node; ca_cert = ca.ca_cert } in
-      let* () = save t in
-      Ok t
+    let subject = Signer.mss ~height ~seed () in
+    let cert =
+      Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.key.signer ~subject ~role
+    in
+    (* Enrolment goes on the CA's chain. *)
+    let* _block =
+      Result.map_error
+        (Fmt.str "enrolment append failed: %a" Node.pp_append_error)
+        (Node.append ca.node ~now:(now_ts ()) [ Transaction.add_user cert ])
+    in
+    let* () = save ca in
+    let node = Node.create ~signer:subject ~cert () in
+    Node.receive_all node
+      ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
+      (List.of_seq (Dag.topo_seq (Node.dag ca.node)));
+    let t =
+      { dir; node; ca_cert = ca.ca_cert; key = { signer = subject; height; seed } }
+    in
+    let* () = save t in
+    Ok t
   end
 
 let append t ~crdt ~op args =
@@ -270,31 +264,36 @@ let append t ~crdt ~op args =
       Ok block
   end
 
-let remaining_signatures t =
-  match Hashtbl.find_opt registry t.dir with
-  | None -> None
-  | Some (signer, _, _) -> signer.Signer.remaining ()
+let remaining_signatures t = t.key.signer.Signer.remaining ()
 
 let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
   let* ca = load ~dir:ca_dir in
   let* t = load ~dir in
-  match Hashtbl.find_opt registry ca_dir with
-  | None -> Error "CA signer not available"
-  | Some (ca_signer, _, _) ->
+  (* Two handles on one node hold two signers at one position: the
+     certificate and the rotation block would sign with the same
+     one-time leaf, and the CA handle's save would write the old key
+     and certificate back beside a chain that revokes them. *)
+  if Hash_id.equal (Node.user_id ca.node) (Node.user_id t.node) then
+    Error "a CA cannot certify its own key rotation (CA and node are the same)"
+  else begin
     let fresh = Signer.mss ~height ~seed () in
     let role = (Node.cert t.node).Certificate.role in
-    let cert = Certificate.issue ~ca:ca.ca_cert ~ca_signer ~subject:fresh ~role in
-    (match Node.rotate_key t.node ~now:(now_ts ()) ~signer:fresh ~cert with
+    let cert =
+      Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.key.signer ~subject:fresh
+        ~role
+    in
+    match Node.rotate_key t.node ~now:(now_ts ()) ~signer:fresh ~cert with
     | Error e -> Error (Fmt.str "rotation failed: %a" Node.pp_append_error e)
     | Ok _block ->
-      Hashtbl.replace registry dir (fresh, height, seed);
+      let t = { t with key = { signer = fresh; height; seed } } in
       let* () = save t in
       (* The CA should learn the rotation block too. *)
       Node.receive_all ca.node
         ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
         (List.of_seq (Dag.topo_seq (Node.dag t.node)));
       let* () = save ca in
-      Ok t)
+      Ok t
+  end
 
 let sync t ~from ~mode =
   let peer = node_name from in

@@ -12,10 +12,14 @@
     Application state is not stored: it is deterministically rebuilt from
     the DAG on load ({!Vegvisir.Csm.rebuild}). *)
 
+type key
+(** The node's signer with the height and seed that re-derive it. *)
+
 type t = {
   dir : string;
   node : Vegvisir.Node.t;
   ca_cert : Vegvisir.Certificate.t;
+  key : key;  (** this handle's own signer: {!save} persists its position *)
 }
 
 val init :
@@ -77,7 +81,9 @@ val rotate :
 (** Rotate the node's key before its one-time leaves run out: the CA (in
     [ca_dir]) issues a certificate for a fresh key derived from [seed];
     the node appends a rotation block (enrol new, self-revoke old) signed
-    with the old key, then persists with the new key. *)
+    with the old key, then persists with the new key. Refused, before
+    anything is signed or written, when [ca_dir] and [dir] hold the
+    same node. *)
 
 val remaining_signatures : t -> int option
 (** One-time leaves left on the current key. *)
@@ -97,7 +103,7 @@ val export_dot : t -> string
     Every node directory keeps an append-only [trace.jsonl] of
     {!Vegvisir_obs.Event} records, timestamped with the host clock.
     Store operations (init, load, save, append, sync) record themselves;
-    the live-sync driver records block and session events. The
+    the event loop ({!Event_loop}) records block and session events. The
     [vegvisir-cli stats] and [vegvisir-cli trace] commands replay these
     files — merging two synced directories' files reconstructs a block's
     full cross-node causal timeline. *)

@@ -23,16 +23,10 @@ let guard f =
     Error (fn ^ ": " ^ Unix.error_message e)
 
 (* ------------------------------------------------------------------ *)
-(* Framed loopback TCP                                                 *)
+(* Loopback TCP                                                        *)
 
 type listener = Unix.file_descr
 type conn = Unix.file_descr
-type recv = Frame of string | Timeout | Closed
-
-
-(* Once a frame has started arriving, how long until a stall mid-frame is
-   a dead peer rather than scheduling jitter. *)
-let mid_frame_grace_s = 30.
 
 let resolve host =
   match Unix.inet_addr_of_string host with
@@ -161,9 +155,9 @@ let write_all fd buf =
       | k -> go (off + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (* A socket that spent time in non-blocking mode (event-loop
-           adoption) can report a full buffer here; wait until it
-           drains rather than failing the frame. *)
+        (* A conn switched to non-blocking mode can report a full
+           buffer here; wait until it drains rather than failing the
+           write. *)
         (match Unix.select [] [ fd ] [] 30. with
         | _ -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -174,104 +168,12 @@ let write_all fd buf =
   in
   go 0
 
-let send_frame fd payload =
-  let len = String.length payload in
-  if len > Vegvisir.Wire.max_frame then Error "send_frame: frame too large"
-  else begin
-    let buf = Bytes.create (4 + len) in
-    Bytes.set_int32_be buf 0 (Int32.of_int len);
-    Bytes.blit_string payload 0 buf 4 len;
-    write_all fd buf
-  end
-
-(* Fill [buf] entirely. [`Eof] only when the connection closed cleanly
-   before the first byte; a close or [deadline] mid-buffer is an error
-   (we would lose frame sync). [`Timeout] likewise only at the start. *)
-let read_into fd buf ~deadline =
-  let n = Bytes.length buf in
-  let rec go off =
-    if off >= n then Ok `Full
-    else begin
-      let remaining = deadline -. now () in
-      let remaining =
-        if off > 0 then Float.max remaining mid_frame_grace_s else remaining
-      in
-      if remaining <= 0. then if off = 0 then Ok `Timeout else Error "read: timed out mid-frame"
-      else begin
-        match Unix.select [ fd ] [] [] remaining with
-        | [], _, _ ->
-          if off = 0 then Ok `Timeout else Error "read: timed out mid-frame"
-        | _ :: _, _, _ -> begin
-          match Unix.read fd buf off (n - off) with
-          | 0 -> if off = 0 then Ok `Eof else Error "read: connection closed mid-frame"
-          | k -> go (off + k)
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            go off
-          | exception Unix.Unix_error (e, fn, _) ->
-            Error (fn ^ ": " ^ Unix.error_message e)
-        end
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      end
-    end
-  in
-  go 0
-
 (* ------------------------------------------------------------------ *)
-(* Raw (unframed) byte streams — the HTTP /metrics responder speaks
-   plain text over the same conn type. *)
+(* Raw (unframed) byte streams — Http_probe speaks plain HTTP text over
+   the same conn type. *)
 
 let send_raw fd payload =
   write_all fd (Bytes.unsafe_of_string payload)
-
-(* Read until [delim] appears (returning everything up to and including
-   it) or the peer closes ([Ok None] if nothing arrived at all).
-   Refuses to buffer more than [max_bytes]. *)
-let recv_until ?(timeout_s = 30.) fd ~delim ~max_bytes =
-  if String.length delim = 0 then invalid_arg "recv_until: empty delimiter";
-  let deadline = now () +. timeout_s in
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  let rec has_delim () =
-    let s = Buffer.contents buf in
-    let dl = String.length delim in
-    let n = String.length s in
-    let rec scan i =
-      if i + dl > n then None
-      else if String.equal (String.sub s i dl) delim then Some (i + dl)
-      else scan (i + 1)
-    in
-    scan (Int.max 0 (n - 1024 - dl))
-  and go () =
-    match has_delim () with
-    | Some stop -> Ok (Some (String.sub (Buffer.contents buf) 0 stop))
-    | None ->
-      if Buffer.length buf > max_bytes then Error "recv_until: request too large"
-      else begin
-        let remaining = deadline -. now () in
-        if remaining <= 0. then Error "recv_until: timed out"
-        else begin
-          match Unix.select [ fd ] [] [] remaining with
-          | [], _, _ -> Error "recv_until: timed out"
-          | _ :: _, _, _ -> begin
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> if Buffer.length buf = 0 then Ok None else Error "recv_until: connection closed mid-request"
-            | k ->
-              Buffer.add_subbytes buf chunk 0 k;
-              go ()
-            | exception
-                Unix.Unix_error
-                  ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              go ()
-            | exception Unix.Unix_error (e, fn, _) ->
-              Error (fn ^ ": " ^ Unix.error_message e)
-          end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        end
-      end
-  in
-  go ()
 
 let recv_all ?(timeout_s = 30.) fd ~max_bytes =
   let deadline = now () +. timeout_s in
@@ -407,22 +309,3 @@ let install_quit_handler f =
   let handler = Sys.Signal_handle (fun _ -> f ()) in
   try Sys.set_signal Sys.sigquit handler
   with Invalid_argument _ | Sys_error _ -> ()
-
-let recv_frame ?(timeout_s = 30.) fd =
-  let deadline = now () +. timeout_s in
-  let header = Bytes.create 4 in
-  match read_into fd header ~deadline with
-  | Error _ as e -> e
-  | Ok `Timeout -> Ok Timeout
-  | Ok `Eof -> Ok Closed
-  | Ok `Full ->
-    let len = Int32.to_int (Bytes.get_int32_be header 0) in
-    if len < 0 || len > Vegvisir.Wire.max_frame then Error "recv_frame: bad frame length"
-    else if len = 0 then Ok (Frame "")
-    else begin
-      let payload = Bytes.create len in
-      match read_into fd payload ~deadline with
-      | Error _ as e -> e
-      | Ok (`Timeout | `Eof) -> Error "recv_frame: truncated frame"
-      | Ok `Full -> Ok (Frame (Bytes.unsafe_to_string payload))
-    end

@@ -25,21 +25,16 @@ val mono_ms : unit -> float
     the wall clock steps backwards. The {!Event_loop} timer wheel runs
     on this clock so deadlines that were due stay due. *)
 
-(** {1 Framed TCP}
+(** {1 TCP connections}
 
-    A minimal blocking transport for simple clients: length-prefixed
-    frames (4-byte big-endian count, then the payload) over a TCP
-    connection. An empty frame is legal and is used by the sync protocol
-    as a turn-over sentinel. All functions return [Error] with a
-    human-readable message rather than raising [Unix.Unix_error]. *)
+    Listening, accepting and dialing. A conn is blocking until
+    {!set_nonblocking}; {!Event_loop} switches every session conn and
+    moves its frames with the non-blocking primitives below. All
+    functions return [Error] with a human-readable message rather than
+    raising [Unix.Unix_error]. *)
 
 type listener
 type conn
-
-(** Result of {!recv_frame}. [Timeout] and [Closed] can only happen at a
-    frame boundary; mid-frame stalls or closes are [Error]s, because the
-    stream would lose frame sync. *)
-type recv = Frame of string | Timeout | Closed
 
 val listen :
   ?host:string -> ?backlog:int -> port:int -> unit -> (listener, string) result
@@ -63,33 +58,13 @@ val connect :
     blackholed peer cannot wedge the caller; without it the OS default
     applies. The returned conn is in blocking mode either way. *)
 
-val send_frame : conn -> string -> (unit, string) result
-(** Write one complete frame (blocking). *)
-
-val recv_frame : ?timeout_s:float -> conn -> (recv, string) result
-(** Read one complete frame, waiting up to [timeout_s] (default 30) for
-    it to {e begin}; an already-started frame is always read to
-    completion (with a generous stall allowance). *)
-
 (** {1 Raw byte streams}
 
-    The minimal HTTP responder behind [vegvisir-cli serve --metrics]
-    speaks unframed text over the same connection type. *)
+    {!Http_probe}, the HTTP client behind [health --connect] and
+    [stats --connect], speaks unframed text over a blocking conn. *)
 
 val send_raw : conn -> string -> (unit, string) result
 (** Write the string verbatim (blocking, no length prefix). *)
-
-val recv_until :
-  ?timeout_s:float ->
-  conn ->
-  delim:string ->
-  max_bytes:int ->
-  (string option, string) result
-(** Read until [delim] appears; returns everything up to and including
-    it. [Ok None] when the peer closed before sending anything;
-    [Error] on timeout (default 30 s), oversize input, or a close
-    mid-request.
-    @raise Invalid_argument on an empty delimiter. *)
 
 val recv_all :
   ?timeout_s:float -> conn -> max_bytes:int -> (string, string) result
@@ -149,8 +124,6 @@ type ready = {
   write_ready : conn list;
 }
 
-val no_ready : ready
-
 val wait_ready :
   listeners:listener list ->
   read:conn list ->
@@ -159,12 +132,14 @@ val wait_ready :
   (ready, string) result
 (** Block until some registered descriptor is ready or [timeout_s]
     elapses (0 polls, negative waits forever). A signal during the wait
-    returns {!no_ready} rather than an error. *)
+    returns empty readiness rather than an error. *)
 
 (** {1 Frame codec helpers}
 
-    The length-prefix format of {!send_frame}/{!recv_frame}, exposed so
-    the event loop can frame into its own outbound buffers. *)
+    A session's frames are length-prefixed: a 4-byte big-endian count,
+    then the payload. An empty frame is legal; the sync exchange uses it
+    as the turn-over sentinel. The event loop frames into its own
+    outbound buffers and reads headers and payloads incrementally. *)
 
 val frame_header_bytes : int
 

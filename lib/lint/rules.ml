@@ -300,7 +300,7 @@ let check ~path structure =
     (if engine_on then
        match parts with
        | ( "Unix" | "UnixLabels" | "Unix_compat" | "Vegvisir_net" | "Simnet"
-         | "Vegvisir_cli" | "Live_sync" | "Sys" | "In_channel" | "Out_channel" )
+         | "Vegvisir_cli" | "Sys" | "In_channel" | "Out_channel" )
          :: _ ->
          add loc "engine-transport-purity"
            (name
@@ -356,7 +356,7 @@ let check ~path structure =
     if engine_on then
       match flatten txt with
       | ( "Unix" | "UnixLabels" | "Unix_compat" | "Vegvisir_net" | "Simnet"
-        | "Vegvisir_cli" | "Live_sync" )
+        | "Vegvisir_cli" )
         :: _ ->
         add loc "engine-transport-purity"
           (String.concat "." (flatten txt)

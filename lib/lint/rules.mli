@@ -23,8 +23,8 @@
       [Filename.temp_file] are flagged under [lib/].
     - [engine-transport-purity]: [lib/engine/*] may not mention a
       transport or the OS — [Unix], [Unix_compat], [Vegvisir_net]/
-      [Simnet], [Vegvisir_cli]/[Live_sync], [Sys], [In_channel]/
-      [Out_channel] — nor print to the console; both value identifiers
+      [Simnet], [Vegvisir_cli], [Sys], [In_channel]/[Out_channel] —
+      nor print to the console; both value identifiers
       and module expressions ([open]/aliases/functor arguments) are
       checked. The engine is sans-IO: hosts replay its typed effects.
     - [no-printf-outside-obs]: stdout writers ([print_string] family,

@@ -36,8 +36,8 @@ let contains s sub =
 
 (* Child processes. They are started with Unix.create_process and
    never forked: once a batch intake has spawned its verifier domains,
-   OCaml 5.1 refuses to fork the process. A daemon child is the real
-   [vegvisir-cli daemon]; every other child re-runs this binary with a
+   OCaml 5.1 refuses to fork the process. A daemon or serve child is the
+   real [vegvisir-cli]; every other child re-runs this binary with a
    [child ROLE ...] argv, dispatched by [child_main] before Alcotest
    reads the arguments. *)
 
@@ -72,15 +72,15 @@ let reap c =
   Unix.close c.out;
   status
 
-(* The port printed right after [marker] in a child's first line. *)
-let port_after c marker =
-  let n = String.length c.line and m = String.length marker in
+(* The port printed right after [marker] in [line]. *)
+let port_after line marker =
+  let n = String.length line and m = String.length marker in
   let rec find i =
-    if i + m > n then Alcotest.failf "no %S in %S" marker c.line
-    else if String.equal (String.sub c.line i m) marker then begin
+    if i + m > n then Alcotest.failf "no %S in %S" marker line
+    else if String.equal (String.sub line i m) marker then begin
       let j = ref (i + m) in
-      while !j < n && c.line.[!j] >= '0' && c.line.[!j] <= '9' do incr j done;
-      int_of_string (String.sub c.line (i + m) (!j - i - m))
+      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
+      int_of_string (String.sub line (i + m) (!j - i - m))
     end
     else find (i + 1)
   in
@@ -99,9 +99,40 @@ let start_daemon ?(metrics = false) ?anti_entropy_ms ?(peers = [])
       @ List.concat_map (fun p -> [ "--peer"; Printf.sprintf "127.0.0.1:%d" p ]) peers
       @ flag "--trace-sample" (Option.map string_of_float trace_sample))
   in
-  (c, port_after c " on 127.0.0.1:")
+  (c, port_after c.line " on 127.0.0.1:")
 
-let metrics_port c = port_after c "http://127.0.0.1:"
+let metrics_port c = port_after c.line "http://127.0.0.1:"
+
+(* Run the built CLI to completion with stdout and stderr in temp files
+   (no pipe to fill); returns both and the exit code. *)
+let run_cli args =
+  let out_path = Filename.temp_file "vv-cli" ".out" in
+  let err_path = Filename.temp_file "vv-cli" ".err" in
+  let open_w p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_fd = open_w out_path and err_fd = open_w err_path in
+  let pid =
+    Unix.create_process cli_exe (Array.of_list (cli_exe :: args)) Unix.stdin
+      out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let out = read out_path and err = read err_path in
+  Sys.remove out_path;
+  Sys.remove err_path;
+  (out, err, status)
+
+(* The one-time leaves a directory's key file records as used. *)
+let key_used dir =
+  let contents =
+    In_channel.with_open_bin (Filename.concat dir "key") In_channel.input_all
+  in
+  Scanf.sscanf contents "mss %d %d" (fun _ used -> used)
+
+(* The leaf that signed [b]: an MSS signature opens with its leaf index
+   as a big-endian u32. *)
+let leaf_of (b : V.Block.t) = Int32.to_int (String.get_int32_be b.V.Block.signature 0)
 
 let lifecycle () =
   let ca = init "ca1" in
@@ -116,14 +147,9 @@ let lifecycle () =
   (* Appending from the reloaded handle uses fresh one-time leaves: the
      block must validate at another replica (reuse would break nothing
      visibly in OUR verifier, but key position must be monotone). *)
-  let key_file = Filename.concat ca.Node_store.dir "key" in
-  let used_of () =
-    let contents = In_channel.with_open_bin key_file In_channel.input_all in
-    Scanf.sscanf contents "mss %d %d" (fun _ used -> used)
-  in
-  let used_before = used_of () in
+  let used_before = key_used ca.Node_store.dir in
   let _b2 = Result.get_ok (Node_store.append reloaded ~crdt:"log" ~op:"add" [ Value.String "two" ]) in
-  check_b "key position advanced" true (used_of () > used_before);
+  check_b "key position advanced" true (key_used ca.Node_store.dir > used_before);
   check_i "verify revalidates all" 3 (Result.get_ok (Node_store.verify reloaded))
 
 let enroll_and_sync () =
@@ -170,6 +196,41 @@ let key_rotation () =
   let _ = Result.get_ok (Node_store.append reloaded ~crdt:"log" ~op:"add" [ Value.String "after-reload" ]) in
   check_b "still verifies" true (Result.is_ok (Node_store.verify reloaded))
 
+(* Each handle saves its own signer's position. Two loads of one
+   directory hold two signers; an append through the first must reach
+   the key file, or the next load signs again with the leaf it used. *)
+let key_position_per_handle () =
+  let ca = init "handles" in
+  let dir = ca.Node_store.dir in
+  let first = Result.get_ok (Node_store.load ~dir) in
+  let _second = Result.get_ok (Node_store.load ~dir) in
+  let used_before = key_used dir in
+  let b1 = Result.get_ok (Node_store.append first ~crdt:"log" ~op:"add" [ Value.String "one" ]) in
+  check_i "key file counts the append" (used_before + 1) (key_used dir);
+  let reloaded = Result.get_ok (Node_store.load ~dir) in
+  let b2 = Result.get_ok (Node_store.append reloaded ~crdt:"log" ~op:"add" [ Value.String "two" ]) in
+  check_i "next block signs with the next leaf" (leaf_of b1 + 1) (leaf_of b2)
+
+(* [rotate] with one directory as both CA and node is refused before
+   anything is signed or written: the directory still loads and
+   verifies with its old key. *)
+let rotate_own_ca_refused () =
+  let ca = init "self-rotate" in
+  let dir = ca.Node_store.dir in
+  let files = [ "key"; "cert"; "chain.dag" ] in
+  let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+  let before = List.map read files in
+  let _, err, status =
+    run_cli [ "rotate"; "--ca-dir"; dir; "--dir"; dir; "--seed"; "self-rotate-2" ]
+  in
+  check_b ("exit 1: " ^ err) true (status = Unix.WEXITED 1);
+  List.iter2
+    (fun f b -> check_b (f ^ " byte-identical") true (String.equal b (read f)))
+    files before;
+  match Node_store.load ~dir with
+  | Error e -> Alcotest.failf "no longer loads: %s" e
+  | Ok t -> check_b "still verifies" true (Result.is_ok (Node_store.verify t))
+
 let corruption_detected () =
   let ca = init "ca3" in
   let chain_file = Filename.concat ca.Node_store.dir "chain.dag" in
@@ -197,29 +258,10 @@ let corruption_detected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "double init accepted"
 
-(* Child role [serve-once DIR]: load the replica in DIR, bind an
-   ephemeral port, print it, and serve one live exchange. The port is
-   printed only once the listener is bound, so the client cannot race
-   it. *)
-let serve_once dir =
-  match Node_store.load ~dir with
-  | Error _ -> 1
-  | Ok store ->
-    let listener = Result.get_ok (Unix_compat.listen ~port:0 ()) in
-    Printf.printf "%d\n%!" (Unix_compat.bound_port listener);
-    let ok =
-      match Unix_compat.accept ~timeout_s:10. listener with
-      | Ok conn ->
-        let r = Live_sync.serve_conn ~store conn in
-        Unix_compat.close_conn conn;
-        Result.is_ok r
-      | Error _ -> false
-    in
-    Unix_compat.close_listener listener;
-    if ok then 0 else 1
-
 (* Live socket sync: two divergent file-backed replicas reconcile over a
-   real loopback connection, bob's side served by a child process. *)
+   real loopback connection through the CLI: [vegvisir-cli serve] serves
+   bob's directory in a child process, and [vegvisir-cli sync --live]
+   pulls into the CA's. *)
 let live_sync () =
   let ca = init "ca5" in
   let bob_dir = fresh_dir "bob5" in
@@ -228,23 +270,31 @@ let live_sync () =
   let ca = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
   let _ = Result.get_ok (Node_store.append ca ~crdt:"log" ~op:"add" [ Value.String "from-ca" ]) in
   let _ = Result.get_ok (Node_store.append bob ~crdt:"log" ~op:"add" [ Value.String "from-bob" ]) in
-  let child = start_child "serve-once" [ bob.Node_store.dir ] in
-  let port = int_of_string child.line in
-  let report =
-    match Unix_compat.connect ~host:"127.0.0.1" ~port () with
-    | Error e -> Error e
-    | Ok conn ->
-      let r = Live_sync.pull_conn ~store:ca conn in
-      Unix_compat.close_conn conn;
-      r
+  (* serve prints the port it bound once it listens, so the client
+     cannot race it. *)
+  let server =
+    start cli_exe
+      [ "serve"; "--dir"; bob.Node_store.dir; "--port"; "0"; "--accept-timeout"; "10" ]
   in
-  let status = reap child in
-  check_b "server exchange succeeded" true (status = Unix.WEXITED 0);
-  (match report with
-   | Error e -> Alcotest.failf "pull failed: %s" e
-   | Ok r ->
-     check_b "pulled bob's block" true (r.Live_sync.pulled.V.Reconcile.blocks_received >= 1);
-     check_b "answered the pull back" true (r.Live_sync.served >= 1));
+  let port = port_after server.line " on 127.0.0.1:" in
+  let out, err, status =
+    run_cli
+      [ "sync"; "--dir"; ca.Node_store.dir; "--live"; Printf.sprintf "127.0.0.1:%d" port ]
+  in
+  let server_status = reap server in
+  check_b "server exchange succeeded" true (server_status = Unix.WEXITED 0);
+  check_b ("sync exited 0: " ^ err) true (status = Unix.WEXITED 0);
+  (* "pulled N block(s) ..." and "answered N request(s) ..." *)
+  let count word =
+    match
+      List.find_opt (String.starts_with ~prefix:(word ^ " "))
+        (String.split_on_char '\n' out)
+    with
+    | Some line -> Scanf.sscanf line "%_s %d" Fun.id
+    | None -> Alcotest.failf "no %S line in %S" word out
+  in
+  check_b "pulled bob's block" true (count "pulled" >= 1);
+  check_b "answered the pull back" true (count "answered" >= 1);
   (* Both directories were saved by their own endpoint; reload from disk
      and check the replicas converged to the same frontier and state. *)
   let ca = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
@@ -298,6 +348,19 @@ let live_sync () =
     true
     (List.length crossed >= 2)
 
+(* serve reports the port it bound, and with no peer dialing it gives
+   up after --accept-timeout. *)
+let serve_accept_timeout () =
+  let store = init "serve-timeout" in
+  let out, err, status =
+    run_cli
+      [ "serve"; "--dir"; store.Node_store.dir; "--port"; "0"; "--accept-timeout"; "0.3" ]
+  in
+  check_b "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check string)
+    "stderr" "error: timed out waiting for a peer to connect\n" err;
+  check_b ("reports a bound port: " ^ out) true (port_after out " on 127.0.0.1:" > 0)
+
 (* Batch ancestry recovery: a stale replica re-admits everything missing
    below the source's frontier, journals it, and still verifies. *)
 let recover_ancestry () =
@@ -336,26 +399,7 @@ let recover_ancestry () =
   let _, restored2 = Result.get_ok (Node_store.recover bob ~from:ca ()) in
   check_i "idempotent" 0 restored2
 
-(* [vegvisir-cli trace] over hand-written journals. Run the built CLI to
-   completion with stdout and stderr in temp files (no pipe to fill);
-   returns both and the exit code. *)
-let run_cli args =
-  let out_path = Filename.temp_file "vv-cli" ".out" in
-  let err_path = Filename.temp_file "vv-cli" ".err" in
-  let open_w p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let out_fd = open_w out_path and err_fd = open_w err_path in
-  let pid =
-    Unix.create_process cli_exe (Array.of_list (cli_exe :: args)) Unix.stdin
-      out_fd err_fd
-  in
-  Unix.close out_fd;
-  Unix.close err_fd;
-  let _, status = Unix.waitpid [] pid in
-  let read p = In_channel.with_open_bin p In_channel.input_all in
-  let out = read out_path and err = read err_path in
-  Sys.remove out_path;
-  Sys.remove err_path;
-  (out, err, status)
+(* [vegvisir-cli trace] over hand-written journals. *)
 
 let hex_a = "aaaa1111" ^ String.make 56 '0'
 let hex_b = "aaaa2222" ^ String.make 56 '0'
@@ -578,12 +622,13 @@ let daemon_soak () =
      one more pull each makes all nine directories identical. *)
   List.iter
     (fun dir ->
-      let store = Result.get_ok (Node_store.load ~dir) in
-      match
-        Live_sync.pull ~store ~timeout_s:10. ~host:"127.0.0.1" ~port:pport ()
-      with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "catch-up pull from %s failed: %s" dir e)
+      let _, err, status =
+        run_cli
+          [ "sync"; "--dir"; dir; "--live"; Printf.sprintf "127.0.0.1:%d" pport;
+            "--connect-timeout"; "10" ]
+      in
+      if status <> Unix.WEXITED 0 then
+        Alcotest.failf "catch-up pull from %s failed: %s" dir err)
     client_dirs;
   (* The final scrape must account for every session the soak opened. *)
   let final = scrape () in
@@ -1219,38 +1264,6 @@ let hostile_requests () =
   | [ Some (V.Reconcile.Frontier_reply _) ] -> ()
   | _ -> Alcotest.fail "a fresh connection must still be answered"
 
-(* Child role [frame-client PORT HASH]: send three Blocks_request frames
-   of 3000, 10 and 6000 unknown hashes, each followed by HASH, and exit 0
-   when every reply carries exactly the block HASH names. *)
-let frame_client port known =
-  let known = Option.get (V.Hash_id.of_hex known) in
-  let request n =
-    let filler i = V.Hash_id.of_raw_exn (Printf.sprintf "%032d" i) in
-    let b = Buffer.create 256 in
-    V.Reconcile.encode_message b
-      (V.Reconcile.Blocks_request { hashes = List.init n filler @ [ known ] });
-    Buffer.contents b
-  in
-  let answered conn n =
-    Result.is_ok (Unix_compat.send_frame conn (request n))
-    &&
-    match Unix_compat.recv_frame ~timeout_s:10. conn with
-    | Ok (Unix_compat.Frame reply) -> (
-      match V.Wire.decode_string V.Reconcile.decode_message reply with
-      | Some (V.Reconcile.Blocks_reply { blocks = [ b ] }) -> V.Hash_id.equal b.V.Block.hash known
-      | Some _ | None -> false)
-    | Ok (Unix_compat.Timeout | Unix_compat.Closed) | Error _ -> false
-  in
-  let ok =
-    match Unix_compat.connect ~host:"127.0.0.1" ~port () with
-    | Error _ -> false
-    | Ok conn ->
-      let ok = List.for_all (answered conn) [ 3000; 10; 6000 ] in
-      Unix_compat.close_conn conn;
-      ok
-  in
-  if ok then 0 else 1
-
 (* Frames far larger than the first read chunk must reach the engine
    intact, also when a later frame reuses the chunks of an earlier one
    and then needs more. Each request names thousands of unknown hashes
@@ -1261,21 +1274,35 @@ let multi_chunk_frames () =
   let known = V.Hash_id.Set.min_elt (V.Dag.frontier (V.Node.dag store.Node_store.node)) in
   let loop = Event_loop.create ~store () in
   let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
-  let child =
-    start_child ~report:false "frame-client"
-      [ string_of_int port; V.Hash_id.to_hex known ]
+  let request n =
+    let filler i = V.Hash_id.of_raw_exn (Printf.sprintf "%032d" i) in
+    framed (V.Reconcile.Blocks_request { hashes = List.init n filler @ [ known ] })
   in
-  (* The client hangs up without a turn-over, which ends the session. *)
+  (* Requests of 3000, 10 and 6000 unknown hashes, each sent once the
+     one before it is answered. *)
+  let client = raw_client port [] in
   let deadline = Unix.gettimeofday () +. 20. in
-  let r =
-    Event_loop.run loop ~until:(fun st ->
-        st.Event_loop.failed + st.Event_loop.completed >= 1
-        || Unix.gettimeofday () > deadline)
+  let ran =
+    List.for_all
+      (fun n ->
+        let want = List.length (received client) + 1 in
+        client.out <- client.out ^ request n;
+        Result.is_ok
+          (Event_loop.run loop ~until:(fun _ ->
+               pump client;
+               List.length (received client) >= want
+               || Unix.gettimeofday () > deadline)))
+      [ 3000; 10; 6000 ]
   in
   Event_loop.shutdown loop;
-  let status = reap child in
-  check_b "loop ran" true (Result.is_ok r);
-  check_b "every reply carried the known block" true (status = Unix.WEXITED 0);
+  Unix.close client.fd;
+  let carries_known = function
+    | Some (V.Reconcile.Blocks_reply { blocks = [ b ] }) -> V.Hash_id.equal b.V.Block.hash known
+    | Some _ | None -> false
+  in
+  check_b "loop ran" true ran;
+  check_b "every reply carried the known block" true
+    (List.length (received client) = 3 && List.for_all carries_known (received client));
   check_b "three requests served" true ((Event_loop.stats loop).Event_loop.served = 3)
 
 (* Child role [http-client PORT]: scrape /metrics and a bad target from a
@@ -1309,9 +1336,9 @@ let metrics_endpoint () =
   let reg = Obs.Registry.create () in
   Obs.Registry.add (Obs.Registry.counter reg ~node:"0" "gossip.blocks") 7;
   let render () = Obs.Registry.to_prometheus (Obs.Registry.snapshot reg) in
-  (* A store-less loop with only the /metrics listener, as serve --metrics
-     runs it. *)
-  let loop = Event_loop.create () in
+  (* A loop with only the /metrics listener, as serve --metrics runs it
+     after its exchange. *)
+  let loop = Event_loop.create ~store:(init "metrics") () in
   ignore (Result.get_ok (Event_loop.listen_metrics loop ~port:0 ()));
   let port = Option.get (Event_loop.metrics_port loop) in
   Event_loop.set_render loop render;
@@ -1338,10 +1365,8 @@ let metrics_endpoint () =
 (* A child process started by a test runs one role and exits, before
    Alcotest ever sees its arguments. *)
 let child_main = function
-  | [ "serve-once"; dir ] -> serve_once dir
   | [ "soak-client"; dir; port; n ] ->
     soak_client dir (int_of_string port) (int_of_string n)
-  | [ "frame-client"; port; known ] -> frame_client (int_of_string port) known
   | [ "http-client"; port ] -> http_client (int_of_string port)
   | args -> Printf.eprintf "unknown child role: %s\n" (String.concat " " args); 2
 
@@ -1357,8 +1382,11 @@ let () =
           Alcotest.test_case "lifecycle" `Quick lifecycle;
           Alcotest.test_case "enroll and sync" `Quick enroll_and_sync;
           Alcotest.test_case "key rotation" `Quick key_rotation;
+          Alcotest.test_case "key position per handle" `Quick key_position_per_handle;
+          Alcotest.test_case "rotate refuses its own CA" `Quick rotate_own_ca_refused;
           Alcotest.test_case "corruption" `Quick corruption_detected;
           Alcotest.test_case "live socket sync" `Quick live_sync;
+          Alcotest.test_case "serve --accept-timeout" `Quick serve_accept_timeout;
           Alcotest.test_case "batch ancestry recovery" `Quick recover_ancestry;
         ] );
       ( "event-loop",

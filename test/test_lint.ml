@@ -177,7 +177,7 @@ let test_engine_purity () =
      transports. *)
   check_silent ~rule:"engine-transport-purity" "lib/net/gossip.ml"
     "let f net = Simnet.send net 0";
-  check_silent ~rule:"engine-transport-purity" "lib/cli/live_sync.ml"
+  check_silent ~rule:"engine-transport-purity" "lib/cli/event_loop.ml"
     "let t () = Unix_compat.now ()"
 
 let test_printf_outside_obs () =
