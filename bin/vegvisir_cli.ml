@@ -165,7 +165,7 @@ let sync_cmd =
     | None, None -> or_die (Error "one of --from or --live is required")
     | Some from, None ->
       let src = or_die (Vegvisir_cli.Node_store.load ~dir:from) in
-      print_stats (Vegvisir_cli.Node_store.sync t ~from:src ~mode)
+      print_stats (or_die (Vegvisir_cli.Node_store.sync t ~from:src ~mode))
     | None, Some (host, port) ->
       let pulled, served =
         live_exchange t mode (fun loop ->
@@ -274,16 +274,16 @@ let serve_cmd =
       (* A loop over the same store with only the /metrics listener: it
          answers every scrape until SIGINT/SIGTERM. *)
       let loop = Vegvisir_cli.Event_loop.create ~store:t () in
-      let (_ : int) =
+      let bound =
         or_die (Vegvisir_cli.Event_loop.listen_metrics loop ~port:mport ())
       in
       Vegvisir_cli.Event_loop.set_render loop (render_prometheus [ dir ]);
       Vegvisir_cli.Unix_compat.install_stop_handler (fun () ->
           Vegvisir_cli.Event_loop.request_stop loop);
-      Printf.printf "metrics on http://127.0.0.1:%d/metrics\n%!" mport;
+      Printf.printf "metrics on http://127.0.0.1:%d/metrics\n%!" bound;
       let r = Vegvisir_cli.Event_loop.run loop in
       let answered =
-        (Vegvisir_cli.Event_loop.stats loop).Vegvisir_cli.Event_loop.http_closed
+        (Vegvisir_cli.Event_loop.stats loop).Vegvisir_cli.Event_loop.scrapes
       in
       Vegvisir_cli.Event_loop.shutdown loop;
       or_die r;

@@ -43,17 +43,23 @@ let http_idle_ms = 10_000.
 (* Longest plausible scrape request head. *)
 let max_request_bytes = 16 * 1024
 
+(* Per-session backpressure: stop reading a session's requests (and so
+   stop generating replies) while this much output is queued. *)
+let max_outbound_bytes = 8 * 1024 * 1024
+
+(* No bytes moved either way for this long: the session failed. *)
+let idle_timeout_ms = 30_000.
+
+(* Graceful shutdown: sessions still open this long after request_stop
+   are force-closed. *)
+let drain_grace_ms = 5_000.
+
 type config = {
   mode : Reconcile.mode;
   session_budget : int;
       (* stop accepting new peer conns while this many are active *)
-  max_outbound_bytes : int;
-      (* per-session backpressure: stop reading (and so stop generating
-         replies) while this much output is queued *)
   stale_after_ms : float;
   session_timeout_ms : float;
-  idle_timeout_ms : float;  (* no bytes either way -> session failed *)
-  drain_grace_ms : float;  (* shutdown: force-close stragglers after this *)
   slow_iteration_ms : float;
       (* self-profiling: iterations whose busy time (select wait
          excluded) exceeds this bump loop.slow_iterations *)
@@ -62,24 +68,17 @@ type config = {
          every hosted engine; 0. = off (no Trace_context frames) *)
   flight_capacity : int;
       (* flight-recorder ring size in events *)
-  flight_path : string option;
-      (* where SIGQUIT / slow-iteration flight dumps land; None falls
-         back to <store dir>/flight.jsonl *)
 }
 
 let default_config =
   {
     mode = Reconcile.Naive;
     session_budget = 128;
-    max_outbound_bytes = 8 * 1024 * 1024;
     stale_after_ms = 2_000.;
     session_timeout_ms = 20_000.;
-    idle_timeout_ms = 30_000.;
-    drain_grace_ms = 5_000.;
     slow_iteration_ms = 100.;
     trace_sample = 0.;
     flight_capacity = Obs.Flight.default_capacity;
-    flight_path = None;
   }
 
 (* How many recent spans /debug/spans retains. *)
@@ -223,7 +222,7 @@ type t = {
   mutable stop_requested : bool;
   mutable stop_initiated : bool;
   mutable stop_deadline : float;
-  mutable dirty : bool;  (* a Deliver made blocks resident since the last save *)
+  mutable dirty : bool;  (* an intake made blocks resident since the last save *)
   mutable fatal : string option;
   mutable idle_armed : bool;
   mutable n_accepted : int;
@@ -380,17 +379,12 @@ let spans t = Obs.Span.Collector.spans t.span_ring
    writes the dump at its next iteration. *)
 let request_flight_dump t = t.flight_dump_requested <- true
 
-let flight_target t =
-  match t.config.flight_path with
-  | Some p -> p
-  | None -> Filename.concat t.store.Node_store.dir "flight.jsonl"
-
-(* Write the dump where configured. Failures are swallowed: the flight
-   recorder is a diagnostic of last resort and must never take the
-   daemon down with it. *)
+(* Write the dump to <store dir>/flight.jsonl. Failures are swallowed:
+   the flight recorder is a diagnostic of last resort and must never
+   take the daemon down with it. *)
 let write_flight_dump t =
   t.last_flight_dump <- Unix_compat.mono_ms ();
-  match open_out (flight_target t) with
+  match open_out (Filename.concat t.store.Node_store.dir "flight.jsonl") with
   | oc ->
     (try output_string oc (flight_dump t) with Sys_error _ -> ());
     close_out_noerr oc
@@ -437,23 +431,13 @@ let set_active t =
 let arm_idle_sweep t =
   if not t.idle_armed then begin
     t.idle_armed <- true;
-    let period = Float.max 1_000. (t.config.idle_timeout_ms /. 4.) in
+    let period = Float.max 1_000. (idle_timeout_ms /. 4.) in
     let w, _id =
       Timer_wheel.schedule t.wheel ~at_ms:(Unix_compat.mono_ms () +. period)
         Idle_sweep
     in
     t.wheel <- w
   end
-
-let block_event t s phase (h : Hash_id.t) =
-  Obs.Event.Block { node = t.me; phase; block = h; peer = Some s.label }
-
-(* Blocks arriving now may be stamped slightly ahead of our clock; admit
-   the same skew the validation layer tolerates. *)
-let apply_ts () =
-  Timestamp.add_ms
-    (Timestamp.of_seconds (Unix_compat.now ()))
-    Validation.default_max_skew_ms
 
 let enqueue_out s payload =
   let framed = Unix_compat.encode_frame payload in
@@ -500,31 +484,13 @@ let apply_effect t s (eff : Peer_engine.effect_) =
       ()
   end
   | Peer_engine.Deliver blocks ->
-    let node = t.store.Node_store.node in
-    journal t
-      (List.map
-         (fun (b : Block.t) -> block_event t s Obs.Event.Received b.Block.hash)
-         blocks);
-    let before = Dag.cardinal (Node.dag node) in
-    Node.receive_all node ~now:(apply_ts ()) blocks;
-    (* Anything now resident passed validation and was applied. *)
-    let dag = Node.dag node in
-    journal t
-      (List.concat_map
-         (fun (b : Block.t) ->
-           if Dag.mem dag b.Block.hash then
-             [
-               block_event t s Obs.Event.Validated b.Block.hash;
-               block_event t s Obs.Event.Delivered b.Block.hash;
-             ]
-           else [])
-         blocks);
+    let made = Node_store.deliver t.store ~journal:(journal t) ~peer:s.label blocks in
     let n = List.length blocks in
     s.delivered <- s.delivered + n;
     t.n_delivered <- t.n_delivered + n;
     (* Only a block made resident changes what a save writes; every
        finished pull delivers, usually nothing new. *)
-    if Dag.cardinal dag > before then t.dirty <- true
+    (match made with [] -> () | _ :: _ -> t.dirty <- true)
   | Peer_engine.Session_done pull_stats -> s.pulled <- Some pull_stats
   | Peer_engine.Trace ev -> begin
     let journal_ev () =
@@ -706,7 +672,7 @@ let rec pump_read t s =
   match s.closing with
   | Some _ -> ()
   | None ->
-    if s.out_bytes > t.config.max_outbound_bytes then ()
+    if s.out_bytes > max_outbound_bytes then ()
     else if s.payload_len < 0 then begin
       match
         Unix_compat.read_nb s.conn s.header ~pos:s.header_got
@@ -1254,7 +1220,7 @@ let idle_sweep t =
       match s.closing with
       | Some _ -> ()
       | None ->
-        if now -. s.last_io > t.config.idle_timeout_ms then
+        if now -. s.last_io > idle_timeout_ms then
           fail_session t s "timed out waiting for the peer")
     t.sessions;
   let stale =
@@ -1339,7 +1305,7 @@ let build_interest t =
           match s.closing with
           | Some _ -> r
           | None ->
-            if s.out_bytes > t.config.max_outbound_bytes then r
+            if s.out_bytes > max_outbound_bytes then r
             else s.conn :: r
         in
         let w = if Queue.is_empty s.outq then w else s.conn :: w in
@@ -1365,7 +1331,7 @@ let iterate t =
   let iter_start = Unix_compat.mono_ms () in
   if t.stop_requested && not t.stop_initiated then begin
     t.stop_initiated <- true;
-    t.stop_deadline <- iter_start +. t.config.drain_grace_ms;
+    t.stop_deadline <- iter_start +. drain_grace_ms;
     match t.peer_listener with
     | Some l ->
       t.peer_listener <- None;

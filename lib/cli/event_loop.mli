@@ -22,16 +22,8 @@ type config = {
   session_budget : int;
       (** stop accepting new peer conns while this many sessions are
           active — backpressure at the accept queue, not in memory *)
-  max_outbound_bytes : int;
-      (** per-session backpressure: stop reading requests (leaving them
-          in the kernel buffer) while this much output is queued *)
   stale_after_ms : float;  (** engine retransmit threshold *)
   session_timeout_ms : float;  (** engine per-session hard deadline *)
-  idle_timeout_ms : float;
-      (** no bytes moved either way for this long — session failed *)
-  drain_grace_ms : float;
-      (** graceful shutdown: sessions still open this long after
-          {!request_stop} are force-closed *)
   slow_iteration_ms : float;
       (** self-profiling threshold: iterations whose busy time (the
           select wait excluded) exceeds this bump the
@@ -46,15 +38,16 @@ type config = {
   flight_capacity : int;
       (** flight-recorder ring size in events
           (default {!Vegvisir_obs.Flight.default_capacity}) *)
-  flight_path : string option;
-      (** where SIGQUIT- and anomaly-triggered flight dumps are written;
-          [None] (the default) falls back to [<store dir>/flight.jsonl] *)
 }
+(** Fixed bounds, not configurable: a session stops reading requests
+    while 8 MiB of output is queued for it, fails after 30 s with no
+    bytes moved either way, and is force-closed 5 s after
+    {!request_stop}. *)
 
 val default_config : config
-(** [Naive] mode, 128-session budget, 8 MiB outbound budget, 2 s stale
-    / 20 s session timeouts, 30 s idle timeout, 5 s drain grace, 100 ms
-    slow-iteration threshold, tracing off, 4096-event flight ring. *)
+(** [Naive] mode, 128-session budget, 2 s stale / 20 s session timeouts,
+    100 ms slow-iteration threshold, tracing off, 4096-event flight
+    ring. *)
 
 val create : store:Node_store.t -> ?config:config -> unit -> t
 (** A loop hosting sessions over [store]: it journals into the store's
@@ -102,8 +95,8 @@ val spans : t -> Vegvisir_obs.Span.t list
 (** The span ring's retained spans, oldest first. *)
 
 val request_flight_dump : t -> unit
-(** Ask the loop to write a flight dump at its next iteration (to
-    [flight_path], or [<store dir>/flight.jsonl]). Sets a flag only —
+(** Ask the loop to write a flight dump at its next iteration, to
+    [<store dir>/flight.jsonl]. Sets a flag only —
     safe from a signal handler; the daemon routes [SIGQUIT] here via
     {!Unix_compat.install_quit_handler}. *)
 
@@ -177,7 +170,9 @@ type stats = {
   active : int;  (** sessions currently open *)
   scrapes : int;  (** successful [/metrics] responses *)
   http_closed : int;  (** HTTP conns closed (any reason) *)
-  delivered : int;  (** blocks applied to the store across all sessions *)
+  delivered : int;
+      (** blocks delivered to the node's intake across all sessions,
+          including those it did not make resident *)
   served : int;  (** request frames answered across all sessions *)
 }
 
@@ -211,8 +206,8 @@ val request_stop : t -> unit
 (** Begin graceful shutdown: sets a flag only, so it is safe from a
     signal handler ({!Unix_compat.install_stop_handler}). The loop then
     closes the peer listener, drains open sessions (force-closing them
-    after [drain_grace_ms]), saves the store if any session delivered
-    blocks, flushes buffered telemetry, and returns from {!run}. *)
+    after 5 s), saves the store if an intake made blocks resident,
+    flushes buffered telemetry, and returns from {!run}. *)
 
 val shutdown : t -> unit
 (** Immediate teardown for one-shot callers: fail any open sessions,

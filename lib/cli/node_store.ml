@@ -122,6 +122,10 @@ let decode_key contents =
 
 let now_ts () = Timestamp.of_seconds (Unix_compat.now ())
 
+(* Blocks arriving now may be stamped slightly ahead of our clock; admit
+   the same skew the validation layer tolerates. *)
+let intake_ts () = Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms
+
 let key_used { signer; height; seed = _ } =
   match signer.Signer.remaining () with
   | Some r -> (1 lsl height) - r
@@ -173,14 +177,7 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
     match Node.receive node ~now:(Timestamp.add_ms (now_ts ()) 1L) genesis with
     | Node.Accepted ->
       let t = { dir; node; ca_cert = cert; key = { signer; height; seed } } in
-      record t
-        (Obs.Event.Block
-           {
-             node = node_name t;
-             phase = Obs.Event.Created;
-             block = genesis.Block.hash;
-             peer = None;
-           });
+      record_all t (Obs.Engine_events.created ~node:(node_name t) genesis);
       let* () = save t in
       Ok t
     | (Node.Duplicate | Node.Buffered _ | Node.Rejected _) as r ->
@@ -207,9 +204,7 @@ let load ~dir =
       Error "key file does not match certificate"
     else begin
       let node = Node.create ~signer ~cert () in
-      Node.receive_all node
-        ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (List.of_seq (Dag.topo_seq dag));
+      Node.receive_all node ~now:(intake_ts ()) (List.of_seq (Dag.topo_seq dag));
       let t = { dir; node; ca_cert; key = { signer; height; seed } } in
       record t
         (Obs.Event.Store_loaded
@@ -235,8 +230,7 @@ let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
     in
     let* () = save ca in
     let node = Node.create ~signer:subject ~cert () in
-    Node.receive_all node
-      ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
+    Node.receive_all node ~now:(intake_ts ())
       (List.of_seq (Dag.topo_seq (Node.dag ca.node)));
     let t =
       { dir; node; ca_cert = ca.ca_cert; key = { signer = subject; height; seed } }
@@ -252,14 +246,7 @@ let append t ~crdt ~op args =
     match Node.append t.node ~now:(now_ts ()) [ tx ] with
     | Error e -> Error (Fmt.str "%a" Node.pp_append_error e)
     | Ok block ->
-      record t
-        (Obs.Event.Block
-           {
-             node = node_name t;
-             phase = Obs.Event.Created;
-             block = block.Block.hash;
-             peer = None;
-           });
+      record_all t (Obs.Engine_events.created ~node:(node_name t) block);
       let* () = save t in
       Ok block
   end
@@ -288,52 +275,35 @@ let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
       let t = { t with key = { signer = fresh; height; seed } } in
       let* () = save t in
       (* The CA should learn the rotation block too. *)
-      Node.receive_all ca.node
-        ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
+      Node.receive_all ca.node ~now:(intake_ts ())
         (List.of_seq (Dag.topo_seq (Node.dag t.node)));
       let* () = save ca in
       Ok t
   end
 
+let deliver t ~journal ~peer blocks =
+  let node = node_name t in
+  journal (Obs.Engine_events.received ~node ~peer blocks);
+  let made = Node.intake t.node ~now:(intake_ts ()) blocks in
+  journal (Obs.Engine_events.made_resident ~node ~peer made);
+  made
+
 let sync t ~from ~mode =
   let peer = node_name from in
   record t (Obs.Event.Sync_started { node = node_name t; peer });
-  let mine = Node.dag t.node in
-  let merged, stats =
-    Reconcile.sync_dags mode (Node.dag t.node) (Node.dag from.node)
-  in
-  let fresh =
-    Dag.topo_seq merged
-    |> Seq.filter (fun (b : Block.t) -> not (Dag.mem mine b.Block.hash))
-    |> List.of_seq
-  in
-  Node.receive_all t.node
-    ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-    (List.of_seq (Dag.topo_seq merged));
-  let me = node_name t in
-  record_all t
-    (List.concat_map
-       (fun (b : Block.t) ->
-         let h = b.Block.hash in
-         [
-           Obs.Event.Block
-             { node = me; phase = Obs.Event.Received; block = h; peer = Some peer };
-           Obs.Event.Block
-             { node = me; phase = Obs.Event.Delivered; block = h; peer = None };
-         ])
-       fresh);
+  let delivered, stats = Reconcile.pull mode (Node.dag t.node) (Node.dag from.node) in
+  let made = deliver t ~journal:(record_all t) ~peer delivered in
   record t
     (Obs.Event.Sync_completed
-       { node = me; peer; pulled = List.length fresh; served = 0 });
-  (match save t with Ok () -> () | Error _ -> ());
-  stats
+       { node = node_name t; peer; pulled = List.length made; served = 0 });
+  let* () = save t in
+  Ok stats
 
 (* §IV-I batch ancestry recovery: treat [from]'s replica as a superpeer
    archive and pull the ancestry closure of [below] (default: the
    source's whole frontier) through Offload.serve_below. The reply is
-   topologically ordered, so the fresh blocks replay with no reorder
-   buffering; blocks we already hold (resident or archived — Dag.add
-   reports archived hashes as duplicates) are skipped. *)
+   topologically ordered, so the blocks we lack (neither resident nor
+   archived) replay with no reorder buffering. *)
 let recover t ~from ?below () =
   let src_dag = Node.dag from.node in
   let offload = Offload.create () in
@@ -345,36 +315,19 @@ let recover t ~from ?below () =
   in
   let served = Offload.serve_below offload seeds in
   let mine = Node.dag t.node in
-  let fresh =
+  let missing =
     List.filter
       (fun (b : Block.t) ->
         not (Dag.mem mine b.Block.hash || Dag.is_archived mine b.Block.hash))
       served
   in
-  Node.receive_all t.node
-    ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-    fresh;
-  let dag = Node.dag t.node in
-  let restored =
-    List.filter (fun (b : Block.t) -> Dag.mem dag b.Block.hash) fresh
-  in
-  let me = node_name t and peer = node_name from in
-  record_all t
-    (List.concat_map
-       (fun (b : Block.t) ->
-         let h = b.Block.hash in
-         [
-           Obs.Event.Block
-             { node = me; phase = Obs.Event.Received; block = h; peer = Some peer };
-           Obs.Event.Block
-             { node = me; phase = Obs.Event.Delivered; block = h; peer = None };
-         ])
-       restored);
+  let peer = node_name from in
+  let made = deliver t ~journal:(record_all t) ~peer missing in
   record t
     (Obs.Event.Recovery_completed
-       { node = me; peer; blocks = List.length restored });
+       { node = node_name t; peer; blocks = List.length made });
   let* () = save t in
-  Ok (List.length served, List.length restored)
+  Ok (List.length served, List.length made)
 
 let verify t =
   let dag = Node.dag t.node in

@@ -58,8 +58,26 @@ val append :
   (Vegvisir.Block.t, string) result
 (** Prepare, append, and save. The block timestamp is the wall clock. *)
 
-val sync : t -> from:t -> mode:Vegvisir.Reconcile.mode -> Vegvisir.Reconcile.stats
-(** Pull missing blocks from another node directory; saves the target. *)
+val deliver :
+  t ->
+  journal:(Vegvisir_obs.Event.t list -> unit) ->
+  peer:string ->
+  Vegvisir.Block.t list ->
+  Vegvisir.Block.t list
+(** Admit a delivery from [peer] (its telemetry name) through
+    {!Vegvisir.Node.intake}, stamped with the host clock plus the
+    validation skew allowance, and hand [journal] its events from
+    {!Vegvisir_obs.Engine_events}: [Received] for every delivered block
+    before the intake, then [Validated]/[Delivered] (and [Witnessed] for
+    an empty block) for each block made resident. Returns the blocks
+    made resident, in commit order. *)
+
+val sync :
+  t -> from:t -> mode:Vegvisir.Reconcile.mode -> (Vegvisir.Reconcile.stats, string) result
+(** Pull missing blocks from another node directory ({!deliver} of what
+    {!Vegvisir.Reconcile.pull} delivers), journal [Sync_completed] with
+    the count made resident, and save the target; [Error] if the save
+    fails. *)
 
 val recover :
   t ->
@@ -69,11 +87,11 @@ val recover :
   (int * int, string) result
 (** §IV-I batch ancestry recovery: fetch from [from]'s replica (via
     {!Vegvisir.Offload.serve_below}) every block in the ancestry closure
-    of [below] — default: [from]'s whole frontier — and re-admit the
-    ones missing locally, in topological order. Records
-    [Received]/[Delivered] block events plus a [Recovery_completed]
-    event in the trace journal, then saves. Returns
-    [(served, restored)]: closure size vs. blocks actually added. *)
+    of [below] — default: [from]'s whole frontier — and {!deliver} the
+    ones missing locally, in topological order. Records a
+    [Recovery_completed] event with the count made resident, then
+    saves. Returns [(served, restored)]: closure size vs. blocks made
+    resident. *)
 
 val rotate :
   ca_dir:string -> dir:string -> seed:string -> ?height:int -> unit ->

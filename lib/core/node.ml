@@ -108,41 +108,44 @@ let buffer t (b : Block.t) = t.pending <- Pending_pool.add t.pending b
 
 let note_advertised t h = t.pending <- Pending_pool.advertise t.pending h
 
-(* Retry buffered blocks, oldest first, until a pass makes no progress. *)
+(* Retry buffered blocks until a pass makes none resident; returns the
+   ones made resident, in commit order. *)
 let drain t ~now =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (b : Block.t) ->
+  let pending, made =
+    Pending_pool.drain t.pending (fun b ->
         match try_accept t ~now b with
-        | Accepted ->
-          t.pending <- Pending_pool.remove t.pending b.Block.hash;
-          progress := true
-        | Duplicate -> t.pending <- Pending_pool.remove t.pending b.Block.hash
-        | Buffered _ -> ()
+        | Accepted -> Pending_pool.Resident
+        | Duplicate -> Pending_pool.Dropped
+        | Buffered _ -> Pending_pool.Waiting
         | Rejected _ ->
-          t.pending <- Pending_pool.remove t.pending b.Block.hash;
-          t.stats.rejected <- t.stats.rejected + 1)
-      (Pending_pool.blocks t.pending)
-  done
+          t.stats.rejected <- t.stats.rejected + 1;
+          Pending_pool.Dropped)
+  in
+  t.pending <- pending;
+  made
 
-let receive t ~now b =
-  let r = try_accept t ~now b in
-  (match r with
-  | Accepted -> drain t ~now
-  | Duplicate -> t.stats.duplicates <- t.stats.duplicates + 1
+(* One block through the pipeline: its result and, when it was
+   accepted, the buffered blocks its accept drained, in commit order. *)
+let admit t ~now b =
+  match try_accept t ~now b with
+  | Accepted -> (Accepted, drain t ~now)
+  | Duplicate ->
+    t.stats.duplicates <- t.stats.duplicates + 1;
+    (Duplicate, [])
   | Buffered e ->
     Log.debug (fun m ->
         m "%a: buffered %a (%a)" Hash_id.pp (user_id t) Hash_id.pp b.Block.hash
           Validation.pp_error e);
-    buffer t b
+    buffer t b;
+    (Buffered e, [])
   | Rejected e ->
     Log.warn (fun m ->
         m "%a: rejected %a (%a)" Hash_id.pp (user_id t) Hash_id.pp b.Block.hash
           Validation.pp_error e);
-    t.stats.rejected <- t.stats.rejected + 1);
-  r
+    t.stats.rejected <- t.stats.rejected + 1;
+    (Rejected e, [])
+
+let receive t ~now b = fst (admit t ~now b)
 
 (* Blocks of a batch that may need an MSS check: neither resident nor
    archived, once each, and not by a member known to sign otherwise. *)
@@ -166,20 +169,32 @@ let precheck_candidates t blocks =
   Array.of_list (List.rev fresh)
 
 (* The costly half of each candidate's check runs first, across domains;
-   then every block goes through [receive] in order, as it would one at
-   a time, with those results standing in for that half. *)
-let receive_all t ~now blocks =
+   then every block goes through [admit] in order, as it would one at a
+   time, with those results standing in for that half. A lone candidate
+   gains nothing from the pool: its check runs inline, which spares
+   encoding its body twice. *)
+let intake t ~now blocks =
   let fresh = precheck_candidates t blocks in
-  let results = Domain_pool.map Block.ots_holds fresh in
-  let add acc (b : Block.t) = function
-    | Some ok -> Hash_id.Map.add b.Block.hash ok acc
-    | None -> acc
-  in
-  t.prechecked <-
-    Seq.fold_left2 add Hash_id.Map.empty (Array.to_seq fresh) (Array.to_seq results);
+  if Array.length fresh > 1 then begin
+    let results = Domain_pool.map Block.ots_holds fresh in
+    let add acc (b : Block.t) = function
+      | Some ok -> Hash_id.Map.add b.Block.hash ok acc
+      | None -> acc
+    in
+    t.prechecked <-
+      Seq.fold_left2 add Hash_id.Map.empty (Array.to_seq fresh) (Array.to_seq results)
+  end;
   Fun.protect
     ~finally:(fun () -> t.prechecked <- Hash_id.Map.empty)
-    (fun () -> List.iter (fun b -> ignore (receive t ~now b)) blocks)
+    (fun () ->
+      List.concat_map
+        (fun b ->
+          match admit t ~now b with
+          | Accepted, drained -> b :: drained
+          | (Duplicate | Buffered _ | Rejected _), _ -> [])
+        blocks)
+
+let receive_all t ~now blocks = ignore (intake t ~now blocks : Block.t list)
 
 let missing_dependencies t =
   Pending_pool.fold
@@ -191,7 +206,7 @@ let prepare_transaction t ~crdt ~op args =
   | Ok args -> Ok (Transaction.make ~crdt ~op args)
   | Error e -> Error e
 
-let append t ~now ?location ?parents txs =
+let append_drained t ~now ?location ?parents txs =
   match Dag.genesis t.dag with
   | None -> Error No_genesis
   | Some _ -> begin
@@ -216,12 +231,15 @@ let append t ~now ?location ?parents txs =
     | exception Vegvisir_crypto.Mss.Exhausted -> Error Signer_exhausted
     | b -> begin
       t.stats.created <- t.stats.created + 1;
-      match receive t ~now:timestamp b with
-      | Accepted -> Ok b
-      | Duplicate -> Ok b
-      | Buffered e | Rejected e -> Error (Self_rejected e)
+      match admit t ~now:timestamp b with
+      | Accepted, drained -> Ok (b, drained)
+      | Duplicate, _ -> Ok (b, [])
+      | (Buffered e | Rejected e), _ -> Error (Self_rejected e)
     end
   end
+
+let append t ~now ?location ?parents txs =
+  Result.map fst (append_drained t ~now ?location ?parents txs)
 
 let witness t ~now = append t ~now []
 

@@ -62,16 +62,26 @@ val receive : t -> now:Timestamp.t -> Block.t -> receive_result
 (** Feed one block through the intake pipeline, then drain the transient
     buffer to a fixpoint. *)
 
-val receive_all : t -> now:Timestamp.t -> Block.t list -> unit
+val intake : t -> now:Timestamp.t -> Block.t list -> Block.t list
 (** Batch intake, with the same outcome as {!receive} on each block in
-    order. First the W-OTS half of the MSS check ({!Block.ots_holds}) of
-    every block that is neither resident nor archived runs on
-    {!Domain_pool}, before any certificate is needed, so a batch may
-    enrol its own signers. The results, keyed by block hash, serve this
-    call only (its drains included); every block is still decided by
-    {!Validation}, which checks the leaf index, the path to the
-    creator's key, membership, revocation and timestamps. A block
-    buffered now and drained by a later call is checked inline. *)
+    order. Returns the blocks it made resident, in commit order: each
+    accepted block of the batch followed by the buffered blocks its
+    accept drained (from this batch or an earlier call). A duplicate,
+    buffered or rejected block is not returned.
+
+    First, when a batch has two or more blocks that are neither
+    resident nor archived (and not by a member known to sign with
+    another scheme), the W-OTS half of their MSS check
+    ({!Block.ots_holds}) runs on {!Domain_pool}, before any certificate
+    is needed, so a batch may enrol its own signers. The results, keyed
+    by block hash, serve this call only (its drains included); every
+    block is still decided by {!Validation}, which checks the leaf
+    index, the path to the creator's key, membership, revocation and
+    timestamps. A block buffered now and drained by a later call, or
+    the lone candidate of a batch, is checked inline. *)
+
+val receive_all : t -> now:Timestamp.t -> Block.t list -> unit
+(** {!intake}, ignoring what it made resident. *)
 
 val missing_dependencies : t -> Hash_id.Set.t
 (** Parent hashes that block the transient buffer — what a device should
@@ -106,6 +116,17 @@ val append :
     [?parents] overrides the frontier-reining parent choice; it exists
     solely for the branching ablation (experiment E1) that quantifies what
     reining buys. Real applications must not pass it. *)
+
+val append_drained :
+  t ->
+  now:Timestamp.t ->
+  ?location:Location.t ->
+  ?parents:Hash_id.t list ->
+  Transaction.t list ->
+  (Block.t * Block.t list, append_error) result
+(** {!append}, also returning the buffered blocks the new block's accept
+    drained, in commit order: a block can enrol the creator of a block
+    waiting in the transient buffer. *)
 
 val witness : t -> now:Timestamp.t -> (Block.t, append_error) result
 (** Append an empty block — the §IV-H persistence signal. *)

@@ -15,19 +15,13 @@ let try_add t b =
   | Error _ -> false
 
 let drain t =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (b : Block.t) ->
-        if try_add t b then begin
-          t.buffer <- Pending_pool.remove t.buffer b.Block.hash;
-          progress := true
-        end
-        else if Dag.mem t.dag_ b.Block.hash then
-          t.buffer <- Pending_pool.remove t.buffer b.Block.hash)
-      (Pending_pool.blocks t.buffer)
-  done
+  let buffer, _made =
+    Pending_pool.drain t.buffer (fun (b : Block.t) ->
+        if try_add t b then Pending_pool.Resident
+        else if Dag.mem t.dag_ b.Block.hash then Pending_pool.Dropped
+        else Pending_pool.Waiting)
+  in
+  t.buffer <- buffer
 
 let absorb t b =
   if not (Dag.mem t.dag_ b.Block.hash) then

@@ -116,3 +116,20 @@ let rec merge_seqs a b () =
 let to_seq t = Seq.map snd (merge_seqs (IMap.to_seq t.cold) (IMap.to_seq t.hot))
 let blocks t = List.of_seq (to_seq t)
 let fold f t acc = Seq.fold_left (fun acc b -> f b acc) acc (to_seq t)
+
+type retried = Resident | Dropped | Waiting
+
+let drain t retry =
+  let rec pass t made =
+    let t, made, progress =
+      List.fold_left
+        (fun (t, made, progress) (b : Block.t) ->
+          match retry b with
+          | Waiting -> (t, made, progress)
+          | Dropped -> (remove t b.Block.hash, made, progress)
+          | Resident -> (remove t b.Block.hash, b :: made, true))
+        (t, made, false) (blocks t)
+    in
+    if progress then pass t made else (t, List.rev made)
+  in
+  pass t []

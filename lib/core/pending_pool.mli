@@ -46,3 +46,15 @@ val to_seq : t -> Block.t Seq.t
 
 val fold : (Block.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Oldest-first. *)
+
+type retried =
+  | Resident  (** the retry made the block resident: it leaves the pool *)
+  | Dropped  (** the block can never be admitted: it leaves the pool *)
+  | Waiting  (** its dependencies are still missing: it stays *)
+
+val drain : t -> (Block.t -> retried) -> t * Block.t list
+(** The one retry loop behind every buffered intake: pass over the pooled
+    blocks oldest-first, asking [retry] about each, and start another
+    pass while the last one made a block resident. Returns the pool
+    without the blocks that left it, and the blocks made resident in the
+    order [retry] made them so. *)

@@ -667,23 +667,21 @@ let handle_reply session dag m =
     ( session,
       Finished { new_blocks = insertable_order dag blocks; stats = session.stats } )
 
-let sync_dags mode dst src =
+let pull mode dst src =
   let session, first = start mode dst in
-  let rec loop session dst request =
+  let rec loop session request =
     match respond src request with
     | None -> assert false
     | Some reply -> begin
       match handle_reply session dst reply with
-      | session, Send next -> loop session dst next
+      | session, Send next -> loop session next
       | _, Ignored -> assert false (* local loop never duplicates replies *)
-      | _, Finished { new_blocks; stats } ->
-        let dst =
-          List.fold_left
-            (fun dst b ->
-              match Dag.add dst b with Ok dst -> dst | Error _ -> dst)
-            dst new_blocks
-        in
-        (dst, stats)
+      | _, Finished { new_blocks; stats } -> (new_blocks, stats)
     end
   in
-  loop session dst first
+  loop session first
+
+let sync_dags mode dst src =
+  let blocks, stats = pull mode dst src in
+  let add dst b = match Dag.add dst b with Ok dst -> dst | Error _ -> dst in
+  (List.fold_left add dst blocks, stats)

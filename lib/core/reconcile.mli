@@ -156,10 +156,15 @@ val current_request : session -> message
     should retransmit when it suspects the previous copy (or its reply)
     was lost. *)
 
+val pull : mode -> Dag.t -> Dag.t -> Block.t list * stats
+(** Run a whole pull session locally, [dst] pulling from [src]: the
+    blocks the session delivers (those [dst] lacks, parents first, as
+    {!Finished} carries them) and transfer statistics. *)
+
 val sync_dags : mode -> Dag.t -> Dag.t -> Dag.t * stats
-(** Run a whole pull session locally: merge [src] into [dst], returning
-    the updated [dst] and transfer statistics. Blocks are inserted without
-    re-validation (both DAGs are assumed validated). *)
+(** {!pull}, then merge what it delivered into [dst], returning the
+    updated [dst]. Blocks are inserted without re-validation (both DAGs
+    are assumed validated). *)
 
 (** The digest mode's view of a replica: every known hash (resident or
     archived) bucketed by DAG height, each bucket in [Hash_id] order. *)

@@ -210,14 +210,12 @@ let check ~path structure =
     has_prefix [ "lib"; "core" ] lp || has_prefix [ "lib"; "crdt" ] lp
   in
   let unordered_on =
-    path_eq lp [ "lib"; "core"; "wire.ml" ]
-    || path_eq lp [ "lib"; "net"; "metrics.ml" ]
+    has_prefix [ "lib"; "core" ] lp
+    || has_prefix [ "lib"; "net" ] lp
     || has_prefix [ "lib"; "experiments" ] lp
     || has_prefix [ "lib"; "engine" ] lp
     || has_prefix [ "lib"; "obs" ] lp
     || has_prefix [ "lib"; "cli" ] lp
-    || path_eq lp [ "lib"; "core"; "reconcile.ml" ]
-    || path_eq lp [ "lib"; "core"; "sync_strategy.ml" ]
   in
   let engine_on = has_prefix [ "lib"; "engine" ] lp in
   (* lib/obs owns rendering (sinks decide where bytes go) and lib/engine

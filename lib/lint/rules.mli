@@ -15,10 +15,13 @@
       flagged in [lib/core] and [lib/crdt] unless an operand is a
       literal/constant constructor or the file binds the name itself.
     - [no-unordered-iteration]: [Hashtbl.iter]/[fold]/[to_seq] are
-      flagged in modules whose output is order-sensitive
-      ([lib/core/wire.ml], [lib/net/metrics.ml], [lib/experiments/*],
-      [lib/engine/*], whose effect lists must replay identically, and
-      [lib/obs/*], whose snapshots and traces must be byte-stable).
+      flagged in modules whose output is order-sensitive: [lib/core/*]
+      and [lib/net/*] (wire bytes, intake commit order and the
+      simulator's arrival record feed the pinned E-series),
+      [lib/experiments/*], [lib/engine/*], whose effect lists must
+      replay identically, [lib/obs/*], whose snapshots and traces must
+      be byte-stable, and [lib/cli/*], which renders journals and
+      schedules sessions.
     - [no-partial-stdlib]: [List.hd]/[List.tl]/[List.nth]/[Option.get]/
       [Filename.temp_file] are flagged under [lib/].
     - [engine-transport-purity]: [lib/engine/*] may not mention a

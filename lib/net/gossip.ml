@@ -13,8 +13,6 @@ type peer = {
   node_ : Node.t;
   behavior_ : behavior;
   mutable engine : Peer_engine.t;
-  mutable fed : Block.t list; (* buffered-at-node blocks awaiting arrival record *)
-  mutable fed_len : int; (* |fed|, maintained (the cap check is O(1)) *)
   arrivals : (Hash_id.t, float) Hashtbl.t;
   mutable announced : (int * (string * string)) option;
       (* (generation, (trace, root)) of the last session this peer's
@@ -38,8 +36,6 @@ type t = {
   obs : Obs.Context.t;
   mutable total_stats : Reconcile.stats;
 }
-
-let max_fed = 4096
 
 let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
     ?(interval_ms = 1000.) ?(stale_after_ms = 5_000.)
@@ -78,8 +74,6 @@ let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
                 ~user_id:(Node.user_id nodes.(i))
                 ~dag:(Node.dag nodes.(i))
                 ();
-            fed = [];
-            fed_len = 0;
             arrivals = Hashtbl.create 64;
             announced = None;
           });
@@ -112,79 +106,29 @@ let sim_ts t = Timestamp.of_ms (Int64.of_float (Simnet.now t.net))
 let emit t ev = Obs.Context.emit t.obs ~ts:(Simnet.now t.net) ev
 let node_name i = string_of_int i
 
-let emit_block t i phase ?peer (h : Hash_id.t) =
-  emit t (Obs.Event.Block { node = node_name i; phase; block = h; peer })
-
-(* A block has entered peer [i]'s DAG: it passed validation and was
-   applied. An empty block is a witness signature over its parents
-   (§IV-E), so its delivery also advances each parent's witness count —
-   tagged with the witnessing creator for distinct-quorum queries. *)
-let emit_delivered t i (b : Block.t) =
-  emit_block t i Obs.Event.Validated b.Block.hash;
-  emit_block t i Obs.Event.Delivered b.Block.hash;
-  if b.Block.transactions = [] then
-    List.iter
-      (fun parent ->
-        emit_block t i Obs.Event.Witnessed
-          ~peer:(Hash_id.short b.Block.creator)
-          parent)
-      b.Block.parents
-
 let record_arrival t i (b : Block.t) =
   let p = t.peers.(i) in
-  if
-    Dag.mem (Node.dag p.node_) b.Block.hash
-    && not (Hashtbl.mem p.arrivals b.Block.hash)
-  then Hashtbl.replace p.arrivals b.Block.hash (Simnet.now t.net)
+  if not (Hashtbl.mem p.arrivals b.Block.hash) then
+    Hashtbl.replace p.arrivals b.Block.hash (Simnet.now t.net)
 
-(* Blocks that were buffered at the node may enter the DAG later, during a
-   drain triggered by another accept; re-check them. *)
-let settle_fed t i =
-  let p = t.peers.(i) in
-  let dag = Node.dag p.node_ in
-  let kept = ref 0 in
-  let still =
-    List.filter
-      (fun (b : Block.t) ->
-        if Dag.mem dag b.Block.hash then begin
-          record_arrival t i b;
-          emit_delivered t i b;
-          false
-        end
-        else begin
-          incr kept;
-          true
-        end)
-      p.fed
-  in
-  p.fed <- still;
-  p.fed_len <- !kept
+(* Blocks that entered peer [i]'s DAG, in commit order: each arrives now
+   and is journaled once, through the mapping every host shares. *)
+let made_resident t i ?peer made =
+  List.iter (record_arrival t i) made;
+  List.iter (emit t) (Obs.Engine_events.made_resident ~node:(node_name i) ?peer made)
 
-let feed t ?src i (b : Block.t) =
-  let p = t.peers.(i) in
+(* Peer [i]'s node admits a delivery, from peer [src] when it came over
+   the radio: every block is journaled received and charged a verify,
+   then the node's batch intake reports what it made resident, blocks
+   it drained from its transient buffer included. *)
+let deliver t ?src i blocks =
   let meter = Simnet.meter t.net i in
-  meter.Energy.verifies <- meter.Energy.verifies + 1;
-  meter.Energy.hashes <- meter.Energy.hashes + 2;
-  let received () =
-    emit_block t i Obs.Event.Received
-      ?peer:(Option.map node_name src)
-      b.Block.hash
-  in
-  (match Node.receive p.node_ ~now:(sim_ts t) b with
-  | Node.Accepted ->
-    received ();
-    record_arrival t i b;
-    emit_delivered t i b
-  | Node.Buffered _ ->
-    received ();
-    if p.fed_len < max_fed then begin
-      p.fed <- b :: p.fed;
-      p.fed_len <- p.fed_len + 1
-    end
-    else
-      emit t (Obs.Event.Block_dropped { node = node_name i; block = b.Block.hash })
-  | Node.Duplicate | Node.Rejected _ -> ());
-  settle_fed t i
+  let n = List.length blocks in
+  meter.Energy.verifies <- meter.Energy.verifies + n;
+  meter.Energy.hashes <- meter.Energy.hashes + (2 * n);
+  let peer = Option.map node_name src in
+  List.iter (emit t) (Obs.Engine_events.received ~node:(node_name i) ?peer blocks);
+  made_resident t i ?peer (Node.intake t.peers.(i).node_ ~now:(sim_ts t) blocks)
 
 (* Replay one engine effect into the simulator. The replay order is the
    effect-list order, which mirrors the pre-refactor agent's direct call
@@ -196,7 +140,7 @@ let apply_effect t i ~src (eff : Peer_engine.effect_) =
   | Peer_engine.Set_timer { key; after_ms } ->
     Simnet.set_timer t.net ~node:i ~after:after_ms
       ~tag:(Peer_engine.tag_of_timer key)
-  | Peer_engine.Deliver blocks -> List.iter (feed t ?src i) blocks
+  | Peer_engine.Deliver blocks -> deliver t ?src i blocks
   | Peer_engine.Session_done stats ->
     t.total_stats <- Reconcile.add_stats t.total_stats stats
   | Peer_engine.Trace ev -> begin
@@ -300,26 +244,20 @@ let start t =
 
 let append t i ?location txs =
   let p = t.peers.(i) in
-  match Node.append p.node_ ~now:(sim_ts t) ?location txs with
-  | Ok b ->
+  match Node.append_drained p.node_ ~now:(sim_ts t) ?location txs with
+  | Ok (b, drained) ->
     let meter = Simnet.meter t.net i in
     meter.Energy.signs <- meter.Energy.signs + 1;
     meter.Energy.hashes <- meter.Energy.hashes + 2;
     Hashtbl.replace t.births b.Block.hash (Simnet.now t.net);
     record_arrival t i b;
-    emit_block t i Obs.Event.Created b.Block.hash;
     (* Creating an empty block is itself the act of witnessing its
        parents — the creator's own signature counts toward the quorum. *)
-    if b.Block.transactions = [] then
-      List.iter
-        (fun parent ->
-          emit_block t i Obs.Event.Witnessed
-            ~peer:(Hash_id.short b.Block.creator)
-            parent)
-        b.Block.parents;
+    List.iter (emit t) (Obs.Engine_events.created ~node:(node_name i) b);
+    made_resident t i drained;
     step t i (Peer_engine.Block_created b);
     Ok b
-  | Error _ as e -> e
+  | Error e -> Error e
 
 let witness t i = append t i []
 
@@ -328,7 +266,7 @@ let receive t i b =
     (Option.value
        (Hashtbl.find_opt t.births b.Block.hash)
        ~default:(Simnet.now t.net));
-  feed t i b;
+  deliver t i [ b ];
   (* Externally injected blocks (genesis seeding) must also reach the
      engine's withholding serving view. *)
   if Dag.mem (Node.dag t.peers.(i).node_) b.Block.hash then
@@ -365,4 +303,3 @@ let obs t = t.obs
 let registry t = Obs.Context.registry t.obs
 let sessions_completed t = Obs.Registry.total (registry t) "session.completed"
 let sessions_aborted t = Obs.Registry.total (registry t) "session.aborted"
-let blocks_dropped t = Obs.Registry.total (registry t) "gossip.blocks_dropped"

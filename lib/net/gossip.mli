@@ -105,15 +105,10 @@ val reconcile_stats : t -> Vegvisir.Reconcile.stats
 
 val obs : t -> Vegvisir_obs.Context.t
 (** The agent's observability context: registry counters ([session.*],
-    [block.*], [gossip.blocks_dropped], …) and the causal block trace. *)
+    [block.*], …) and the causal block trace. *)
 
 val sessions_completed : t -> int
 val sessions_aborted : t -> int
-
-val blocks_dropped : t -> int
-(** Received blocks discarded because a peer's transient buffer (blocks
-    awaiting missing ancestry) was full — previously a silent drop.
-
-    These three are registry reads ([session.completed],
-    [session.aborted], [gossip.blocks_dropped] summed across nodes),
-    kept as functions so existing callers read one place. *)
+(** Registry reads ([session.completed] and [session.aborted] summed
+    across nodes), kept as functions so existing callers read one
+    place. *)

@@ -14,7 +14,6 @@ let derive reg ev =
   match (ev : Event.t) with
   | Event.Block { node; phase; _ } ->
     count reg ~node ("block." ^ Event.phase_to_string phase)
-  | Event.Block_dropped { node; _ } -> count reg ~node "gossip.blocks_dropped"
   | Event.Block_redundant { node; _ } ->
     count reg ~node "gossip.blocks_redundant"
   | Event.Blocks_advertised { node; hashes; _ } ->

@@ -2,7 +2,7 @@
 
     {!create} attaches one internal sink to the bus, a stats deriver that
     maintains the standard per-node counters ([block.*],
-    [gossip.blocks_dropped], [net.*], [session.*], [cluster.*],
+    [gossip.*], [net.*], [session.*], [cluster.*],
     [store.*], [sync.*]) from the event stream. Layers that hold a
     context only ever {!emit}; counting happens here, identically for
     simulated and real nodes. The context retains no events, so its

@@ -1,11 +1,44 @@
-(* Engine trace -> obs events, written once for both hosts. The
-   simulator's gossip agent and the daemon's event loop call this from
-   their Trace arms and keep only host-specific work (trace-context
-   bookkeeping, pending-pool feeding, session failure) at the call
-   site, so the two worlds journal the same events for the same
-   session. Pure (engine-events boundary). *)
+(* Engine trace -> obs events, and block intake -> block events,
+   written once for every host. The simulator's gossip agent and the
+   daemon's event loop call [of_event] from their Trace arms and keep
+   only host-specific work (trace-context bookkeeping, pending-pool
+   feeding, session failure) at the call site; they, [Node_store]'s
+   sync and recovery, and every local creation journal blocks through
+   [received], [made_resident] and [created], so the two worlds journal
+   the same events for the same session. Pure (engine-events
+   boundary). *)
 
 module Peer_engine = Vegvisir_engine.Peer_engine
+module Block = Vegvisir.Block
+
+let block ~node ?peer phase (b : Block.t) =
+  Event.Block { node; phase; block = b.Block.hash; peer }
+
+(* An empty block is a witness signature over its parents (§IV-E): it
+   advances each parent's witness count, tagged with the witnessing
+   creator for distinct-quorum queries. *)
+let witnesses ~node (b : Block.t) =
+  match b.Block.transactions with
+  | _ :: _ -> []
+  | [] ->
+    let peer = Some (Vegvisir.Hash_id.short b.Block.creator) in
+    List.map
+      (fun parent ->
+        Event.Block { node; phase = Event.Witnessed; block = parent; peer })
+      b.Block.parents
+
+let received ~node ?peer blocks =
+  List.map (block ~node ?peer Event.Received) blocks
+
+let made_resident ~node ?peer blocks =
+  List.concat_map
+    (fun b ->
+      block ~node ?peer Event.Validated b
+      :: block ~node ?peer Event.Delivered b
+      :: witnesses ~node b)
+    blocks
+
+let created ~node b = block ~node Event.Created b :: witnesses ~node b
 
 let abort_reason = function
   | Peer_engine.Stalled -> Event.Stalled

@@ -4,8 +4,32 @@
     trace context a session joins, pending-pool feeding, failing a
     session on abort, logging) stays at each host's call site.
 
+    Also the one mapping from block intake to block events, for both
+    hosts and for [Node_store]'s sync, recovery and local creations: a
+    delivery journals {!received} before {!Vegvisir.Node.intake} and
+    {!made_resident} of what the intake returned after it, so every
+    block made resident is journaled exactly once, and the time between
+    the two is the intake's cost.
+
     Pure (the [engine-events] lint boundary): no clock, no randomness,
     no IO, no global mutable state. *)
+
+val received :
+  node:Event.node -> ?peer:Event.node -> Vegvisir.Block.t list -> Event.t list
+(** One [Block {phase = Received}] per delivered block, in delivery
+    order, naming the delivering [peer] — duplicates and blocks the
+    intake will refuse included. *)
+
+val made_resident :
+  node:Event.node -> ?peer:Event.node -> Vegvisir.Block.t list -> Event.t list
+(** For each block an intake made resident, in commit order:
+    [Validated] and [Delivered], both naming [peer], then, for an empty
+    block, one [Witnessed] per parent whose peer is the block creator's
+    {!Vegvisir.Hash_id.short} id. *)
+
+val created : node:Event.node -> Vegvisir.Block.t -> Event.t list
+(** A local creation: [Created], then, for an empty block, one
+    [Witnessed] per parent as in {!made_resident}. *)
 
 val of_event :
   node:Event.node ->

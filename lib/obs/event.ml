@@ -15,7 +15,6 @@ type t =
       block : Hash_id.t;
       peer : node option;
     }
-  | Block_dropped of { node : node; block : Hash_id.t }
   | Block_redundant of { node : node; block : Hash_id.t; peer : node option }
   | Blocks_advertised of { node : node; peer : node; hashes : int }
   | Net_sent of { src : node; dst : node; bytes : int }
@@ -116,7 +115,7 @@ let groups_of_string = function
 
 let subsystem = function
   | Block _ -> "block"
-  | Block_dropped _ | Block_redundant _ | Blocks_advertised _ -> "gossip"
+  | Block_redundant _ | Blocks_advertised _ -> "gossip"
   | Net_sent _ | Net_delivered _ | Net_dropped _ | Partition_changed _ -> "net"
   | Session_started _ | Session_completed _ | Session_aborted _
   | Request_resent _ ->
@@ -129,7 +128,6 @@ let subsystem = function
 
 let primary_node = function
   | Block { node; _ }
-  | Block_dropped { node; _ }
   | Block_redundant { node; _ }
   | Blocks_advertised { node; _ }
   | Session_started { node; _ }
@@ -151,7 +149,6 @@ let primary_node = function
 
 let kind = function
   | Block { phase; _ } -> phase_to_string phase
-  | Block_dropped _ -> "block-dropped"
   | Block_redundant _ -> "block-redundant"
   | Blocks_advertised _ -> "blocks-advertised"
   | Net_sent _ -> "sent"
@@ -247,9 +244,6 @@ let iter_fields ev emit =
     emit "node" (S node);
     emit_hash emit "block" block;
     emit_opt emit "peer" peer
-  | Block_dropped { node; block } ->
-    emit "node" (S node);
-    emit_hash emit "block" block
   | Block_redundant { node; block; peer } ->
     emit "node" (S node);
     emit_hash emit "block" block;
@@ -517,8 +511,6 @@ let decode assoc =
             peer = List.assoc_opt "peer" assoc;
           }
     end
-    | "gossip", "block-dropped" ->
-      Block_dropped { node = node (); block = hash_field "block" assoc }
     | "gossip", "block-redundant" ->
       Block_redundant
         {

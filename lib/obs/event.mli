@@ -32,9 +32,6 @@ type t =
       block : Vegvisir.Hash_id.t;
       peer : node option;
     }  (** one step of one block's causal lifecycle at one node *)
-  | Block_dropped of { node : node; block : Vegvisir.Hash_id.t }
-      (** a received block discarded because the node's transient buffer
-          (blocks awaiting missing ancestry) was at capacity *)
   | Block_redundant of {
       node : node;
       block : Vegvisir.Hash_id.t;

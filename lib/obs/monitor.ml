@@ -230,7 +230,7 @@ let observe t ~ts ev =
     t.partition <- groups;
     match groups with None -> mark t ~ts (* heal *) | Some _ -> ()
   end
-  | Event.Block_dropped _ | Event.Blocks_advertised _
+  | Event.Blocks_advertised _
   | Event.Net_sent _ | Event.Net_delivered _
   | Event.Net_dropped _ | Event.Session_started _ | Event.Session_completed _
   | Event.Session_aborted _ | Event.Request_resent _ | Event.Leader_elected _

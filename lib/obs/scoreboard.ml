@@ -142,7 +142,7 @@ let observe t ~ts ev =
     e.exchanges <- e.exchanges + 1;
     e.acked <- HSet.cardinal t.held;
     e.last_contact <- Some ts
-  | Event.Block _ | Event.Block_dropped _ | Event.Block_redundant _
+  | Event.Block _ | Event.Block_redundant _
   | Event.Blocks_advertised _
   | Event.Net_sent _ | Event.Net_delivered _ | Event.Net_dropped _
   | Event.Partition_changed _ | Event.Session_started _

@@ -85,7 +85,7 @@ let of_event ~ts (ev : Event.t) =
         Some (root_of_trace trace)
     in
     Some { trace; span; parent; name; node; start_ms = ts; dur_ms = 0. }
-  | Event.Block_dropped _ | Event.Block_redundant _
+  | Event.Block_redundant _
   | Event.Blocks_advertised _ | Event.Net_sent _ | Event.Net_delivered _
   | Event.Net_dropped _ | Event.Partition_changed _ | Event.Session_started _
   | Event.Session_completed _ | Event.Session_aborted _
@@ -116,7 +116,7 @@ module Collector = struct
   let observe t ~ts (ev : Event.t) =
     match ev with
     | Event.Span _ | Event.Block _ -> Sink.Ring.record t ~ts ev
-    | Event.Block_dropped _ | Event.Block_redundant _
+    | Event.Block_redundant _
     | Event.Blocks_advertised _ | Event.Net_sent _
     | Event.Net_delivered _ | Event.Net_dropped _ | Event.Partition_changed _
     | Event.Session_started _ | Event.Session_completed _

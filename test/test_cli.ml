@@ -162,7 +162,7 @@ let enroll_and_sync () =
   let _ = Result.get_ok (Node_store.append bob ~crdt:"log" ~op:"add" [ Value.String "from-bob" ]) in
   (* CA pulls from bob's directory. *)
   let ca = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
-  let stats = Node_store.sync ca ~from:bob ~mode:V.Reconcile.Digest in
+  let stats = Result.get_ok (Node_store.sync ca ~from:bob ~mode:V.Reconcile.Digest) in
   check_b "got bob's block" true (stats.V.Reconcile.blocks_received >= 1);
   (match V.Csm.query (V.Node.csm ca.Node_store.node) ~crdt:"log" ~op:"mem" [ Value.String "from-bob" ] with
    | Ok (Value.Bool true) -> ()
@@ -398,6 +398,77 @@ let recover_ancestry () =
   (* Recovering again is a no-op: everything is already present. *)
   let _, restored2 = Result.get_ok (Node_store.recover bob ~from:ca ()) in
   check_i "idempotent" 0 restored2
+
+(* [enroll] a member of [ca]'s chain in a fresh directory. *)
+let member ca name =
+  Result.get_ok
+    (Node_store.enroll ~ca_dir:ca.Node_store.dir ~dir:(fresh_dir name)
+       ~seed:(name ^ "-seed") ~height:4 ~role:"member" ())
+
+let log_add entry =
+  V.Transaction.make ~crdt:"log" ~op:"add" [ Value.String entry ]
+
+let wall_ts ?(ahead_s = 0.) () =
+  V.Timestamp.of_seconds (Unix.gettimeofday () +. ahead_s)
+
+(* The blocks a directory's journal records in [phase]. *)
+let journaled dir phase =
+  List.filter_map
+    (fun (_, ev) ->
+      match ev with
+      | Vegvisir_obs.Event.Block { phase = p; block; _ } when p = phase -> Some block
+      | _ -> None)
+    (Node_store.load_trace ~dir)
+
+(* [sync --from] journals and counts only the blocks the destination
+   made resident: a source block stamped a minute ahead is pulled and
+   refused, so it gets [Received] but no [Delivered], and
+   [Sync_completed.pulled] leaves it out. The sync runs in process: a
+   reloaded source would refuse that block itself. *)
+let sync_from_rejected () =
+  let module Obs = Vegvisir_obs in
+  let ca = init "reject-ca" in
+  let bob = member ca "reject-bob" in
+  let on_time =
+    Result.get_ok (Node_store.append bob ~crdt:"log" ~op:"add" [ Value.String "on time" ])
+  in
+  let ahead =
+    Result.get_ok
+      (V.Node.append bob.Node_store.node ~now:(wall_ts ~ahead_s:60. ()) [ log_add "ahead" ])
+  in
+  let dst = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
+  let _ = Result.get_ok (Node_store.sync dst ~from:bob ~mode:V.Reconcile.Naive) in
+  let dir = ca.Node_store.dir in
+  let has phase (b : V.Block.t) =
+    List.exists (V.Hash_id.equal b.V.Block.hash) (journaled dir phase)
+  in
+  check_b "the refused block was received" true (has Obs.Event.Received ahead);
+  check_b "the refused block was not delivered" false (has Obs.Event.Delivered ahead);
+  check_b "the admitted block was validated and delivered" true
+    (has Obs.Event.Validated on_time && has Obs.Event.Delivered on_time);
+  check_b "pulled counts the admitted block only" true
+    (List.filter_map
+       (fun (_, ev) ->
+         match ev with
+         | Obs.Event.Sync_completed { pulled; _ } -> Some pulled
+         | _ -> None)
+       (Node_store.load_trace ~dir)
+     = [ 1 ])
+
+(* A save that fails after a pull is an error, not a silent loss: the
+   destination's chain.dag is replaced by a directory once loaded, which
+   fails the write even for root, where permission bits would not. *)
+let sync_from_failed_save () =
+  let ca = init "failsave-ca" in
+  let bob = member ca "failsave-bob" in
+  let _ = Result.get_ok (Node_store.append bob ~crdt:"log" ~op:"add" [ Value.String "x" ]) in
+  let dst = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
+  let chain = Filename.concat ca.Node_store.dir "chain.dag" in
+  Sys.remove chain;
+  Sys.mkdir chain 0o755;
+  match Node_store.sync dst ~from:bob ~mode:V.Reconcile.Naive with
+  | Ok _ -> Alcotest.fail "the save into a directory succeeded"
+  | Error _ -> ()
 
 (* [vegvisir-cli trace] over hand-written journals. *)
 
@@ -1305,6 +1376,47 @@ let multi_chunk_frames () =
     (List.length (received client) = 3 && List.for_all carries_known (received client));
   check_b "three requests served" true ((Event_loop.stats loop).Event_loop.served = 3)
 
+(* A buffered block that a later session's delivery drains is journaled
+   too. The loop's node buffers C, placed while its parent P was absent;
+   a replica that holds P but not C (C was signed by a second handle on
+   its directory, never saved) runs one [sync --live] against the loop,
+   whose pull-back delivers P alone. *)
+let delivery_journals_drained () =
+  let module Obs = Vegvisir_obs in
+  let ca = init "drain-ca" in
+  let rep = member ca "drain-rep" in
+  let p = Result.get_ok (Node_store.append rep ~crdt:"log" ~op:"add" [ Value.String "p" ]) in
+  let unsaved = Result.get_ok (Node_store.load ~dir:rep.Node_store.dir) in
+  let c = Result.get_ok (V.Node.append unsaved.Node_store.node ~now:(wall_ts ()) [ log_add "c" ]) in
+  let store = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
+  (match V.Node.receive store.Node_store.node ~now:(wall_ts ()) c with
+  | V.Node.Buffered _ -> ()
+  | r -> Alcotest.failf "C not buffered: %a" V.Node.pp_receive_result r);
+  let loop = Event_loop.create ~store () in
+  let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
+  let client =
+    start ~report:false cli_exe
+      [ "sync"; "--dir"; rep.Node_store.dir; "--live"; Printf.sprintf "127.0.0.1:%d" port ]
+  in
+  let deadline = Unix.gettimeofday () +. 20. in
+  let r =
+    Event_loop.run loop ~until:(fun st ->
+        st.Event_loop.completed + st.Event_loop.failed > 0
+        || Unix.gettimeofday () > deadline)
+  in
+  Event_loop.shutdown loop;
+  let status = reap client in
+  check_b "loop ran" true (Result.is_ok r);
+  check_b "client exited 0" true (status = Unix.WEXITED 0);
+  check_i "one session completed" 1 (Event_loop.stats loop).Event_loop.completed;
+  check_i "the pull-back delivered P alone" 1 (Event_loop.stats loop).Event_loop.delivered;
+  let delivered = journaled ca.Node_store.dir Obs.Event.Delivered in
+  List.iter
+    (fun (name, (b : V.Block.t)) ->
+      check_i (name ^ " delivered once") 1
+        (List.length (List.filter (V.Hash_id.equal b.V.Block.hash) delivered)))
+    [ ("P", p); ("C", c) ]
+
 (* Child role [http-client PORT]: scrape /metrics and a bad target from a
    loop's metrics listener; exit 0 when both answers are right. *)
 let http_get port target =
@@ -1362,6 +1474,42 @@ let metrics_endpoint () =
   check_b "client saw the exposition and the 404" true
     (status = Unix.WEXITED 0)
 
+(* [serve --metrics 0] prints the port it bound and, on SIGINT, how many
+   scrapes it answered: a 404 is not a scrape. *)
+let serve_metrics () =
+  let ca = init "serve-metrics-ca" in
+  let bob = member ca "serve-metrics-bob" in
+  let server =
+    start cli_exe
+      [ "serve"; "--dir"; bob.Node_store.dir; "--port"; "0"; "--metrics"; "0";
+        "--accept-timeout"; "10" ]
+  in
+  let port = port_after server.line " on 127.0.0.1:" in
+  let _, err, status =
+    run_cli [ "sync"; "--dir"; ca.Node_store.dir; "--live"; Printf.sprintf "127.0.0.1:%d" port ]
+  in
+  check_b ("sync exited 0: " ^ err) true (status = Unix.WEXITED 0);
+  let rec metrics_line () =
+    match read_line_fd server.out with
+    | "" -> Alcotest.fail "serve ended before its metrics line"
+    | l -> if contains l "metrics on" then l else metrics_line ()
+  in
+  let mport = port_after (metrics_line ()) "http://127.0.0.1:" in
+  let answers =
+    if mport > 0 then [ http_get mport "/metrics"; http_get mport "/nope" ] else []
+  in
+  Unix.kill server.pid Sys.sigint;
+  let rec last prev = match read_line_fd server.out with "" -> prev | l -> last l in
+  let final = last "" in
+  check_b "serve exited 0" true (reap server = Unix.WEXITED 0);
+  check_b "a bound metrics port" true (mport > 0);
+  (match answers with
+  | [ metrics; nope ] ->
+    check_b "GET /metrics answered" true (contains metrics "200 OK");
+    check_b "GET /nope is a 404" true (contains nope "404 Not Found")
+  | _ -> Alcotest.fail "no scrape was made");
+  Alcotest.(check string) "last line" "answered 1 scrape(s)" final
+
 (* A child process started by a test runs one role and exits, before
    Alcotest ever sees its arguments. *)
 let child_main = function
@@ -1388,12 +1536,18 @@ let () =
           Alcotest.test_case "live socket sync" `Quick live_sync;
           Alcotest.test_case "serve --accept-timeout" `Quick serve_accept_timeout;
           Alcotest.test_case "batch ancestry recovery" `Quick recover_ancestry;
+          Alcotest.test_case "sync --from journals what it admits" `Quick
+            sync_from_rejected;
+          Alcotest.test_case "sync --from reports a failed save" `Quick
+            sync_from_failed_save;
         ] );
       ( "event-loop",
         [
           Alcotest.test_case "hostile frame header" `Quick hostile_frame_header;
           Alcotest.test_case "hostile requests" `Quick hostile_requests;
           Alcotest.test_case "multi-chunk frames" `Quick multi_chunk_frames;
+          Alcotest.test_case "a delivery journals what it drains" `Quick
+            delivery_journals_drained;
         ] );
       ( "timer-wheel",
         [
@@ -1404,7 +1558,10 @@ let () =
           QCheck_alcotest.to_alcotest wheel_interleaved_qcheck;
         ] );
       ( "metrics-server",
-        [ Alcotest.test_case "GET /metrics over loopback" `Quick metrics_endpoint ] );
+        [
+          Alcotest.test_case "GET /metrics over loopback" `Quick metrics_endpoint;
+          Alcotest.test_case "serve --metrics port and scrapes" `Quick serve_metrics;
+        ] );
       ( "vv-trace",
         [
           Alcotest.test_case "timeline golden" `Quick vv_trace_timeline;

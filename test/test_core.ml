@@ -1645,6 +1645,55 @@ let qcheck_tests =
         let k = cut * List.length batch / 3 in
         same_intake
           [ List.filteri (fun i _ -> i < k) batch; List.filteri (fun i _ -> i >= k) batch ]);
+    Test.make ~name:"intake returns each new block once, parents first" ~count:200
+      (triple
+         (list_of_size Gen.(1 -- 12) (pair small_nat small_nat))
+         (list_of_size Gen.(0 -- 30) small_nat)
+         (list_of_size Gen.(0 -- 4) small_nat))
+      (fun (shape, picks, cuts) ->
+        (* A random DAG over the genesis: each block hangs under one or
+           two earlier ones. Picks deliver blocks in any order and with
+           repeats (the genesis included, so some are already resident);
+           a block whose ancestry is not yet delivered is buffered and
+           drained by a later pick, possibly in a later call; cuts split
+           the picks into several calls. *)
+        let all =
+          List.fold_left
+            (fun known (p, q) ->
+              let n = Array.length known in
+              let parents =
+                List.sort_uniq Hash_id.compare
+                  [ known.(p mod n).Block.hash; known.(q mod n).Block.hash ]
+              in
+              Array.append known [| mk_block ~t:(n * 10) ~parents (string_of_int n) |])
+            [| genesis |] shape
+        in
+        let batch = List.map (fun i -> all.(i mod Array.length all)) picks in
+        let rec split batch = function
+          | [] -> [ batch ]
+          | c :: cuts ->
+            let k = c mod (List.length batch + 1) in
+            List.filteri (fun i _ -> i < k) batch
+            :: split (List.filteri (fun i _ -> i >= k) batch) cuts
+        in
+        let n = fresh_node alice_signer alice_cert in
+        List.for_all
+          (fun call ->
+            let before = resident n in
+            let made = Node.intake n ~now:(ts 100_000) call in
+            let hashes = List.map (fun (b : Block.t) -> b.Block.hash) made in
+            let parents_first, _ =
+              List.fold_left
+                (fun (ok, seen) (b : Block.t) ->
+                  ( ok && List.for_all (fun p -> Hash_id.Set.mem p seen) b.Block.parents,
+                    Hash_id.Set.add b.Block.hash seen ))
+                (true, before) made
+            in
+            Hash_id.Set.equal (Hash_id.Set.of_list hashes)
+              (Hash_id.Set.diff (resident n) before)
+            && Hash_id.Set.cardinal (Hash_id.Set.of_list hashes) = List.length made
+            && parents_first)
+          (split batch cuts));
     Test.make ~name:"Height_table.fold_range = per-height fold" ~count:200
       (triple (list_of_size Gen.(0 -- 20) (int_range 0 3)) (int_range 0 30) (int_range (-1) 30))
       (fun (picks, lo, hi) ->

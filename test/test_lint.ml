@@ -98,6 +98,17 @@ let test_unordered_iteration () =
     "let f h = Hashtbl.fold (fun _ b acc -> b :: acc) h []";
   check_fires "no-unordered-iteration" "lib/core/sync_strategy.ml"
     "let f h = Hashtbl.iter (fun _ _ -> ()) h";
+  (* Intake commit order and the simulator's arrival record feed the
+     pinned E-series: all of lib/core and lib/net is in scope. *)
+  check_fires "no-unordered-iteration" "lib/core/node.ml"
+    "let f h = Hashtbl.fold (fun _ b acc -> b :: acc) h []";
+  check_fires "no-unordered-iteration" "lib/net/gossip.ml"
+    "let f h = Hashtbl.iter (fun _ _ -> ()) h";
+  check_silent ~rule:"no-unordered-iteration" "lib/net/gossip.ml"
+    "let f h k = if Hashtbl.mem h k then () else Hashtbl.replace h k 0.";
+  check_silent ~rule:"no-unordered-iteration" "lib/core/node.ml"
+    "let f h = Hashtbl.to_seq_values h (* lint: allow \
+     no-unordered-iteration \xe2\x80\x94 fixture *)";
   check_silent ~rule:"no-unordered-iteration" "lib/core/sync_strategy.ml"
     "let f h = Hashtbl.to_seq h (* lint: allow no-unordered-iteration \
      \xe2\x80\x94 fixture *)";
@@ -111,7 +122,7 @@ let test_unordered_iteration () =
     "let f h = Hashtbl.iter (fun _ _ -> ()) h (* lint: allow \
      no-unordered-iteration \xe2\x80\x94 fixture *)";
   (* Order-insensitive modules may use hash tables freely. *)
-  check_silent ~rule:"no-unordered-iteration" "lib/core/dag.ml"
+  check_silent ~rule:"no-unordered-iteration" "lib/crdt/collections.ml"
     "let f h = Hashtbl.iter (fun _ _ -> ()) h";
   (* Point lookups don't iterate; only traversals are flagged. *)
   check_silent ~rule:"no-unordered-iteration" "lib/cli/node_store.ml"

@@ -32,7 +32,6 @@ let all_events =
       Block { node = "1"; phase = Validated; block = b; peer = None };
       Block { node = "1"; phase = Delivered; block = b; peer = None };
       Block { node = "1"; phase = Witnessed; block = b; peer = Some "ab12cd34" };
-      Block_dropped { node = "2"; block = h "block-b" };
       Blocks_advertised { node = "1"; peer = "0"; hashes = 17 };
       Net_sent { src = "0"; dst = "1"; bytes = 512 };
       Net_delivered { src = "0"; dst = "1"; bytes = 512 };
@@ -82,27 +81,26 @@ let all_events =
    [gen_event] a generator. *)
 let event_tag : Event.t -> int = function
   | Block _ -> 0
-  | Block_dropped _ -> 1
-  | Block_redundant _ -> 2
-  | Blocks_advertised _ -> 3
-  | Net_sent _ -> 4
-  | Net_delivered _ -> 5
-  | Net_dropped _ -> 6
-  | Partition_changed _ -> 7
-  | Session_started _ -> 8
-  | Session_completed _ -> 9
-  | Session_aborted _ -> 10
-  | Request_resent _ -> 11
-  | Leader_elected _ -> 12
-  | Block_archived _ -> 13
-  | Store_loaded _ -> 14
-  | Store_saved _ -> 15
-  | Sync_started _ -> 16
-  | Sync_completed _ -> 17
-  | Recovery_completed _ -> 18
-  | Span _ -> 19
+  | Block_redundant _ -> 1
+  | Blocks_advertised _ -> 2
+  | Net_sent _ -> 3
+  | Net_delivered _ -> 4
+  | Net_dropped _ -> 5
+  | Partition_changed _ -> 6
+  | Session_started _ -> 7
+  | Session_completed _ -> 8
+  | Session_aborted _ -> 9
+  | Request_resent _ -> 10
+  | Leader_elected _ -> 11
+  | Block_archived _ -> 12
+  | Store_loaded _ -> 13
+  | Store_saved _ -> 14
+  | Sync_started _ -> 15
+  | Sync_completed _ -> 16
+  | Recovery_completed _ -> 17
+  | Span _ -> 18
 
-let event_tags = 20
+let event_tags = 19
 
 (* [Event.equal] reads the encoder's own field list, so the round trip
    compares structurally instead. *)
@@ -164,7 +162,6 @@ let gen_event =
     [
       (let+ node = str and+ phase = phase and+ block = hash and+ peer = peer in
        Event.Block { node; phase; block; peer });
-      (let+ node = str and+ block = hash in Event.Block_dropped { node; block });
       (let+ node = str and+ block = hash and+ peer = peer in
        Event.Block_redundant { node; block; peer });
       (let+ node = str and+ peer = str and+ hashes = int in
@@ -220,8 +217,10 @@ let jsonl_rejects_garbage () =
       "{}";
       "not json";
       {|{"t":1.0,"sub":"block","ev":"nope"}|};
-      (* A retired kind, as older journals recorded it: skipped on load. *)
+      (* Retired kinds, as older journals recorded them: skipped on load. *)
       {|{"t":1.0,"sub":"gossip","ev":"blocks-suppressed","node":"0","peer":"1","blocks":3}|};
+      {|{"t":1.0,"sub":"gossip","ev":"block-dropped","node":"2","block":"|}
+      ^ V.Hash_id.to_hex (h "block-b") ^ {|"}|};
     ]
 
 let json_float_exact () =
@@ -769,6 +768,82 @@ let engine_events_golden () =
        (List.sort_uniq Int.compare
           (List.map (fun (ev, _, _) -> engine_event_tag ev) rows)))
 
+(* One delivery from "peer-7" to node "ab12cd34", through a real batch
+   intake, and one local creation. A delivery journals every block's
+   [Received] in delivery order, then [Validated] and [Delivered] per
+   block made resident, in commit order, plus one [Witnessed] per
+   parent of an empty block, naming its creator. The batch: D, whose
+   parent A arrives after it (drained by the same delivery); A
+   (accepted); X, whose parent is never delivered (buffered); W, an
+   empty child of A (a witness); the genesis again (duplicate); and R,
+   stamped a minute ahead (rejected). *)
+let delivery_golden () =
+  let owner = V.Signer.oracle ~signature_size:64 ~id:"golden-owner" () in
+  let cert = V.Certificate.self_signed ~signer:owner ~role:"ca" in
+  let creator = cert.V.Certificate.user_id in
+  let ts ms = V.Timestamp.of_ms (Int64.of_int ms) in
+  let spec = Vegvisir_crdt.Schema.(spec Gset Vegvisir_crdt.Value.T_string) in
+  let g =
+    V.Node.genesis_block ~signer:owner ~cert ~timestamp:(ts 0)
+      ~extra:[ V.Transaction.create_crdt ~name:"log" spec ] ()
+  in
+  let mk t (parents : V.Block.t list) entries =
+    V.Block.create ~signer:owner ~creator ~timestamp:(ts t)
+      ~parents:(List.map (fun (p : V.Block.t) -> p.V.Block.hash) parents)
+      (List.map
+         (fun e -> V.Transaction.make ~crdt:"log" ~op:"add" [ Vegvisir_crdt.Value.String e ])
+         entries)
+  in
+  let a = mk 10 [ g ] [ "a" ] in
+  let d = mk 20 [ a ] [ "d" ] in
+  let y = mk 30 [ g ] [ "y" ] in
+  let x = mk 40 [ y ] [ "x" ] in
+  let w = mk 50 [ a ] [] in
+  let r = mk 61_000 [ g ] [ "r" ] in
+  let n = V.Node.create ~signer:owner ~cert () in
+  ignore (V.Node.receive n ~now:(ts 1) g : V.Node.receive_result);
+  let node = "ab12cd34" and peer = "peer-7" in
+  let batch = [ d; a; x; w; g; r ] in
+  let made = V.Node.intake n ~now:(ts 100) batch in
+  let journal =
+    Engine_events.received ~node ~peer batch
+    @ Engine_events.made_resident ~node ~peer made
+  in
+  let ev phase (b : V.Block.t) =
+    Event.Block { node; phase; block = b.V.Block.hash; peer = Some peer }
+  in
+  let witnessed (b : V.Block.t) =
+    Event.Block
+      { node; phase = Event.Witnessed; block = b.V.Block.hash;
+        peer = Some (V.Hash_id.short creator) }
+  in
+  let rows =
+    [
+      ("every delivered block, in delivery order",
+        List.map (ev Event.Received) batch);
+      ("accepted", [ ev Event.Validated a; ev Event.Delivered a ]);
+      ("drained by the same delivery", [ ev Event.Validated d; ev Event.Delivered d ]);
+      ( "empty (witness) block",
+        [ ev Event.Validated w; ev Event.Delivered w; witnessed a ] );
+      ("buffered, duplicate and rejected: received only", []);
+    ]
+  in
+  check_i "intake made A, D and W resident" 3 (List.length made);
+  let rec check_rows journal = function
+    | [] -> check_b "nothing else journaled" true (journal = [])
+    | (name, expected) :: rest ->
+      let k = List.length expected in
+      let got = List.filteri (fun i _ -> i < k) journal in
+      check_b name true (List.equal Event.equal expected got);
+      check_rows (List.filteri (fun i _ -> i >= k) journal) rest
+  in
+  check_rows journal rows;
+  check_b "a local creation: created, then its parents witnessed" true
+    (List.equal Event.equal
+       [ Event.Block { node; phase = Event.Created; block = w.V.Block.hash; peer = None };
+         witnessed a ]
+       (Engine_events.created ~node w))
+
 (* With sampling on, a simulated fleet's initiators announce their trace
    context over the wire and responders stitch under it: both sides of a
    session share one trace id, and the serve span parents on the
@@ -1241,6 +1316,7 @@ let () =
         [
           Alcotest.test_case "golden table, every trace" `Quick
             engine_events_golden;
+          Alcotest.test_case "golden table, a delivery" `Quick delivery_golden;
         ] );
       ( "fleet",
         [
