@@ -277,7 +277,9 @@ let tests =
    and re-measured by the @bench-check drift gate via sync-micro).
    The converged leg is the steady-state cost the daemon pays on every
    anti-entropy round against an in-sync peer: one digest request over
-   a 1k-block replica, one empty reply, no blocks.                     *)
+   a 1k-block replica, one empty reply, no blocks. Neither replica has
+   moved since the last round, so both whole-range digests are the
+   snapshot's memo; respond-digest-1k is the cold digest beside it.    *)
 
 (* dag_16's blocks in topological order, genesis left out. *)
 let dag_16_hashes =
@@ -570,6 +572,14 @@ let next_20k = next_block hashes_20k 20_000
 let mid_5k = hashes_5k.(2_500)
 let mid_20k = hashes_20k.(10_000)
 
+(* The witness index is built on a snapshot's first poll (or prune),
+   then kept by [add]. The add and witness-poll rows time a replica that
+   answers witness queries, so their fixtures are polled once here;
+   [dag_5k_cold] is the same DAG never polled, whose next snapshot pays
+   the build on its first poll. *)
+let () = ignore (V.Witness.witness_count dag_5k mid_5k + V.Witness.witness_count dag_20k mid_20k)
+let dag_5k_cold, _ = braided ~n:5_000
+
 let dag_tests =
   Test.make_grouped ~name:"M9-dag"
     [
@@ -577,6 +587,11 @@ let dag_tests =
       Test.make ~name:"add-20k" (stage (fun () -> V.Dag.add dag_20k next_20k));
       Test.make ~name:"witness-poll-5k"
         (stage (fun () -> V.Witness.witness_count dag_5k mid_5k));
+      (* One add (~10 µs) makes a fresh snapshot, then its first poll
+         builds the index from the 5,001 resident blocks. *)
+      Test.make ~name:"witness-first-poll-5k"
+        (stage (fun () ->
+             V.Witness.witness_count (Result.get_ok (V.Dag.add dag_5k_cold next_5k)) mid_5k));
       Test.make ~name:"witness-poll-naive-5k"
         (stage (fun () -> V.Witness.oracle_witnesses dag_5k mid_5k));
       Test.make ~name:"witness-poll-20k"

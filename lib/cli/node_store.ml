@@ -126,6 +126,17 @@ let now_ts () = Timestamp.of_seconds (Unix_compat.now ())
    the same skew the validation layer tolerates. *)
 let intake_ts () = Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms
 
+(* A local store's blocks were admitted once already, some of them
+   stamped by this node's own clock: re-admit them against a clock no
+   earlier than the newest of them, or a block appended while the clock
+   ran ahead is refused on reload and the next save drops it. Signature,
+   parent and membership checks still apply; blocks from a peer
+   ([deliver]) meet the wall clock. *)
+let stored_ts dag =
+  Seq.fold_left
+    (fun now (b : Block.t) -> Timestamp.max now b.Block.timestamp)
+    (intake_ts ()) (Dag.blocks_seq dag)
+
 let key_used { signer; height; seed = _ } =
   match signer.Signer.remaining () with
   | Some r -> (1 lsl height) - r
@@ -204,7 +215,7 @@ let load ~dir =
       Error "key file does not match certificate"
     else begin
       let node = Node.create ~signer ~cert () in
-      Node.receive_all node ~now:(intake_ts ()) (List.of_seq (Dag.topo_seq dag));
+      Node.receive_all node ~now:(stored_ts dag) (List.of_seq (Dag.topo_seq dag));
       let t = { dir; node; ca_cert; key = { signer; height; seed } } in
       record t
         (Obs.Event.Store_loaded
@@ -230,8 +241,8 @@ let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
     in
     let* () = save ca in
     let node = Node.create ~signer:subject ~cert () in
-    Node.receive_all node ~now:(intake_ts ())
-      (List.of_seq (Dag.topo_seq (Node.dag ca.node)));
+    let ca_dag = Node.dag ca.node in
+    Node.receive_all node ~now:(stored_ts ca_dag) (List.of_seq (Dag.topo_seq ca_dag));
     let t =
       { dir; node; ca_cert = ca.ca_cert; key = { signer = subject; height; seed } }
     in
@@ -275,8 +286,8 @@ let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
       let t = { t with key = { signer = fresh; height; seed } } in
       let* () = save t in
       (* The CA should learn the rotation block too. *)
-      Node.receive_all ca.node ~now:(intake_ts ())
-        (List.of_seq (Dag.topo_seq (Node.dag t.node)));
+      let dag = Node.dag t.node in
+      Node.receive_all ca.node ~now:(stored_ts dag) (List.of_seq (Dag.topo_seq dag));
       let* () = save ca in
       Ok t
   end

@@ -48,6 +48,12 @@ val enroll :
     Both directories are saved. *)
 
 val load : dir:string -> (t, string) result
+(** Reload a directory, re-admitting every stored block through the
+    node's intake. The clock it checks them against is no earlier than
+    the newest stored timestamp, so a block appended while the clock ran
+    ahead is kept; signatures, parents and membership are checked as on
+    any intake. *)
+
 val save : t -> (unit, string) result
 
 val append :

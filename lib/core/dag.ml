@@ -34,22 +34,25 @@ type t = {
   bytes : int;
   max_height_ : int; (* cached: max over [heights], 0 when empty *)
   by_creator_ : int HMap.t; (* resident block count per creator *)
-  witnessed : HSet.t HMap.t;
-      (* hash -> creators of proper descendants, accumulated on [add].
-         Monotone: entries are never weakened by later pruning of the
-         descendants that contributed them (a witness signal, once seen,
-         is evidence of storage — §IV-H); only pruning the block itself
-         drops its entry. *)
+  buckets : HSet.t Int_map.t;
+      (* [heights] inverted: every known hash under its height, the
+         digest strategy's universe; kept by [add] and [decode], and
+         untouched by [prune], which keeps heights *)
   max_key : (Timestamp.t * Hash_id.t) option;
       (* upper bound on every key ever resident; gates the O(1) append
          fast path of the order cache *)
   mutable order : order_cache;
-  mutable by_height_memo : Hash_id.t list Int_map.t option;
-      (* all known hashes bucketed by height, each bucket in Hash_id
-         order — the digest strategy's interval table. A responder
-         answers every narrowing round of a session from the same
-         snapshot, so memoizing here turns its per-message cost from a
-         full rebuild into a lookup; cleared by [add]/[prune] *)
+  mutable span_digest : string option;
+      (* memo: [range_digest] over every height. An in-sync peer asks
+         for it in every session, from a snapshot that has not moved
+         since the last one; cleared by [add]/[prune] *)
+  mutable witnessed : HSet.t HMap.t option;
+      (* hash -> creators of proper descendants; [None] until the first
+         [witness_set] or [prune] on this snapshot builds it, after
+         which [add] keeps it. Monotone: entries are never weakened by
+         later pruning of the descendants that contributed them (a
+         witness signal, once seen, is evidence of storage — §IV-H);
+         only pruning the block itself drops its entry. *)
 }
 
 type add_error =
@@ -68,10 +71,14 @@ let empty =
     bytes = 0;
     max_height_ = 0;
     by_creator_ = HMap.empty;
-    witnessed = HMap.empty;
+    buckets = Int_map.empty;
     max_key = None;
     order = Both ([], []);
-    by_height_memo = None;
+    (* Every DAG grows from this shared value, so no query may write a
+       memo into it: its digest is filled in here, and its witness
+       index is never built, as it holds no block to ask about. *)
+    span_digest = Some (Vegvisir_crypto.Sha256.digest "");
+    witnessed = None;
   }
 
 let mem t h = HMap.mem h t.blocks
@@ -116,6 +123,11 @@ let credit_witness witnessed blocks (b : Block.t) =
     end
   in
   up witnessed b.Block.parents
+
+let bucket_add height h buckets =
+  Int_map.update height
+    (fun s -> Some (HSet.add h (Option.value s ~default:HSet.empty)))
+    buckets
 
 let add t (b : Block.t) =
   let h = b.Block.hash in
@@ -180,10 +192,11 @@ let add t (b : Block.t) =
             HMap.update b.Block.creator
               (fun n -> Some (1 + Option.value n ~default:0))
               t.by_creator_;
-          witnessed = credit_witness t.witnessed t.blocks b;
+          buckets = bucket_add height h t.buckets;
           max_key;
           order;
-          by_height_memo = None;
+          span_digest = None;
+          witnessed = Option.map (fun w -> credit_witness w t.blocks b) t.witnessed;
         }
     end
   end
@@ -327,12 +340,25 @@ let branch_width t = HSet.cardinal t.frontier
 let creator_count t c = Option.value (HMap.find_opt c t.by_creator_) ~default:0
 let by_creator t = t.by_creator_
 
+(* The index [add] would have kept since [empty]. A snapshot without
+   one has no prune in its history, so every resident block would have
+   credited its creator through the resident ancestry it has now, and
+   the credit walk's result does not depend on the order of the blocks.
+   Forced only once a block is resident, so never on [empty]. *)
+let force_witness t =
+  match t.witnessed with
+  | Some w -> w
+  | None ->
+    let w = HMap.fold (fun _ b w -> credit_witness w t.blocks b) t.blocks HMap.empty in
+    t.witnessed <- Some w;
+    w
+
 let witness_set t h =
   match HMap.find_opt h t.blocks with
   | None -> HSet.empty
   | Some b ->
     HSet.remove b.Block.creator
-      (Option.value (HMap.find_opt h t.witnessed) ~default:HSet.empty)
+      (Option.value (HMap.find_opt h (force_witness t)) ~default:HSet.empty)
 
 let witness_count t h = HSet.cardinal (witness_set t h)
 
@@ -355,25 +381,33 @@ let below t hs =
   in
   go (List.filter (fun h -> known t h) hs) HSet.empty
 
-let by_height t =
-  match t.by_height_memo with
-  | Some m -> m
-  | None ->
-    (* [heights] spans resident and archived hashes, exactly the digest
-       strategy's universe. HMap.fold visits hashes in ascending
-       Hash_id order, so each cons-built bucket comes out descending
-       and one reverse restores the canonical ascending order. *)
-    let m =
-      HMap.fold
-        (fun h ht acc ->
-          Int_map.update ht
-            (function None -> Some [ h ] | Some hs -> Some (h :: hs))
-            acc)
-        t.heights Int_map.empty
-    in
-    let m = Int_map.map List.rev m in
-    t.by_height_memo <- Some m;
-    m
+(* Only the heights present in [lo, hi]: both bounds come off the wire,
+   so the walk must not cost one step per integer in between. Two splits
+   cut the range out in O(log n); the fold then visits its buckets in
+   height order, each in ascending Hash_id order. *)
+let fold_heights t ~lo ~hi f acc =
+  if hi < lo then acc
+  else
+    let bucket acc hs = HSet.fold (fun h acc -> f acc h) hs acc in
+    let at acc = function None -> acc | Some hs -> bucket acc hs in
+    let _, at_lo, above = Int_map.split lo t.buckets in
+    let inside, at_hi, _ = Int_map.split hi above in
+    at (Int_map.fold (fun _ hs acc -> bucket acc hs) inside (at acc at_lo)) at_hi
+
+let range_digest t ~lo ~hi =
+  let hash () =
+    let ctx = Vegvisir_crypto.Sha256.init () in
+    fold_heights t ~lo ~hi (fun () h -> Vegvisir_crypto.Sha256.feed ctx (Hash_id.to_raw h)) ();
+    Vegvisir_crypto.Sha256.finalize ctx
+  in
+  if lo > 0 || hi < t.max_height_ then hash ()
+  else
+    match t.span_digest with
+    | Some d -> d
+    | None ->
+      let d = hash () in
+      t.span_digest <- Some d;
+      d
 
 let prune t h =
   match HMap.find_opt h t.blocks with
@@ -381,6 +415,10 @@ let prune t h =
   | Some b ->
     if b.Block.parents = [] then invalid_arg "Dag.prune: cannot prune genesis";
     if HSet.mem h t.frontier then invalid_arg "Dag.prune: cannot prune a frontier block";
+    (* The index is built before the first prune, so the credit a pruned
+       block deposited on its ancestors stays (monotone, as if [add] had
+       kept it all along). *)
+    let witnessed = HMap.remove h (force_witness t) in
     {
       t with
       blocks = HMap.remove h t.blocks;
@@ -391,14 +429,14 @@ let prune t h =
           (function
             | None -> None | Some n -> if n <= 1 then None else Some (n - 1))
           t.by_creator_;
-      witnessed = HMap.remove h t.witnessed;
+      witnessed = Some witnessed;
       (* Removing a vertex relaxes its children's ordering constraint, so
          they may legitimately move earlier in the canonical order:
          invalidate rather than patch. [max_key] stays a (possibly stale)
          upper bound, which only costs fast-path opportunities, never
          correctness. *)
       order = Dirty;
-      by_height_memo = None;
+      span_digest = None;
     }
 
 let is_archived t h = HSet.mem h t.archived
@@ -459,12 +497,14 @@ let decode c =
   let t =
     List.fold_left
       (fun t (h, height) ->
+        if HSet.mem h t.archived then raise (Wire.Malformed "Dag.decode: archived hash twice");
         {
           t with
           archived = HSet.add h t.archived;
           heights = HMap.add h height t.heights;
+          buckets = bucket_add height h t.buckets;
           max_height_ = Int.max t.max_height_ height;
-          by_height_memo = None;
+          span_digest = None;
         })
       empty archived
   in

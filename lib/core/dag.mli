@@ -18,9 +18,14 @@
       re-runs Kahn once (amortized O(1) per block over any add sequence);
     - {!max_height} and per-creator block counts ({!creator_count},
       {!by_creator}) are O(1) reads;
-    - the {e witness index} ({!witness_set}, {!witness_count}) accrues
-      distinct-creator descendant sets on [add] — amortized O(1) per
-      (ancestor, new creator) — replacing the per-query descendant BFS;
+    - every known hash is bucketed by height, and {!range_digest}
+      hashes a height interval of the buckets straight into one SHA-256
+      context; the digest over every height is memoized on the snapshot;
+    - the {e witness index} ({!witness_set}, {!witness_count}) is built
+      on the first query or {!prune} of a snapshot, and from then on
+      [add] accrues distinct-creator descendant sets — amortized O(1)
+      per (ancestor, new creator) — replacing the per-query descendant
+      BFS. A snapshot nobody asks about never pays for it;
     - {!below} answers multi-hash ancestry closures with one traversal.
 
     {!ancestors}, {!descendants} and {!Oracle} remain full traversals:
@@ -89,15 +94,20 @@ val below : t -> Hash_id.t list -> Hash_id.Set.t
     proofs need. One multi-source traversal regardless of
     [List.length hs]. *)
 
-module Int_map : Map.S with type key = int
+(** {1 Heights: the digest strategy's view} *)
 
-val by_height : t -> Hash_id.t list Int_map.t
-(** All known (resident and archived) hashes bucketed by height, each
-    bucket in {!Hash_id.compare} order — the index behind the digest
-    strategy's height-interval table. Memoized on the snapshot and
-    invalidated by {!add}/{!prune}, so a reconciliation responder pays
-    the build once per DAG state rather than once per narrowing
-    message. *)
+val fold_heights : t -> lo:int -> hi:int -> ('a -> Hash_id.t -> 'a) -> 'a -> 'a
+(** Folds over every known (resident and archived) hash whose height is
+    in [lo..hi], lowest height first and each height in
+    {!Hash_id.compare} order. It visits only the heights present, so its
+    cost does not grow with [hi - lo]. *)
+
+val range_digest : t -> lo:int -> hi:int -> string
+(** SHA-256 of the raw hashes {!fold_heights} visits, concatenated in
+    that order. The digest over every height ([lo <= 0] and
+    [hi >= max_height]) is memoized on the snapshot until {!add} or
+    {!prune} makes a new one, so a replica whose DAG has not moved since
+    its last session answers an in-sync peer without hashing. *)
 
 (** {1 Canonical order} *)
 
@@ -131,7 +141,9 @@ val by_creator : t -> int Hash_id.Map.t
 val witness_set : t -> Hash_id.t -> Hash_id.Set.t
 (** Distinct creators of proper descendants of the block, excluding the
     block's own creator; empty if the hash is not resident. O(result)
-    from the incremental index.
+    from the incremental index, once built: the first query on a
+    snapshot that has never been pruned builds it from the resident
+    blocks, in time linear in the (block, witness) pairs.
 
     The index is {e monotone}: a creator stays recorded even if the
     descendant blocks that witnessed it are later pruned — a §IV-H
@@ -148,8 +160,9 @@ val prune : t -> Hash_id.t -> t
     hash is not resident. Pruning the genesis or a frontier block is
     refused (they anchor validation); @raise Invalid_argument then.
 
-    Index soundness: heights and [max_height] are retained, creator
-    counts are decremented, the block's own witness entry is dropped
+    Index soundness: heights, height buckets and [max_height] are
+    retained, creator counts are decremented, the witness index is built
+    first if it was not, then the block's own witness entry is dropped
     (its ancestors keep theirs — see {!witness_set}), and the cached
     canonical order is invalidated (removing a vertex can legitimately
     reorder its children), to be rebuilt once on the next query. *)
@@ -185,12 +198,13 @@ end
     A replica can be flushed to stable storage and reloaded: resident
     blocks travel in topological order (so reload needs no buffering)
     and archived hashes travel with their heights. Decoding re-inserts
-    through {!add}, which rebuilds every index. *)
+    through {!add}, which rebuilds every index but the witness index,
+    left to its first query. *)
 
 val encode : Buffer.t -> t -> unit
 val decode : Wire.cursor -> t
 (** @raise Wire.Malformed on corrupt input (including a block set that is
-    not parent-closed). *)
+    not parent-closed, or an archived hash listed twice). *)
 
 val to_string : t -> string
 val of_string : string -> t option

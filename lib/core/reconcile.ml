@@ -1,5 +1,4 @@
 module HSet = Hash_id.Set
-module IMap = Dag.Int_map
 
 type mode = Naive | Bloom | Digest
 
@@ -286,42 +285,6 @@ let respond_bloom dag ~filter =
     in
     Bloom_reply { blocks = fit_frame (Seq.filter lacks (Dag.topo_seq dag)) }
 
-(* Height-bucketed hash table backing the digest mode: every known hash
-   (resident blocks plus archived hashes, which keep their height)
-   bucketed by DAG height with each bucket in Hash_id order, so the
-   digest of any height interval is deterministic across replicas that
-   hold the same logical set. Served from [Dag.by_height], which
-   memoizes the buckets on the snapshot — a responder answering several
-   narrowing rounds of one session pays the build once, not once per
-   [Digest_request]. *)
-module Height_table = struct
-  type t = { buckets : Hash_id.t list IMap.t; max_h : int }
-
-  let of_dag dag = { buckets = Dag.by_height dag; max_h = Dag.max_height dag }
-
-  (* Only the heights present in [lo, hi]: both bounds come off the
-     wire, so the walk must not cost one step per integer in between.
-     Two splits cut the range out in O(log n); the fold then visits its
-     buckets in height order. *)
-  let fold_range t ~lo ~hi f acc =
-    if hi < lo then acc
-    else
-      let bucket acc = function None -> acc | Some hs -> List.fold_left f acc hs in
-      let _, at_lo, above = IMap.split lo t.buckets in
-      let inside, at_hi, _ = IMap.split hi above in
-      bucket (IMap.fold (fun _ hs acc -> List.fold_left f acc hs) inside (bucket acc at_lo)) at_hi
-
-  let digest t ~lo ~hi =
-    let buf = Buffer.create 256 in
-    let () =
-      fold_range t ~lo ~hi (fun () h -> Buffer.add_string buf (Hash_id.to_raw h)) ()
-    in
-    Vegvisir_crypto.Sha256.digest (Buffer.contents buf)
-
-  let count t ~lo ~hi = fold_range t ~lo ~hi (fun n _ -> n + 1) 0
-  let hashes t ~lo ~hi = List.rev (fold_range t ~lo ~hi (fun acc h -> h :: acc) [])
-end
-
 (* Narrowing thresholds: a mismatched interval spanning at most
    [leaf_span] heights — or holding at most [leaf_count] blocks — is
    answered with its explicit hash list instead of being split again.
@@ -330,18 +293,21 @@ let leaf_span = 8
 let leaf_count = 16
 
 (* Answer one mismatched interval: equal digests vanish, small ranges
-   become leaves, large ones split in half with fresh sub-digests. *)
-let narrow table { lo; hi; digest } (splits, leaves) =
-  let mine = Height_table.digest table ~lo ~hi in
+   become leaves, large ones split in half with fresh sub-digests. The
+   digest of an interval is [Dag.range_digest]: the Hash_id-ordered
+   hashes of its heights, resident and archived, so replicas that hold
+   the same logical set agree on it. *)
+let narrow dag { lo; hi; digest } (splits, leaves) =
+  let mine = Dag.range_digest dag ~lo ~hi in
   if String.equal mine digest then (splits, leaves)
-  else if hi - lo < leaf_span || Height_table.count table ~lo ~hi <= leaf_count
-  then (splits, { lo; hi; hashes = Height_table.hashes table ~lo ~hi } :: leaves)
+  else if hi - lo < leaf_span || Dag.fold_heights dag ~lo ~hi (fun n _ -> n + 1) 0 <= leaf_count
+  then
+    let hashes = List.rev (Dag.fold_heights dag ~lo ~hi (fun acc h -> h :: acc) []) in
+    (splits, { lo; hi; hashes } :: leaves)
   else
     let mid = lo + ((hi - lo) / 2) in
-    let left = { lo; hi = mid; digest = Height_table.digest table ~lo ~hi:mid } in
-    let right =
-      { lo = mid + 1; hi; digest = Height_table.digest table ~lo:(mid + 1) ~hi }
-    in
+    let left = { lo; hi = mid; digest = Dag.range_digest dag ~lo ~hi:mid } in
+    let right = { lo = mid + 1; hi; digest = Dag.range_digest dag ~lo:(mid + 1) ~hi } in
     (right :: left :: splits, leaves)
 
 let empty_digest = Vegvisir_crypto.Sha256.digest ""
@@ -359,17 +325,15 @@ let well_ordered intervals =
 let respond_digest dag ~upto intervals =
   if not (well_ordered intervals) then None
   else
-    let table = Height_table.of_dag dag in
+    let max_h = Dag.max_height dag in
     let intervals =
       (* Heights the initiator has never covered: everything we hold
          above its bound is by definition a mismatch against nothing. *)
-      if table.Height_table.max_h > upto then
-        intervals
-        @ [ { lo = upto + 1; hi = table.Height_table.max_h; digest = empty_digest } ]
+      if max_h > upto then intervals @ [ { lo = upto + 1; hi = max_h; digest = empty_digest } ]
       else intervals
     in
     let splits, leaves =
-      List.fold_left (fun acc iv -> narrow table iv acc) ([], []) intervals
+      List.fold_left (fun acc iv -> narrow dag iv acc) ([], []) intervals
     in
     Some (Digest_reply { splits = List.rev splits; leaves = List.rev leaves })
 
@@ -431,9 +395,10 @@ type strategy =
   | Naive_state of { level : int; last_reply_count : int }
       (* the level in flight, and the previous reply's block count *)
   | Bloom_state of pull
-  | Digest_state of { table : Height_table.t; upto : int; missing : HSet.t }
-      (* narrowing: heights [<= upto] covered by some request so far,
-         and the responder hashes we lack, fetched once it ends *)
+  | Digest_state of { snapshot : Dag.t; upto : int; missing : HSet.t }
+      (* narrowing: the DAG the first request's digest was computed
+         from, heights [<= upto] covered by some request so far, and the
+         responder hashes we lack, fetched once it ends *)
   | Digest_fetch of pull
 
 (* One reply step: the next request, or the end of the session with the
@@ -469,10 +434,9 @@ let start mode dag =
       ( Bloom_state { collected = []; requested = HSet.empty },
         Bloom_request { filter = bloom_of_dag dag } )
     | Digest ->
-      let table = Height_table.of_dag dag in
-      let upto = table.Height_table.max_h in
-      let digest = Height_table.digest table ~lo:0 ~hi:upto in
-      ( Digest_state { table; upto; missing = HSet.empty },
+      let upto = Dag.max_height dag in
+      let digest = Dag.range_digest dag ~lo:0 ~hi:upto in
+      ( Digest_state { snapshot = dag; upto; missing = HSet.empty },
         Digest_request { upto; intervals = [ { lo = 0; hi = upto; digest } ] } )
   in
   let session = track_send { strategy; pending = first; stats = empty_stats } first in
@@ -548,9 +512,11 @@ let recover dag { collected; requested } ~asked blocks =
       Continue (Blocks_request { hashes = HSet.elements next }) )
 
 (* One narrowing round: leaf hashes we lack join [missing], and every
-   split whose digest differs from ours is narrowed next. When nothing
-   is left to narrow, the session fetches [missing] explicitly. *)
-let digest_step ~table ~upto ~missing dag ~splits ~leaves =
+   split whose digest differs from ours is narrowed next. Our digests
+   come from [snapshot], so every round compares against the state the
+   session opened with; only [missing] consults the live [dag]. When
+   nothing is left to narrow, the session fetches [missing] explicitly. *)
+let digest_step ~snapshot ~upto ~missing dag ~splits ~leaves =
   let missing =
     List.fold_left
       (fun acc { hashes; _ } ->
@@ -563,7 +529,7 @@ let digest_step ~table ~upto ~missing dag ~splits ~leaves =
   let next =
     List.filter_map
       (fun { lo; hi; digest } ->
-        let mine = Height_table.digest table ~lo ~hi in
+        let mine = Dag.range_digest snapshot ~lo ~hi in
         if String.equal mine digest then None else Some { lo; hi; digest = mine })
       splits
   in
@@ -575,10 +541,10 @@ let digest_step ~table ~upto ~missing dag ~splits ~leaves =
   in
   match next with
   | _ :: _ ->
-    ( Digest_state { table; upto; missing },
+    ( Digest_state { snapshot; upto; missing },
       Continue (Digest_request { upto; intervals = next }) )
   | [] ->
-    if HSet.is_empty missing then (Digest_state { table; upto; missing }, Done [])
+    if HSet.is_empty missing then (Digest_state { snapshot; upto; missing }, Done [])
     else
       ( Digest_fetch { collected = []; requested = missing },
         Continue (Blocks_request { hashes = HSet.elements missing }) )
@@ -593,8 +559,8 @@ let reply_step strategy ~pending dag m =
   | Bloom_state pull, (Bloom_reply { blocks } | Blocks_reply { blocks }) ->
     let pull, out = recover dag pull ~asked:(asked_hashes pending) blocks in
     (Bloom_state pull, out)
-  | Digest_state { table; upto; missing }, Digest_reply { splits; leaves } ->
-    digest_step ~table ~upto ~missing dag ~splits ~leaves
+  | Digest_state { snapshot; upto; missing }, Digest_reply { splits; leaves } ->
+    digest_step ~snapshot ~upto ~missing dag ~splits ~leaves
   | Digest_fetch pull, Blocks_reply { blocks } ->
     let pull, out = recover dag pull ~asked:(asked_hashes pending) blocks in
     (Digest_fetch pull, out)

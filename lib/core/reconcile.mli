@@ -13,8 +13,9 @@
       (~10 bits/block instead of 32 bytes/hash); false positives are
       recovered with explicit block requests.
     - [Digest] — Merkle-style recursive narrowing: the request carries
-      height-interval digests (SHA-256 over the Hash_id-sorted hashes in
-      the interval, resident and archived); the responder answers each
+      height-interval digests ({!Dag.range_digest}: SHA-256 over the
+      Hash_id-sorted hashes in the interval, resident and archived;
+      memoized over the whole range); the responder answers each
       mismatched interval with either two sub-interval digests or, for
       small intervals, an explicit hash-list leaf. The initiator narrows
       recursively (O(log height) rounds) and finally pulls exactly the
@@ -165,19 +166,6 @@ val sync_dags : mode -> Dag.t -> Dag.t -> Dag.t * stats
 (** {!pull}, then merge what it delivered into [dst], returning the
     updated [dst]. Blocks are inserted without re-validation (both DAGs
     are assumed validated). *)
-
-(** The digest mode's view of a replica: every known hash (resident or
-    archived) bucketed by DAG height, each bucket in [Hash_id] order. *)
-module Height_table : sig
-  type t
-
-  val of_dag : Dag.t -> t
-
-  val fold_range : t -> lo:int -> hi:int -> ('a -> Hash_id.t -> 'a) -> 'a -> 'a
-  (** Folds over the hashes at heights [lo..hi], lowest height first. It
-      visits only the heights present, so its cost does not grow with
-      [hi - lo]. *)
-end
 
 (** {1 Deterministic span identity}
 

@@ -423,8 +423,7 @@ let journaled dir phase =
 (* [sync --from] journals and counts only the blocks the destination
    made resident: a source block stamped a minute ahead is pulled and
    refused, so it gets [Received] but no [Delivered], and
-   [Sync_completed.pulled] leaves it out. The sync runs in process: a
-   reloaded source would refuse that block itself. *)
+   [Sync_completed.pulled] leaves it out. *)
 let sync_from_rejected () =
   let module Obs = Vegvisir_obs in
   let ca = init "reject-ca" in
@@ -454,6 +453,26 @@ let sync_from_rejected () =
          | _ -> None)
        (Node_store.load_trace ~dir)
      = [ 1 ])
+
+(* A block the node appended while its clock ran a minute ahead
+   survives reloads: a store re-admits its own blocks against a clock no
+   earlier than the newest of them, so the save after each load keeps
+   it. *)
+let reload_keeps_block_stamped_ahead () =
+  let a = init "ahead" in
+  let ahead =
+    Result.get_ok
+      (V.Node.append a.Node_store.node ~now:(wall_ts ~ahead_s:60. ()) [ log_add "ahead" ])
+  in
+  Result.get_ok (Node_store.save a);
+  let reload t =
+    let t = Result.get_ok (Node_store.load ~dir:t.Node_store.dir) in
+    Result.get_ok (Node_store.save t);
+    t
+  in
+  let dag = V.Node.dag (reload (reload a)).Node_store.node in
+  check_i "genesis and the block stamped ahead" 2 (V.Dag.cardinal dag);
+  check_b "the block stamped ahead is resident" true (V.Dag.mem dag ahead.V.Block.hash)
 
 (* A save that fails after a pull is an error, not a silent loss: the
    destination's chain.dag is replaced by a directory once loaded, which
@@ -1536,6 +1555,8 @@ let () =
           Alcotest.test_case "live socket sync" `Quick live_sync;
           Alcotest.test_case "serve --accept-timeout" `Quick serve_accept_timeout;
           Alcotest.test_case "batch ancestry recovery" `Quick recover_ancestry;
+          Alcotest.test_case "a reload keeps a block stamped ahead" `Quick
+            reload_keeps_block_stamped_ahead;
           Alcotest.test_case "sync --from journals what it admits" `Quick
             sync_from_rejected;
           Alcotest.test_case "sync --from reports a failed save" `Quick

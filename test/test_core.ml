@@ -1340,7 +1340,16 @@ let dag_persistence_roundtrip () =
   Wire.put_list b Block.encode
     (List.filter (fun blk -> not (Block.is_genesis blk)) (Dag.topo_order dag));
   Wire.put_list b (fun _ _ -> ()) [];
-  check_b "non-closed image rejected" true (Dag.of_string (Buffer.contents b) = None)
+  check_b "non-closed image rejected" true (Dag.of_string (Buffer.contents b) = None);
+  (* An archived hash listed twice would sit in two height buckets. *)
+  let b = Buffer.create 256 in
+  Wire.put_list b Block.encode [ genesis ];
+  Wire.put_list b
+    (fun b height ->
+      Wire.put_str b (Hash_id.to_raw a.Block.hash);
+      Wire.put_u32 b height)
+    [ 1; 2 ];
+  check_b "archived hash twice rejected" true (Dag.of_string (Buffer.contents b) = None)
 
 let csm_rebuild_equals_incremental () =
   let n = fresh_node alice_signer alice_cert in
@@ -1478,6 +1487,26 @@ let witness_index_monotone_under_prune () =
   check_b "oracle stays within the index after a prune" true
     (Hash_id.Set.subset
        (Witness.oracle_witnesses dag a.Block.hash)
+       (Dag.witness_set dag a.Block.hash))
+
+(* The index is built on a snapshot's first query, or just before its
+   first prune. Here nothing asks before [w] is pruned, so only the
+   build that prune forces can credit bob to [a]: a build after the
+   prune walks down from [x] and stops at the archived [w]. *)
+let witness_index_built_before_first_prune () =
+  let a = mk_block ~t:10 ~parents:[ genesis.Block.hash ] "a" in
+  let w =
+    mk_block ~signer:bob_signer ~creator:bob_cert.Certificate.user_id ~t:20
+      ~parents:[ a.Block.hash ] "w"
+  in
+  let x = mk_block ~t:30 ~parents:[ w.Block.hash ] "x" in
+  let dag =
+    List.fold_left (fun acc b -> Result.get_ok (Dag.add acc b)) (dag_with_genesis ()) [ a; w; x ]
+  in
+  let dag = Dag.prune dag w.Block.hash in
+  check_b "the pruned block's creator still witnesses its ancestor" true
+    (Hash_id.Set.equal
+       (Hash_id.Set.singleton bob_cert.Certificate.user_id)
        (Dag.witness_set dag a.Block.hash))
 
 let pending_pool_basics () =
@@ -1631,6 +1660,55 @@ let random_indexed_dag script =
     script;
   (!dag, !pruned)
 
+(* Every known hash whose height is in [lo, hi], by height and then by
+   hash, rebuilt from [Dag.height] alone. *)
+let heights_oracle dag ~lo ~hi =
+  List.map (fun (b : Block.t) -> b.Block.hash) (Dag.blocks dag)
+  @ Hash_id.Set.elements (Dag.archived_hashes dag)
+  |> List.filter_map (fun h ->
+         match Dag.height dag h with
+         | Some ht when lo <= ht && ht <= hi -> Some (ht, h)
+         | Some _ | None -> None)
+  |> List.sort (fun (a, x) (b, y) ->
+         match Int.compare a b with 0 -> Hash_id.compare x y | c -> c)
+  |> List.map snd
+
+(* One step [i] of a random DAG script: ops 0-4 add a block by one of
+   three creators under one or two of the four newest resident blocks
+   (every 7th back-dated), 5 prunes a resident block [Dag.prune] takes,
+   6 round-trips the DAG through its encoding, and 7-9 are a query for
+   the caller to make ([None]). *)
+let random_step dag i op arg =
+  let creators =
+    [| (alice_signer, alice_cert); (bob_signer, bob_cert); (owner_signer, owner_cert) |]
+  in
+  let newest =
+    List.filteri (fun j _ -> j < 4) (List.rev (Dag.topo_order dag))
+    |> List.map (fun (b : Block.t) -> b.Block.hash)
+  in
+  match op with
+  | 0 | 1 | 2 | 3 | 4 ->
+    let signer, cert = creators.(arg mod 3) in
+    let pick k = List.nth newest ((arg / k) mod List.length newest) in
+    let parents = List.sort_uniq Hash_id.compare [ pick 1; pick (1 + op) ] in
+    let t = if arg mod 7 = 0 then i + 2 else (i + 2) * 10 in
+    let b = mk_block ~signer ~creator:cert.Certificate.user_id ~t ~parents (Printf.sprintf "s%d" i) in
+    Some (Result.value (Dag.add dag b) ~default:dag)
+  | 5 -> begin
+    let frontier = Dag.frontier dag in
+    match
+      List.filter
+        (fun (b : Block.t) ->
+          not (Block.is_genesis b || Hash_id.Set.mem b.Block.hash frontier))
+        (Dag.blocks dag)
+    with
+    | [] -> Some dag
+    | candidates ->
+      Some (Dag.prune dag (List.nth candidates (arg mod List.length candidates)).Block.hash)
+  end
+  | 6 -> Dag.of_string (Dag.to_string dag)
+  | _ -> None
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -1697,7 +1775,9 @@ let qcheck_tests =
     Test.make ~name:"Height_table.fold_range = per-height fold" ~count:200
       (triple (list_of_size Gen.(0 -- 20) (int_range 0 3)) (int_range 0 30) (int_range (-1) 30))
       (fun (picks, lo, hi) ->
-        (* A random DAG: block i hangs under one of the last four. *)
+        (* A random DAG: block i hangs under one of the last four. The
+           digest mode's fold over the DAG's height buckets visits what
+           [Dag.height] alone says is in [lo, hi], in the same order. *)
         let dag, _ =
           List.fold_left
             (fun (dag, recent) pick ->
@@ -1707,17 +1787,98 @@ let qcheck_tests =
             (dag_with_genesis (), [ genesis.Block.hash ])
             picks
         in
-        let buckets = Dag.by_height dag in
-        let oracle = ref [] in
-        for h = Int.max 0 lo to hi do
-          match Dag.Int_map.find_opt h buckets with
-          | None -> ()
-          | Some hs -> List.iter (fun x -> oracle := x :: !oracle) hs
-        done;
-        let got =
-          Reconcile.Height_table.fold_range (Reconcile.Height_table.of_dag dag) ~lo ~hi (fun acc x -> x :: acc) []
+        let got = Dag.fold_heights dag ~lo ~hi (fun acc x -> x :: acc) [] in
+        List.equal Hash_id.equal (heights_oracle dag ~lo ~hi) (List.rev got));
+    Test.make ~name:"range_digest = SHA-256 of the rebuilt buckets" ~count:150
+      (list_of_size Gen.(0 -- 40) (pair (int_range 0 9) small_nat))
+      (fun script ->
+        (* Adds, prunes and encode/decode round trips, with digest
+           queries in between. A query asks the current snapshot and an
+           older one, which the whole-range memo of a newer snapshot must
+           not reach (nor may a query write into the shared [Dag.empty]):
+           the whole range, [0, max_height], the responder's extension
+           [upto + 1, max_height], and a random interval, each twice so
+           the second read is the memo's. *)
+        let oracle d ~lo ~hi =
+          Vegvisir_crypto.Sha256.digest
+            (String.concat "" (List.map Hash_id.to_raw (heights_oracle d ~lo ~hi)))
         in
-        List.equal Hash_id.equal !oracle got);
+        let digests_hold d arg =
+          let top = Dag.max_height d in
+          let upto = arg mod (top + 1) in
+          List.for_all
+            (fun (lo, hi) ->
+              let want = oracle d ~lo ~hi in
+              String.equal want (Dag.range_digest d ~lo ~hi)
+              && String.equal want (Dag.range_digest d ~lo ~hi))
+            [ (0, max_int); (0, top); (upto + 1, top); (arg mod 7, arg mod 11) ]
+        in
+        let rec go i dag history = function
+          | [] -> true
+          | (op, arg) :: rest -> begin
+            match random_step dag i op arg with
+            | Some dag -> go (i + 1) dag (dag :: history) rest
+            | None when op < 7 -> false (* the encoding failed to decode *)
+            | None ->
+              let old = List.nth history (arg mod List.length history) in
+              digests_hold dag arg && digests_hold old arg && go (i + 1) dag history rest
+          end
+        in
+        let first = dag_with_genesis () in
+        go 0 first [ first; Dag.empty ] script
+        && String.equal (Vegvisir_crypto.Sha256.digest "")
+             (Dag.range_digest Dag.empty ~lo:0 ~hi:max_int));
+    Test.make ~name:"witness index built late = built eagerly" ~count:150
+      (list_of_size Gen.(0 -- 40) (pair (int_range 0 9) small_nat))
+      (fun script ->
+        (* Each snapshot travels with a test-local eager index: every add
+           credits its creator to each resident block below it, through
+           resident blocks only, and a prune drops the pruned block's own
+           entry. Queries come at random points, old snapshots included,
+           and the DAG's index, built whenever it first is, must agree. *)
+        let eager_add eager dag (b : Block.t) =
+          Hash_id.Set.fold
+            (fun x eager ->
+              if not (Dag.mem dag x) then eager
+              else
+                let cur = Option.value (Hash_id.Map.find_opt x eager) ~default:Hash_id.Set.empty in
+                Hash_id.Map.add x (Hash_id.Set.add b.Block.creator cur) eager)
+            (Dag.below dag b.Block.parents) eager
+        in
+        let agrees (dag, eager) =
+          List.for_all
+            (fun (b : Block.t) ->
+              let want =
+                Option.value (Hash_id.Map.find_opt b.Block.hash eager) ~default:Hash_id.Set.empty
+              in
+              Hash_id.Set.equal
+                (Hash_id.Set.remove b.Block.creator want)
+                (Dag.witness_set dag b.Block.hash))
+            (Dag.blocks dag)
+        in
+        let rec go i ((dag, eager) as now) history = function
+          | [] -> agrees now
+          | (op, arg) :: rest -> begin
+            (* No round trips here: a decoded DAG starts a new history. *)
+            match random_step dag i (if op = 6 then 0 else op) arg with
+            | Some next ->
+              let eager =
+                List.fold_left
+                  (fun eager (b : Block.t) ->
+                    if Dag.mem dag b.Block.hash then eager else eager_add eager dag b)
+                  eager (Dag.blocks next)
+              in
+              let eager = Hash_id.Set.fold Hash_id.Map.remove (Dag.archived_hashes next) eager in
+              let now = (next, eager) in
+              go (i + 1) now (now :: history) rest
+            | None ->
+              agrees now
+              && agrees (List.nth history (arg mod List.length history))
+              && go (i + 1) now history rest
+          end
+        in
+        let first = (dag_with_genesis (), Hash_id.Map.empty) in
+        go 0 first [ first ] script);
     Test.make ~name:"respond is bounded by its request and the DAG" ~count:150
       (pair (list_of_size Gen.(0 -- 24) (int_range 0 11)) int64)
       (fun (script, seed) ->
@@ -2038,6 +2199,8 @@ let () =
           Alcotest.test_case "counting" `Quick witness_counting;
           Alcotest.test_case "index monotone under prune" `Quick
             witness_index_monotone_under_prune;
+          Alcotest.test_case "index built before the first prune" `Quick
+            witness_index_built_before_first_prune;
         ] );
       ( "reconcile",
         [
