@@ -125,7 +125,7 @@ let live_exchange store mode start =
     let* give_up = start loop in
     let* () =
       Loop.run loop ~until:(fun st ->
-          st.Loop.completed + st.Loop.failed > 0 || give_up st)
+          st.Loop.completed + st.Loop.failed + st.Loop.dial_failures > 0 || give_up st)
     in
     match Loop.outcomes loop with
     | (_, { Loop.error = Some e; _ }) :: _ -> Error e
@@ -330,22 +330,6 @@ let daemon_cmd =
       & info [ "peer" ] ~docv:"HOST:PORT"
           ~doc:"Anti-entropy partner; repeatable.")
   in
-  let budget =
-    Arg.(
-      value & opt int 128
-      & info [ "session-budget" ] ~docv:"N"
-          ~doc:"Stop accepting new peer connections while this many sessions \
-                are active (backpressure lives in the kernel accept queue).")
-  in
-  let slow_ms =
-    Arg.(
-      value & opt float 100.
-      & info [ "slow-iteration-ms" ] ~docv:"MS"
-          ~doc:"Self-profiling threshold: loop iterations busier than this \
-                (poll wait excluded) bump the \
-                $(b,vegvisir_loop_slow_iterations) counter and, rate-limited, \
-                dump the flight recorder.")
-  in
   let trace_sample =
     Arg.(
       value & opt float 0.
@@ -358,17 +342,7 @@ let daemon_cmd =
                 $(b,GET /debug/spans), and exportable with \
                 $(b,trace --chrome).")
   in
-  let flight_capacity =
-    Arg.(
-      value & opt int Vegvisir_obs.Flight.default_capacity
-      & info [ "flight-capacity" ] ~docv:"N"
-          ~doc:"Flight-recorder ring size: the daemon always keeps the last \
-                N events in memory and dumps them (with a registry snapshot) \
-                to $(i,DIR)/flight.jsonl on SIGQUIT or on slow-iteration \
-                anomalies, and on $(b,GET /debug/flight).")
-  in
-  let run dir listen metrics mode anti_entropy_ms peers budget slow_ms
-      trace_sample flight_capacity =
+  let run dir listen metrics mode anti_entropy_ms peers trace_sample =
     let t = or_die (Vegvisir_cli.Node_store.load ~dir) in
     (* One journal write per flush, not per event: the daemon multiplexes
        many sessions and saves (= flushes) on every completed exchange. *)
@@ -377,10 +351,7 @@ let daemon_cmd =
       {
         Vegvisir_cli.Event_loop.default_config with
         Vegvisir_cli.Event_loop.mode;
-        session_budget = budget;
-        slow_iteration_ms = slow_ms;
         trace_sample;
-        flight_capacity;
       }
     in
     let loop = Vegvisir_cli.Event_loop.create ~store:t ~config () in
@@ -427,7 +398,7 @@ let daemon_cmd =
              $(i,DIR)/flight.jsonl without stopping.")
     Term.(
       const run $ dir_arg $ listen $ metrics $ mode_arg $ anti_entropy_ms
-      $ peers $ budget $ slow_ms $ trace_sample $ flight_capacity)
+      $ peers $ trace_sample)
 
 let show_cmd =
   let run dir =

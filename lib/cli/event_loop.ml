@@ -1,6 +1,6 @@
 (* The poll-based event-loop host: one process multiplexing N concurrent
    Peer_engine exchange sessions, the /metrics HTTP endpoint, and
-   periodic anti-entropy timers over non-blocking sockets.
+   periodic anti-entropy dials over non-blocking sockets.
 
    This is the CLI's only socket host: daemon, serve, sync --live and
    serve --metrics each drive a loop over their store directly. The
@@ -9,18 +9,22 @@
    effects into timer-wheel deadlines, and maps Trace effects to obs
    events through Obs.Engine_events (the simulator's mapping too), so a
    daemon session and a `sync --live` session run byte-for-byte the
-   same exchange.
+   same exchange. Three decisions live in modules that need no socket
+   and read no clock: a session's frame reassembly and output queue
+   (Framing), the HTTP subset (Http) and which peer to dial when
+   (Anti_entropy). The host owns the sockets, the clock and the wheel.
 
    Structure of one loop iteration (run):
-     1. fire due timers (engine deadlines, housekeeping wakeups,
-        anti-entropy dials, idle sweeps);
+     1. fire due timers (engine deadlines, housekeeping wakeups, dial
+        deadlines, anti-entropy dials, idle sweeps);
      2. reap sessions that finished or failed;
      3. one wait_ready (select) over: the peer listener (only while
         under the session budget — backpressure at accept), the metrics
         listener, every session conn (reads gated while its outbound
-        queue is over budget), and every conn with queued output;
-     4. pump readiness: accept, incremental frame reads, incremental
-        HTTP reads, queued writes; reap again.
+        queue is over budget), every conn with queued output, and every
+        dial still connecting;
+     4. pump readiness: accept, frame reads, HTTP reads, resolved dials,
+        queued writes; reap again.
 
    Time: the engine and the timer wheel run on Unix_compat.mono_ms (a
    wall clock step backwards cannot un-expire a deadline); block
@@ -40,9 +44,6 @@ let remote_id = 0
    drops it — scrapers are fast; anything slower is not a scraper. *)
 let http_idle_ms = 10_000.
 
-(* Longest plausible scrape request head. *)
-let max_request_bytes = 16 * 1024
-
 (* Per-session backpressure: stop reading a session's requests (and so
    stop generating replies) while this much output is queued. *)
 let max_outbound_bytes = 8 * 1024 * 1024
@@ -54,31 +55,29 @@ let idle_timeout_ms = 30_000.
    are force-closed. *)
 let drain_grace_ms = 5_000.
 
+(* Stop accepting new peer conns while this many sessions are active:
+   the backlog queues in the kernel's accept queue, not in memory. *)
+let session_budget = 128
+
+(* Self-profiling: iterations whose busy time (select wait excluded)
+   exceeds this bump loop.slow_iterations. *)
+let slow_iteration_ms = 100.
+
 type config = {
   mode : Reconcile.mode;
-  session_budget : int;
-      (* stop accepting new peer conns while this many are active *)
   stale_after_ms : float;
   session_timeout_ms : float;
-  slow_iteration_ms : float;
-      (* self-profiling: iterations whose busy time (select wait
-         excluded) exceeds this bump loop.slow_iterations *)
   trace_sample : float;
       (* head-sampling rate for cross-daemon span tracing, handed to
          every hosted engine; 0. = off (no Trace_context frames) *)
-  flight_capacity : int;
-      (* flight-recorder ring size in events *)
 }
 
 let default_config =
   {
     mode = Reconcile.Naive;
-    session_budget = 128;
     stale_after_ms = 2_000.;
     session_timeout_ms = 20_000.;
-    slow_iteration_ms = 100.;
     trace_sample = 0.;
-    flight_capacity = Obs.Flight.default_capacity;
   }
 
 (* How many recent spans /debug/spans retains. *)
@@ -98,10 +97,11 @@ let flight_dump_min_interval_ms = 5_000.
    phase in the overflow slot is a stall worth investigating. *)
 let profile_buckets = [ 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500. ]
 
-(* Where a session is in the symmetric pull-then-serve exchange. The
+(* Where a session is: an outbound one waits for its connect, then every
+   session runs the symmetric pull-then-serve exchange. The
    drain-to-close tail is [closing], not a phase: a finished session
    only flushes its queue. *)
-type phase = Pulling | Serving
+type phase = Connecting | Pulling | Serving
 
 type closing = Complete | Failed of string
 
@@ -111,22 +111,12 @@ type session = {
   origin : [ `Inbound | `Outbound ];
   label : string;  (* telemetry identity of the far end *)
   mutable engine : Peer_engine.t;
-  (* incremental frame reader *)
-  header : Bytes.t;
-  mutable header_got : int;
-  mutable chunks : Bytes.t list;
-      (* payload read buffers in fill order, added as payload bytes
-         arrive (never sized by the announced length), reused across
-         frames *)
-  mutable payload_len : int;  (* -1 while reading the header *)
-  mutable payload_got : int;
-  (* outbound queue of already-framed strings *)
-  outq : string Queue.t;
-  mutable out_head : int;  (* bytes of the front string already written *)
-  mutable out_bytes : int;
+  frames : Framing.t;  (* incremental frame reader and outbound queue *)
   mutable phase : phase;
   mutable closing : closing option;
   mutable timeout_timer : Timer_wheel.id option;
+      (* the dial deadline while Connecting, then the engine's session
+         deadline *)
   mutable wakeup_timer : Timer_wheel.id option;
   mutable pulled : Reconcile.stats option;
   mutable turned : bool;  (* pull-completion transition already ran *)
@@ -141,7 +131,7 @@ type session = {
 type http = {
   hid : int;
   hconn : Unix_compat.conn;
-  req : Buffer.t;
+  head : Http.head;
   mutable resp : string option;
   mutable resp_off : int;
   mutable is_scrape : bool;
@@ -152,7 +142,8 @@ type http = {
 type tev =
   | Engine_timer of int * Peer_engine.timer_key
   | Housekeep of int  (* Peer_engine.next_wakeup: Tick {peer = None} *)
-  | Anti_entropy
+  | Dial_deadline of int  (* a session still connecting fails *)
+  | Dial_round  (* one anti-entropy period *)
   | Idle_sweep
 
 type fd_owner = Session_fd of int | Http_fd of int
@@ -177,27 +168,6 @@ type stats = {
   served : int;
 }
 
-(* One configured anti-entropy peer, with its capped-exponential dial
-   backoff state. [ae_blocked_until] is a mono_ms deadline (0. = always
-   eligible); consecutive connect failures double the wait up to
-   2^6 = 64 anti-entropy periods, and one successful dial resets it. *)
-type ae_peer = {
-  ae_host : string;
-  ae_port : int;
-  ae_label : string;  (* "host:port" — the scoreboard row key *)
-  mutable ae_fails : int;
-  mutable ae_blocked_until : float;
-  ae_g_fails : Obs.Registry.gauge;
-}
-
-type anti_entropy = {
-  every_ms : float;
-  ae_peers : ae_peer array;
-  dial_timeout_s : float;
-}
-
-let backoff_cap_doublings = 6
-
 type t = {
   store : Node_store.t;
   config : config;
@@ -218,23 +188,17 @@ type t = {
   mutable render : unit -> string;
   mutable next_id : int;
   mutable outcomes : outcome IntMap.t;
-  mutable ae : anti_entropy option;
+  mutable ae : Anti_entropy.t option;
   mutable stop_requested : bool;
   mutable stop_initiated : bool;
   mutable stop_deadline : float;
   mutable dirty : bool;  (* an intake made blocks resident since the last save *)
   mutable fatal : string option;
   mutable idle_armed : bool;
-  mutable n_accepted : int;
   mutable n_dialed : int;
-  mutable n_dial_failures : int;
-  mutable n_completed : int;
-  mutable n_failed : int;
-  mutable n_scrapes : int;
   mutable n_http_closed : int;
   mutable n_delivered : int;
   mutable n_served : int;
-  mutable dials_rev : string list;  (* last dialed labels, newest first *)
   c_accepted : Obs.Registry.counter;
   c_scrapes : Obs.Registry.counter;
   c_completed : Obs.Registry.counter;
@@ -262,9 +226,6 @@ type t = {
   mutable last_flight_dump : float;  (* mono_ms; 0. = never dumped *)
 }
 
-(* How many recent anti-entropy dial labels /health reports. *)
-let max_dial_log = 64
-
 let context t = t.ctx
 
 (* The live registry (daemon / loop / derived session counters) merged
@@ -290,7 +251,7 @@ let create ~store ?(config = default_config) () =
   let me = Node_store.node_name store in
   let monitor = Obs.Monitor.create ~nodes:[ me ] () in
   let scoreboard = Obs.Scoreboard.create ~me () in
-  let flight = Obs.Flight.create ~capacity:config.flight_capacity () in
+  let flight = Obs.Flight.create () in
   let span_ring = Obs.Span.Collector.create ~capacity:span_ring_capacity in
   Obs.Context.attach ctx (Obs.Monitor.sink monitor);
   Obs.Context.attach ctx (Obs.Scoreboard.sink scoreboard);
@@ -331,16 +292,10 @@ let create ~store ?(config = default_config) () =
       dirty = false;
       fatal = None;
       idle_armed = false;
-      n_accepted = 0;
       n_dialed = 0;
-      n_dial_failures = 0;
-      n_completed = 0;
-      n_failed = 0;
-      n_scrapes = 0;
       n_http_closed = 0;
       n_delivered = 0;
       n_served = 0;
-      dials_rev = [];
       c_accepted = Obs.Registry.counter reg "daemon.accepted";
       c_scrapes = Obs.Registry.counter reg "daemon.scrapes";
       c_completed = Obs.Registry.counter reg "daemon.sessions_completed";
@@ -370,10 +325,9 @@ let create ~store ?(config = default_config) () =
 
 let set_render t render = t.render <- render
 
-(* {2 Flight recorder and spans} *)
+(* {2 Flight recorder} *)
 
 let flight_dump t = Obs.Flight.dump t.flight ~snapshot:(merged_snapshot t)
-let spans t = Obs.Span.Collector.spans t.span_ring
 
 (* Safe to call from a signal handler: only flips a flag; the loop
    writes the dump at its next iteration. *)
@@ -402,14 +356,15 @@ let refresh_runtime_gauges t =
   Obs.Registry.set t.g_timer_depth (float_of_int (Timer_wheel.cardinal t.wheel))
 
 let stats t : stats =
+  let count = Obs.Registry.counter_value in
   {
-    accepted = t.n_accepted;
+    accepted = count t.c_accepted;
     dialed = t.n_dialed;
-    dial_failures = t.n_dial_failures;
-    completed = t.n_completed;
-    failed = t.n_failed;
+    dial_failures = count t.c_dial_failures;
+    completed = count t.c_completed;
+    failed = count t.c_failed;
     active = IntMap.cardinal t.sessions;
-    scrapes = t.n_scrapes;
+    scrapes = count t.c_scrapes;
     http_closed = t.n_http_closed;
     delivered = t.n_delivered;
     served = t.n_served;
@@ -425,36 +380,41 @@ let journal t evs =
   let ts = Unix_compat.now_ms () in
   List.iter (fun ev -> Obs.Context.emit t.ctx ~ts ev) evs
 
+let journal_started t s =
+  journal t [ Obs.Event.Sync_started { node = t.me; peer = s.label } ]
+
 let set_active t =
   Obs.Registry.set t.g_active (float_of_int (IntMap.cardinal t.sessions))
+
+let schedule t ~at_ms ev =
+  let w, id = Timer_wheel.schedule t.wheel ~at_ms ev in
+  t.wheel <- w;
+  id
+
+let arm t ~at_ms ev =
+  let (_ : Timer_wheel.id) = schedule t ~at_ms ev in
+  ()
+
+let cancel t = function
+  | Some id -> t.wheel <- Timer_wheel.cancel t.wheel id
+  | None -> ()
 
 let arm_idle_sweep t =
   if not t.idle_armed then begin
     t.idle_armed <- true;
     let period = Float.max 1_000. (idle_timeout_ms /. 4.) in
-    let w, _id =
-      Timer_wheel.schedule t.wheel ~at_ms:(Unix_compat.mono_ms () +. period)
-        Idle_sweep
-    in
-    t.wheel <- w
+    arm t ~at_ms:(Unix_compat.mono_ms () +. period) Idle_sweep
   end
-
-let enqueue_out s payload =
-  let framed = Unix_compat.encode_frame payload in
-  Queue.add framed s.outq;
-  s.out_bytes <- s.out_bytes + String.length framed
 
 (* Mark a session dead. Its queue is dropped (the conn is either broken
    or mid-protocol-error; flushing would only confuse the peer) and the
    reap pass finalizes it. Idempotent: first cause wins. *)
-let fail_session _t s msg =
+let fail_session s msg =
   match s.closing with
   | Some _ -> ()
   | None ->
     s.closing <- Some (Failed msg);
-    Queue.clear s.outq;
-    s.out_head <- 0;
-    s.out_bytes <- 0
+    Framing.discard_output s.frames
 
 let save_if_dirty t =
   if not t.dirty then Ok ()
@@ -465,20 +425,16 @@ let save_if_dirty t =
 
 let apply_effect t s (eff : Peer_engine.effect_) =
   match eff with
-  | Peer_engine.Send { dst = _; bytes } -> enqueue_out s bytes
+  | Peer_engine.Send { dst = _; bytes } -> Framing.enqueue s.frames bytes
   | Peer_engine.Set_timer { key; after_ms } -> begin
     match key with
     | Peer_engine.Session_timeout _ ->
-      (match s.timeout_timer with
-      | Some id -> t.wheel <- Timer_wheel.cancel t.wheel id
-      | None -> ());
-      let w, id =
-        Timer_wheel.schedule t.wheel
-          ~at_ms:(Unix_compat.mono_ms () +. after_ms)
-          (Engine_timer (s.sid, key))
-      in
-      t.wheel <- w;
-      s.timeout_timer <- Some id
+      cancel t s.timeout_timer;
+      s.timeout_timer <-
+        Some
+          (schedule t
+             ~at_ms:(Unix_compat.mono_ms () +. after_ms)
+             (Engine_timer (s.sid, key)))
     | Peer_engine.Gossip_round ->
       (* The gossip cadence is host-driven (anti-entropy timer). *)
       ()
@@ -515,7 +471,7 @@ let apply_effect t s (eff : Peer_engine.effect_) =
       journal_ev ()
     | Peer_engine.Session_aborted { reason; _ } ->
       journal_ev ();
-      fail_session t s
+      fail_session s
         (match reason with
         | Peer_engine.Stalled -> "sync failed: the peer stopped answering"
         | Peer_engine.Timed_out -> "sync failed: session deadline exceeded")
@@ -535,19 +491,13 @@ let step t s input =
   Obs.Registry.observe t.h_engine (Unix_compat.mono_ms () -. now);
   s.engine <- engine;
   List.iter (apply_effect t s) effects;
-  (match s.wakeup_timer with
-  | Some id ->
-    t.wheel <- Timer_wheel.cancel t.wheel id;
-    s.wakeup_timer <- None
-  | None -> ());
+  cancel t s.wakeup_timer;
+  s.wakeup_timer <- None;
   (match s.closing with
   | Some _ -> ()
   | None -> begin
     match Peer_engine.next_wakeup s.engine with
-    | Some at ->
-      let w, id = Timer_wheel.schedule t.wheel ~at_ms:at (Housekeep s.sid) in
-      t.wheel <- w;
-      s.wakeup_timer <- Some id
+    | Some at -> s.wakeup_timer <- Some (schedule t ~at_ms:at (Housekeep s.sid))
     | None -> ()
   end);
   (match s.pulled with
@@ -557,7 +507,7 @@ let step t s input =
        outbound session that opens the serve phase; for an inbound one
        the pull-back was the exchange's tail, so the sentinel is the
        final frame and the session drains to close. *)
-    enqueue_out s "";
+    Framing.enqueue s.frames "";
     match s.origin with
     | `Outbound -> s.phase <- Serving
     | `Inbound -> (
@@ -568,29 +518,34 @@ let step t s input =
   | Some _ | None -> ());
   effects
 
+let pull t s =
+  let (_ : Peer_engine.effect_ list) =
+    step t s (Peer_engine.Tick { peer = Some remote_id })
+  in
+  ()
+
+let complete s = match s.closing with None -> s.closing <- Some Complete | Some _ -> ()
+
 let dispatch_frame t s frame =
   if String.length frame = 0 then begin
     match s.phase with
-    | Pulling ->
-      fail_session t s "protocol error: turn-over sentinel inside a session"
+    | Connecting | Pulling ->
+      fail_session s "protocol error: turn-over sentinel inside a session"
     | Serving -> begin
       match s.origin with
       | `Inbound ->
         (* The remote's pull is over; pull back. *)
         s.phase <- Pulling;
-        let (_ : Peer_engine.effect_ list) =
-          step t s (Peer_engine.Tick { peer = Some remote_id })
-        in
-        ()
-      | `Outbound -> (
+        pull t s
+      | `Outbound ->
         (* The remote finished serving our pull-back: exchange done. *)
-        match s.closing with
-        | None -> s.closing <- Some Complete
-        | Some _ -> ())
+        complete s
     end
   end
   else begin
-    let in_serving = match s.phase with Serving -> true | Pulling -> false in
+    let in_serving =
+      match s.phase with Serving -> true | Connecting | Pulling -> false
+    in
     let effects =
       step t s (Peer_engine.Message_received { from = remote_id; bytes = frame })
     in
@@ -611,157 +566,89 @@ let dispatch_frame t s frame =
     end
   end
 
-let on_eof t s =
-  let mid_frame = s.header_got > 0 || s.payload_len >= 0 in
-  if mid_frame then fail_session t s "peer closed the connection mid-frame"
+let on_eof s =
+  if Framing.mid_frame s.frames then
+    fail_session s "peer closed the connection mid-frame"
   else begin
     match (s.phase, s.origin) with
-    | Serving, `Outbound -> (
+    | Serving, `Outbound ->
       (* The remote finished its pull-back and hung up instead of
          sending the final sentinel — complete either way. *)
-      match s.closing with
-      | None -> s.closing <- Some Complete
-      | Some _ -> ())
-    | Serving, `Inbound ->
-      fail_session t s "peer closed the connection before turn-over"
-    | Pulling, (`Inbound | `Outbound) ->
-      fail_session t s "peer closed the connection mid-session"
+      complete s
+    | Serving, `Inbound -> fail_session s "peer closed the connection before turn-over"
+    | (Connecting | Pulling), (`Inbound | `Outbound) ->
+      fail_session s "peer closed the connection mid-session"
   end
 
-(* Smallest payload chunk. A chunk is added only when the held ones are
-   full, as large as all of them together but no larger than the frame
-   still lacks: a header alone costs at most this much memory, however
-   large a length it announces, and a frame of n bytes fills chunks
-   totalling n without copying any of them into a larger buffer. *)
-let min_chunk_bytes = 4096
-
-(* The chunk that payload byte [s.payload_got] goes to, and its offset
-   there; past the held chunks, a new one is appended. *)
-let payload_chunk s =
-  let rec find base = function
-    | c :: rest ->
-      let n = Bytes.length c in
-      if s.payload_got < base + n then (c, s.payload_got - base)
-      else find (base + n) rest
-    | [] ->
-      let c = Bytes.create (max min_chunk_bytes (min base (s.payload_len - base))) in
-      s.chunks <- s.chunks @ [ c ];
-      (c, 0)
+(* Drain whatever the kernel has for this session, dispatching every
+   completed frame. Stops at `Would_block, on session death, or when the
+   outbound queue is over budget (backpressure: un-read requests stay in
+   the kernel buffer until we have flushed the replies they would
+   generate). *)
+let pump_read t s =
+  let read buf ~pos ~len =
+    let r = Unix_compat.read_nb s.conn buf ~pos ~len in
+    (match r with
+    | Ok (`Read _) -> s.last_io <- Unix_compat.mono_ms ()
+    | Ok (`Eof | `Would_block) | Error _ -> ());
+    r
   in
-  find 0 s.chunks
-
-(* The completed payload, copied out of its chunks in order. *)
-let take_payload s =
-  let frame = Bytes.create s.payload_len in
-  let rec copy pos = function
-    | c :: rest when pos < s.payload_len ->
-      let n = min (Bytes.length c) (s.payload_len - pos) in
-      Bytes.blit c 0 frame pos n;
-      copy (pos + n) rest
-    | _ :: _ | [] -> ()
-  in
-  copy 0 s.chunks;
-  Bytes.unsafe_to_string frame
-
-(* Drain whatever the kernel has for this session: incremental header
-   and payload reads, dispatching every completed frame. Stops at
-   `Would_block, on session death, or when the outbound queue is over
-   budget (backpressure: un-read requests stay in the kernel buffer
-   until we have flushed the replies they would generate). *)
-let rec pump_read t s =
-  match s.closing with
-  | Some _ -> ()
-  | None ->
-    if s.out_bytes > max_outbound_bytes then ()
-    else if s.payload_len < 0 then begin
-      match
-        Unix_compat.read_nb s.conn s.header ~pos:s.header_got
-          ~len:(Unix_compat.frame_header_bytes - s.header_got)
-      with
-      | Error e -> fail_session t s e
-      | Ok `Would_block -> ()
-      | Ok `Eof -> on_eof t s
-      | Ok (`Read n) -> begin
-        s.last_io <- Unix_compat.mono_ms ();
-        s.header_got <- s.header_got + n;
-        if s.header_got = Unix_compat.frame_header_bytes then begin
-          match Unix_compat.decode_frame_header s.header with
-          | Error e -> fail_session t s e
-          | Ok len ->
-            s.header_got <- 0;
-            if len = 0 then begin
-              dispatch_frame t s "";
-              pump_read t s
-            end
-            else begin
-              s.payload_len <- len;
-              s.payload_got <- 0;
-              pump_read t s
-            end
-        end
-        else pump_read t s
-      end
-    end
-    else begin
-      let chunk, pos = payload_chunk s in
-      match
-        Unix_compat.read_nb s.conn chunk ~pos
-          ~len:(min (Bytes.length chunk - pos) (s.payload_len - s.payload_got))
-      with
-      | Error e -> fail_session t s e
-      | Ok `Would_block -> ()
-      | Ok `Eof -> on_eof t s
-      | Ok (`Read n) ->
-        s.last_io <- Unix_compat.mono_ms ();
-        s.payload_got <- s.payload_got + n;
-        if s.payload_got = s.payload_len then begin
-          let frame = take_payload s in
-          s.payload_len <- -1;
-          s.payload_got <- 0;
-          dispatch_frame t s frame;
-          pump_read t s
-        end
-        else pump_read t s
-    end
-
-let pump_write t s =
   let rec go () =
-    match Queue.peek_opt s.outq with
-    | None -> ()
-    | Some front ->
-      let flen = String.length front in
-      if s.out_head >= flen then begin
-        let (_ : string) = Queue.pop s.outq in
-        s.out_head <- 0;
-        go ()
-      end
+    match s.closing with
+    | Some _ -> ()
+    | None ->
+      if Framing.queued_bytes s.frames > max_outbound_bytes then ()
       else begin
-        match
-          Unix_compat.write_nb s.conn
-            (Bytes.unsafe_of_string front)
-            ~pos:s.out_head ~len:(flen - s.out_head)
-        with
-        | Error e -> fail_session t s e
+        match Framing.read_frame s.frames ~read with
+        | Error e -> fail_session s e
         | Ok `Would_block -> ()
-        | Ok (`Wrote n) ->
-          s.last_io <- Unix_compat.mono_ms ();
-          s.out_head <- s.out_head + n;
-          s.out_bytes <- s.out_bytes - n;
+        | Ok `Eof -> on_eof s
+        | Ok (`Frame frame) ->
+          dispatch_frame t s frame;
           go ()
       end
   in
   go ()
 
+let pump_write s =
+  let write buf ~pos ~len =
+    let r = Unix_compat.write_nb s.conn buf ~pos ~len in
+    (match r with
+    | Ok (`Wrote _) -> s.last_io <- Unix_compat.mono_ms ()
+    | Ok `Would_block | Error _ -> ());
+    r
+  in
+  match Framing.flush s.frames ~write with Ok () -> () | Error e -> fail_session s e
+
+(* {2 Dials} *)
+
+let set_dial_failures t label n =
+  Obs.Registry.set
+    (Obs.Registry.gauge (Obs.Context.registry t.ctx) ~node:label
+       "daemon.dial_consecutive_failures")
+    (float_of_int n)
+
+(* A dial resolved: a configured anti-entropy peer's backoff and its
+   consecutive-failures gauge follow. *)
+let tell_policy t label ~ok =
+  match t.ae with
+  | None -> ()
+  | Some ae ->
+    if ok then Anti_entropy.connected ae label
+    else Anti_entropy.failed ae ~now_ms:(Unix_compat.mono_ms ()) label;
+    Option.iter (set_dial_failures t label) (Anti_entropy.failures ae label)
+
+let dial_failed t label =
+  Obs.Registry.incr t.c_dial_failures;
+  Option.iter (fun l -> tell_policy t l ~ok:false) label
+
 (* Retire a finished session: record the completion (or the failure),
    persist the store if this loop delivered anything, close the conn.
+   A dial that never connected counts as a dial failure, not a session.
    Outcomes stay queryable by session id. *)
 let finalize t s =
-  (match s.timeout_timer with
-  | Some id -> t.wheel <- Timer_wheel.cancel t.wheel id
-  | None -> ());
-  (match s.wakeup_timer with
-  | Some id -> t.wheel <- Timer_wheel.cancel t.wheel id
-  | None -> ());
+  cancel t s.timeout_timer;
+  cancel t s.wakeup_timer;
   s.timeout_timer <- None;
   s.wakeup_timer <- None;
   let error =
@@ -776,13 +663,10 @@ let finalize t s =
       match save_if_dirty t with Ok () -> None | Error e -> Some e
     end
   in
-  (match error with
-  | None ->
-    t.n_completed <- t.n_completed + 1;
-    Obs.Registry.incr t.c_completed
-  | Some _ ->
-    t.n_failed <- t.n_failed + 1;
-    Obs.Registry.incr t.c_failed);
+  (match (s.phase, error) with
+  | Connecting, (Some _ | None) -> dial_failed t (Some s.label)
+  | (Pulling | Serving), None -> Obs.Registry.incr t.c_completed
+  | (Pulling | Serving), Some _ -> Obs.Registry.incr t.c_failed);
   t.outcomes <-
     IntMap.add s.sid
       { pulled = s.pulled; delivered = s.delivered; served = s.served; error }
@@ -802,19 +686,18 @@ let reap t =
       (fun _ s acc ->
         match s.closing with
         | Some (Failed _) -> s :: acc
-        | Some Complete when Queue.is_empty s.outq -> s :: acc
+        | Some Complete when not (Framing.has_output s.frames) -> s :: acc
         | Some Complete | None -> acc)
       t.sessions []
   in
   List.iter (finalize t) (List.rev finished)
 
-let new_session t ~origin ?label conn =
+let new_session t ~origin ~phase ?label conn =
   let sid = t.next_id in
   t.next_id <- sid + 1;
   let label =
     match label with Some l -> l | None -> "peer-" ^ string_of_int sid
   in
-  Unix_compat.set_nonblocking conn;
   let node = t.store.Node_store.node in
   let engine =
     Peer_engine.create
@@ -835,15 +718,8 @@ let new_session t ~origin ?label conn =
       origin;
       label;
       engine;
-      header = Bytes.create Unix_compat.frame_header_bytes;
-      header_got = 0;
-      chunks = [];
-      payload_len = -1;
-      payload_got = 0;
-      outq = Queue.create ();
-      out_head = 0;
-      out_bytes = 0;
-      phase = Serving;
+      frames = Framing.create ();
+      phase;
       closing = None;
       timeout_timer = None;
       wakeup_timer = None;
@@ -859,36 +735,39 @@ let new_session t ~origin ?label conn =
   t.by_fd <- IntMap.add (Unix_compat.conn_id conn) (Session_fd sid) t.by_fd;
   set_active t;
   arm_idle_sweep t;
-  journal t [ Obs.Event.Sync_started { node = t.me; peer = label } ];
   s
 
-let connect_exchange ?label ?timeout_s t ~host ~port () =
-  match Unix_compat.connect ?timeout_s ~host ~port () with
-  | Error e -> Error e
-  | Ok conn ->
-    t.n_dialed <- t.n_dialed + 1;
-    let s = new_session t ~origin:`Outbound ?label conn in
+(* A connecting session's conn turned writable: the dial resolved. A
+   connected one opens its exchange with a pull. *)
+let on_connect_ready t s =
+  match Unix_compat.connect_result s.conn with
+  | Error e -> fail_session s e
+  | Ok () ->
+    cancel t s.timeout_timer;
+    s.timeout_timer <- None;
     s.phase <- Pulling;
-    let (_ : Peer_engine.effect_ list) =
-      step t s (Peer_engine.Tick { peer = Some remote_id })
-    in
+    s.last_io <- Unix_compat.mono_ms ();
+    t.n_dialed <- t.n_dialed + 1;
+    tell_policy t s.label ~ok:true;
+    journal_started t s;
+    pull t s;
+    pump_write s
+
+let connect_exchange ?label ?timeout_s t ~host ~port () =
+  match Unix_compat.connect_start ~host ~port () with
+  | Error e ->
+    dial_failed t label;
+    Error e
+  | Ok conn ->
+    let s = new_session t ~origin:`Outbound ~phase:Connecting ?label conn in
+    Option.iter
+      (fun secs ->
+        let at_ms = Unix_compat.mono_ms () +. (secs *. 1000.) in
+        s.timeout_timer <- Some (schedule t ~at_ms (Dial_deadline s.sid)))
+      timeout_s;
     Ok s.sid
 
 (* {2 The /metrics and /health HTTP side} *)
-
-let http_response ?(content_type = "text/plain; version=0.0.4; charset=utf-8")
-    ~status ~body () =
-  String.concat "\r\n"
-    [
-      "HTTP/1.1 " ^ status;
-      "Content-Type: " ^ content_type;
-      "Content-Length: " ^ string_of_int (String.length body);
-      "Connection: close";
-      "";
-      body;
-    ]
-
-let dials t = List.rev t.dials_rev
 
 (* The GET /health body: node identity and uptime, the daemon counters
    (with the recent anti-entropy dial order), the monitor's derived
@@ -896,6 +775,7 @@ let dials t = List.rev t.dials_rev
    section (every loop.* metric of the live registry). One JSON object,
    composed from the byte-stable obs renderers. *)
 let health_body t =
+  let st = stats t in
   let b = Buffer.create 2048 in
   let add = Buffer.add_string b in
   let int_field k v =
@@ -908,21 +788,21 @@ let health_body t =
   add ",\"uptime_s\":";
   add (Obs.Event.json_float ((Unix_compat.mono_ms () -. t.started_ms) /. 1000.));
   add ",\"daemon\":{\"accepted\":";
-  add (string_of_int t.n_accepted);
-  int_field "dialed" t.n_dialed;
-  int_field "dial_failures" t.n_dial_failures;
-  int_field "completed" t.n_completed;
-  int_field "failed" t.n_failed;
-  int_field "active" (IntMap.cardinal t.sessions);
-  int_field "scrapes" t.n_scrapes;
-  int_field "delivered" t.n_delivered;
-  int_field "served" t.n_served;
+  add (string_of_int st.accepted);
+  int_field "dialed" st.dialed;
+  int_field "dial_failures" st.dial_failures;
+  int_field "completed" st.completed;
+  int_field "failed" st.failed;
+  int_field "active" st.active;
+  int_field "scrapes" st.scrapes;
+  int_field "delivered" st.delivered;
+  int_field "served" st.served;
   add ",\"dials\":[";
   List.iteri
     (fun i l ->
       if i > 0 then add ",";
       add (Obs.Event.json_string l))
-    (dials t);
+    (match t.ae with Some ae -> Anti_entropy.dials ae | None -> []);
   add "]},\"health\":";
   add (Obs.Health.to_json t.monitor);
   add ",\"peers\":";
@@ -940,32 +820,12 @@ let health_body t =
   add "}}";
   Buffer.contents b
 
-let parse_target head =
-  match String.index_opt head '\r' with
-  | None -> None
-  | Some eol -> begin
-    match String.split_on_char ' ' (String.sub head 0 eol) with
-    | [ meth; target; _version ] -> Some (meth, target)
-    | _ -> None
-  end
-
-let is_metrics target =
-  String.equal target "/metrics"
-  || String.length target > 8
-     && String.equal (String.sub target 0 9) "/metrics?"
-
-let is_health target =
-  String.equal target "/health"
-  || String.length target > 7 && String.equal (String.sub target 0 8) "/health?"
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i =
-    if i + m > n then false
-    else if String.equal (String.sub s i m) sub then true
-    else at (i + 1)
-  in
-  at 0
+let scrape_body t = function
+  | Http.Metrics -> t.render ()
+  | Http.Health -> health_body t
+  | Http.Spans -> Obs.Span.render_json (Obs.Span.Collector.spans t.span_ring)
+  | Http.Flight -> flight_dump t
+  | Http.Registry -> Obs.Registry.render_json (merged_snapshot t)
 
 let close_http t h =
   t.by_fd <- IntMap.remove (Unix_compat.conn_id h.hconn) t.by_fd;
@@ -973,9 +833,9 @@ let close_http t h =
   t.https <- IntMap.remove h.hid t.https;
   t.n_http_closed <- t.n_http_closed + 1
 
-(* Accumulate the request head across however many reads it takes (a
-   scraper dribbling its request one byte at a time never blocks the
-   loop), answer once the blank line arrives. *)
+(* Feed the request head whatever the kernel has (a scraper dribbling
+   its request one byte at a time never blocks the loop) and compose the
+   answer once Http has a verdict. *)
 let pump_http_read t h =
   let rec go () =
     match h.resp with
@@ -986,43 +846,17 @@ let pump_http_read t h =
       with
       | Error _ | Ok `Eof -> close_http t h
       | Ok `Would_block -> ()
-      | Ok (`Read n) ->
+      | Ok (`Read n) -> begin
         h.h_last_io <- Unix_compat.mono_ms ();
-        Buffer.add_subbytes h.req t.rdbuf 0 n;
-        let data = Buffer.contents h.req in
-        if contains_sub data "\r\n\r\n" then begin
-          let resp =
-            match parse_target data with
-            | Some ("GET", target) when is_metrics target ->
-              h.is_scrape <- true;
-              http_response ~status:"200 OK" ~body:(t.render ()) ()
-            | Some ("GET", target) when is_health target ->
-              h.is_scrape <- true;
-              http_response ~content_type:"application/json" ~status:"200 OK"
-                ~body:(health_body t) ()
-            | Some ("GET", "/debug/spans") ->
-              h.is_scrape <- true;
-              http_response ~content_type:"application/json" ~status:"200 OK"
-                ~body:(Obs.Span.render_json (spans t)) ()
-            | Some ("GET", "/debug/flight") ->
-              h.is_scrape <- true;
-              http_response ~content_type:"application/x-ndjson"
-                ~status:"200 OK" ~body:(flight_dump t) ()
-            | Some ("GET", "/debug/registry") ->
-              h.is_scrape <- true;
-              http_response ~content_type:"application/json" ~status:"200 OK"
-                ~body:(Obs.Registry.render_json (merged_snapshot t)) ()
-            | Some _ ->
-              http_response ~status:"404 Not Found" ~body:"not found\n" ()
-            | None ->
-              http_response ~status:"400 Bad Request" ~body:"bad request\n" ()
-          in
-          h.resp <- Some resp
-        end
-        else if Buffer.length h.req > max_request_bytes then
-          h.resp <-
-            Some (http_response ~status:"400 Bad Request" ~body:"bad request\n" ())
-        else go ()
+        match Http.feed h.head t.rdbuf ~pos:0 ~len:n with
+        | None -> go ()
+        | Some verdict ->
+          h.is_scrape <-
+            (match verdict with
+            | Http.Scrape _ -> true
+            | Http.Not_found | Http.Bad_request -> false);
+          h.resp <- Some (Http.answer verdict ~body:(scrape_body t))
+      end
     end
   in
   go ()
@@ -1034,10 +868,7 @@ let pump_http_write t h =
     let rec go () =
       let len = String.length resp - h.resp_off in
       if len = 0 then begin
-        if h.is_scrape then begin
-          t.n_scrapes <- t.n_scrapes + 1;
-          Obs.Registry.incr t.c_scrapes
-        end;
+        if h.is_scrape then Obs.Registry.incr t.c_scrapes;
         close_http t h
       end
       else begin
@@ -1080,25 +911,19 @@ let listen_metrics ?host t ~port () =
       Ok (Unix_compat.bound_port l)
   end
 
-let metrics_port t =
-  match t.metrics_listener with
-  | Some l -> Some (Unix_compat.bound_port l)
-  | None -> None
-
 let accept_peers t =
   match t.peer_listener with
   | None -> ()
   | Some l ->
     let rec go () =
-      if IntMap.cardinal t.sessions >= t.config.session_budget then ()
+      if IntMap.cardinal t.sessions >= session_budget then ()
       else begin
         match Unix_compat.accept_nb l with
         | Error _ -> ()  (* transient (fd pressure); retry next round *)
         | Ok `Would_block -> ()
         | Ok (`Conn conn) ->
-          t.n_accepted <- t.n_accepted + 1;
           Obs.Registry.incr t.c_accepted;
-          let (_ : session) = new_session t ~origin:`Inbound conn in
+          journal_started t (new_session t ~origin:`Inbound ~phase:Serving conn);
           go ()
       end
     in
@@ -1119,7 +944,7 @@ let accept_metrics t =
           {
             hid;
             hconn = conn;
-            req = Buffer.create 256;
+            head = Http.head ();
             resp = None;
             resp_off = 0;
             is_scrape = false;
@@ -1136,92 +961,43 @@ let accept_metrics t =
 (* {2 Timers} *)
 
 let set_anti_entropy ?(dial_timeout_s = 5.) t ~every_ms ~peers =
-  let reg = Obs.Context.registry t.ctx in
-  let mk (host, port) =
-    let label = host ^ ":" ^ string_of_int port in
-    {
-      ae_host = host;
-      ae_port = port;
-      ae_label = label;
-      ae_fails = 0;
-      ae_blocked_until = 0.;
-      ae_g_fails =
-        Obs.Registry.gauge reg ~node:label "daemon.dial_consecutive_failures";
-    }
-  in
-  t.ae <-
-    Some
-      { every_ms; ae_peers = Array.of_list (List.map mk peers); dial_timeout_s };
-  let w, _id =
-    Timer_wheel.schedule t.wheel
-      ~at_ms:(Unix_compat.mono_ms () +. every_ms)
-      Anti_entropy
-  in
-  t.wheel <- w
+  let ae = Anti_entropy.create ~every_ms ~dial_timeout_s ~peers in
+  List.iter (fun label -> set_dial_failures t label 0) (Anti_entropy.labels ae);
+  t.ae <- Some ae;
+  arm t ~at_ms:(Unix_compat.mono_ms () +. every_ms) Dial_round
 
 let has_session_with t label =
   IntMap.exists (fun _ s -> String.equal s.label label) t.sessions
 
-(* One anti-entropy round: order the configured peers by scoreboard
-   priority (most diverged, then longest unseen, label tie-break — see
-   Scoreboard.priority) and dial the first one that is neither inside
-   its failure-backoff window nor already mid-exchange with us. The
-   wheel stays clock-free: the host reads mono_ms and passes deadlines
-   in. *)
+(* One anti-entropy round: the policy picks the peer (scoreboard
+   priority, skipping peers mid-exchange with us or backed off); the
+   loop starts the dial, which resolves later without blocking. *)
 let dial_next t ae =
-  if Array.length ae.ae_peers = 0 then ()
-  else begin
-    let now = Unix_compat.mono_ms () in
-    let peers = Array.to_list ae.ae_peers in
-    let order =
-      Obs.Scoreboard.priority t.scoreboard
-        (List.map (fun p -> p.ae_label) peers)
+  match
+    Anti_entropy.choose ae ~now_ms:(Unix_compat.mono_ms ())
+      ~priority:(Obs.Scoreboard.priority t.scoreboard)
+      ~busy:(has_session_with t)
+  with
+  | None -> ()  (* everyone backed off or mid-exchange; next round *)
+  | Some { Anti_entropy.host; port; label } ->
+    let (_ : (int, string) result) =
+      connect_exchange ~label ~timeout_s:(Anti_entropy.dial_timeout_s ae) t ~host
+        ~port ()
     in
-    let eligible label =
-      match
-        List.find_opt (fun p -> String.equal p.ae_label label) peers
-      with
-      | None -> None
-      | Some p ->
-        if p.ae_blocked_until > now || has_session_with t p.ae_label then None
-        else Some p
-    in
-    match List.find_map eligible order with
-    | None -> ()  (* everyone backed off or mid-exchange; next round *)
-    | Some p ->
-      let log = p.ae_label :: t.dials_rev in
-      t.dials_rev <-
-        (if List.length log > max_dial_log then
-           List.filteri (fun i (_ : string) -> i < max_dial_log) log
-         else log);
-      (match
-         connect_exchange ~label:p.ae_label ~timeout_s:ae.dial_timeout_s t
-           ~host:p.ae_host ~port:p.ae_port ()
-       with
-      | Ok (_ : int) ->
-        p.ae_fails <- 0;
-        p.ae_blocked_until <- 0.;
-        Obs.Registry.set p.ae_g_fails 0.
-      | Error (_ : string) ->
-        p.ae_fails <- p.ae_fails + 1;
-        t.n_dial_failures <- t.n_dial_failures + 1;
-        Obs.Registry.incr t.c_dial_failures;
-        Obs.Registry.set p.ae_g_fails (float_of_int p.ae_fails);
-        let doublings = Int.min p.ae_fails backoff_cap_doublings in
-        p.ae_blocked_until <-
-          now +. (ae.every_ms *. Float.of_int (Int.shift_left 1 doublings)))
-  end
+    ()
 
 let idle_sweep t =
   t.idle_armed <- false;
   let now = Unix_compat.mono_ms () in
+  (* A connecting session is bounded by its dial deadline (or the
+     kernel's), not by the idle timeout. *)
   IntMap.iter
     (fun _ s ->
-      match s.closing with
-      | Some _ -> ()
-      | None ->
+      match (s.closing, s.phase) with
+      | None, (Pulling | Serving) ->
         if now -. s.last_io > idle_timeout_ms then
-          fail_session t s "timed out waiting for the peer")
+          fail_session s "timed out waiting for the peer"
+      | None, Connecting | Some _, (Connecting | Pulling | Serving) -> ())
     t.sessions;
   let stale =
     IntMap.fold
@@ -1232,48 +1008,47 @@ let idle_sweep t =
   if not (IntMap.is_empty t.sessions && IntMap.is_empty t.https) then
     arm_idle_sweep t
 
+(* The open session [sid], if any. *)
+let live t sid =
+  match IntMap.find_opt sid t.sessions with
+  | Some ({ closing = None; _ } as s) -> Some s
+  | Some { closing = Some _; _ } | None -> None
+
 let fire t ev =
   match ev with
-  | Engine_timer (sid, key) -> begin
-    match IntMap.find_opt sid t.sessions with
-    | None -> ()
-    | Some s -> begin
-      match s.closing with
-      | Some _ -> ()
-      | None ->
+  | Engine_timer (sid, key) ->
+    Option.iter
+      (fun s ->
         let (_ : Peer_engine.effect_ list) =
           step t s (Peer_engine.Timer_fired key)
         in
-        ()
-    end
-  end
-  | Housekeep sid -> begin
-    match IntMap.find_opt sid t.sessions with
-    | None -> ()
-    | Some s -> begin
-      match s.closing with
-      | Some _ -> ()
-      | None ->
+        ())
+      (live t sid)
+  | Housekeep sid ->
+    Option.iter
+      (fun s ->
         s.wakeup_timer <- None;
         let (_ : Peer_engine.effect_ list) =
           step t s (Peer_engine.Tick { peer = None })
         in
-        ()
-    end
-  end
-  | Anti_entropy -> begin
+        ())
+      (live t sid)
+  | Dial_deadline sid ->
+    Option.iter
+      (fun s ->
+        match s.phase with
+        | Connecting ->
+          s.timeout_timer <- None;
+          fail_session s Unix_compat.connect_timeout_error
+        | Pulling | Serving -> ())
+      (live t sid)
+  | Dial_round -> begin
     match t.ae with
     | None -> ()
     | Some ae ->
       if not t.stop_requested then begin
-        if IntMap.cardinal t.sessions < t.config.session_budget then
-          dial_next t ae;
-        let w, _id =
-          Timer_wheel.schedule t.wheel
-            ~at_ms:(Unix_compat.mono_ms () +. ae.every_ms)
-            Anti_entropy
-        in
-        t.wheel <- w
+        if IntMap.cardinal t.sessions < session_budget then dial_next t ae;
+        arm t ~at_ms:(Unix_compat.mono_ms () +. Anti_entropy.every_ms ae) Dial_round
       end
   end
   | Idle_sweep ->
@@ -1289,7 +1064,7 @@ let build_interest t =
       match t.peer_listener with
       | Some l
         when (not t.stop_requested)
-             && IntMap.cardinal t.sessions < t.config.session_budget ->
+             && IntMap.cardinal t.sessions < session_budget ->
         [ l ]
       | Some _ | None -> []
     in
@@ -1301,15 +1076,20 @@ let build_interest t =
   let read, write =
     IntMap.fold
       (fun _ s (r, w) ->
-        let r =
-          match s.closing with
-          | Some _ -> r
-          | None ->
-            if s.out_bytes > max_outbound_bytes then r
-            else s.conn :: r
-        in
-        let w = if Queue.is_empty s.outq then w else s.conn :: w in
-        (r, w))
+        match s.phase with
+        | Connecting ->
+          (* writable = the dial resolved *)
+          if Option.is_none s.closing then (r, s.conn :: w) else (r, w)
+        | Pulling | Serving ->
+          let r =
+            match s.closing with
+            | Some _ -> r
+            | None ->
+              if Framing.queued_bytes s.frames > max_outbound_bytes then r
+              else s.conn :: r
+          in
+          let w = if Framing.has_output s.frames then s.conn :: w else w in
+          (r, w))
       t.sessions ([], [])
   in
   let read, write =
@@ -1322,24 +1102,31 @@ let build_interest t =
   in
   (listeners, read, write)
 
+(* Run a phase over its work items and, when there were any, record its
+   duration. *)
+let timed h items f =
+  match items with
+  | [] -> ()
+  | _ :: _ ->
+    let t0 = Unix_compat.mono_ms () in
+    List.iter f items;
+    Obs.Registry.observe h (Unix_compat.mono_ms () -. t0)
+
 (* Each phase that did any work this iteration records its duration;
    iterations whose total busy time (the select wait excluded) exceeds
-   config.slow_iteration_ms bump loop.slow_iterations. One extra
-   mono_ms read per active phase — noise next to the syscalls the
-   phases themselves make. *)
+   slow_iteration_ms bump loop.slow_iterations. One extra mono_ms read
+   per active phase — noise next to the syscalls the phases themselves
+   make. *)
 let iterate t =
   let iter_start = Unix_compat.mono_ms () in
   if t.stop_requested && not t.stop_initiated then begin
     t.stop_initiated <- true;
     t.stop_deadline <- iter_start +. drain_grace_ms;
-    match t.peer_listener with
-    | Some l ->
-      t.peer_listener <- None;
-      Unix_compat.close_listener l
-    | None -> ()
+    Option.iter Unix_compat.close_listener t.peer_listener;
+    t.peer_listener <- None
   end;
   if t.stop_initiated && Unix_compat.mono_ms () > t.stop_deadline then
-    IntMap.iter (fun _ s -> fail_session t s "shutdown") t.sessions;
+    IntMap.iter (fun _ s -> fail_session s "shutdown") t.sessions;
   let now = Unix_compat.mono_ms () in
   Obs.Registry.set t.g_uptime ((now -. t.started_ms) /. 1000.);
   (* SIGQUIT handler only flips the flag; the dump's IO happens here,
@@ -1354,12 +1141,7 @@ let iterate t =
   end;
   let due, wheel = Timer_wheel.expired t.wheel ~now_ms:now in
   t.wheel <- wheel;
-  (match due with
-  | [] -> ()
-  | due ->
-    let t0 = Unix_compat.mono_ms () in
-    List.iter (fun ((_ : Timer_wheel.id), ev) -> fire t ev) due;
-    Obs.Registry.observe t.h_timer (Unix_compat.mono_ms () -. t0));
+  timed t.h_timer due (fun ((_ : Timer_wheel.id), ev) -> fire t ev);
   reap t;
   let listeners, read, write = build_interest t in
   let timeout_s =
@@ -1374,64 +1156,29 @@ let iterate t =
   | Error e -> t.fatal <- Some e
   | Ok ready ->
     let select_ms = Unix_compat.mono_ms () -. select_start in
-    (match ready.Unix_compat.accept_ready with
-    | [] -> ()
-    | accepts ->
-      let t0 = Unix_compat.mono_ms () in
-      List.iter
-        (fun l ->
-          let lid = Unix_compat.listener_id l in
-          (match t.peer_listener with
-          | Some pl when Unix_compat.listener_id pl = lid -> accept_peers t
-          | Some _ | None -> ());
-          match t.metrics_listener with
-          | Some ml when Unix_compat.listener_id ml = lid -> accept_metrics t
-          | Some _ | None -> ())
-        accepts;
-      Obs.Registry.observe t.h_accept (Unix_compat.mono_ms () -. t0));
-    (match ready.Unix_compat.read_ready with
-    | [] -> ()
-    | reads ->
-      let t0 = Unix_compat.mono_ms () in
-      List.iter
-        (fun c ->
-          match IntMap.find_opt (Unix_compat.conn_id c) t.by_fd with
-          | Some (Session_fd sid) -> begin
-            match IntMap.find_opt sid t.sessions with
-            | Some s -> pump_read t s
-            | None -> ()
-          end
-          | Some (Http_fd hid) -> begin
-            match IntMap.find_opt hid t.https with
-            | Some h -> pump_http_read t h
-            | None -> ()
-          end
-          | None -> ())
-        reads;
-      Obs.Registry.observe t.h_read (Unix_compat.mono_ms () -. t0));
-    (match ready.Unix_compat.write_ready with
-    | [] -> ()
-    | writes ->
-      let t0 = Unix_compat.mono_ms () in
-      List.iter
-        (fun c ->
-          match IntMap.find_opt (Unix_compat.conn_id c) t.by_fd with
-          | Some (Session_fd sid) -> begin
-            match IntMap.find_opt sid t.sessions with
-            | Some s -> pump_write t s
-            | None -> ()
-          end
-          | Some (Http_fd hid) -> begin
-            match IntMap.find_opt hid t.https with
-            | Some h -> pump_http_write t h
-            | None -> ()
-          end
-          | None -> ())
-        writes;
-      Obs.Registry.observe t.h_write (Unix_compat.mono_ms () -. t0));
+    let owner session http c =
+      match IntMap.find_opt (Unix_compat.conn_id c) t.by_fd with
+      | Some (Session_fd sid) -> Option.iter session (IntMap.find_opt sid t.sessions)
+      | Some (Http_fd hid) -> Option.iter http (IntMap.find_opt hid t.https)
+      | None -> ()
+    in
+    timed t.h_accept ready.Unix_compat.accept_ready (fun l ->
+        let lid = Unix_compat.listener_id l in
+        let is l' = Int.equal (Unix_compat.listener_id l') lid in
+        if Option.fold ~none:false ~some:is t.peer_listener then accept_peers t;
+        if Option.fold ~none:false ~some:is t.metrics_listener then accept_metrics t);
+    timed t.h_read ready.Unix_compat.read_ready
+      (owner (pump_read t) (pump_http_read t));
+    timed t.h_write ready.Unix_compat.write_ready
+      (owner
+         (fun s ->
+           match s.phase with
+           | Connecting -> if Option.is_none s.closing then on_connect_ready t s
+           | Pulling | Serving -> pump_write s)
+         (pump_http_write t));
     reap t;
     let busy_ms = Unix_compat.mono_ms () -. iter_start -. select_ms in
-    if busy_ms > t.config.slow_iteration_ms then begin
+    if busy_ms > slow_iteration_ms then begin
       Obs.Registry.incr t.c_slow;
       (* A slow iteration is exactly when the recent-history ring is
          most valuable — dump it, rate-limited so a persistently slow
@@ -1446,16 +1193,10 @@ let request_stop t = t.stop_requested <- true
 let finish_shutdown t =
   let https = IntMap.fold (fun _ h acc -> h :: acc) t.https [] in
   List.iter (fun h -> close_http t h) (List.rev https);
-  (match t.metrics_listener with
-  | Some l ->
-    t.metrics_listener <- None;
-    Unix_compat.close_listener l
-  | None -> ());
-  (match t.peer_listener with
-  | Some l ->
-    t.peer_listener <- None;
-    Unix_compat.close_listener l
-  | None -> ());
+  Option.iter Unix_compat.close_listener t.metrics_listener;
+  t.metrics_listener <- None;
+  Option.iter Unix_compat.close_listener t.peer_listener;
+  t.peer_listener <- None;
   (match save_if_dirty t with
   | Ok () -> ()
   | Error (_ : string) -> ());
@@ -1465,7 +1206,7 @@ let shutdown t =
   t.stop_requested <- true;
   t.stop_initiated <- true;
   let stragglers = IntMap.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  List.iter (fun s -> fail_session t s "shutdown") (List.rev stragglers);
+  List.iter (fun s -> fail_session s "shutdown") (List.rev stragglers);
   reap t;
   finish_shutdown t
 

@@ -11,7 +11,10 @@
     store's node, turns [Set_timer] effects into wheel deadlines, and
     journals [Trace] effects through {!Vegvisir_obs.Engine_events} — a
     daemon session and a one-shot [sync --live] run byte-for-byte the
-    same exchange. *)
+    same exchange. Three decisions live in modules with no socket and no
+    clock, each tested alone: frame reassembly and the output queue
+    ({!Framing}), the HTTP subset ({!Http}) and the anti-entropy dial
+    policy ({!Anti_entropy}). *)
 
 type t
 
@@ -19,35 +22,27 @@ type t
 
 type config = {
   mode : Vegvisir.Reconcile.mode;  (** reconciliation mode for every session *)
-  session_budget : int;
-      (** stop accepting new peer conns while this many sessions are
-          active — backpressure at the accept queue, not in memory *)
   stale_after_ms : float;  (** engine retransmit threshold *)
   session_timeout_ms : float;  (** engine per-session hard deadline *)
-  slow_iteration_ms : float;
-      (** self-profiling threshold: iterations whose busy time (the
-          select wait excluded) exceeds this bump the
-          [loop.slow_iterations] counter — and, rate-limited to one per
-          5 s, write a flight dump *)
   trace_sample : float;
       (** head-sampling rate for cross-daemon span tracing, handed to
           every hosted engine
           ({!Vegvisir_engine.Peer_engine.Config.trace_sample}); [0.]
           (the default) sends no [Trace_context] frames and emits no
           session spans *)
-  flight_capacity : int;
-      (** flight-recorder ring size in events
-          (default {!Vegvisir_obs.Flight.default_capacity}) *)
 }
-(** Fixed bounds, not configurable: a session stops reading requests
-    while 8 MiB of output is queued for it, fails after 30 s with no
-    bytes moved either way, and is force-closed 5 s after
-    {!request_stop}. *)
+(** Fixed bounds, not configurable: the loop stops accepting peer conns
+    while 128 sessions are active (backpressure at the kernel's accept
+    queue, not in memory); a session stops reading requests while 8 MiB
+    of output is queued for it, fails after 30 s with no bytes moved
+    either way, and is force-closed 5 s after {!request_stop}; an
+    iteration busier than 100 ms (the select wait excluded) bumps
+    [loop.slow_iterations] and, at most once per 5 s, writes a flight
+    dump; the flight ring keeps the last
+    {!Vegvisir_obs.Flight.default_capacity} events. *)
 
 val default_config : config
-(** [Naive] mode, 128-session budget, 2 s stale / 20 s session timeouts,
-    100 ms slow-iteration threshold, tracing off, 4096-event flight
-    ring. *)
+(** [Naive] mode, 2 s stale / 20 s session timeouts, tracing off. *)
 
 val create : store:Node_store.t -> ?config:config -> unit -> t
 (** A loop hosting sessions over [store]: it journals into the store's
@@ -62,8 +57,7 @@ val context : t -> Vegvisir_obs.Context.t
     constant [build.info] gauge whose node label is {!Version.string},
     and the [loop.*] self-profiling metrics (per-phase
     accept/read/engine-step/write/timer/sweep duration histograms and
-    the [loop.slow_iterations] counter, threshold
-    [config.slow_iteration_ms]). The default [/metrics] rendering is
+    the [loop.slow_iterations] counter). The default [/metrics] rendering is
     the Prometheus exposition of this registry merged with a live
     projection of the loop's streaming health fold
     ({!Vegvisir_obs.Monitor}, [health.*]) and per-peer scoreboard
@@ -76,7 +70,7 @@ val context : t -> Vegvisir_obs.Context.t
 (** {1 Flight recorder and spans}
 
     Two more sinks ride the same bus: an always-on
-    {!Vegvisir_obs.Flight} ring of the last [flight_capacity] events,
+    {!Vegvisir_obs.Flight} ring of the most recent events,
     and a {!Vegvisir_obs.Span.Collector} folding the event stream into
     distributed spans. Besides [/metrics] and [/health], the metrics
     listener answers [GET /debug/spans] (the span ring as JSON),
@@ -86,13 +80,6 @@ val context : t -> Vegvisir_obs.Context.t
     [gc.minor_collections] / [gc.major_collections] / [gc.heap_words]
     ({!Gc.quick_stat}), [fds.open] (via [/proc/self/fd], absent
     elsewhere), and [loop.timer_depth] (timer-wheel cardinality). *)
-
-val flight_dump : t -> string
-(** {!Vegvisir_obs.Flight.dump} of the loop's ring against the merged
-    registry snapshot — the [GET /debug/flight] body. *)
-
-val spans : t -> Vegvisir_obs.Span.t list
-(** The span ring's retained spans, oldest first. *)
 
 val request_flight_dump : t -> unit
 (** Ask the loop to write a flight dump at its next iteration, to
@@ -118,8 +105,6 @@ val set_render : t -> (unit -> string) -> unit
 (** Replace the [/metrics] body renderer (default: {!context}'s registry
     as Prometheus text). Called once per successful scrape. *)
 
-val metrics_port : t -> int option
-
 val connect_exchange :
   ?label:string ->
   ?timeout_s:float ->
@@ -128,43 +113,46 @@ val connect_exchange :
   port:int ->
   unit ->
   (int, string) result
-(** Dial (blocking, bounded by [timeout_s]) and hand the conn to the
-    loop as an initiating exchange session: it pulls immediately, hands
-    the turn over, then serves the remote's pull-back. Returns the
-    session id. [label] is the peer's telemetry identity (default
-    ["peer-<id>"], the label of every accepted conn). *)
+(** Start a non-blocking dial and return its session id at once: the
+    session waits for the connect among the loop's other descriptors,
+    then pulls, hands the turn over, and serves the remote's pull-back.
+    A connect refused or not made within [timeout_s] (no deadline but
+    the kernel's without it) finishes the session with the
+    ["connect: ..."] error as its {!outcome} and counts a dial failure,
+    not a failed session. [Error] only when the connect fails before it
+    can start (an unknown host, or a refusal the kernel reports at
+    once). Name resolution of a non-literal host blocks. [label] is the
+    peer's telemetry identity (default ["peer-<id>"], the label of every
+    accepted conn). *)
 
 val set_anti_entropy :
   ?dial_timeout_s:float -> t -> every_ms:float -> peers:(string * int) list -> unit
-(** Every [every_ms], dial one configured peer and run a full exchange
+(** Every [every_ms], dial one configured peer with {!connect_exchange}
+    (deadline [dial_timeout_s], default 5 s) and run a full exchange
     with it (skipped entirely while at the session budget or stopping).
-    The peer is chosen by {!Vegvisir_obs.Scoreboard.priority} over the
-    live scoreboard: most diverged first, then longest unseen,
-    deterministic label tie-break — skipping peers that are already
-    mid-exchange with us or inside their dial-failure backoff window.
+    {!Anti_entropy} chooses the peer by
+    {!Vegvisir_obs.Scoreboard.priority} over the live scoreboard — most
+    diverged first, then longest unseen, deterministic label tie-break —
+    skipping peers that are already mid-exchange with us (a dial still
+    connecting included) or inside their dial-failure backoff window.
     Consecutive connect failures back a peer off exponentially (2, 4,
     … up to 64 periods), tracked per peer in the
     [daemon.dial_consecutive_failures] gauge and globally in the
-    [daemon.dial_failures] counter; one successful dial resets it. *)
+    [daemon.dial_failures] counter; one successful dial resets it.
 
-val dials : t -> string list
-(** The labels of the most recent anti-entropy dial attempts (successful
-    or not), oldest first, capped at the last 64 — also reported in the
-    [/health] body's ["dials"] array so tests and operators can audit
-    the scheduler's priority order. *)
-
-val health_body : t -> string
-(** The [GET /health] JSON body: node identity, build, uptime, daemon
-    counters (including {!dials}), {!Vegvisir_obs.Health.to_json} of
-    the health fold, {!Vegvisir_obs.Scoreboard.to_json} of the
-    scoreboard, and the [loop.*] self-profiling metrics. *)
+    The [GET /health] body carries node identity, build, uptime, the
+    daemon counters with the last 64 dialed labels (oldest first, in
+    its ["dials"] array, so tests and operators can audit the
+    scheduler's priority order), {!Vegvisir_obs.Health.to_json} of the
+    health fold, {!Vegvisir_obs.Scoreboard.to_json} of the scoreboard,
+    and the [loop.*] self-profiling metrics. *)
 
 (** {1 Observation} *)
 
 type stats = {
   accepted : int;  (** peer conns accepted *)
-  dialed : int;  (** outbound exchanges attempted *)
-  dial_failures : int;  (** anti-entropy connects that failed *)
+  dialed : int;  (** outbound connects that succeeded *)
+  dial_failures : int;  (** outbound connects that failed *)
   completed : int;  (** sessions finished cleanly *)
   failed : int;  (** sessions aborted, timed out, or errored *)
   active : int;  (** sessions currently open *)

@@ -1,60 +1,48 @@
 (* One-shot blocking HTTP/1.1 GET against the daemon's metrics/health
    listener. The daemon answers every connection with exactly one
    [Connection: close] response, so the client protocol is the simplest
-   possible: write the request, read to EOF, split at the blank line.
-   This is the transport behind [vegvisir-cli health --connect] and the
-   live-health soak test — deliberately not a general HTTP client. *)
+   possible: write the request, read to EOF, split at the blank line
+   (both texts are Http's). This is the transport behind
+   [vegvisir-cli health --connect] and the live-health soak test —
+   deliberately not a general HTTP client. *)
 
 let max_response_bytes = 8 * 1024 * 1024
-
-(* Index of [needle] in [hay], or None. Responses are small (bounded by
-   [max_response_bytes]) and this runs once per poll, so the naive scan
-   is fine. *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec scan i =
-    if i + nn > nh then None
-    else if String.equal (String.sub hay i nn) needle then Some i
-    else scan (i + 1)
-  in
-  scan 0
-
-let parse_response raw =
-  match find_sub raw "\r\n\r\n" with
-  | None -> Error "malformed HTTP response: no header terminator"
-  | Some i ->
-    let head = String.sub raw 0 i in
-    let body = String.sub raw (i + 4) (String.length raw - i - 4) in
-    let status_line =
-      match find_sub head "\r\n" with
-      | Some j -> String.sub head 0 j
-      | None -> head
-    in
-    (* "HTTP/1.1 200 OK" — the code sits between the first two spaces. *)
-    (match String.index_opt status_line ' ' with
-    | Some sp
-      when String.length status_line >= sp + 4
-           && String.equal (String.sub status_line (sp + 1) 3) "200" ->
-      Ok body
-    | Some _ | None -> Error ("HTTP error: " ^ status_line))
 
 let get ?(timeout_s = 5.) ~host ~port ~path () =
   match Unix_compat.connect ~timeout_s ~host ~port () with
   | Error e -> Error e
   | Ok conn ->
-    let finish r =
-      Unix_compat.close_conn conn;
-      r
+    Unix_compat.set_nonblocking conn;
+    let deadline = Unix_compat.now () +. timeout_s in
+    let await ~read ~write k =
+      Result.bind
+        (Unix_compat.await ~deadline ~timed_out:"recv_all: timed out" ~listeners:[]
+           ~read ~write ())
+        k
     in
-    let req =
-      "GET " ^ path ^ " HTTP/1.1\r\nHost: " ^ host ^ "\r\nConnection: close\r\n\r\n"
-    in
-    (match Unix_compat.send_raw conn req with
-    | Error e -> finish (Error e)
-    | Ok () ->
-      finish
-        (match
-           Unix_compat.recv_all ~timeout_s conn ~max_bytes:max_response_bytes
-         with
+    let req = Bytes.of_string (Http.request ~host ~path) in
+    let buf = Bytes.create 4096 and resp = Buffer.create 1024 in
+    let rec send pos =
+      if pos = Bytes.length req then recv ()
+      else begin
+        match Unix_compat.write_nb conn req ~pos ~len:(Bytes.length req - pos) with
         | Error e -> Error e
-        | Ok raw -> parse_response raw))
+        | Ok (`Wrote n) -> send (pos + n)
+        | Ok `Would_block -> await ~read:[] ~write:[ conn ] (fun () -> send pos)
+      end
+    and recv () =
+      if Buffer.length resp > max_response_bytes then
+        Error "recv_all: response too large"
+      else begin
+        match Unix_compat.read_nb conn buf ~pos:0 ~len:(Bytes.length buf) with
+        | Error e -> Error e
+        | Ok `Eof -> Http.parse_response (Buffer.contents resp)
+        | Ok (`Read n) ->
+          Buffer.add_subbytes resp buf 0 n;
+          recv ()
+        | Ok `Would_block -> await ~read:[ conn ] ~write:[] recv
+      end
+    in
+    let r = send 0 in
+    Unix_compat.close_conn conn;
+    r

@@ -2,10 +2,10 @@
 
     The {!Event_loop} HTTP listener answers every connection with one
     [Connection: close] response, so a probe is write-request /
-    read-to-EOF / split-at-blank-line — no keep-alive, no chunked
-    encoding, no redirects. [vegvisir-cli health --connect] polls
-    [/health] through this, and the soak tests scrape [/metrics] with
-    it. *)
+    read-to-EOF / split-at-blank-line ({!Http.request},
+    {!Http.parse_response}) — no keep-alive, no chunked encoding, no
+    redirects. [vegvisir-cli health --connect] polls [/health] through
+    this, and the soak tests scrape [/metrics] with it. *)
 
 val get :
   ?timeout_s:float ->
@@ -17,7 +17,3 @@ val get :
 (** Fetch [path] and return the response body on a 200, [Error] with
     the status line (or transport failure) otherwise. [timeout_s]
     (default 5) bounds the connect and the read separately. *)
-
-val parse_response : string -> (string, string) result
-(** Split a raw HTTP/1.1 response into its body ([Ok]) or an error
-    carrying the non-200 status line — exposed for tests. *)

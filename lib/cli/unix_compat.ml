@@ -54,157 +54,42 @@ let bound_port fd =
   | Unix.ADDR_INET (_, port) -> port
   | Unix.ADDR_UNIX _ -> 0
 
-(* Select-then-accept, retrying on the usual races (EINTR, a peer that
-   aborted between readiness and accept, or an EAGAIN from a listener
-   the event loop has switched to non-blocking mode). *)
-let accept ?timeout_s fd =
-  let deadline =
-    match timeout_s with Some t -> Some (now () +. t) | None -> None
-  in
-  let rec go () =
-    let wait =
-      match deadline with None -> 1.0 | Some d -> d -. now ()
-    in
-    if wait <= 0. then Error "accept: timed out waiting for a connection"
-    else begin
-      match Unix.select [ fd ] [] [] wait with
-      | [], _, _ -> begin
-        match deadline with
-        | None -> go ()
-        | Some _ -> Error "accept: timed out waiting for a connection"
-      end
-      | _ :: _, _, _ -> begin
-        match Unix.accept fd with
-        | conn, _ -> Ok conn
-        | exception
-            Unix.Unix_error
-              ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                | Unix.ECONNABORTED ),
-                _,
-                _ ) ->
-          go ()
-        | exception Unix.Unix_error (e, fn, _) ->
-          Error (fn ^ ": " ^ Unix.error_message e)
-      end
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    end
-  in
-  go ()
-
-(* Non-blocking connect + select-for-writability so a dead or
-   unreachable peer cannot wedge the caller past [timeout_s]: the
-   three-way handshake completes in the background and the socket
-   becomes writable (or carries a pending SO_ERROR) when it resolves. *)
-let connect_deadline fd sockaddr ~timeout_s =
-  Unix.set_nonblock fd;
-  let finish () =
-    match Unix.getsockopt_error fd with
-    | None ->
-      Unix.clear_nonblock fd;
-      fd
-    | Some e -> raise (Unix.Unix_error (e, "connect", ""))
-  in
-  match Unix.connect fd sockaddr with
-  | () -> finish ()
-  | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
-    let deadline = now () +. timeout_s in
-    let rec wait () =
-      let remaining = deadline -. now () in
-      if remaining <= 0. then
-        raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
-      else begin
-        match Unix.select [] [ fd ] [ fd ] remaining with
-        | [], [], [] -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
-        | _ -> finish ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-      end
-    in
-    wait ()
-
-let connect ?timeout_s ~host ~port () =
+(* A connect is started non-blocking and resolves in the background: the
+   socket becomes writable when the three-way handshake completes or
+   fails, and SO_ERROR then says which. The event loop waits for that
+   writability among its other descriptors; [connect] waits for it
+   alone. *)
+let connect_start ~host ~port () =
   match resolve host with
   | Error _ as e -> e
   | Ok addr ->
     guard (fun () ->
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (match
-           match timeout_s with
-           | None -> Unix.connect fd (Unix.ADDR_INET (addr, port))
-           | Some timeout_s ->
-             ignore (connect_deadline fd (Unix.ADDR_INET (addr, port)) ~timeout_s)
-         with
-        | () -> ()
+        match
+          Unix.set_nonblock fd;
+          Unix.connect fd (Unix.ADDR_INET (addr, port))
+        with
+        | () -> fd
+        | exception
+            Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+          fd
         | exception e ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          raise e);
-        fd)
+          raise e)
+
+let connect_result fd =
+  match Unix.getsockopt_error fd with
+  | None -> Ok ()
+  | Some e -> Error ("connect: " ^ Unix.error_message e)
+  | exception Unix.Unix_error (e, fn, _) -> Error (fn ^ ": " ^ Unix.error_message e)
+
+let connect_timeout_error = "connect: " ^ Unix.error_message Unix.ETIMEDOUT
 
 let close_conn fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let close_listener fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let write_all fd buf =
-  let n = Bytes.length buf in
-  let rec go off =
-    if off >= n then Ok ()
-    else begin
-      match Unix.write fd buf off (n - off) with
-      | 0 -> Error "write: connection closed"
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (* A conn switched to non-blocking mode can report a full
-           buffer here; wait until it drains rather than failing the
-           write. *)
-        (match Unix.select [] [ fd ] [] 30. with
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        go off
-      | exception Unix.Unix_error (e, fn, _) ->
-        Error (fn ^ ": " ^ Unix.error_message e)
-    end
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Raw (unframed) byte streams — Http_probe speaks plain HTTP text over
-   the same conn type. *)
-
-let send_raw fd payload =
-  write_all fd (Bytes.unsafe_of_string payload)
-
-let recv_all ?(timeout_s = 30.) fd ~max_bytes =
-  let deadline = now () +. timeout_s in
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    if Buffer.length buf > max_bytes then Error "recv_all: response too large"
-    else begin
-      let remaining = deadline -. now () in
-      if remaining <= 0. then Error "recv_all: timed out"
-      else begin
-        match Unix.select [ fd ] [] [] remaining with
-        | [], _, _ -> Error "recv_all: timed out"
-        | _ :: _, _, _ -> begin
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Ok (Buffer.contents buf)
-          | k ->
-            Buffer.add_subbytes buf chunk 0 k;
-            go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            go ()
-          | exception Unix.Unix_error (e, fn, _) ->
-            Error (fn ^ ": " ^ Unix.error_message e)
-        end
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      end
-    end
-  in
-  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Non-blocking primitives — the event-loop host's substrate. A conn is
@@ -213,18 +98,7 @@ let recv_all ?(timeout_s = 30.) fd ~max_bytes =
    through one select, and [read_nb]/[write_nb] move whatever bytes the
    kernel has without ever parking the process on one peer. *)
 
-let frame_header_bytes = 4
-
-let encode_frame payload =
-  let len = String.length payload in
-  let buf = Bytes.create (frame_header_bytes + len) in
-  Bytes.set_int32_be buf 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 buf frame_header_bytes len;
-  Bytes.unsafe_to_string buf
-
-let decode_frame_header header =
-  let len = Int32.to_int (Bytes.get_int32_be header 0) in
-  if len < 0 || len > Vegvisir.Wire.max_frame then Error "bad frame length" else Ok len
+let encode_frame = Framing.encode
 
 let set_nonblocking fd = try Unix.set_nonblock fd with Unix.Unix_error _ -> ()
 
@@ -295,6 +169,66 @@ let wait_ready ~listeners ~read ~write ~timeout_s =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> Ok no_ready
   | exception Unix.Unix_error (e, fn, _) ->
     Error (fn ^ ": " ^ Unix.error_message e)
+
+(* Park until one of the given descriptors is ready, or until the
+   absolute [deadline] (on [now]) passes; without one, for ever. The
+   blocking calls below are the loop's non-blocking ones waited out
+   alone. *)
+let await ?deadline ~timed_out ~listeners ~read ~write () =
+  let rec go () =
+    let timeout_s = match deadline with Some d -> d -. now () | None -> -1. in
+    if Option.is_some deadline && timeout_s <= 0. then Error timed_out
+    else begin
+      match wait_ready ~listeners ~read ~write ~timeout_s with
+      | Error _ as e -> e
+      | Ok { accept_ready = []; read_ready = []; write_ready = [] } -> go ()
+      | Ok { accept_ready = _ :: _; _ }
+      | Ok { read_ready = _ :: _; _ }
+      | Ok { write_ready = _ :: _; _ } ->
+        Ok ()
+    end
+  in
+  go ()
+
+let deadline_of = Option.map (fun s -> now () +. s)
+
+let blocking fd =
+  match Unix.clear_nonblock fd with
+  | () -> Ok fd
+  | exception Unix.Unix_error (e, fn, _) ->
+    close_conn fd;
+    Error (fn ^ ": " ^ Unix.error_message e)
+
+let accept ?timeout_s fd =
+  let deadline = deadline_of timeout_s in
+  let timed_out = "accept: timed out waiting for a connection" in
+  let rec go () =
+    match await ?deadline ~timed_out ~listeners:[ fd ] ~read:[] ~write:[] () with
+    | Error _ as e -> e
+    | Ok () -> begin
+      match accept_nb fd with
+      | Error _ as e -> e
+      | Ok `Would_block -> go ()
+      | Ok (`Conn conn) -> blocking conn
+    end
+  in
+  go ()
+
+let connect ?timeout_s ~host ~port () =
+  match connect_start ~host ~port () with
+  | Error _ as e -> e
+  | Ok fd -> (
+    let deadline = deadline_of timeout_s in
+    match
+      Result.bind
+        (await ?deadline ~timed_out:connect_timeout_error ~listeners:[] ~read:[]
+           ~write:[ fd ] ())
+        (fun () -> connect_result fd)
+    with
+    | Ok () -> blocking fd
+    | Error _ as e ->
+      close_conn fd;
+      e)
 
 (* SIGINT/SIGTERM -> one call of [f] per delivery; the daemon uses this
    to flip its drain flag. Handlers run between OCaml allocations, so

@@ -27,11 +27,12 @@ val mono_ms : unit -> float
 
 (** {1 TCP connections}
 
-    Listening, accepting and dialing. A conn is blocking until
-    {!set_nonblocking}; {!Event_loop} switches every session conn and
-    moves its frames with the non-blocking primitives below. All
-    functions return [Error] with a human-readable message rather than
-    raising [Unix.Unix_error]. *)
+    Listening, accepting and dialing. A conn from {!accept} or
+    {!connect} is blocking until {!set_nonblocking}; one from
+    {!connect_start} or {!accept_nb} is non-blocking from the start.
+    {!Event_loop} moves every session's frames with the non-blocking
+    primitives below. All functions return [Error] with a
+    human-readable message rather than raising [Unix.Unix_error]. *)
 
 type listener
 type conn
@@ -48,30 +49,33 @@ val bound_port : listener -> int
 
 val accept : ?timeout_s:float -> listener -> (conn, string) result
 (** Wait for one inbound connection (forever when [timeout_s] is
-    omitted). *)
+    omitted): {!accept_nb} waited out with {!await}. The conn is in
+    blocking mode. *)
 
 val connect :
   ?timeout_s:float -> host:string -> port:int -> unit -> (conn, string) result
-(** Open a TCP connection. With [timeout_s] the connect is attempted
-    non-blocking and abandoned (with an [ETIMEDOUT] error) if the
-    three-way handshake has not resolved in time, so a dead or
-    blackholed peer cannot wedge the caller; without it the OS default
-    applies. The returned conn is in blocking mode either way. *)
+(** Open a TCP connection, blocking: {!connect_start}, then {!await}
+    writability and read {!connect_result}. With [timeout_s] a handshake
+    not resolved in time is abandoned with {!connect_timeout_error}, so
+    a dead or blackholed peer cannot wedge the caller; without it the
+    kernel's own verdict is awaited. The returned conn is in blocking
+    mode. Name resolution ([gethostbyname] for a non-literal host)
+    blocks either way. *)
 
-(** {1 Raw byte streams}
+val connect_start : host:string -> port:int -> unit -> (conn, string) result
+(** Start a non-blocking connect and return the conn at once, its
+    handshake under way (or already done). It becomes writable when the
+    handshake resolves; {!connect_result} then says how. [Error] (with
+    the same [connect: ...] text a blocking connect reports) when the
+    kernel refuses at once. *)
 
-    {!Http_probe}, the HTTP client behind [health --connect] and
-    [stats --connect], speaks unframed text over a blocking conn. *)
+val connect_result : conn -> (unit, string) result
+(** After a started connect's conn turned writable: [Ok] if it
+    connected, else its error as ["connect: <reason>"]. *)
 
-val send_raw : conn -> string -> (unit, string) result
-(** Write the string verbatim (blocking, no length prefix). *)
-
-val recv_all :
-  ?timeout_s:float -> conn -> max_bytes:int -> (string, string) result
-(** Read until the peer closes the connection and return everything
-    received — the shape of a [Connection: close] HTTP response, which
-    is what {!Http_probe} consumes. [Error] on timeout (default 30 s,
-    covering the whole read, not each chunk) or oversize input. *)
+val connect_timeout_error : string
+(** ["connect: Connection timed out"], the error of a connect whose
+    deadline passed. *)
 
 val close_conn : conn -> unit
 val close_listener : listener -> unit
@@ -134,21 +138,22 @@ val wait_ready :
     elapses (0 polls, negative waits forever). A signal during the wait
     returns empty readiness rather than an error. *)
 
-(** {1 Frame codec helpers}
-
-    A session's frames are length-prefixed: a 4-byte big-endian count,
-    then the payload. An empty frame is legal; the sync exchange uses it
-    as the turn-over sentinel. The event loop frames into its own
-    outbound buffers and reads headers and payloads incrementally. *)
-
-val frame_header_bytes : int
+val await :
+  ?deadline:float ->
+  timed_out:string ->
+  listeners:listener list ->
+  read:conn list ->
+  write:conn list ->
+  unit ->
+  (unit, string) result
+(** {!wait_ready} repeated until some descriptor is ready; [Error
+    timed_out] once the absolute [deadline] (on {!now}) has passed, and
+    no limit without one. How {!accept}, {!connect} and {!Http_probe}
+    block on the non-blocking primitives. *)
 
 val encode_frame : string -> string
-(** The payload with its 4-byte big-endian length prefix prepended. *)
-
-val decode_frame_header : Bytes.t -> (int, string) result
-(** Payload length from the first {!frame_header_bytes} bytes; [Error]
-    when negative or over {!Vegvisir.Wire.max_frame}. *)
+(** {!Framing.encode}: the payload with its 4-byte big-endian length
+    prefix, for callers that frame their own bytes over a conn. *)
 
 (** {1 Signals} *)
 
