@@ -108,6 +108,8 @@ let parse_endpoint s =
     | Some _ | None -> Error (`Msg "expected HOST:PORT")
   end
 
+let endpoint = Arg.conv (parse_endpoint, fun ppf (h, p) -> Fmt.pf ppf "%s:%d" h p)
+
 let print_stats (stats : Vegvisir.Reconcile.stats) =
   Printf.printf "pulled %d block(s) in %d round(s), %d bytes on the wire\n"
     stats.Vegvisir.Reconcile.blocks_received stats.Vegvisir.Reconcile.rounds
@@ -143,7 +145,6 @@ let sync_cmd =
       & info [ "from" ] ~docv:"DIR" ~doc:"Directory of the node to pull from.")
   in
   let live =
-    let endpoint = Arg.conv (parse_endpoint, fun ppf (h, p) -> Fmt.pf ppf "%s:%d" h p) in
     Arg.(
       value & opt (some endpoint) None
       & info [ "live" ] ~docv:"HOST:PORT"
@@ -322,9 +323,6 @@ let daemon_cmd =
                 back off exponentially (requires at least one $(b,--peer)).")
   in
   let peers =
-    let endpoint =
-      Arg.conv (parse_endpoint, fun ppf (h, p) -> Fmt.pf ppf "%s:%d" h p)
-    in
     Arg.(
       value & opt_all endpoint []
       & info [ "peer" ] ~docv:"HOST:PORT"
@@ -469,40 +467,40 @@ let export_dot_cmd =
   Cmd.v (Cmd.info "export-dot" ~doc:"Print the DAG in Graphviz format.")
     Term.(const run $ dir_arg)
 
+(* [stats] and [health] replay journals from --dir, or with --connect
+   print what a running daemon's metrics listener answers. *)
+let replay_dirs_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "dir" ] ~docv:"DIR"
+        ~doc:"Node directory to replay; repeat to merge several nodes' \
+              telemetry. Required unless $(b,--connect) is given.")
+
+let connect_arg ~doc =
+  Arg.(value & opt (some endpoint) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
+
+(* An HTTP body, ending in exactly the newline it has or one added. *)
+let print_body body =
+  print_string body;
+  if String.length body = 0 || not (Char.equal body.[String.length body - 1] '\n')
+  then print_newline ()
+
 let stats_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Render the registry as JSON.")
   in
-  let dirs_opt =
-    Arg.(
-      value & opt_all string []
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Node directory to replay; repeat to merge several nodes' \
-                telemetry. Required unless $(b,--connect) is given.")
-  in
   let connect =
-    let endpoint =
-      Arg.conv (parse_endpoint, fun ppf (h, p) -> Fmt.pf ppf "%s:%d" h p)
-    in
-    Arg.(
-      value & opt (some endpoint) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Fetch a running daemon's live merged registry instead of \
-                replaying journals ($(b,GET /debug/registry), always JSON) \
-                and print the body.")
+    connect_arg
+      ~doc:"Fetch a running daemon's live merged registry instead of \
+            replaying journals ($(b,GET /debug/registry), always JSON) \
+            and print the body."
   in
   let run dirs json connect =
     match connect with
     | Some (host, port) ->
-      let body =
-        or_die
-          (Vegvisir_cli.Http_probe.get ~host ~port ~path:"/debug/registry" ())
-      in
-      print_string body;
-      if
-        String.length body = 0
-        || not (Char.equal body.[String.length body - 1] '\n')
-      then print_newline ()
+      print_body
+        (or_die
+           (Vegvisir_cli.Http_probe.get ~host ~port ~path:"/debug/registry" ()))
     | None -> begin
       match dirs with
       | [] -> or_die (Error "at least one --dir (or --connect) is required")
@@ -524,7 +522,7 @@ let stats_cmd =
              trace.jsonl telemetry (counters per node: blocks, sessions, \
              syncs, stores). With $(b,--connect), fetch a running daemon's \
              live registry over its metrics listener instead.")
-    Term.(const run $ dirs_opt $ json $ connect)
+    Term.(const run $ replay_dirs_arg $ json $ connect)
 
 let trace_cmd =
   let block =
@@ -666,24 +664,12 @@ let health_cmd =
           ~doc:"Frontier-divergence sampling tick in trace milliseconds \
                 (default 1000).")
   in
-  let dirs_opt =
-    Arg.(
-      value & opt_all string []
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Node directory to replay; repeat to merge several nodes' \
-                telemetry. Required unless $(b,--connect) is given.")
-  in
   let connect =
-    let endpoint =
-      Arg.conv (parse_endpoint, fun ppf (h, p) -> Fmt.pf ppf "%s:%d" h p)
-    in
-    Arg.(
-      value & opt (some endpoint) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Poll a running daemon's metrics listener instead of replaying \
-                journals: fetch $(b,GET /health) — live scoreboard, streaming \
-                health fold, loop self-profile — or $(b,GET /metrics) with \
-                $(b,--prometheus), and print the body.")
+    connect_arg
+      ~doc:"Poll a running daemon's metrics listener instead of replaying \
+            journals: fetch $(b,GET /health) — live scoreboard, streaming \
+            health fold, loop self-profile — or $(b,GET /metrics) with \
+            $(b,--prometheus), and print the body."
   in
   let poll_ms =
     Arg.(
@@ -702,12 +688,7 @@ let health_cmd =
     | Some (host, port) ->
       let path = if prometheus then "/metrics" else "/health" in
       let rec go i =
-        let body = or_die (Vegvisir_cli.Http_probe.get ~host ~port ~path ()) in
-        print_string body;
-        if
-          String.length body = 0
-          || not (Char.equal body.[String.length body - 1] '\n')
-        then print_newline ();
+        print_body (or_die (Vegvisir_cli.Http_probe.get ~host ~port ~path ()));
         flush stdout;
         if polls = 0 || i < polls then begin
           Unix.sleepf (float_of_int poll_ms /. 1000.);
@@ -734,7 +715,7 @@ let health_cmd =
              quorum latency. With $(b,--connect), poll a running daemon's \
              $(b,/health) endpoint instead — per-peer scoreboard, streaming \
              health fold, and event-loop self-profile, live.")
-    Term.(const run $ dirs_opt $ prometheus $ every $ connect $ poll_ms $ polls)
+    Term.(const run $ replay_dirs_arg $ prometheus $ every $ connect $ poll_ms $ polls)
 
 let recover_cmd =
   let from =

@@ -163,6 +163,12 @@ let save t =
     Ok ()
   | Error _ as e -> e
 
+(* A block made here: journaled [created], then saved. *)
+let created t block =
+  record_all t (Obs.Engine_events.created ~node:(node_name t) block);
+  let* () = save t in
+  Ok block
+
 let exists dir = Sys.file_exists (dir // "chain.dag")
 
 let ensure_dir dir =
@@ -188,8 +194,7 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
     match Node.receive node ~now:(Timestamp.add_ms (now_ts ()) 1L) genesis with
     | Node.Accepted ->
       let t = { dir; node; ca_cert = cert; key = { signer; height; seed } } in
-      record_all t (Obs.Engine_events.created ~node:(node_name t) genesis);
-      let* () = save t in
+      let* _genesis = created t genesis in
       Ok t
     | (Node.Duplicate | Node.Buffered _ | Node.Rejected _) as r ->
       Error (Fmt.str "genesis rejected: %a" Node.pp_receive_result r)
@@ -224,73 +229,18 @@ let load ~dir =
     end
   end
 
-let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
-  let* ca = load ~dir:ca_dir in
-  let* () = ensure_dir dir in
-  if exists dir then Error (dir ^ " already contains a node")
-  else begin
-    let subject = Signer.mss ~height ~seed () in
-    let cert =
-      Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.key.signer ~subject ~role
-    in
-    (* Enrolment goes on the CA's chain. *)
-    let* _block =
-      Result.map_error
-        (Fmt.str "enrolment append failed: %a" Node.pp_append_error)
-        (Node.append ca.node ~now:(now_ts ()) [ Transaction.add_user cert ])
-    in
-    let* () = save ca in
-    let node = Node.create ~signer:subject ~cert () in
-    let ca_dag = Node.dag ca.node in
-    Node.receive_all node ~now:(stored_ts ca_dag) (List.of_seq (Dag.topo_seq ca_dag));
-    let t =
-      { dir; node; ca_cert = ca.ca_cert; key = { signer = subject; height; seed } }
-    in
-    let* () = save t in
-    Ok t
-  end
+(* Sign [txs] into a block on the frontier, stamped with the wall clock. *)
+let append_txs t txs =
+  match Node.append t.node ~now:(now_ts ()) txs with
+  | Error e -> Error (Fmt.str "%a" Node.pp_append_error e)
+  | Ok block -> created t block
 
 let append t ~crdt ~op args =
   match Node.prepare_transaction t.node ~crdt ~op args with
   | Error e -> Error (Schema.error_to_string e)
-  | Ok tx -> begin
-    match Node.append t.node ~now:(now_ts ()) [ tx ] with
-    | Error e -> Error (Fmt.str "%a" Node.pp_append_error e)
-    | Ok block ->
-      record_all t (Obs.Engine_events.created ~node:(node_name t) block);
-      let* () = save t in
-      Ok block
-  end
+  | Ok tx -> append_txs t [ tx ]
 
 let remaining_signatures t = t.key.signer.Signer.remaining ()
-
-let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
-  let* ca = load ~dir:ca_dir in
-  let* t = load ~dir in
-  (* Two handles on one node hold two signers at one position: the
-     certificate and the rotation block would sign with the same
-     one-time leaf, and the CA handle's save would write the old key
-     and certificate back beside a chain that revokes them. *)
-  if Hash_id.equal (Node.user_id ca.node) (Node.user_id t.node) then
-    Error "a CA cannot certify its own key rotation (CA and node are the same)"
-  else begin
-    let fresh = Signer.mss ~height ~seed () in
-    let role = (Node.cert t.node).Certificate.role in
-    let cert =
-      Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.key.signer ~subject:fresh
-        ~role
-    in
-    match Node.rotate_key t.node ~now:(now_ts ()) ~signer:fresh ~cert with
-    | Error e -> Error (Fmt.str "rotation failed: %a" Node.pp_append_error e)
-    | Ok _block ->
-      let t = { t with key = { signer = fresh; height; seed } } in
-      let* () = save t in
-      (* The CA should learn the rotation block too. *)
-      let dag = Node.dag t.node in
-      Node.receive_all ca.node ~now:(stored_ts dag) (List.of_seq (Dag.topo_seq dag));
-      let* () = save ca in
-      Ok t
-  end
 
 let deliver t ~journal ~peer blocks =
   let node = node_name t in
@@ -312,19 +262,22 @@ let sync t ~from ~mode =
 
 (* §IV-I batch ancestry recovery: treat [from]'s replica as a superpeer
    archive and pull the ancestry closure of [below] (default: the
-   source's whole frontier) through Offload.serve_below. The reply is
-   topologically ordered, so the blocks we lack (neither resident nor
-   archived) replay with no reorder buffering. *)
+   source's whole frontier) in canonical order, so the blocks we lack
+   (neither resident nor archived) replay with no reorder buffering. *)
 let recover t ~from ?below () =
   let src_dag = Node.dag from.node in
-  let offload = Offload.create () in
-  Seq.iter (fun b -> Offload.absorb offload b) (Dag.topo_seq src_dag);
   let seeds =
     match below with
     | Some (_ :: _ as hs) -> hs
     | Some [] | None -> Hash_id.Set.elements (Dag.frontier src_dag)
   in
-  let served = Offload.serve_below offload seeds in
+  let closure = Dag.below src_dag seeds in
+  let served =
+    List.of_seq
+      (Seq.filter
+         (fun (b : Block.t) -> Hash_id.Set.mem b.Block.hash closure)
+         (Dag.topo_seq src_dag))
+  in
   let mine = Node.dag t.node in
   let missing =
     List.filter
@@ -340,45 +293,80 @@ let recover t ~from ?below () =
   let* () = save t in
   Ok (List.length served, List.length made)
 
+let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
+  let* ca = load ~dir:ca_dir in
+  let* () = ensure_dir dir in
+  if exists dir then Error (dir ^ " already contains a node")
+  else begin
+    let subject = Signer.mss ~height ~seed () in
+    let cert =
+      Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.key.signer ~subject ~role
+    in
+    (* Enrolment goes on the CA's chain, and the member's replica starts
+       as a pull of it. *)
+    let* _block =
+      Result.map_error
+        (fun e -> "enrolment append failed: " ^ e)
+        (append_txs ca [ Transaction.add_user cert ])
+    in
+    let t =
+      {
+        dir;
+        node = Node.create ~signer:subject ~cert ();
+        ca_cert = ca.ca_cert;
+        key = { signer = subject; height; seed };
+      }
+    in
+    let* _stats = sync t ~from:ca ~mode:Reconcile.Naive in
+    Ok t
+  end
+
+let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
+  let* ca = load ~dir:ca_dir in
+  let* t = load ~dir in
+  (* Two handles on one node hold two signers at one position: the
+     certificate and the rotation block would sign with the same
+     one-time leaf, and the CA handle's save would write the old key
+     and certificate back beside a chain that revokes them. *)
+  if Hash_id.equal (Node.user_id ca.node) (Node.user_id t.node) then
+    Error "a CA cannot certify its own key rotation (CA and node are the same)"
+  else begin
+    let fresh = Signer.mss ~height ~seed () in
+    let role = (Node.cert t.node).Certificate.role in
+    let cert =
+      Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.key.signer ~subject:fresh
+        ~role
+    in
+    match Node.rotate_key t.node ~now:(now_ts ()) ~signer:fresh ~cert with
+    | Error e -> Error (Fmt.str "rotation failed: %a" Node.pp_append_error e)
+    | Ok block ->
+      let t = { t with key = { signer = fresh; height; seed } } in
+      let* _block = created t block in
+      (* The CA pulls the rotation block, which also saves its key. *)
+      let* _stats = sync ca ~from:t ~mode:Reconcile.Naive in
+      Ok t
+  end
+
+(* Replay the stored chain.dag, not the loaded replica, through a fresh
+   node's intake in canonical order: a block [load] refused is reported
+   here, by hash and intake result. *)
 let verify t =
-  let dag = Node.dag t.node in
+  let* raw = read_file (t.dir // "chain.dag") in
+  let* dag = Option.to_result ~none:"corrupt chain.dag" (Dag.of_string raw) in
+  let node = Node.create ~signer:t.key.signer ~cert:(Node.cert t.node) () in
+  let now = stored_ts dag in
   match Dag.genesis dag with
   | None -> Error "no genesis block"
-  | Some g -> begin
-    match Validation.check_genesis g with
-    | Error e -> Error (Fmt.str "genesis invalid: %a" Validation.pp_error e)
-    | Ok membership ->
-      (* Replay in canonical order, validating each block against the
-         state accumulated so far (a faithful re-admission). *)
-      let replay = ref (Result.get_ok (Dag.add Dag.empty g)) in
-      let csm = ref (fst (Csm.apply_block Csm.empty g)) in
-      ignore membership;
-      let checked = ref 1 in
-      let rec go seq =
-        match Seq.uncons seq with
-        | None -> Ok !checked
-        | Some ((b : Block.t), rest) ->
-          if Block.is_genesis b then go rest
-          else begin
-            (* lint: allow no-partial-stdlib — the genesis block replayed first always installs a membership *)
-            let m = Option.get (Csm.membership !csm) in
-            match
-              Validation.check_block ~membership:m ~dag:!replay
-                ~now:(Timestamp.add_ms b.Block.timestamp 1L) b
-            with
-            | Error e ->
-              Error
-                (Fmt.str "block %a fails validation: %a" Hash_id.pp b.Block.hash
-                   Validation.pp_error e)
-            | Ok () ->
-              replay := Result.get_ok (Dag.add !replay b);
-              csm := fst (Csm.apply_block !csm b);
-              incr checked;
-              go rest
-          end
-      in
-      go (Dag.topo_seq dag)
-  end
+  | Some _ ->
+    Seq.fold_left
+      (fun checked (b : Block.t) ->
+        let* n = checked in
+        match Node.receive node ~now b with
+        | Node.Accepted -> Ok (n + 1)
+        | (Node.Duplicate | Node.Buffered _ | Node.Rejected _) as r ->
+          Error
+            (Fmt.str "block %a: %a" Hash_id.pp b.Block.hash Node.pp_receive_result r))
+      (Ok 0) (Dag.topo_seq dag)
 
 let summary t =
   let dag = Node.dag t.node in

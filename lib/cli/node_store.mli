@@ -10,7 +10,14 @@
       owner's (CA) certificate.
 
     Application state is not stored: it is deterministically rebuilt from
-    the DAG on load ({!Vegvisir.Csm.rebuild}). *)
+    the DAG on load ({!Vegvisir.Csm.rebuild}).
+
+    A block enters a store in one way per source: a block made here
+    ({!init}'s genesis, {!append}, the blocks {!enroll} and {!rotate}
+    create) is journaled [created], then saved; a block from another
+    directory ({!sync}, {!recover}, and the pulls inside {!enroll} and
+    {!rotate}) goes through {!deliver}; {!load} re-admits the store's
+    own [chain.dag], silently. *)
 
 type key
 (** The node's signer with the height and seed that re-derive it. *)
@@ -44,8 +51,8 @@ val enroll :
   (t, string) result
 (** CA-side enrolment of a new member: creates the member's key in [dir],
     issues its certificate, appends the enrolment block to the CA's
-    chain, and seeds the member's replica with the CA's current DAG.
-    Both directories are saved. *)
+    chain (journaled [created], then saved), and seeds the member's
+    replica with a {!sync} from the CA, which saves the member. *)
 
 val load : dir:string -> (t, string) result
 (** Reload a directory, re-admitting every stored block through the
@@ -62,7 +69,8 @@ val append :
   op:string ->
   Vegvisir_crdt.Value.t list ->
   (Vegvisir.Block.t, string) result
-(** Prepare, append, and save. The block timestamp is the wall clock. *)
+(** Prepare, append, journal [created], and save. The block timestamp
+    is the wall clock. *)
 
 val deliver :
   t ->
@@ -91,10 +99,10 @@ val recover :
   ?below:Vegvisir.Hash_id.t list ->
   unit ->
   (int * int, string) result
-(** §IV-I batch ancestry recovery: fetch from [from]'s replica (via
-    {!Vegvisir.Offload.serve_below}) every block in the ancestry closure
-    of [below] — default: [from]'s whole frontier — and {!deliver} the
-    ones missing locally, in topological order. Records a
+(** §IV-I batch ancestry recovery: take from [from]'s replica every
+    block in the ancestry closure of [below] ({!Vegvisir.Dag.below}) —
+    default: [from]'s whole frontier — and {!deliver} the ones missing
+    locally, in canonical topological order. Records a
     [Recovery_completed] event with the count made resident, then
     saves. Returns [(served, restored)]: closure size vs. blocks made
     resident. *)
@@ -105,17 +113,21 @@ val rotate :
 (** Rotate the node's key before its one-time leaves run out: the CA (in
     [ca_dir]) issues a certificate for a fresh key derived from [seed];
     the node appends a rotation block (enrol new, self-revoke old) signed
-    with the old key, then persists with the new key. Refused, before
-    anything is signed or written, when [ca_dir] and [dir] hold the
-    same node. *)
+    with the old key, journals it [created] and persists with the new
+    key; the CA then pulls it with {!sync}. Refused, before anything is
+    signed or written, when [ca_dir] and [dir] hold the same node. *)
 
 val remaining_signatures : t -> int option
 (** One-time leaves left on the current key. *)
 
 val verify : t -> (int, string) result
-(** Revalidate the whole replica from the genesis: every block passes the
-    §IV-E checks against the state implied by its ancestors (evaluated in
-    canonical topological order). Returns the number of blocks checked. *)
+(** Replay the store's [chain.dag] (the file, not the loaded replica) in
+    canonical topological order through a fresh node's
+    {!Vegvisir.Node.receive}, against the clock {!load} uses: every block
+    must be [Accepted] by the §IV-E checks against its ancestors.
+    Returns the number of blocks; [Error] names the first block with
+    another result, and the result, so a stored block that {!load}
+    dropped is reported here. *)
 
 val summary : t -> string
 (** Human-readable status: block counts, frontier, CRDT contents. *)
@@ -126,8 +138,9 @@ val export_dot : t -> string
 
     Every node directory keeps an append-only [trace.jsonl] of
     {!Vegvisir_obs.Event} records, timestamped with the host clock.
-    Store operations (init, load, save, append, sync) record themselves;
-    the event loop ({!Event_loop}) records block and session events. The
+    Store operations record themselves (the block events as above, plus
+    [Store_*], [Sync_*] and [Recovery_completed]); the event loop
+    ({!Event_loop}) records block and session events. The
     [vegvisir-cli stats] and [vegvisir-cli trace] commands replay these
     files — merging two synced directories' files reconstructs a block's
     full cross-node causal timeline. *)

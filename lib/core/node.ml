@@ -32,12 +32,10 @@ type t = {
   mutable pending : Pending_pool.t; (* capacity-bounded; drained on progress *)
   mutable prechecked : bool Hash_id.Map.t;
       (* Block.ots_holds by block hash, for one receive_all call *)
-  max_skew_ms : int64;
   stats : stats;
 }
 
-let create ?(max_skew_ms = Validation.default_max_skew_ms) ?(max_pending = 4096)
-    ~signer ~cert () =
+let create ?(max_pending = 4096) ~signer ~cert () =
   {
     signer;
     cert;
@@ -45,7 +43,6 @@ let create ?(max_skew_ms = Validation.default_max_skew_ms) ?(max_pending = 4096)
     csm = Csm.empty;
     pending = Pending_pool.create ~capacity:max_pending ();
     prechecked = Hash_id.Map.empty;
-    max_skew_ms;
     stats = { created = 0; accepted = 0; rejected = 0; duplicates = 0 };
   }
 
@@ -94,8 +91,7 @@ let try_accept t ~now (b : Block.t) : receive_result =
     | None -> Buffered Validation.Unknown_creator (* no genesis yet *)
     | Some m -> begin
       match
-        Validation.check_block ~membership:m ~dag:t.dag ~now
-          ~max_skew_ms:t.max_skew_ms ?ots b
+        Validation.check_block ~membership:m ~dag:t.dag ~now ?ots b
       with
       | Ok () ->
         if commit t b then Accepted

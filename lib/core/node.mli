@@ -30,7 +30,6 @@ type stats = {
 type t
 
 val create :
-  ?max_skew_ms:int64 ->
   ?max_pending:int ->
   signer:Signer.t ->
   cert:Certificate.t ->

@@ -40,8 +40,7 @@ let check_genesis ?ots (b : Block.t) =
       end
   end
 
-let check_block ~membership ~dag ~now ?(max_skew_ms = default_max_skew_ms) ?ots
-    (b : Block.t) =
+let check_block ~membership ~dag ~now ?ots (b : Block.t) =
   if Block.is_genesis b then Error Duplicate_genesis
   else begin
     let missing = Dag.missing_parents dag b in
@@ -83,7 +82,7 @@ let check_block ~membership ~dag ~now ?(max_skew_ms = default_max_skew_ms) ?ots
         if Timestamp.compare b.Block.timestamp parent_ts <= 0 then
           Error Timestamp_not_after_parents
         else if
-          Timestamp.compare b.Block.timestamp (Timestamp.add_ms now max_skew_ms)
+          Timestamp.compare b.Block.timestamp (Timestamp.add_ms now default_max_skew_ms)
           > 0
         then Error Timestamp_in_future
         else if

@@ -23,7 +23,8 @@ type error =
   | Duplicate_genesis
 
 val default_max_skew_ms : int64
-(** 5000 ms of tolerated clock skew. *)
+(** 5000 ms of tolerated clock skew: {!check_block} refuses a block
+    stamped later than [now] plus this. *)
 
 val check_genesis : ?ots:bool -> Block.t -> (Membership.t, error) result
 (** Validate a genesis block standalone: no parents, carries a self-signed
@@ -36,7 +37,6 @@ val check_block :
   membership:Membership.t ->
   dag:Dag.t ->
   now:Timestamp.t ->
-  ?max_skew_ms:int64 ->
   ?ots:bool ->
   Block.t ->
   (unit, error) result

@@ -8,7 +8,6 @@ module Config = struct
     mode : Reconcile.mode;
     stale_after_ms : float;
     session_timeout_ms : float;
-    retry_limit : int;
     trace_sample : float;
         (* Head-sampling rate for cross-daemon span tracing: the
            fraction of initiated sessions that announce a
@@ -24,7 +23,6 @@ module Config = struct
       mode = Reconcile.Naive;
       stale_after_ms = 5_000.;
       session_timeout_ms = 30_000.;
-      retry_limit = 3;
       trace_sample = 0.;
     }
 end
@@ -162,6 +160,9 @@ let encode m =
   Reconcile.encode_message b m;
   Buffer.contents b
 
+(* The peer-level retransmit budget: only hearing a reply refills it. *)
+let retry_limit = 3
+
 let stale t (s : session_state) ~now =
   now -. s.last_activity > t.config.Config.stale_after_ms
 
@@ -171,7 +172,7 @@ let will_initiate t ~now =
   | Honest | Withholding -> begin
     match t.session with
     | None -> true
-    | Some s -> stale t s ~now && t.retries >= t.config.Config.retry_limit
+    | Some s -> stale t s ~now && t.retries >= retry_limit
   end
 
 (* One gossip round: first housekeep the in-flight session (retransmit a
@@ -183,7 +184,7 @@ let tick t ~now ~dag ~peer =
   let t, housekeeping =
     match t.session with
     | Some s when stale t s ~now ->
-      if t.retries < t.config.Config.retry_limit then
+      if t.retries < retry_limit then
         let s = { s with last_activity = now } in
         let t = { t with session = Some s; retries = t.retries + 1 } in
         ( t,

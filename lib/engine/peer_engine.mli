@@ -42,8 +42,6 @@ module Config : sig
         (** a session with no progress for this long retransmits its
             current request (then abandons once the budget is spent) *)
     session_timeout_ms : float;  (** per-session hard deadline *)
-    retry_limit : int;
-        (** peer-level retransmit budget — see {!create} *)
     trace_sample : float;
         (** head-sampling rate for cross-daemon span tracing: the
             fraction of initiated sessions that announce a
@@ -57,8 +55,8 @@ module Config : sig
   }
 
   val default : t
-  (** [Honest], [Naive] mode, 5 s stale, 30 s timeout, 3 retries,
-      trace sampling off. *)
+  (** [Honest], [Naive] mode, 5 s stale, 30 s timeout, trace sampling
+      off. *)
 end
 
 (** {1 Timers} *)
@@ -175,9 +173,9 @@ val create : ?config:Config.t -> user_id:Hash_id.t -> dag:Dag.t -> unit -> t
     the replica's state {e now} — used only to seed the withholding
     censored view; later transitions read the replica through
     {!handle}'s [dag] argument. A session with no progress for
-    [stale_after_ms] retransmits its current request until the
-    retransmit budget of [retry_limit] is spent, then is abandoned. The
-    budget is {e peer}-level: starting a new session does not refill it
+    [stale_after_ms] retransmits its current request until a budget of
+    three retransmits is spent, then is abandoned. The budget is
+    {e peer}-level: starting a new session does not refill it
     — only actually hearing a reply does — so a peer in a lossy or
     sleepy neighbourhood quickly abandons stale sessions and re-pairs
     with fresh neighbors rather than burning retransmissions. *)

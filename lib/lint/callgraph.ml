@@ -337,62 +337,7 @@ let resolve_value t u ~sub_prefix ~local_opens modpath fname =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Primitive denylists                                                 *)
-
-(* Comparison against a literal or constant constructor is monomorphic
-   in practice and cannot touch an abstract id (mirrors the per-file
-   no-poly-compare exemption in Rules). *)
-let rec is_constant_like (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Parsetree.Pexp_constant _ -> true
-  | Parsetree.Pexp_construct (_, None) -> true
-  | Parsetree.Pexp_construct (_, Some arg) -> is_constant_like arg
-  | Parsetree.Pexp_variant (_, None) -> true
-  | Parsetree.Pexp_tuple es -> List.for_all is_constant_like es
-  | _ -> false
-
-let classify_external parts args : (Effect_sig.name * string) list =
-  let prim = String.concat "." parts in
-  match parts with
-  | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] ->
-    [ (Effect_sig.Clock, prim) ]
-  | "Random" :: _ -> [ (Effect_sig.Random, prim) ]
-  | "Unix" :: _ | "UnixLabels" :: _ | "In_channel" :: _ | "Out_channel" :: _
-  | "Logs" :: _ ->
-    [ (Effect_sig.Io, prim) ]
-  | [ "Hashtbl";
-      ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ] ->
-    [ (Effect_sig.Unordered_iter, prim) ]
-  | [ ( "print_string" | "print_endline" | "print_newline" | "print_int"
-      | "print_char" | "print_float" | "print_bytes" | "prerr_string"
-      | "prerr_endline" | "prerr_newline" | "read_line" | "read_int"
-      | "read_int_opt" | "open_in" | "open_in_bin" | "open_out"
-      | "open_out_bin" | "close_in" | "close_out" | "close_in_noerr"
-      | "close_out_noerr" | "input_line" | "input_char" | "input_byte"
-      | "really_input_string" | "output_string" | "output_bytes"
-      | "output_char" | "output_byte" | "flush" | "flush_all" ) ] ->
-    [ (Effect_sig.Io, prim) ]
-  | [ "Printf"; ("printf" | "eprintf" | "fprintf") ]
-  | [ "Format"; ("printf" | "eprintf" | "print_string" | "print_newline") ]
-  | [ "Fmt"; ("pr" | "epr") ] ->
-    [ (Effect_sig.Io, prim) ]
-  | [ "Sys";
-      ( "command" | "remove" | "rename" | "readdir" | "getenv" | "getenv_opt"
-      | "file_exists" | "is_directory" | "mkdir" | "rmdir" | "chdir"
-      | "getcwd" | "argv" ) ] ->
-    [ (Effect_sig.Io, prim) ]
-  | [ "Filename"; ("temp_file" | "open_temp_file") ] ->
-    [ (Effect_sig.Io, prim) ]
-  | [ ("=" | "<>" | "compare" | "min" | "max") ]
-    when not (List.exists is_constant_like args) ->
-    [ (Effect_sig.Poly_compare, prim) ]
-  | [ "List"; ("mem" | "assoc" | "assoc_opt" | "mem_assoc") ]
-    when not
-           (match args with
-           | key :: _ -> is_constant_like key
-           | [] -> false) ->
-    [ (Effect_sig.Poly_compare, prim) ]
-  | _ -> []
+(* Container writes                                                    *)
 
 (* Operations that mutate a container argument in place: when that
    argument resolves to a top-level binding, the binding is written
@@ -470,7 +415,7 @@ let walk_body t u ~sub_prefix ~targets body =
               (fun tgt ->
                 if not (List.mem eff tgt.own) then tgt.own <- eff :: tgt.own)
               targets)
-          (classify_external parts args)
+          (Rules.primitive_effects parts args)
     end
   in
   let mark_written (e : Parsetree.expression) =

@@ -172,18 +172,6 @@ let rec dag_qualified fns parts =
   | _ :: rest -> dag_qualified fns rest
   | [] -> false
 
-(* Comparison against a literal or constant constructor is monomorphic in
-   practice (ints, strings, [], None, ...) and cannot touch an abstract
-   id, so no-poly-compare exempts it. *)
-let rec is_constant_like (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constant _ -> true
-  | Pexp_construct (_, None) -> true
-  | Pexp_construct (_, Some arg) -> is_constant_like arg
-  | Pexp_variant (_, None) -> true
-  | Pexp_tuple es -> List.for_all is_constant_like es
-  | _ -> false
-
 let bound_value_names structure =
   let tbl = Hashtbl.create 32 in
   let iter =
@@ -199,6 +187,64 @@ let bound_value_names structure =
   in
   iter.structure iter structure;
   tbl
+
+(* ------------------------------------------------------------------ *)
+(* The primitive denylist                                              *)
+
+(* Comparison against a literal or constant constructor is monomorphic in
+   practice (ints, strings, [], None, ...) and cannot touch an abstract
+   id, so neither no-poly-compare nor the effect analysis counts it. *)
+let rec is_constant_like (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constant _ -> true
+  | Pexp_construct (_, None) -> true
+  | Pexp_construct (_, Some arg) -> is_constant_like arg
+  | Pexp_variant (_, None) -> true
+  | Pexp_tuple es -> List.for_all is_constant_like es
+  | _ -> false
+
+let primitive_effects parts args : (Effect_sig.name * string) list =
+  let prim = String.concat "." parts in
+  match parts with
+  | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] ->
+    [ (Effect_sig.Clock, prim) ]
+  | "Random" :: _ -> [ (Effect_sig.Random, prim) ]
+  | "Unix" :: _ | "UnixLabels" :: _ | "In_channel" :: _ | "Out_channel" :: _
+  | "Logs" :: _ ->
+    [ (Effect_sig.Io, prim) ]
+  | [ "Hashtbl";
+      ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ] ->
+    [ (Effect_sig.Unordered_iter, prim) ]
+  | [ ( "print_string" | "print_endline" | "print_newline" | "print_int"
+      | "print_char" | "print_float" | "print_bytes" | "prerr_string"
+      | "prerr_endline" | "prerr_newline" | "read_line" | "read_int"
+      | "read_int_opt" | "open_in" | "open_in_bin" | "open_out"
+      | "open_out_bin" | "close_in" | "close_out" | "close_in_noerr"
+      | "close_out_noerr" | "input_line" | "input_char" | "input_byte"
+      | "really_input_string" | "output_string" | "output_bytes"
+      | "output_char" | "output_byte" | "flush" | "flush_all" ) ] ->
+    [ (Effect_sig.Io, prim) ]
+  | [ "Printf"; ("printf" | "eprintf" | "fprintf") ]
+  | [ "Format"; ("printf" | "eprintf" | "print_string" | "print_newline") ]
+  | [ "Fmt"; ("pr" | "epr") ] ->
+    [ (Effect_sig.Io, prim) ]
+  | [ "Sys";
+      ( "command" | "remove" | "rename" | "readdir" | "getenv" | "getenv_opt"
+      | "file_exists" | "is_directory" | "mkdir" | "rmdir" | "chdir"
+      | "getcwd" | "argv" ) ] ->
+    [ (Effect_sig.Io, prim) ]
+  | [ "Filename"; ("temp_file" | "open_temp_file") ] ->
+    [ (Effect_sig.Io, prim) ]
+  | [ ("=" | "<>" | "compare" | "min" | "max") ]
+    when not (List.exists is_constant_like args) ->
+    [ (Effect_sig.Poly_compare, prim) ]
+  | [ "List"; ("mem" | "assoc" | "assoc_opt" | "mem_assoc") ]
+    when not
+           (match args with
+           | key :: _ -> is_constant_like key
+           | [] -> false) ->
+    [ (Effect_sig.Poly_compare, prim) ]
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* The checker                                                         *)
@@ -252,49 +298,40 @@ let check ~path structure =
   let handle_ident ~args txt loc =
     let parts = strip_stdlib (flatten txt) in
     let name = String.concat "." parts in
-    (if wall_clock_on then
-       match parts with
-       | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] ->
-         add loc "no-wall-clock"
-           (name
-          ^ " reads the OS clock; the only sanctioned call site is \
-             Unix_compat.now in lib/cli/unix_compat.ml")
-       | _ -> ());
-    (match parts with
-    | "Random" :: _ ->
-      add loc "no-global-random"
-        (name
-       ^ " draws from unseeded global state; route all entropy through \
-          Vegvisir_crypto.Rng")
-    | _ -> ());
-    (if poly_on then
-       match parts with
-       | [ (("=" | "<>" | "compare" | "min" | "max") as op) ]
-         when not (Hashtbl.mem bound op) ->
-         if not (List.exists is_constant_like args) then
-           add loc "no-poly-compare"
-             ("polymorphic " ^ op
-            ^ " silently compares structurally; use a typed equal/compare \
-               (e.g. Hash_id.equal, Int.max)")
-       | [ "List"; (("mem" | "assoc" | "assoc_opt" | "mem_assoc") as fn) ] ->
-         let key_is_constant =
-           match args with key :: _ -> is_constant_like key | [] -> false
-         in
-         if not key_is_constant then
-           add loc "no-poly-compare"
-             ("List." ^ fn
-            ^ " uses polymorphic equality; use List.exists/List.find with a \
-               typed equal")
-       | _ -> ());
-    (if unordered_on then
-       match parts with
-       | [ "Hashtbl"; ("iter" | "fold" | "to_seq" | "to_seq_keys"
-                      | "to_seq_values") ] ->
-         add loc "no-unordered-iteration"
-           (name
-          ^ " iterates in nondeterministic order and this module's output \
-             is order-sensitive; sort the result or use an ordered map")
-       | _ -> ());
+    List.iter
+      (fun (eff, _) ->
+        match (eff : Effect_sig.name) with
+        | Clock when wall_clock_on ->
+          add loc "no-wall-clock"
+            (name
+           ^ " reads the OS clock; the only sanctioned call site is \
+              Unix_compat.now in lib/cli/unix_compat.ml")
+        | Random ->
+          add loc "no-global-random"
+            (name
+           ^ " draws from unseeded global state; route all entropy through \
+              Vegvisir_crypto.Rng")
+        | Poly_compare when poly_on -> begin
+          match parts with
+          | [ op ] ->
+            if not (Hashtbl.mem bound op) then
+              add loc "no-poly-compare"
+                ("polymorphic " ^ op
+               ^ " silently compares structurally; use a typed \
+                  equal/compare (e.g. Hash_id.equal, Int.max)")
+          | _ ->
+            add loc "no-poly-compare"
+              (name
+             ^ " uses polymorphic equality; use List.exists/List.find with \
+                a typed equal")
+        end
+        | Unordered_iter when unordered_on ->
+          add loc "no-unordered-iteration"
+            (name
+           ^ " iterates in nondeterministic order and this module's output \
+              is order-sensitive; sort the result or use an ordered map")
+        | Clock | Poly_compare | Unordered_iter | Io | Mutates_global -> ())
+      (primitive_effects parts args);
     (if engine_on then
        match parts with
        | ( "Unix" | "UnixLabels" | "Unix_compat" | "Vegvisir_net" | "Simnet"

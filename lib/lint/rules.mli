@@ -71,6 +71,17 @@ val check : path:string -> Parsetree.structure -> Finding.t list
     [lib]/[bin]/[examples]/[bench]/[test] segment, so absolute and
     [_build]-relative paths both scope correctly. *)
 
+val primitive_effects :
+  string list -> Parsetree.expression list -> (Effect_sig.name * string) list
+(** The one primitive denylist: the effect, if any, of a reference to
+    [parts] (a [Stdlib]-stripped path that resolves to no repo
+    definition) applied to [args], paired with the dotted primitive
+    name. The four per-file rules above report its [Clock], [Random],
+    [Poly_compare] and [Unordered_iter] answers in their scopes;
+    {!Callgraph} seeds every effect signature from it. A comparison
+    whose operand (or, for [List.mem] and kin, whose key) is a literal
+    or constant constructor has no effect. *)
+
 val mli_required : string -> bool
 (** Whether [path] is a library module that the [mli-coverage] rule
     requires an interface for. *)

@@ -37,9 +37,8 @@ type t = {
   mutable total_stats : Reconcile.stats;
 }
 
-let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
-    ?(interval_ms = 1000.) ?(stale_after_ms = 5_000.)
-    ?(session_timeout_ms = 30_000.) ?(trace_sample = 0.) ?tap ?obs () =
+let create ~net ~nodes ?behaviors ~mode ~interval_ms ?(stale_after_ms = 5_000.)
+    ?(session_timeout_ms = 30_000.) ?(trace_sample = 0.) ?tap ~obs () =
   let n = Array.length nodes in
   if Topology.size (Simnet.topo net) <> n then
     invalid_arg "Gossip.create: nodes/topology size mismatch";
@@ -62,7 +61,6 @@ let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
               Peer_engine.create
                 ~config:
                   {
-                    Peer_engine.Config.default with
                     Peer_engine.Config.policy = behaviors.(i);
                     mode;
                     (* A session with no recent progress retransmits before
@@ -80,17 +78,7 @@ let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
     interval_ms;
     births = Hashtbl.create 64;
     tap;
-    obs =
-      (* Share the radio's context when it has one, so one registry and
-         one trace cover the whole fleet; otherwise keep a private one —
-         the accessors below read their counters from it either way. *)
-      (match obs with
-      | Some o -> o
-      | None -> begin
-        match Simnet.obs net with
-        | Some o -> o
-        | None -> Obs.Context.create ()
-      end);
+    obs;
     total_stats = Reconcile.empty_stats;
   }
 

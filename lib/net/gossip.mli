@@ -45,13 +45,13 @@ val create :
   net:Simnet.t ->
   nodes:Vegvisir.Node.t array ->
   ?behaviors:behavior array ->
-  ?mode:Vegvisir.Reconcile.mode ->
-  ?interval_ms:float ->
+  mode:Vegvisir.Reconcile.mode ->
+  interval_ms:float ->
   ?stale_after_ms:float ->
   ?session_timeout_ms:float ->
   ?trace_sample:float ->
   ?tap:tap ->
-  ?obs:Vegvisir_obs.Context.t ->
+  obs:Vegvisir_obs.Context.t ->
   unit ->
   t
 (** One gossip peer per node; array sizes must match the topology.
@@ -63,10 +63,9 @@ val create :
     context, stitched by a shared trace id — the spans a daemon journals,
     through the same {!Vegvisir_obs.Engine_events.of_event}.
 
-    [obs] routes block-lifecycle and session telemetry into an
-    observability context. When omitted, the agent shares the radio's
-    context ({!Simnet.obs}) if set, else keeps a private one — the
-    counter accessors below always read from whichever is active. *)
+    [obs] receives block-lifecycle and session telemetry ({!Scenario.build}
+    passes the radio's context, so one registry covers the fleet); the
+    counter accessors below read from it. *)
 
 val start : t -> unit
 (** Install handlers and schedule the first (staggered) gossip rounds. *)

@@ -244,15 +244,10 @@ let corruption_detected () =
   (match Node_store.load ~dir:ca.Node_store.dir with
    | Error _ -> ()
    | Ok t ->
-     (* If the flip landed somewhere that still decodes, the signature or
-        hash check must fail on revalidation instead. *)
-     (match Node_store.verify t with
-      | Error _ -> ()
-      | Ok _ ->
-        (* The flipped byte produced a different but self-consistent block:
-           then its hash changed and the CSM state differs from the
-           original; at minimum the original genesis is gone. *)
-        ()));
+     (* If the flip landed somewhere that still decodes, replaying the
+        stored chain must refuse the damaged block. *)
+     if Result.is_ok (Node_store.verify t) then
+       Alcotest.fail "a flipped byte passed both load and verify");
   (* Double-init refused. *)
   match Node_store.init ~dir:ca.Node_store.dir ~seed:"x" () with
   | Error _ -> ()
@@ -488,6 +483,92 @@ let sync_from_failed_save () =
   match Node_store.sync dst ~from:bob ~mode:V.Reconcile.Naive with
   | Ok _ -> Alcotest.fail "the save into a directory succeeded"
   | Error _ -> ()
+
+(* The hashes of the blocks a chain.dag image holds. *)
+let stored_hashes raw =
+  match V.Dag.of_string raw with
+  | Some dag -> V.Hash_id.Set.of_list (List.map (fun b -> b.V.Block.hash) (V.Dag.blocks dag))
+  | None -> Alcotest.fail "chain.dag does not decode"
+
+(* [verify] replays the stored chain.dag, not the loaded replica. One
+   flipped byte in the last block's signature leaves the file decodable
+   under a new hash for that block; [load] refuses the block silently,
+   and [verify] exits 1 naming it. *)
+let verify_reports_dropped_block () =
+  let a = init "verify-dropped" in
+  let dir = a.Node_store.dir in
+  List.iter
+    (fun v -> ignore (Result.get_ok (Node_store.append a ~crdt:"log" ~op:"add" [ Value.String v ])))
+    [ "one"; "two" ];
+  let out, _, status = run_cli [ "verify"; "--dir"; dir ] in
+  check_b "untouched: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check string) "untouched: stdout" "ok: 3 block(s) revalidated from the genesis\n" out;
+  let chain = Filename.concat dir "chain.dag" in
+  let raw = In_channel.with_open_bin chain In_channel.input_all in
+  (* The last block's signature ends the block list, ahead of the 4-byte
+     empty archive list. *)
+  let tampered = Bytes.of_string raw in
+  let i = Bytes.length tampered - 200 in
+  Bytes.set tampered i (Char.chr (Char.code (Bytes.get tampered i) lxor 1));
+  Out_channel.with_open_bin chain (fun oc -> Out_channel.output_bytes oc tampered);
+  let damaged =
+    V.Hash_id.Set.elements
+      (V.Hash_id.Set.diff (stored_hashes (Bytes.to_string tampered)) (stored_hashes raw))
+  in
+  check_i "one block changed" 1 (List.length damaged);
+  let loaded = Result.get_ok (Node_store.load ~dir) in
+  check_i "load drops it" 2 (V.Dag.cardinal (V.Node.dag loaded.Node_store.node));
+  let _, err, status = run_cli [ "verify"; "--dir"; dir ] in
+  check_b "damaged: exit 1" true (status = Unix.WEXITED 1);
+  List.iter
+    (fun h -> check_b ("names the block: " ^ err) true (contains err (V.Hash_id.short h)))
+    damaged
+
+(* [enroll] journals its enrolment block [created] on the CA, and seeds
+   the member by a pull that journals it [delivered]: the two journals
+   agree that both replicas hold the same blocks. *)
+let enroll_journals () =
+  let ca = init "enroll-journal-ca" in
+  let bob = member ca "enroll-journal-bob" in
+  let dirs = [ "--dir"; ca.Node_store.dir; "--dir"; bob.Node_store.dir ] in
+  let out, _, status = run_cli ("health" :: dirs) in
+  check_b "health: exit 0" true (status = Unix.WEXITED 0);
+  check_b ("health: " ^ out) true (contains out "converged yes");
+  let enrolment =
+    match
+      List.filter
+        (fun b -> not (V.Block.is_genesis b))
+        (V.Dag.blocks (V.Node.dag bob.Node_store.node))
+    with
+    | [ b ] -> b
+    | _ -> Alcotest.fail "bob should hold the genesis and the enrolment"
+  in
+  let out, _, status = run_cli ("trace" :: V.Hash_id.to_hex enrolment.V.Block.hash :: dirs) in
+  check_b "trace: exit 0" true (status = Unix.WEXITED 0);
+  check_b ("created on the CA: " ^ out) true
+    (contains out ("created   node=" ^ Node_store.node_name ca));
+  check_b ("delivered on bob: " ^ out) true
+    (contains out ("delivered node=" ^ Node_store.node_name bob))
+
+(* [rotate] journals the rotation block [created] in the node's journal,
+   and the CA's pull of it journals it [delivered]. *)
+let rotate_journals () =
+  let module Obs = Vegvisir_obs in
+  let ca = init "rotate-journal-ca" in
+  let bob = member ca "rotate-journal-bob" in
+  let bob =
+    Result.get_ok
+      (Node_store.rotate ~ca_dir:ca.Node_store.dir ~dir:bob.Node_store.dir
+         ~seed:"rotate-journal-bob-2" ~height:4 ())
+  in
+  let rotation =
+    match V.Hash_id.Set.elements (V.Dag.frontier (V.Node.dag bob.Node_store.node)) with
+    | [ h ] -> h
+    | _ -> Alcotest.fail "one rotation block on bob's frontier"
+  in
+  let has dir phase = List.exists (V.Hash_id.equal rotation) (journaled dir phase) in
+  check_b "created in the node's journal" true (has bob.Node_store.dir Obs.Event.Created);
+  check_b "delivered in the CA's journal" true (has ca.Node_store.dir Obs.Event.Delivered)
 
 (* [vegvisir-cli trace] over hand-written journals. *)
 
@@ -1919,6 +2000,10 @@ let () =
             sync_from_failed_save;
           Alcotest.test_case "sync --live reports a failed connect" `Quick
             sync_live_connect_errors;
+          Alcotest.test_case "verify names a dropped block" `Quick
+            verify_reports_dropped_block;
+          Alcotest.test_case "enroll journals the enrolment" `Quick enroll_journals;
+          Alcotest.test_case "rotate journals the rotation" `Quick rotate_journals;
         ] );
       ( "event-loop",
         [
