@@ -14,6 +14,14 @@
 
 let tolerance = 3.0
 
+(* A row timed on the SHA-NI kernel is its OCaml-kernel row's name plus
+   "-sha-ni" (bench/main.ml), guarded alike. *)
+let strip_kernel name =
+  let suffix = "-sha-ni" in
+  let n = String.length name and m = String.length suffix in
+  if n >= m && String.equal (String.sub name (n - m) m) suffix then String.sub name 0 (n - m)
+  else name
+
 (* A row is guarded when a regression in it means the daemon's
    always-on telemetry, anti-entropy, or block verification got slower. *)
 let guarded name =
@@ -40,13 +48,16 @@ let guarded name =
   (* SHA-256 and the verify path every received block pays: a catch-up
      after a partition is almost all W-OTS chain steps. *)
   || has_prefix name "M1-sha256/"
-  || String.equal name "M2-signatures/wots-verify"
-  || String.equal name "M2-signatures/mss-verify"
-  || String.equal name "M2-signatures/wots-chain-15"
-  (* The batch intake a rejoining replica runs, and the per-block fold
-     beside it. *)
-  || String.equal name "M2-signatures/intake-200"
-  || String.equal name "M2-signatures/intake-200-each"
+  || List.mem (strip_kernel name)
+       [
+         "M2-signatures/wots-verify";
+         "M2-signatures/mss-verify";
+         "M2-signatures/wots-chain-15";
+         (* The batch intake a rejoining replica runs, and the per-block
+            fold beside it. *)
+         "M2-signatures/intake-200";
+         "M2-signatures/intake-200-each";
+       ]
 
 (* Minimal extraction of [("name", ns_per_op)] pairs from the snapshot
    JSON: every result row is written on its own line as

@@ -110,6 +110,24 @@ let stage = Staged.stage
 
 let wots_chain_start = Crypto.Sha256.digest "bench-chain"
 
+(* Row names say which SHA-256 kernel they timed. An unsuffixed row ran
+   the OCaml word kernel; a row timed on the SHA-NI kernel ends in
+   "-sha-ni". The M1 rows and wots-chain-15 time the OCaml kernel on
+   every host (through Sha256.Portable), and the kernel this process
+   runs beside them when that is another one. The other M2 rows run this
+   process's kernel. A snapshot from one kind of host then never gates
+   the other: the drift gate reports a row on one side only without
+   failing. *)
+let kernel_suffix =
+  if String.equal Crypto.Sha256.kernel "ocaml" then "" else "-" ^ Crypto.Sha256.kernel
+
+(* The OCaml kernel's rows, then this process's kernel's if it differs. *)
+let per_kernel rows =
+  rows (module Crypto.Sha256.Portable : Crypto.Sha256.S) ""
+  @
+  if String.equal kernel_suffix "" then []
+  else rows (module Crypto.Sha256 : Crypto.Sha256.S) kernel_suffix
+
 (* M1 and the M2 verify rows: what every received block pays, snapshotted
    to BENCH_core.json and re-measured by the @bench-check drift gate via
    core-micro. wots-chain-15 is one full-length W-OTS chain (chain_max
@@ -117,23 +135,27 @@ let wots_chain_start = Crypto.Sha256.digest "bench-chain"
 let core_tests =
   [
     Test.make_grouped ~name:"M1-sha256"
-      [
-        Test.make ~name:"64B" (stage (fun () -> Crypto.Sha256.digest payload_64));
-        Test.make ~name:"4KB" (stage (fun () -> Crypto.Sha256.digest payload_4k));
-        Test.make ~name:"hmac-64B"
-          (stage (fun () -> Crypto.Sha256.hmac ~key:"k" payload_64));
-      ];
+      (per_kernel (fun (module K : Crypto.Sha256.S) suffix ->
+           [
+             Test.make ~name:("64B" ^ suffix) (stage (fun () -> K.digest payload_64));
+             Test.make ~name:("4KB" ^ suffix) (stage (fun () -> K.digest payload_4k));
+             Test.make ~name:("hmac-64B" ^ suffix)
+               (stage (fun () -> K.hmac ~key:"k" payload_64));
+           ]));
     Test.make_grouped ~name:"M2-signatures"
-      [
-        Test.make ~name:"wots-verify"
-          (stage (fun () -> Crypto.Wots.verify wots_params wots_pk "bench message" wots_sig));
-        Test.make ~name:"mss-verify"
-          (stage (fun () -> Crypto.Mss.verify mss_pk "bench message" mss_sig));
-        Test.make ~name:"wots-chain-15"
-          (stage (fun () ->
-               Crypto.Sha256.iterate ~prefix:"wots-chain" wots_chain_start
-                 wots_params.Crypto.Wots.chain_max));
-      ];
+      ([
+         Test.make ~name:("wots-verify" ^ kernel_suffix)
+           (stage (fun () -> Crypto.Wots.verify wots_params wots_pk "bench message" wots_sig));
+         Test.make ~name:("mss-verify" ^ kernel_suffix)
+           (stage (fun () -> Crypto.Mss.verify mss_pk "bench message" mss_sig));
+       ]
+      @ per_kernel (fun (module K : Crypto.Sha256.S) suffix ->
+            [
+              Test.make ~name:("wots-chain-15" ^ suffix)
+                (stage (fun () ->
+                     K.iterate ~prefix:"wots-chain" wots_chain_start
+                       wots_params.Crypto.Wots.chain_max));
+            ]));
   ]
 
 (* The catch-up client's Deliver: a 200-block MSS batch (a height-8 CA's
@@ -169,9 +191,9 @@ let intake_tests () =
   let fresh () = V.Node.create ~signer ~cert () in
   Test.make_grouped ~name:"M2-signatures"
     [
-      Test.make ~name:"intake-200"
+      Test.make ~name:("intake-200" ^ kernel_suffix)
         (stage (fun () -> V.Node.receive_all (fresh ()) ~now:intake_now batch));
-      Test.make ~name:"intake-200-each"
+      Test.make ~name:("intake-200-each" ^ kernel_suffix)
         (stage (fun () ->
              let n = fresh () in
              List.iter (fun b -> ignore (V.Node.receive n ~now:intake_now b)) batch));
@@ -181,8 +203,9 @@ let tests =
   [
     Test.make_grouped ~name:"M2-signatures"
       [
-        Test.make ~name:"wots-sign" (stage (fun () -> Crypto.Wots.sign wots_sk payload_64));
-        Test.make ~name:"mss-sign"
+        Test.make ~name:("wots-sign" ^ kernel_suffix)
+          (stage (fun () -> Crypto.Wots.sign wots_sk payload_64));
+        Test.make ~name:("mss-sign" ^ kernel_suffix)
           (stage (fun () -> Crypto.Mss.sign mss_signing_key payload_64));
       ];
     Test.make_grouped ~name:"M3-blocks"
@@ -981,7 +1004,8 @@ let core_rows () =
   List.sort compare (List.concat_map estimate core_tests @ estimate ~quota:4. (intake_tests ()))
 
 let run_core_micro () =
-  print_endline "== core micro (ns per call, OLS estimate) ==";
+  Printf.printf "== core micro (ns per call, OLS estimate; SHA-256 kernel: %s) ==\n"
+    Crypto.Sha256.kernel;
   let rows = core_rows () in
   print_rows rows;
   write_snapshot ~benchmark:core_benchmark ~file:"BENCH_core.fresh.json" rows

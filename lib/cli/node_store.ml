@@ -7,7 +7,13 @@ module Obs = Vegvisir_obs
    handle saves the position of its own signer. *)
 type key = { signer : Signer.t; height : int; seed : string }
 
-type t = { dir : string; node : Node.t; ca_cert : Certificate.t; key : key }
+type t = {
+  dir : string;
+  node : Node.t;
+  ca_cert : Certificate.t;
+  key : key;
+  refused : Block.t list;
+}
 
 let ( let* ) = Result.bind
 let ( // ) = Filename.concat
@@ -142,8 +148,16 @@ let key_used { signer; height; seed = _ } =
   | Some r -> (1 lsl height) - r
   | None -> 0
 
+(* The resident DAG plus every block [load] refused, so a save never
+   erases a stored block; [verify] keeps naming them. One that has
+   become resident since adds nothing. *)
+let stored_dag t =
+  List.fold_left
+    (fun dag b -> match Dag.add dag b with Ok dag -> dag | Error _ -> dag)
+    (Node.dag t.node) t.refused
+
 let save_parts t =
-  let* () = write_file (t.dir // "chain.dag") (Dag.to_string (Node.dag t.node)) in
+  let* () = write_file (t.dir // "chain.dag") (Dag.to_string (stored_dag t)) in
   let* () =
     write_file (t.dir // "key")
       (encode_key ~height:t.key.height ~used:(key_used t.key) ~seed:t.key.seed)
@@ -193,7 +207,9 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
     let node = Node.create ~signer ~cert () in
     match Node.receive node ~now:(Timestamp.add_ms (now_ts ()) 1L) genesis with
     | Node.Accepted ->
-      let t = { dir; node; ca_cert = cert; key = { signer; height; seed } } in
+      let t =
+        { dir; node; ca_cert = cert; key = { signer; height; seed }; refused = [] }
+      in
       let* _genesis = created t genesis in
       Ok t
     | (Node.Duplicate | Node.Buffered _ | Node.Rejected _) as r ->
@@ -220,8 +236,12 @@ let load ~dir =
       Error "key file does not match certificate"
     else begin
       let node = Node.create ~signer ~cert () in
-      Node.receive_all node ~now:(stored_ts dag) (List.of_seq (Dag.topo_seq dag));
-      let t = { dir; node; ca_cert; key = { signer; height; seed } } in
+      let stored = List.of_seq (Dag.topo_seq dag) in
+      Node.receive_all node ~now:(stored_ts dag) stored;
+      let refused =
+        List.filter (fun (b : Block.t) -> not (Dag.mem (Node.dag node) b.Block.hash)) stored
+      in
+      let t = { dir; node; ca_cert; key = { signer; height; seed }; refused } in
       record t
         (Obs.Event.Store_loaded
            { node = node_name t; blocks = Dag.cardinal (Node.dag node) });
@@ -315,6 +335,7 @@ let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
         node = Node.create ~signer:subject ~cert ();
         ca_cert = ca.ca_cert;
         key = { signer = subject; height; seed };
+        refused = [];
       }
     in
     let* _stats = sync t ~from:ca ~mode:Reconcile.Naive in

@@ -17,7 +17,8 @@
     create) is journaled [created], then saved; a block from another
     directory ({!sync}, {!recover}, and the pulls inside {!enroll} and
     {!rotate}) goes through {!deliver}; {!load} re-admits the store's
-    own [chain.dag], silently. *)
+    own [chain.dag], silently, and keeps what it refuses in [refused],
+    so that no save erases a stored block. *)
 
 type key
 (** The node's signer with the height and seed that re-derive it. *)
@@ -27,6 +28,9 @@ type t = {
   node : Vegvisir.Node.t;
   ca_cert : Vegvisir.Certificate.t;
   key : key;  (** this handle's own signer: {!save} persists its position *)
+  refused : Vegvisir.Block.t list;
+      (** stored blocks that {!load}'s intake did not make resident, in
+          canonical order: {!save} writes them back *)
 }
 
 val init :
@@ -59,9 +63,13 @@ val load : dir:string -> (t, string) result
     node's intake. The clock it checks them against is no earlier than
     the newest stored timestamp, so a block appended while the clock ran
     ahead is kept; signatures, parents and membership are checked as on
-    any intake. *)
+    any intake. A stored block the intake does not make resident is not
+    in the replica, but stays in [refused]. *)
 
 val save : t -> (unit, string) result
+(** Write the directory: [chain.dag] holds the resident DAG plus
+    [refused], so a store with nothing refused writes exactly its
+    replica. *)
 
 val append :
   t ->

@@ -42,7 +42,7 @@ let mem t elem = List.for_all (get_bit t) (positions t elem)
 let bit_count t = bit_total t
 let hash_count t = t.k
 
-(* Wire: u16 k, u32 byte length, bits. *)
+(* Wire: u8 k, u24 big-endian byte length, bits. *)
 let to_string t =
   let b = Buffer.create (Bytes.length t.bits + 8) in
   Buffer.add_char b (Char.chr (t.k land 0xff));

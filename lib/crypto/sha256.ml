@@ -97,26 +97,55 @@ let string_of_state h =
   done;
   Bytes.unsafe_to_string out
 
+(* The SHA-NI kernel (sha256_stubs.c): the same compression on the x86
+   SHA extensions. Each call runs a whole run of blocks, or a whole
+   hash chain, so the boundary is crossed once per run, not per block.
+   The stubs allocate nothing, keep no static state and trust their
+   arguments, which the callers below check first. *)
+
+(* lint: no-static-state — reads cpuid into locals *)
+external ni_available : unit -> bool = "vv_sha256_ni_available" [@@noalloc]
+
+(* lint: no-static-state — touches only the state, the bytes and the C stack *)
+external ni_compress : int array -> bytes -> int -> int -> unit
+  = "vv_sha256_ni_compress"
+[@@noalloc]
+
+(* lint: no-static-state — touches only the block and the C stack *)
+external ni_iterate : bytes -> int -> int -> unit = "vv_sha256_ni_iterate"
+[@@noalloc]
+
+(* The CPU probe, once per process: nothing else chooses the kernel. *)
+let sha_ni = ni_available ()
+let kernel = if sha_ni then "sha-ni" else "ocaml"
+
 type ctx = {
+  ni : bool; (* this context's kernel *)
   h : int array; (* 8 state words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* bytes absorbed so far *)
-  w : int array; (* message schedule scratch *)
+  w : int array; (* message schedule scratch (OCaml kernel) *)
 }
 
-let init () =
+let make ni =
   {
+    ni;
     h = Array.copy iv;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = (if ni then [||] else Array.make 64 0);
   }
 
-let compress_block ctx b off =
-  load_words ctx.w 16 b off;
-  compress ctx.h ctx.w
+(* [n] whole blocks of [b] at [off], a range the caller has checked. *)
+let compress_blocks ctx b off n =
+  if ctx.ni then ni_compress ctx.h b off n
+  else
+    for i = 0 to n - 1 do
+      load_words ctx.w 16 b (off + (64 * i));
+      compress ctx.h ctx.w
+    done
 
 let feed_bytes ctx b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
@@ -131,18 +160,16 @@ let feed_bytes ctx b off len =
     off := !off + take;
     len := !len - take;
     if ctx.buf_len = 64 then begin
-      compress_block ctx ctx.buf 0;
+      compress_blocks ctx ctx.buf 0 1;
       ctx.buf_len <- 0
     end
   end;
-  while !len >= 64 do
-    compress_block ctx b !off;
-    off := !off + 64;
-    len := !len - 64
-  done;
-  if !len > 0 then begin
-    Bytes.blit b !off ctx.buf 0 !len;
-    ctx.buf_len <- !len
+  let whole = !len / 64 in
+  if whole > 0 then compress_blocks ctx b !off whole;
+  let rest = !len - (64 * whole) in
+  if rest > 0 then begin
+    Bytes.blit b (!off + (64 * whole)) ctx.buf 0 rest;
+    ctx.buf_len <- rest
   end
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
@@ -155,42 +182,36 @@ let finalize ctx =
   Bytes.set buf ctx.buf_len '\x80';
   if ctx.buf_len >= 56 then begin
     Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\x00';
-    compress_block ctx buf 0;
+    compress_blocks ctx buf 0 1;
     Bytes.fill buf 0 56 '\x00'
   end
   else Bytes.fill buf (ctx.buf_len + 1) (55 - ctx.buf_len) '\x00';
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress_block ctx buf 0;
+  compress_blocks ctx buf 0 1;
   ctx.buf_len <- 0;
   string_of_state ctx.h
 
-(* Digesting allocates a fresh ctx per call and shares nothing, so the
-   batch intake's signature prechecks (Node.receive_all) may call these
-   from any domain. The annotations are checked: vegvisir-lint's
-   parallel-safety rule walks the call graph and fails the build if a
-   path to top-level mutable state ever appears. *)
+(* The one-shot functions, on the kernel [ni] names. Each allocates a
+   fresh ctx (or its own scratch) per call and shares nothing. *)
 
-(* lint: parallel-safe *)
-let digest s =
-  let ctx = init () in
+let digest_with ni s =
+  let ctx = make ni in
   feed ctx s;
   finalize ctx
 
-(* lint: parallel-safe *)
-let digest_list parts =
-  let ctx = init () in
+let digest_list_with ni parts =
+  let ctx = make ni in
   List.iter (feed ctx) parts;
   finalize ctx
 
 (* [iterate ~prefix v n] applies v <- H(prefix || v) n times. The input
-   fits one padded block, so every step is a single compression: the
-   prefix and padding words are fixed once per call, the previous
-   digest's 8 words are shifted in at the prefix's byte offset, and the
-   state restarts from the IV. The three arrays are this call's own
+   fits one padded block, so every step is a single compression. The
+   SHA-NI kernel runs all n steps in one call over that block. The OCaml
+   kernel fixes the prefix and padding words once per call, shifts the
+   previous digest's 8 words in at the prefix's byte offset, and
+   restarts the state from the IV. The arrays are this call's own
    scratch; a step allocates nothing. *)
-
-(* lint: parallel-safe *)
-let iterate ~prefix v n =
+let iterate_with ni ~prefix v n =
   let p = String.length prefix in
   if String.length v <> digest_size then
     invalid_arg "Sha256.iterate: input must be 32 bytes";
@@ -202,30 +223,36 @@ let iterate ~prefix v n =
     Bytes.blit_string prefix 0 block 0 p;
     Bytes.set block (p + digest_size) '\x80';
     Bytes.set_int64_be block 56 (Int64.of_int (8 * (p + digest_size)));
-    let fixed = Array.make 16 0 in
-    load_words fixed 16 block 0;
-    let h = Array.make 8 0 in
-    load_words h 8 (Bytes.unsafe_of_string v) 0;
-    let w = Array.make 64 0 in
-    let q = p / 4 and shift = 8 * (p mod 4) in
-    for _ = 1 to n do
-      Array.blit fixed 0 w 0 16;
-      for i = 0 to 7 do
-        let x = h.(i) in
-        w.(q + i) <- w.(q + i) lor (x lsr shift);
-        w.(q + i + 1) <- w.(q + i + 1) lor ((x lsl (32 - shift)) land mask32)
+    if ni then begin
+      Bytes.blit_string v 0 block p digest_size;
+      ni_iterate block p n;
+      Bytes.sub_string block p digest_size
+    end
+    else begin
+      let fixed = Array.make 16 0 in
+      load_words fixed 16 block 0;
+      let h = Array.make 8 0 in
+      load_words h 8 (Bytes.unsafe_of_string v) 0;
+      let w = Array.make 64 0 in
+      let q = p / 4 and shift = 8 * (p mod 4) in
+      for _ = 1 to n do
+        Array.blit fixed 0 w 0 16;
+        for i = 0 to 7 do
+          let x = h.(i) in
+          w.(q + i) <- w.(q + i) lor (x lsr shift);
+          w.(q + i + 1) <- w.(q + i + 1) lor ((x lsl (32 - shift)) land mask32)
+        done;
+        for i = 0 to 7 do
+          h.(i) <- iv.(i)
+        done;
+        compress h w
       done;
-      for i = 0 to 7 do
-        h.(i) <- iv.(i)
-      done;
-      compress h w
-    done;
-    string_of_state h
+      string_of_state h
+    end
   end
 
-(* lint: parallel-safe *)
-let hmac ~key msg =
-  let key = if String.length key > 64 then digest key else key in
+let hmac_with ni ~key msg =
+  let key = if String.length key > 64 then digest_with ni key else key in
   let pad_key c =
     let b = Bytes.make 64 c in
     String.iteri
@@ -234,4 +261,52 @@ let hmac ~key msg =
     Bytes.unsafe_to_string b
   in
   let ipad = pad_key '\x36' and opad = pad_key '\x5c' in
-  digest_list [ opad; digest_list [ ipad; msg ] ]
+  digest_list_with ni [ opad; digest_list_with ni [ ipad; msg ] ]
+
+module type S = sig
+  type ctx
+
+  val digest_size : int
+  val init : unit -> ctx
+  val feed : ctx -> string -> unit
+  val feed_bytes : ctx -> bytes -> int -> int -> unit
+  val finalize : ctx -> string
+  val digest : string -> string
+  val digest_list : string list -> string
+  val iterate : prefix:string -> string -> int -> string
+  val hmac : key:string -> string -> string
+end
+
+module Portable = struct
+  type nonrec ctx = ctx
+
+  let digest_size = digest_size
+  let init () = make false
+  let feed_bytes = feed_bytes
+  let feed = feed
+  let finalize = finalize
+  let digest s = digest_with false s
+  let digest_list parts = digest_list_with false parts
+  let iterate ~prefix v n = iterate_with false ~prefix v n
+  let hmac ~key msg = hmac_with false ~key msg
+end
+
+let init () = make sha_ni
+
+(* The batch intake's signature prechecks (Node.receive_all) may call
+   these from any domain. The annotations are checked: vegvisir-lint's
+   parallel-safety rule walks the call graph, into the stubs'
+   declarations, and fails the build if a path to top-level mutable
+   state ever appears. *)
+
+(* lint: parallel-safe *)
+let digest s = digest_with sha_ni s
+
+(* lint: parallel-safe *)
+let digest_list parts = digest_list_with sha_ni parts
+
+(* lint: parallel-safe *)
+let iterate ~prefix v n = iterate_with sha_ni ~prefix v n
+
+(* lint: parallel-safe *)
+let hmac ~key msg = hmac_with sha_ni ~key msg

@@ -1,41 +1,60 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4) with an incremental API, plus HMAC.
+(** SHA-256 (FIPS 180-4) with an incremental API, plus HMAC.
 
     Digests are 32-byte raw strings; use {!Hex.encode} for display.
-    The implementation uses native [int] arithmetic masked to 32 bits,
-    which is correct on 64-bit platforms (OCaml's [int] is 63-bit). *)
 
-type ctx
-(** An in-progress hash computation. *)
+    Two kernels compute the same compression. A CPU probe at start-up
+    picks one for the whole process, and nothing else chooses:
+    - on an x86-64 CPU with the SHA extensions, a C kernel on
+      [sha256rnds2]/[sha256msg1]/[sha256msg2] ("sha-ni");
+    - everywhere else, the OCaml word kernel ("ocaml"), over native
+      [int] arithmetic masked to 32 bits, which is correct on 64-bit
+      platforms (OCaml's [int] is 63-bit).
 
-val digest_size : int
-(** Always 32. *)
+    {!Portable} always runs the OCaml kernel: it is the reference the
+    tests compare the other against. *)
 
-val init : unit -> ctx
-(** A fresh context. *)
+module type S = sig
+  type ctx
+  (** An in-progress hash computation. *)
 
-val feed : ctx -> string -> unit
-(** [feed ctx s] absorbs all of [s]. *)
+  val digest_size : int
+  (** Always 32. *)
 
-val feed_bytes : ctx -> bytes -> int -> int -> unit
-(** [feed_bytes ctx b off len] absorbs [len] bytes of [b] at [off]. *)
+  val init : unit -> ctx
+  (** A fresh context. *)
 
-val finalize : ctx -> string
-(** [finalize ctx] is the 32-byte digest. The context must not be used
-    afterwards. *)
+  val feed : ctx -> string -> unit
+  (** [feed ctx s] absorbs all of [s]. *)
 
-val digest : string -> string
-(** One-shot hash of a string. *)
+  val feed_bytes : ctx -> bytes -> int -> int -> unit
+  (** [feed_bytes ctx b off len] absorbs [len] bytes of [b] at [off]. *)
 
-val digest_list : string list -> string
-(** [digest_list parts] hashes the concatenation of [parts] without building
-    the concatenation. *)
+  val finalize : ctx -> string
+  (** [finalize ctx] is the 32-byte digest. The context must not be used
+      afterwards. *)
 
-val iterate : prefix:string -> string -> int -> string
-(** [iterate ~prefix v n] applies [v <- digest (prefix ^ v)] [n] times
-    ([v] itself when [n = 0]): the hash chains of {!Wots}. Each step is
-    one compression with no allocation.
-    @raise Invalid_argument unless [v] is 32 bytes, [prefix] is at most
-    23 bytes (so [prefix ^ v] pads to one block) and [n >= 0]. *)
+  val digest : string -> string
+  (** One-shot hash of a string. *)
 
-val hmac : key:string -> string -> string
-(** HMAC-SHA-256 (RFC 2104). *)
+  val digest_list : string list -> string
+  (** [digest_list parts] hashes the concatenation of [parts] without
+      building the concatenation. *)
+
+  val iterate : prefix:string -> string -> int -> string
+  (** [iterate ~prefix v n] applies [v <- digest (prefix ^ v)] [n] times
+      ([v] itself when [n = 0]): the hash chains of {!Wots}. Each step is
+      one compression with no allocation.
+      @raise Invalid_argument unless [v] is 32 bytes, [prefix] is at
+      most 23 bytes (so [prefix ^ v] pads to one block) and [n >= 0]. *)
+
+  val hmac : key:string -> string -> string
+  (** HMAC-SHA-256 (RFC 2104). *)
+end
+
+include S
+
+val kernel : string
+(** The kernel this process runs: ["sha-ni"] or ["ocaml"]. *)
+
+module Portable : S
+(** The OCaml word kernel, on every CPU. *)

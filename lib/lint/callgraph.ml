@@ -2,11 +2,11 @@
    effect fixpoint on top of it.
 
    Construction is two-pass. Pass 1 walks every structure and records,
-   per compilation unit: its definitions (top-level [let]s, including
-   those nested in [module M = struct .. end] submodules, keyed
-   ["Sub.name"]), its module aliases ([module V = Vegvisir], functor
-   applications normalized by dropping the trailing [Make]), its
-   [open]s, and its [include]s. Pass 2 walks every binding body with a
+   per compilation unit: its definitions (top-level [let]s and
+   [external]s, including those nested in [module M = struct .. end]
+   submodules, keyed ["Sub.name"]), its module aliases
+   ([module V = Vegvisir], functor applications normalized by dropping
+   the trailing [Make]), its [open]s, and its [include]s. Pass 2 walks every binding body with a
    scope-tracking iterator: locally-bound names never produce edges, and
    every remaining identifier either resolves to a definition (an edge)
    or is classified against the primitive denylists (a seeded effect).
@@ -156,25 +156,47 @@ let collect_unit t ~path ~sup (structure : Parsetree.structure) =
     }
   in
   if ns <> "" then Hashtbl.replace t.namespaces ns ();
-  let add_def ~prefix name (vb : Parsetree.value_binding) =
-    let line = vb.pvb_loc.loc_start.pos_lnum in
-    let end_line = vb.pvb_loc.loc_end.pos_lnum in
+  let add ~prefix name ~(loc : Location.t) ~parallel_safe ~own ~shape =
     let key = if prefix = "" then name else prefix ^ "." ^ name in
     let d =
       {
         id = full_unit_name u ^ "." ^ key;
         d_file = path;
-        d_line = line;
-        d_end_line = end_line;
-        d_parallel_safe = Suppress.parallel_safe_covers sup ~line;
+        d_line = loc.loc_start.pos_lnum;
+        d_end_line = loc.loc_end.pos_lnum;
+        d_parallel_safe = parallel_safe;
         calls = Hashtbl.create 8;
-        own = [];
-        shape = shape_of_expr vb.pvb_expr;
+        own;
+        shape;
         written = false;
       }
     in
     Hashtbl.replace u.defs key d;
     Hashtbl.replace t.nodes d.id d
+  in
+  let add_def ~prefix name (vb : Parsetree.value_binding) =
+    add ~prefix name ~loc:vb.pvb_loc
+      ~parallel_safe:
+        (Suppress.parallel_safe_covers sup ~line:vb.pvb_loc.loc_start.pos_lnum)
+      ~own:[] ~shape:(shape_of_expr vb.pvb_expr)
+  in
+  (* An [external] is a node with no body. A primitive not spelled with
+     a leading [%] is foreign code the analysis cannot read: it counts
+     as reaching top-level mutable state unless its declaration carries
+     a reasoned [no-static-state] annotation. *)
+  let add_external ~prefix (vd : Parsetree.value_description) =
+    let line = vd.pval_loc.loc_start.pos_lnum in
+    let own =
+      match vd.pval_prim with
+      | prim :: _
+        when (not (String.starts_with ~prefix:"%" prim))
+             && not (Suppress.no_static_state_covers sup ~line) ->
+        [ ( Effect_sig.Mutates_global,
+            "foreign code " ^ prim ^ " at " ^ path ^ ":" ^ string_of_int line ) ]
+      | _ -> []
+    in
+    add ~prefix vd.pval_name.txt ~loc:vd.pval_loc ~parallel_safe:false ~own
+      ~shape:`Plain
   in
   let rec items ~prefix l =
     List.iter
@@ -187,6 +209,7 @@ let collect_unit t ~path ~sup (structure : Parsetree.structure) =
                 (fun name -> add_def ~prefix name vb)
                 (List.rev (pattern_names [] vb.Parsetree.pvb_pat)))
             vbs
+        | Parsetree.Pstr_primitive vd -> add_external ~prefix vd
         | Parsetree.Pstr_module mb -> module_binding ~prefix mb
         | Parsetree.Pstr_recmodule mbs ->
           List.iter (module_binding ~prefix) mbs

@@ -2,9 +2,9 @@
     effect signatures computed by a bottom-up fixpoint over strongly
     connected components.
 
-    Nodes are top-level [let] definitions (including those inside
-    [module M = struct .. end] submodules), identified by a fully
-    qualified id such as ["Vegvisir.Dag.add"] or
+    Nodes are top-level [let] definitions and [external] declarations
+    (including those inside [module M = struct .. end] submodules),
+    identified by a fully qualified id such as ["Vegvisir.Dag.add"] or
     ["Vegvisir_cli.Node_store.load"] — library wrapper module, unit,
     optional submodule chain, then the value name. Units outside [lib/]
     (bin, bench, examples, test fixtures) have no wrapper and are
@@ -25,7 +25,10 @@
     arguments), [Unordered_iter] (Hashtbl traversal). Top-level mutable
     bindings (refs, Hashtbls, Buffers, queues, arrays that are written
     anywhere in the tree) carry [Mutates_global] as an own-effect, so
-    witness chains terminate at the state itself.
+    witness chains terminate at the state itself. So does an [external]
+    naming foreign code (a primitive without a leading [%]), unless a
+    reasoned [no-static-state] annotation ({!Suppress}) covers its
+    declaration: the C behind it is invisible to the analysis.
 
     Known blind spots, by design (the analysis is syntactic): calls
     through first-class modules ([module Log = (val Logs.src_log ...)]),

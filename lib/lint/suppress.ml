@@ -9,6 +9,7 @@ type entry = {
 type t = {
   entries : entry list;
   safe_lines : int list;  (* lines covered by a parallel-safe annotation *)
+  stateless_lines : int list;  (* lines covered by a no-static-state one *)
   errs : (int * int * string) list;
 }
 
@@ -60,8 +61,11 @@ let valid_rule_name s =
 type acc = {
   mutable a_entries : entry list;
   mutable a_safe : int list;
+  mutable a_stateless : int list;
   mutable a_errs : (int * int * string) list;
 }
+
+let no_static_state = "no-static-state"
 
 let parse_line ~known_rules ~lineno line acc =
   let rec go from =
@@ -79,11 +83,22 @@ let parse_line ~known_rules ~lineno line acc =
           && is_blank
                (String.sub line (close + 2) (String.length line - close - 2))
         in
+        let covered = if standalone then lineno + 1 else lineno in
         (if String.equal content "parallel-safe" then
            (* An annotation, not a suppression: marks the definition on
               the covered line as a domain-safety entry point. *)
-           let covered = if standalone then lineno + 1 else lineno in
            acc.a_safe <- covered :: acc.a_safe
+         else if String.starts_with ~prefix:no_static_state content then
+           (* An annotation on an [external]: its foreign code keeps no
+              static state. It asserts what the analysis cannot read, so
+              it must say why. *)
+           begin match split_reason content with
+           | Some (name, reason) when name = no_static_state && reason <> "" ->
+             acc.a_stateless <- covered :: acc.a_stateless
+           | _ ->
+             acc.a_errs <-
+               (lineno, start, "no-static-state needs a reason") :: acc.a_errs
+           end
          else
            match
              String.length content >= 5 && String.sub content 0 5 = "allow"
@@ -135,13 +150,14 @@ let parse_line ~known_rules ~lineno line acc =
 
 let scan ~known_rules source =
   let lines = String.split_on_char '\n' source in
-  let acc = { a_entries = []; a_safe = []; a_errs = [] } in
+  let acc = { a_entries = []; a_safe = []; a_stateless = []; a_errs = [] } in
   List.iteri
     (fun i line -> parse_line ~known_rules ~lineno:(i + 1) line acc)
     lines;
   {
     entries = List.rev acc.a_entries;
     safe_lines = List.rev acc.a_safe;
+    stateless_lines = List.rev acc.a_stateless;
     errs = List.rev acc.a_errs;
   }
 
@@ -171,6 +187,7 @@ let allows t ~rule ?(end_line = 0) ~line () =
 
 let errors t = t.errs
 let parallel_safe_covers t ~line = List.mem line t.safe_lines
+let no_static_state_covers t ~line = List.mem line t.stateless_lines
 
 let dead t =
   List.filter_map

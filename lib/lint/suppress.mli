@@ -21,6 +21,12 @@
     alone on its own) as a domain-safety entry point for the
     interprocedural analysis (see {!Interproc}).
 
+    A third, [(* lint: no-static-state — reason *)], annotates an
+    [external] whose primitive is foreign code: it asserts that the C
+    keeps no static mutable state, which the call graph cannot read, so
+    the reason is mandatory. Without it, a foreign primitive counts as
+    reaching top-level mutable state.
+
     Suppressions that cover no finding at the end of a run are reported
     as [lint-suppression] findings themselves ({!dead}): stale
     suppressions would otherwise silently mask future regressions. *)
@@ -29,8 +35,8 @@ type t
 
 val scan : known_rules:string list -> string -> t
 (** [scan ~known_rules source] collects every suppression comment and
-    [parallel-safe] annotation in [source]. [known_rules] is used to
-    diagnose typo'd rule names. *)
+    [parallel-safe] or [no-static-state] annotation in [source].
+    [known_rules] is used to diagnose typo'd rule names. *)
 
 val allows : t -> rule:string -> ?end_line:int -> line:int -> unit -> bool
 (** [allows t ~rule ~line ()] is true when a finding for [rule] at
@@ -44,6 +50,9 @@ val errors : t -> (int * int * string) list
 
 val parallel_safe_covers : t -> line:int -> bool
 (** Whether a [(* lint: parallel-safe *)] annotation covers [line]. *)
+
+val no_static_state_covers : t -> line:int -> bool
+(** Whether a reasoned [no-static-state] annotation covers [line]. *)
 
 val dead : t -> (int * int * string list) list
 (** Suppressions that {!allows} never matched, as

@@ -490,6 +490,29 @@ let stored_hashes raw =
   | Some dag -> V.Hash_id.Set.of_list (List.map (fun b -> b.V.Block.hash) (V.Dag.blocks dag))
   | None -> Alcotest.fail "chain.dag does not decode"
 
+let read_chain dir = In_channel.with_open_bin (Filename.concat dir "chain.dag") In_channel.input_all
+
+(* Flip one byte in the last block's signature, which ends the block
+   list ahead of the 4-byte empty archive list: the file still decodes,
+   with that block under a new hash, which is returned. *)
+let damage_last_block dir =
+  let raw = read_chain dir in
+  let tampered = Bytes.of_string raw in
+  let i = Bytes.length tampered - 200 in
+  Bytes.set tampered i (Char.chr (Char.code (Bytes.get tampered i) lxor 1));
+  Out_channel.with_open_bin (Filename.concat dir "chain.dag") (fun oc ->
+      Out_channel.output_bytes oc tampered);
+  match
+    V.Hash_id.Set.elements
+      (V.Hash_id.Set.diff (stored_hashes (Bytes.to_string tampered)) (stored_hashes raw))
+  with
+  | [ h ] -> h
+  | hs -> Alcotest.failf "expected one changed block, got %d" (List.length hs)
+
+let append_values t =
+  List.iter (fun v ->
+      ignore (Result.get_ok (Node_store.append t ~crdt:"log" ~op:"add" [ Value.String v ])))
+
 (* [verify] replays the stored chain.dag, not the loaded replica. One
    flipped byte in the last block's signature leaves the file decodable
    under a new hash for that block; [load] refuses the block silently,
@@ -497,32 +520,38 @@ let stored_hashes raw =
 let verify_reports_dropped_block () =
   let a = init "verify-dropped" in
   let dir = a.Node_store.dir in
-  List.iter
-    (fun v -> ignore (Result.get_ok (Node_store.append a ~crdt:"log" ~op:"add" [ Value.String v ])))
-    [ "one"; "two" ];
+  append_values a [ "one"; "two" ];
   let out, _, status = run_cli [ "verify"; "--dir"; dir ] in
   check_b "untouched: exit 0" true (status = Unix.WEXITED 0);
   Alcotest.(check string) "untouched: stdout" "ok: 3 block(s) revalidated from the genesis\n" out;
-  let chain = Filename.concat dir "chain.dag" in
-  let raw = In_channel.with_open_bin chain In_channel.input_all in
-  (* The last block's signature ends the block list, ahead of the 4-byte
-     empty archive list. *)
-  let tampered = Bytes.of_string raw in
-  let i = Bytes.length tampered - 200 in
-  Bytes.set tampered i (Char.chr (Char.code (Bytes.get tampered i) lxor 1));
-  Out_channel.with_open_bin chain (fun oc -> Out_channel.output_bytes oc tampered);
-  let damaged =
-    V.Hash_id.Set.elements
-      (V.Hash_id.Set.diff (stored_hashes (Bytes.to_string tampered)) (stored_hashes raw))
-  in
-  check_i "one block changed" 1 (List.length damaged);
+  let damaged = damage_last_block dir in
   let loaded = Result.get_ok (Node_store.load ~dir) in
   check_i "load drops it" 2 (V.Dag.cardinal (V.Node.dag loaded.Node_store.node));
   let _, err, status = run_cli [ "verify"; "--dir"; dir ] in
   check_b "damaged: exit 1" true (status = Unix.WEXITED 1);
-  List.iter
-    (fun h -> check_b ("names the block: " ^ err) true (contains err (V.Hash_id.short h)))
-    damaged
+  check_b ("names the block: " ^ err) true (contains err (V.Hash_id.short damaged))
+
+(* A save after a refusing [load] writes the refused block back: one
+   more [append] leaves it in chain.dag, and [verify] still names it. A
+   store with nothing refused saves its file byte for byte. *)
+let save_keeps_refused_block () =
+  let a = init "save-keeps-refused" in
+  let dir = a.Node_store.dir in
+  append_values a [ "one"; "two" ];
+  let before = read_chain dir in
+  ignore (Result.get_ok (Node_store.save (Result.get_ok (Node_store.load ~dir))));
+  check_b "nothing refused: identical bytes" true (String.equal before (read_chain dir));
+  let damaged = damage_last_block dir in
+  let out, err, status = run_cli [ "append"; "--dir"; dir; "--value"; "three" ] in
+  check_b ("append: exit 0: " ^ out ^ err) true (status = Unix.WEXITED 0);
+  let stored = stored_hashes (read_chain dir) in
+  check_b "chain.dag keeps the refused block" true (V.Hash_id.Set.mem damaged stored);
+  check_i "beside the three resident ones" 4 (V.Hash_id.Set.cardinal stored);
+  let loaded = Result.get_ok (Node_store.load ~dir) in
+  check_i "the replica leaves it out" 3 (V.Dag.cardinal (V.Node.dag loaded.Node_store.node));
+  let _, err, status = run_cli [ "verify"; "--dir"; dir ] in
+  check_b "verify: exit 1" true (status = Unix.WEXITED 1);
+  check_b ("names the block: " ^ err) true (contains err (V.Hash_id.short damaged))
 
 (* [enroll] journals its enrolment block [created] on the CA, and seeds
    the member by a pull that journals it [delivered]: the two journals
@@ -2002,6 +2031,8 @@ let () =
             sync_live_connect_errors;
           Alcotest.test_case "verify names a dropped block" `Quick
             verify_reports_dropped_block;
+          Alcotest.test_case "a save keeps a refused block" `Quick
+            save_keeps_refused_block;
           Alcotest.test_case "enroll journals the enrolment" `Quick enroll_journals;
           Alcotest.test_case "rotate journals the rotation" `Quick rotate_journals;
         ] );

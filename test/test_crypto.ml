@@ -23,85 +23,92 @@ let hex_basics () =
   check_s "empty decode" "" (Hex.decode "")
 
 (* ------------------------------------------------------------------ *)
-(* SHA-256                                                              *)
+(* SHA-256, on every kernel this CPU runs                               *)
 
-let sha_vectors () =
+module type SHA = Sha256.S
+
+(* The kernel this process runs (Sha256 itself) and the OCaml word
+   kernel (Sha256.Portable). Each case below takes one of them. *)
+let process_kernel = (module Sha256 : SHA)
+let ocaml_kernel = (module Sha256.Portable : SHA)
+
+let sha_vectors (module K : SHA) () =
   check_s "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (hex (Sha256.digest ""));
+    (hex (K.digest ""));
   check_s "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (hex (Sha256.digest "abc"));
+    (hex (K.digest "abc"));
   check_s "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (hex (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"));
+    (hex (K.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"));
   check_s "896-bit"
     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
     (hex
-       (Sha256.digest
+       (K.digest
           "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
            ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"))
 
-let sha_long () =
+let sha_long (module K : SHA) () =
   (* 10^6 'a' characters (FIPS vector), fed in uneven chunks. *)
-  let ctx = Sha256.init () in
+  let ctx = K.init () in
   let chunk = String.make 997 'a' in
   let fed = ref 0 in
   while !fed + 997 <= 1_000_000 do
-    Sha256.feed ctx chunk;
+    K.feed ctx chunk;
     fed := !fed + 997
   done;
-  Sha256.feed ctx (String.make (1_000_000 - !fed) 'a');
+  K.feed ctx (String.make (1_000_000 - !fed) 'a');
   check_s "million a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (hex (Sha256.finalize ctx))
+    (hex (K.finalize ctx))
 
-let sha_incremental () =
+let sha_incremental (module K : SHA) () =
   let data = String.init 1000 (fun i -> Char.chr (i mod 256)) in
-  let one_shot = Sha256.digest data in
+  let one_shot = K.digest data in
   List.iter
     (fun cut ->
-      let ctx = Sha256.init () in
-      Sha256.feed ctx (String.sub data 0 cut);
-      Sha256.feed ctx (String.sub data cut (String.length data - cut));
+      let ctx = K.init () in
+      K.feed ctx (String.sub data 0 cut);
+      K.feed ctx (String.sub data cut (String.length data - cut));
       check_s (Printf.sprintf "split at %d" cut) (hex one_shot)
-        (hex (Sha256.finalize ctx)))
+        (hex (K.finalize ctx)))
     [ 0; 1; 63; 64; 65; 127; 128; 555; 1000 ]
 
-let sha_digest_list () =
+let sha_digest_list (module K : SHA) () =
   check_s "concat equivalence"
-    (hex (Sha256.digest "foobarbaz"))
-    (hex (Sha256.digest_list [ "foo"; "bar"; "baz" ]))
+    (hex (K.digest "foobarbaz"))
+    (hex (K.digest_list [ "foo"; "bar"; "baz" ]))
 
-let hmac_vectors () =
+let hmac_vectors (module K : SHA) () =
   (* RFC 4231 test case 1 *)
   check_s "rfc4231 #1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (hex (Sha256.hmac ~key:(String.make 20 '\x0b') "Hi There"));
+    (hex (K.hmac ~key:(String.make 20 '\x0b') "Hi There"));
   (* RFC 4231 test case 2 *)
   check_s "rfc4231 #2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (hex (Sha256.hmac ~key:"Jefe" "what do ya want for nothing?"));
+    (hex (K.hmac ~key:"Jefe" "what do ya want for nothing?"));
   (* Long key (> block size) must be hashed first. *)
   let long_key = String.make 131 '\xaa' in
   check_s "rfc4231 #6"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (hex
-       (Sha256.hmac ~key:long_key
+       (K.hmac ~key:long_key
           "Test Using Larger Than Block-Size Key - Hash Key First"))
 
 (* Every length 0..256 crosses each padding boundary (55/56 bytes, one
    block, two blocks). The fingerprint hashes the 257 digests of bytes
    ((7i + n) mod 256) for i < n; it was computed independently, with
    Python's hashlib. *)
-let sha_all_lengths () =
+let sha_all_lengths (module K : SHA) () =
   let input n = String.init n (fun i -> Char.chr (((7 * i) + n) land 0xff)) in
   check_s "fingerprint"
     "8c87921c70e710c77b598f6aed63e551969111a288541684ba32dc1203143503"
-    (hex (Sha256.digest (String.concat "" (List.init 257 (fun n -> Sha256.digest (input n))))))
+    (hex (K.digest (String.concat "" (List.init 257 (fun n -> K.digest (input n))))))
 
-let iterate_rejects () =
+let iterate_rejects (module K : SHA) () =
   let v = String.make 32 'v' in
   List.iter
     (fun (what, prefix, v, n) ->
-      match Sha256.iterate ~prefix v n with
+      match K.iterate ~prefix v n with
       | _ -> Alcotest.failf "iterate accepted %s" what
       | exception Invalid_argument _ -> ())
     [
@@ -112,6 +119,50 @@ let iterate_rejects () =
       ("24-byte prefix", String.make 24 'p', v, 1);
       ("negative count", "p", v, -1);
     ]
+
+(* The per-step chain that Sha256.iterate replaced, on the OCaml kernel:
+   the oracle for every kernel's iterate and for the W-OTS and MSS
+   oracles below. *)
+let oracle_chain ~prefix v n =
+  let rec go v n =
+    if n = 0 then v else go (Sha256.Portable.digest_list [ prefix; v ]) (n - 1)
+  in
+  go v n
+
+(* Every prefix length, at step counts around the W-OTS chain lengths. *)
+let iterate_oracle (module K : SHA) () =
+  let v = K.digest "iterate-oracle" in
+  for p = 0 to 23 do
+    let prefix = String.init p (fun i -> Char.chr (0x41 + i)) in
+    List.iter
+      (fun n ->
+        check_s (Printf.sprintf "prefix %d, %d steps" p n)
+          (hex (oracle_chain ~prefix v n))
+          (hex (K.iterate ~prefix v n)))
+      [ 0; 1; 2; 15; 16; 255 ]
+  done
+
+let sha_cases =
+  [
+    ("FIPS vectors", `Quick, sha_vectors);
+    ("million a", `Slow, sha_long);
+    ("incremental splits", `Quick, sha_incremental);
+    ("digest_list", `Quick, sha_digest_list);
+    ("HMAC RFC 4231", `Quick, hmac_vectors);
+    ("every length 0..256", `Quick, sha_all_lengths);
+    ("iterate rejects bad input", `Quick, iterate_rejects);
+    ("iterate = per-step oracle", `Quick, iterate_oracle);
+  ]
+
+let sha_suite kernel =
+  List.map (fun (name, speed, case) -> Alcotest.test_case name speed (case kernel)) sha_cases
+
+(* Names the kernel the "sha256" suite ran, and checks it against the
+   OCaml kernel once. *)
+let process_kernel_named () =
+  check_b "a known kernel" true (List.mem Sha256.kernel [ "sha-ni"; "ocaml" ]);
+  check_s "agrees with the ocaml kernel" (hex (Sha256.Portable.digest "kernel"))
+    (hex (Sha256.digest "kernel"))
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                  *)
@@ -315,14 +366,10 @@ let mss_height_zero () =
 
 (* ------------------------------------------------------------------ *)
 (* Oracles: W-OTS and MSS verification over the serialized signature,
-   built on the per-step digest_list chain that Sha256.iterate replaced. *)
-
-let oracle_chain ~prefix v n =
-  let rec go v n = if n = 0 then v else go (Sha256.digest_list [ prefix; v ]) (n - 1) in
-  go v n
+   built on the per-step chain, all on the OCaml kernel. *)
 
 let oracle_positions (p : Wots.params) msg =
-  let d = Sha256.digest msg in
+  let d = Sha256.Portable.digest msg in
   let bit i = if i >= 256 then 0 else (Char.code d.[i / 8] lsr (7 - (i mod 8))) land 1 in
   let msg_chunks =
     Array.init p.len1 (fun i ->
@@ -342,7 +389,7 @@ let oracle_wots_verify (p : Wots.params) pk msg chains =
   &&
   let pos = oracle_positions p msg in
   String.equal pk
-    (Sha256.digest_list
+    (Sha256.Portable.digest_list
        (List.init p.len (fun i ->
             oracle_chain ~prefix:"wots-chain" (String.sub chains (32 * i) 32)
               (p.chain_max - pos.(i)))))
@@ -407,6 +454,51 @@ let mss_index_bound () =
           (verifies msg (Bytes.to_string b))
       done)
     sigs
+
+(* The batch intake's precheck: Block.ots_holds mapped over the worker
+   domains, on this process's kernel, gives block for block what the
+   OCaml-kernel oracle gives one block at a time. Every 16th block has
+   a flipped chain byte, so both answers occur. *)
+let pooled_ots_holds () =
+  let module V = Vegvisir in
+  let ca = V.Signer.mss ~height:8 ~seed:"pooled-ots" () in
+  let creator = (V.Certificate.self_signed ~signer:ca ~role:"ca").V.Certificate.user_id in
+  let rec chain acc parents i =
+    if i = 200 then List.rev acc
+    else
+      let b =
+        V.Block.create ~signer:ca ~creator
+          ~timestamp:(V.Timestamp.of_ms (Int64.of_int (10 * i)))
+          ~parents []
+      in
+      chain (b :: acc) [ b.V.Block.hash ] (i + 1)
+  in
+  let flip_chain_byte (b : V.Block.t) =
+    let raw = Bytes.of_string (V.Block.to_string b) in
+    let at = Bytes.length raw - String.length b.V.Block.signature + 4 + 32 + 100 in
+    Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor 1));
+    Option.get (V.Block.of_string (Bytes.to_string raw))
+  in
+  let blocks =
+    Array.of_list (List.mapi (fun i b -> if i mod 16 = 5 then flip_chain_byte b else b) (chain [] [] 0))
+  in
+  let oracle (b : V.Block.t) =
+    let p = Wots.params () and raw = b.V.Block.signature in
+    let msg =
+      V.Block.signing_bytes ~creator:b.V.Block.creator ~timestamp:b.V.Block.timestamp
+        ~location:b.V.Block.location ~parents:b.V.Block.parents
+        ~transactions:b.V.Block.transactions
+    in
+    Option.map
+      (fun _ -> oracle_wots_verify p (String.sub raw 4 32) msg (String.sub raw 36 (32 * p.len)))
+      (Mss.signature_of_string raw)
+  in
+  let expected = Array.map oracle blocks in
+  check_i "refused by the oracle" 13
+    (Array.fold_left (fun n r -> if r = Some false then n + 1 else n) 0 expected);
+  Alcotest.(check (array (option bool)))
+    "pooled = sequential" expected
+    (V.Domain_pool.map V.Block.ots_holds blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Sealed box                                                           *)
@@ -513,6 +605,26 @@ let qcheck_tests =
         && String.equal
              (Sha256.iterate ~prefix:"wots-chain" v n)
              (oracle_chain ~prefix:"wots-chain" v n));
+    Test.make ~name:(Sha256.kernel ^ " = ocaml kernel on split feeds") ~count:300
+      (pair (string_of_size Gen.(0 -- 256)) (list_of_size Gen.(0 -- 4) small_nat))
+      (fun (data, cuts) ->
+        let n = String.length data in
+        let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts) in
+        let b = Bytes.of_string data in
+        let hash (module K : SHA) =
+          let ctx = K.init () in
+          let last =
+            List.fold_left (fun from cut -> K.feed_bytes ctx b from (cut - from); cut) 0 cuts
+          in
+          K.feed_bytes ctx b last (n - last);
+          K.finalize ctx
+        in
+        String.equal (hash process_kernel) (hash ocaml_kernel));
+    Test.make ~name:("iterate " ^ Sha256.kernel ^ " = ocaml kernel") ~count:300
+      (triple (string_of_size (Gen.return 32)) (int_range 0 255)
+         (string_of_size Gen.(0 -- 23)))
+      (fun (v, n, prefix) ->
+        String.equal (Sha256.iterate ~prefix v n) (Sha256.Portable.iterate ~prefix v n));
     Test.make ~name:"wots verify = oracle under chain corruption" ~count:40
       (triple (oneofl [ 1; 2; 4; 8 ]) (string_of_size Gen.(0 -- 40))
          (pair small_nat (int_range 0 255)))
@@ -598,15 +710,10 @@ let () =
     [
       ("hex", [ Alcotest.test_case "basics" `Quick hex_basics ]);
       ( "sha256",
-        [
-          Alcotest.test_case "FIPS vectors" `Quick sha_vectors;
-          Alcotest.test_case "million a" `Slow sha_long;
-          Alcotest.test_case "incremental splits" `Quick sha_incremental;
-          Alcotest.test_case "digest_list" `Quick sha_digest_list;
-          Alcotest.test_case "HMAC RFC 4231" `Quick hmac_vectors;
-          Alcotest.test_case "every length 0..256" `Quick sha_all_lengths;
-          Alcotest.test_case "iterate rejects bad input" `Quick iterate_rejects;
-        ] );
+        sha_suite process_kernel
+        @ [ Alcotest.test_case ("process kernel: " ^ Sha256.kernel) `Quick process_kernel_named ]
+      );
+      ("sha-ocaml", sha_suite ocaml_kernel);
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick rng_determinism;
@@ -636,6 +743,9 @@ let () =
           Alcotest.test_case "height zero" `Quick mss_height_zero;
           Alcotest.test_case "index bound to path" `Quick mss_index_bound;
           Alcotest.test_case "precheck never vouches" `Quick mss_precheck_never_vouches;
+          Alcotest.test_case
+            ("pooled ots_holds on " ^ Sha256.kernel ^ " = ocaml oracle")
+            `Quick pooled_ots_holds;
         ] );
       ( "bloom",
         [

@@ -514,6 +514,43 @@ let test_parallel_safety () =
     "let table : (string, int) Hashtbl.t = Hashtbl.create 8\n\
      let lookup k = Hashtbl.find_opt table k\n"
 
+(* An [external] is a call-graph node. Foreign code counts as reaching
+   top-level mutable state unless a reasoned no-static-state annotation
+   says it keeps none; a [%] primitive is the compiler's own. *)
+let stub annotation =
+  annotation
+  ^ "external compress : bytes -> unit = \"vv_compress\" [@@noalloc]\n\n\
+     (* lint: parallel-safe *)\n\
+     let hash b = compress b\n"
+
+let test_unannotated_stub () =
+  match find_rule "parallel-safety" (lint "lib/crypto/stubby.ml" (stub "")) with
+  | [ f ] ->
+    Alcotest.(check bool) "chain ends at the foreign code" true
+      (msg_contains
+         "Vegvisir_crypto.Stubby.hash -> Vegvisir_crypto.Stubby.compress -> \
+          foreign code vv_compress at lib/crypto/stubby.ml:1"
+         f)
+  | fs ->
+    Alcotest.failf "expected one parallel-safety finding, got %d"
+      (List.length fs)
+
+let test_annotated_stub () =
+  check_silent "lib/crypto/stubby.ml"
+    (stub "(* lint: no-static-state \xe2\x80\x94 touches only its argument *)\n");
+  (* The annotation asserts what the analysis cannot read: no reason, no
+     annotation. *)
+  check_fires "lint-suppression" "lib/crypto/stubby.ml"
+    (stub "(* lint: no-static-state *)\n");
+  check_fires "parallel-safety" "lib/crypto/stubby.ml"
+    (stub "(* lint: no-static-state *)\n")
+
+let test_identity_primitive () =
+  check_silent "lib/cli/unix_compat.ml"
+    "external int_of_fd : Unix.file_descr -> int = \"%identity\"\n\n\
+     (* lint: parallel-safe *)\n\
+     let fd_number fd = int_of_fd fd\n"
+
 (* A mutation head writes one container argument, not all of them: a
    top-level table the annotated reader uses is state only when some
    call writes it, not when it is a blit source, a queued element or a
@@ -749,6 +786,9 @@ let () =
             test_fixpoint_mutual_recursion;
           Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
           Alcotest.test_case "parallel safety" `Quick test_parallel_safety;
+          Alcotest.test_case "unannotated external stub" `Quick test_unannotated_stub;
+          Alcotest.test_case "annotated external stub" `Quick test_annotated_stub;
+          Alcotest.test_case "%identity external" `Quick test_identity_primitive;
           Alcotest.test_case "mutation arguments" `Quick test_mutation_arguments;
           Alcotest.test_case "span-codec boundary" `Quick
             test_span_codec_boundary;
