@@ -310,9 +310,18 @@ let dag_16_hashes =
     (fun (b : V.Block.t) -> if V.Block.is_genesis b then None else Some b.V.Block.hash)
     (V.Dag.topo_order dag_16)
 
+(* A 4,000-block chain a fresh replica pulls, newest first (as gap
+   recovery collects it): ordering it parents first is one pass and a
+   sort, where emitting it round by round cost one scan per level. *)
+let chain_4k_pulled =
+  List.rev
+    (List.filter (fun b -> not (V.Block.is_genesis b)) (V.Dag.topo_order (chain_dag 4000)))
+
 let sync_tests =
   Test.make_grouped ~name:"M15-sync"
     [
+      Test.make ~name:"pull-order-chain-4k"
+        (stage (fun () -> V.Reconcile.insertable_order dag_genesis_only chain_4k_pulled));
       Test.make ~name:"digest-depth16"
         (stage (fun () ->
              V.Reconcile.sync_dags V.Reconcile.Digest dag_genesis_only dag_16));
@@ -366,9 +375,25 @@ let obs_hist =
     ~buckets:[ 1.; 5.; 10.; 50.; 100.; 500.; 1000. ]
     "bench.hist"
 
+(* The block events one 201-block pull journals (received, validated
+   and delivered for each block), under one wall-clock stamp. *)
+let journal_batch_603 =
+  List.concat
+    (List.init 201 (fun i ->
+         let block = V.Hash_id.digest (string_of_int i) in
+         List.map
+           (fun phase -> Obs.Event.Block { node = "db7fbc69"; phase; block; peer = Some "21e5e6fd" })
+           Obs.Event.[ Received; Validated; Delivered ]))
+
 let obs_tests =
   Test.make_grouped ~name:"M8-obs"
     [
+      Test.make ~name:"journal-batch-603"
+        (stage
+           (let buf = Buffer.create 131_072 in
+            fun () ->
+              Buffer.clear buf;
+              Obs.Event.to_json_lines buf ~ts:1729400000123.456 journal_batch_603));
       Test.make ~name:"bus-emit"
         (stage (fun () -> Obs.Context.emit obs_ctx ~ts:1. obs_net_event));
       Test.make ~name:"registry-counter-incr"

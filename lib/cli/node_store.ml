@@ -74,19 +74,10 @@ let record_all t events =
   | _ :: _ -> begin
     let ts = Unix_compat.now_ms () in
     match Hashtbl.find_opt trace_buffers t.dir with
-    | Some buf ->
-      List.iter
-        (fun ev ->
-          Buffer.add_string buf (Obs.Event.to_json ~ts ev);
-          Buffer.add_char buf '\n')
-        events
+    | Some buf -> Obs.Event.to_json_lines buf ~ts events
     | None ->
       let buf = Buffer.create 256 in
-      List.iter
-        (fun ev ->
-          Buffer.add_string buf (Obs.Event.to_json ~ts ev);
-          Buffer.add_char buf '\n')
-        events;
+      Obs.Event.to_json_lines buf ~ts events;
       append_lines t (Buffer.contents buf)
   end
 

@@ -4,10 +4,12 @@ type t = {
   location : Location.t option;
   parents : Hash_id.t list;
   transactions : Transaction.t list;
-  signature : string;
   hash : Hash_id.t;
-  size : int;
+  bytes : string;
+  signature_at : int;
 }
+
+let signing_tag = "vegvisir-block-v1"
 
 let encode_body b ~creator ~timestamp ~location ~parents ~transactions =
   Wire.put_str b (Hash_id.to_raw creator);
@@ -18,19 +20,19 @@ let encode_body b ~creator ~timestamp ~location ~parents ~transactions =
 
 let signing_bytes ~creator ~timestamp ~location ~parents ~transactions =
   let b = Buffer.create 256 in
-  Buffer.add_string b "vegvisir-block-v1";
+  Buffer.add_string b signing_tag;
   encode_body b ~creator ~timestamp ~location ~parents ~transactions;
   Buffer.contents b
 
-let encode b t =
-  encode_body b ~creator:t.creator ~timestamp:t.timestamp ~location:t.location
-    ~parents:t.parents ~transactions:t.transactions;
-  Wire.put_str b t.signature
+(* The encoding is the body, then the signature as a length-prefixed
+   string: [signature_at] is where the signature's own bytes start. *)
+let encode b t = Buffer.add_string b t.bytes
+let to_string t = t.bytes
 
-let to_string t =
-  let b = Buffer.create 512 in
-  encode b t;
-  Buffer.contents b
+let signature t =
+  String.sub t.bytes t.signature_at (String.length t.bytes - t.signature_at)
+
+let body t = signing_tag ^ String.sub t.bytes 0 (t.signature_at - 4)
 
 let canonical_parents parents =
   List.sort_uniq Hash_id.compare parents
@@ -38,34 +40,33 @@ let canonical_parents parents =
 let create ~(signer : Signer.t) ~creator ~timestamp ?location ~parents
     transactions =
   let parents = canonical_parents parents in
-  let body =
-    signing_bytes ~creator ~timestamp ~location ~parents ~transactions
-  in
-  let signature = signer.Signer.sign body in
-  let t =
-    {
-      creator;
-      timestamp;
-      location;
-      parents;
-      transactions;
-      signature;
-      hash = Hash_id.digest "";
-      size = 0;
-    }
-  in
-  let raw = to_string t in
-  { t with hash = Hash_id.digest raw; size = String.length raw }
+  let b = Buffer.create 512 in
+  encode_body b ~creator ~timestamp ~location ~parents ~transactions;
+  let signature = signer.Signer.sign (signing_tag ^ Buffer.contents b) in
+  let signature_at = Buffer.length b + 4 in
+  Wire.put_str b signature;
+  let bytes = Buffer.contents b in
+  {
+    creator;
+    timestamp;
+    location;
+    parents;
+    transactions;
+    hash = Hash_id.digest bytes;
+    bytes;
+    signature_at;
+  }
 
-let body t =
-  signing_bytes ~creator:t.creator ~timestamp:t.timestamp ~location:t.location
-    ~parents:t.parents ~transactions:t.transactions
-
-let verify_signature ?ots ~public ~scheme t =
-  Signer.verify ?ots ~scheme ~public ~msg:(body t) t.signature
+(* A proven root decides an MSS check whole (see {!Signer.proven_root});
+   any other scheme, or no precheck, runs the full check. *)
+let verify_signature ?proven ~public ~scheme t =
+  match proven with
+  | Some root when String.equal scheme "mss" ->
+    Option.equal String.equal root (Some public)
+  | Some _ | None -> Signer.verify ~scheme ~public ~msg:(body t) (signature t)
 
 (* lint: parallel-safe *)
-let ots_holds t = Signer.ots_holds ~msg:(body t) ~signature:t.signature
+let proven_root t = Signer.proven_root ~msg:(body t) ~signature:(signature t)
 
 let is_genesis t = t.parents = []
 
@@ -80,21 +81,22 @@ let decode c =
   if not (List.equal Hash_id.equal parents (canonical_parents parents)) then
     raise (Wire.Malformed "block parents not canonical");
   let transactions = Wire.get_list c Transaction.decode in
-  let signature = Wire.get_str c in
-  let raw = String.sub c.Wire.data start (c.Wire.pos - start) in
+  let signature_at = c.Wire.pos + 4 - start in
+  Wire.skip c (Wire.get_u32 c);
+  let bytes = String.sub c.Wire.data start (c.Wire.pos - start) in
   {
     creator;
     timestamp;
     location;
     parents;
     transactions;
-    signature;
-    hash = Hash_id.digest raw;
-    size = String.length raw;
+    hash = Hash_id.digest bytes;
+    bytes;
+    signature_at;
   }
 
 let of_string s = Wire.decode_string decode s
-let byte_size t = t.size
+let byte_size t = String.length t.bytes
 let equal a b = Hash_id.equal a.hash b.hash
 let compare a b = Hash_id.compare a.hash b.hash
 

@@ -13,9 +13,12 @@ type t = private {
   location : Location.t option;
   parents : Hash_id.t list;  (** sorted, unique *)
   transactions : Transaction.t list;
-  signature : string;
-  hash : Hash_id.t;  (** cached identity: hash of the encoding *)
-  size : int;  (** cached length of the encoding, {!byte_size} *)
+  hash : Hash_id.t;  (** cached identity: hash of [bytes] *)
+  bytes : string;
+      (** the canonical encoding the block was created or decoded
+          from, signature last: {!encode} copies it and {!to_string}
+          returns it *)
+  signature_at : int;  (** where the signature starts in [bytes] *)
 }
 
 val signing_bytes :
@@ -39,20 +42,26 @@ val create :
 (** Sign and seal a block. Parents are de-duplicated and sorted, making
     the encoding canonical. *)
 
-val verify_signature : ?ots:bool -> public:string -> scheme:string -> t -> bool
-(** [ots] is an earlier {!ots_holds} result for this block; see
-    {!Signer.verify}. *)
+val signature : t -> string
+(** The creator's signature, read out of [bytes]. *)
 
-val ots_holds : t -> bool option
-(** {!Signer.ots_holds} over the block's signing bytes and signature: the
-    costly, certificate-free half of its MSS check. The block hash
-    covers both, so a result keyed by hash names exactly the bytes it
-    checked. *)
+val verify_signature :
+  ?proven:string option -> public:string -> scheme:string -> t -> bool
+(** [proven] is an earlier {!proven_root} result for this block: for
+    the MSS scheme it decides the check by one comparison with
+    [public]; other schemes ignore it. *)
+
+val proven_root : t -> string option
+(** {!Signer.proven_root} over the block's signing bytes and signature:
+    the MSS public key the signature proves, with all of its hashing.
+    It needs no certificate, and any domain may run it. The block hash
+    covers both inputs, so a result keyed by hash names exactly the
+    bytes it checked. *)
 
 val is_genesis : t -> bool
 val encode : Buffer.t -> t -> unit
 val decode : Wire.cursor -> t
-(** Recomputes and caches the hash. *)
+(** Keeps the block's bytes and caches their hash. *)
 
 val to_string : t -> string
 val of_string : string -> t option

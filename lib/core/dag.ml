@@ -515,8 +515,9 @@ let decode c =
       | Error _ -> raise (Wire.Malformed "Dag.decode: blocks not parent-closed"))
     t blocks
 
+(* Sized to the image, so a save copies each block's bytes once. *)
 let to_string t =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create (8 + t.bytes + (40 * HSet.cardinal t.archived)) in
   encode b t;
   Buffer.contents b
 

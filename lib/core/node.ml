@@ -30,8 +30,8 @@ type t = {
   mutable dag : Dag.t;
   mutable csm : Csm.t;
   mutable pending : Pending_pool.t; (* capacity-bounded; drained on progress *)
-  mutable prechecked : bool Hash_id.Map.t;
-      (* Block.ots_holds by block hash, for one receive_all call *)
+  mutable prechecked : string option Hash_id.Map.t;
+      (* Block.proven_root by block hash, for one intake call *)
   stats : stats;
 }
 
@@ -71,7 +71,7 @@ let commit t (b : Block.t) =
     true
 
 let try_accept t ~now (b : Block.t) : receive_result =
-  let ots = Hash_id.Map.find_opt b.Block.hash t.prechecked in
+  let proven = Hash_id.Map.find_opt b.Block.hash t.prechecked in
   if Dag.mem t.dag b.Block.hash || Dag.is_archived t.dag b.Block.hash then
     Duplicate
   else if Block.is_genesis b then begin
@@ -80,7 +80,7 @@ let try_accept t ~now (b : Block.t) : receive_result =
       if Block.equal g b then Duplicate
       else Rejected Validation.Duplicate_genesis
     | None -> begin
-      match Validation.check_genesis ?ots b with
+      match Validation.check_genesis ?proven b with
       | Error e -> Rejected e
       | Ok _membership ->
         if commit t b then Accepted else Rejected Validation.Duplicate_genesis
@@ -91,7 +91,7 @@ let try_accept t ~now (b : Block.t) : receive_result =
     | None -> Buffered Validation.Unknown_creator (* no genesis yet *)
     | Some m -> begin
       match
-        Validation.check_block ~membership:m ~dag:t.dag ~now ?ots b
+        Validation.check_block ~membership:m ~dag:t.dag ~now ?proven b
       with
       | Ok () ->
         if commit t b then Accepted
@@ -164,21 +164,18 @@ let precheck_candidates t blocks =
   in
   Array.of_list (List.rev fresh)
 
-(* The costly half of each candidate's check runs first, across domains;
-   then every block goes through [admit] in order, as it would one at a
-   time, with those results standing in for that half. A lone candidate
-   gains nothing from the pool: its check runs inline, which spares
-   encoding its body twice. *)
+(* Each candidate's signature hashing runs first, across domains: it
+   yields the key the signature proves. Then every block goes through
+   [admit] in order, as it would one at a time, and checking its
+   signature compares that key with its creator's. A lone candidate
+   gains nothing from the pool: its check runs inline. *)
 let intake t ~now blocks =
   let fresh = precheck_candidates t blocks in
   if Array.length fresh > 1 then begin
-    let results = Domain_pool.map Block.ots_holds fresh in
-    let add acc (b : Block.t) = function
-      | Some ok -> Hash_id.Map.add b.Block.hash ok acc
-      | None -> acc
-    in
+    let roots = Domain_pool.map Block.proven_root fresh in
+    let add acc (b : Block.t) root = Hash_id.Map.add b.Block.hash root acc in
     t.prechecked <-
-      Seq.fold_left2 add Hash_id.Map.empty (Array.to_seq fresh) (Array.to_seq results)
+      Seq.fold_left2 add Hash_id.Map.empty (Array.to_seq fresh) (Array.to_seq roots)
   end;
   Fun.protect
     ~finally:(fun () -> t.prechecked <- Hash_id.Map.empty)

@@ -70,12 +70,13 @@ val intake : t -> now:Timestamp.t -> Block.t list -> Block.t list
 
     First, when a batch has two or more blocks that are neither
     resident nor archived (and not by a member known to sign with
-    another scheme), the W-OTS half of their MSS check
-    ({!Block.ots_holds}) runs on {!Domain_pool}, before any certificate
-    is needed, so a batch may enrol its own signers. The results, keyed
+    another scheme), the hashing of their MSS check
+    ({!Block.proven_root}: the signature parsed once, its W-OTS chains,
+    leaf index and path) runs on {!Domain_pool}, before any certificate
+    is needed, so a batch may enrol its own signers. The proven keys,
     by block hash, serve this call only (its drains included); every
-    block is still decided by {!Validation}, which checks the leaf
-    index, the path to the creator's key, membership, revocation and
+    block is still decided by {!Validation}, which compares the proven
+    key with the creator's and checks membership, revocation and
     timestamps. A block buffered now and drained by a later call, or
     the lone candidate of a batch, is checked inline. *)
 

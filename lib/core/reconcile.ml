@@ -575,33 +575,63 @@ let reply_step strategy ~pending dag m =
    parents cannot be satisfied locally (e.g. pruned on every reachable
    peer) are appended at the end in deterministic order, so the caller can
    buffer them and recover the missing ancestry from a superpeer's support
-   chain (SIV-I). Each round emits its ready blocks in hash order, which
-   is [Block.compare]. *)
+   chain (SIV-I).
+
+   A block's round is 0 when every parent is resident or archived, and
+   otherwise one more than its latest pending parent's round; a parent
+   missing everywhere, or one that has no round, leaves it none
+   ([never]). Output is by (round, hash): what emitting, round after
+   round, each block whose parents earlier rounds satisfied, in hash
+   order, gives. Rounds are memoized depth-first on an explicit stack,
+   since a chain can be as deep as a frame is long; a block reads as
+   [never] while it is being visited, which only a hash cycle sees. *)
+type slot = { block : Block.t; mutable round : int }
+type visit = Enter of slot | Leave of slot
+
+let unvisited = -1
+let never = max_int
+
 let insertable_order dag blocks =
-  let pending =
+  let slots =
     List.fold_left
       (fun acc (b : Block.t) ->
-        if Dag.mem dag b.Block.hash then acc else Hash_id.Map.add b.Block.hash b acc)
+        if Dag.mem dag b.Block.hash then acc
+        else Hash_id.Map.add b.Block.hash { block = b; round = unvisited } acc)
       Hash_id.Map.empty blocks
   in
-  let rec rounds emitted out pending =
-    let satisfied _ (b : Block.t) =
-      List.for_all
-        (fun p -> Dag.mem dag p || Dag.is_archived dag p || HSet.mem p emitted)
-        b.Block.parents
-    in
-    let ready, rest = Hash_id.Map.partition satisfied pending in
-    if Hash_id.Map.is_empty ready then
-      List.rev (Hash_id.Map.fold (fun _ b acc -> b :: acc) rest out)
-    else
-      rounds
-        (Hash_id.Map.fold (fun h _ acc -> HSet.add h acc) ready emitted)
-        (Hash_id.Map.fold (fun _ b acc -> b :: acc) ready out)
-        rest
+  let settled p = Dag.mem dag p || Dag.is_archived dag p in
+  let rec visit = function
+    | [] -> ()
+    | Leave s :: stack ->
+      s.round <-
+        List.fold_left
+          (fun acc p ->
+            if settled p then acc
+            else
+              match Hash_id.Map.find_opt p slots with
+              | Some ps when ps.round < never -> Int.max acc (ps.round + 1)
+              | Some _ | None -> never)
+          0 s.block.Block.parents;
+      visit stack
+    | Enter s :: stack ->
+      if not (Int.equal s.round unvisited) then visit stack
+      else begin
+        s.round <- never;
+        let enter stack p =
+          match Hash_id.Map.find_opt p slots with
+          | Some ps when Int.equal ps.round unvisited && not (settled p) -> Enter ps :: stack
+          | Some _ | None -> stack
+        in
+        visit (List.fold_left enter (Leave s :: stack) s.block.Block.parents)
+      end
   in
-  rounds HSet.empty [] pending
+  Hash_id.Map.iter (fun _ s -> visit [ Enter s ]) slots;
+  Hash_id.Map.fold (fun _ s acc -> s :: acc) slots []
+  |> List.rev
+  |> List.stable_sort (fun a b -> Int.compare a.round b.round)
+  |> List.map (fun s -> s.block)
 
-let receive_stats session dag blocks m =
+let receive_stats session dag blocks ~size =
   let redundant =
     List.length (List.filter (fun (b : Block.t) -> Dag.mem dag b.Block.hash) blocks)
   in
@@ -612,13 +642,13 @@ let receive_stats session dag blocks m =
         session.stats with
         rounds = session.stats.rounds + 1;
         messages = session.stats.messages + 1;
-        bytes_received = session.stats.bytes_received + message_size m;
+        bytes_received = session.stats.bytes_received + size;
         blocks_received = session.stats.blocks_received + List.length blocks;
         redundant_blocks = session.stats.redundant_blocks + redundant;
       };
   }
 
-let handle_reply session dag m =
+let handle_reply session dag ~size m =
   if is_request m then invalid_arg "Reconcile.handle_reply: not a reply";
   match reply_step session.strategy ~pending:session.pending dag m with
   | _, Foreign ->
@@ -626,10 +656,10 @@ let handle_reply session dag m =
        malicious or confused responder from crashing the driver. *)
     (session, Ignored)
   | strategy, Continue next ->
-    let session = receive_stats { session with strategy } dag (reply_blocks m) m in
+    let session = receive_stats { session with strategy } dag (reply_blocks m) ~size in
     (track_send session next, Send next)
   | strategy, Done blocks ->
-    let session = receive_stats { session with strategy } dag (reply_blocks m) m in
+    let session = receive_stats { session with strategy } dag (reply_blocks m) ~size in
     ( session,
       Finished { new_blocks = insertable_order dag blocks; stats = session.stats } )
 
@@ -639,7 +669,7 @@ let pull mode dst src =
     match respond src request with
     | None -> assert false
     | Some reply -> begin
-      match handle_reply session dst reply with
+      match handle_reply session dst ~size:(message_size reply) reply with
       | session, Send next -> loop session next
       | _, Ignored -> assert false (* local loop never duplicates replies *)
       | _, Finished { new_blocks; stats } -> (new_blocks, stats)

@@ -147,10 +147,20 @@ type step =
       (** a stale duplicate (e.g. a retransmitted request produced two
           replies for the same level) — drop it and keep waiting *)
 
-val handle_reply : session -> Dag.t -> message -> session * step
-(** Feed the responder's reply. A reply that does not belong to this
-    session's mode and phase (a stale or foreign frame) is [Ignored].
-    @raise Invalid_argument on a request (not a reply). *)
+val handle_reply : session -> Dag.t -> size:int -> message -> session * step
+(** Feed the responder's reply, decoded from a frame of [size] bytes
+    (what [bytes_received] counts). A reply that does not belong to
+    this session's mode and phase (a stale or foreign frame) is
+    [Ignored]. @raise Invalid_argument on a request (not a reply). *)
+
+val insertable_order : Dag.t -> Block.t list -> Block.t list
+(** The blocks not resident in the DAG, once each, parents first: a
+    block's parents are resident, archived or earlier in the list.
+    Blocks with a parent missing everywhere, or below one, come last.
+    Sorted by (round, hash), where a block's round is 0 when all its
+    parents are resident or archived and otherwise one more than its
+    latest listed parent's; it costs one pass over the blocks and a
+    sort. This is the order {!Finished} delivers. *)
 
 val current_request : session -> message
 (** The request the session is currently waiting on — what a transport

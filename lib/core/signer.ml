@@ -38,21 +38,17 @@ let oracle ?(signature_size = default_oracle_size) ~id () =
     remaining = (fun () -> None);
   }
 
-let verify ?ots ~scheme ~public ~msg signature =
+(* lint: parallel-safe *)
+let proven_root ~msg ~signature =
+  Option.bind (Mss.signature_of_string signature) (Mss.proven_root msg)
+
+let verify ~scheme ~public ~msg signature =
   match scheme with
-  | "mss" -> begin
-    match Mss.signature_of_string signature with
-    | None -> false
-    | Some s -> Mss.verify ?ots public msg s
-  end
+  | "mss" -> Option.equal String.equal (proven_root ~msg ~signature) (Some public)
   | "oracle" ->
     let size = String.length signature in
     size >= 1
     && String.equal signature (oracle_sig ~public ~size msg)
   | _ -> false
-
-(* lint: parallel-safe *)
-let ots_holds ~msg ~signature =
-  Option.map (Mss.ots_holds msg) (Mss.signature_of_string signature)
 
 let user_id_of_public public = Hash_id.digest public

@@ -35,20 +35,16 @@ val oracle : ?signature_size:int -> id:string -> unit -> t
 (** [signature_size] defaults to the size of an MSS height-8 signature so
     that byte accounting matches the real scheme. *)
 
-val verify :
-  ?ots:bool -> scheme:string -> public:string -> msg:string -> string -> bool
+val verify : scheme:string -> public:string -> msg:string -> string -> bool
 (** [verify ~scheme ~public ~msg signature] dispatches on [scheme];
-    unknown schemes verify as [false]. [ots] is an earlier
-    {!ots_holds} result over the same [msg] and signature bytes: an MSS
-    check uses it instead of rebuilding the W-OTS chains, and still
-    checks the leaf index and the path to [public]. Other schemes ignore
-    it. *)
+    unknown schemes verify as [false]. *)
 
-val ots_holds : msg:string -> signature:string -> bool option
-(** The key-independent half of an MSS check ({!Vegvisir_crypto.Mss.ots_holds}):
-    [None] when [signature] does not parse as MSS. It needs no
-    certificate, so a batch can run it before its signers are known,
-    and any domain may run it. *)
+val proven_root : msg:string -> signature:string -> string option
+(** The MSS public key [signature] proves for [msg]
+    ({!Vegvisir_crypto.Mss.proven_root}): [None] when it does not parse
+    as MSS or verifies under no key. An MSS {!verify} is this result
+    compared with [public]. It needs no certificate, so a batch can run
+    it before its signers are known, and any domain may run it. *)
 
 val user_id_of_public : string -> Hash_id.t
 (** A user's ID is the hash of its serialized public key. *)

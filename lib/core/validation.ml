@@ -19,7 +19,7 @@ let genesis_certificate (b : Block.t) =
     Certificate.of_string raw
   | _ -> None
 
-let check_genesis ?ots (b : Block.t) =
+let check_genesis ?proven (b : Block.t) =
   if not (Block.is_genesis b) then Error (Malformed_genesis "has parents")
   else begin
     match genesis_certificate b with
@@ -30,7 +30,7 @@ let check_genesis ?ots (b : Block.t) =
         Error (Malformed_genesis "certificate subject is not the block creator")
       else if
         not
-          (Block.verify_signature ?ots ~public:cert.Certificate.public
+          (Block.verify_signature ?proven ~public:cert.Certificate.public
              ~scheme:cert.Certificate.scheme b)
       then Error Bad_signature
       else begin
@@ -40,7 +40,7 @@ let check_genesis ?ots (b : Block.t) =
       end
   end
 
-let check_block ~membership ~dag ~now ?ots (b : Block.t) =
+let check_block ~membership ~dag ~now ?proven (b : Block.t) =
   if Block.is_genesis b then Error Duplicate_genesis
   else begin
     let missing = Dag.missing_parents dag b in
@@ -88,7 +88,7 @@ let check_block ~membership ~dag ~now ?ots (b : Block.t) =
         else if
           (* Check 4: signature matches the creator's certificate. *)
           not
-            (Block.verify_signature ?ots ~public:cert.Certificate.public
+            (Block.verify_signature ?proven ~public:cert.Certificate.public
                ~scheme:cert.Certificate.scheme b)
         then Error Bad_signature
         else Ok ()

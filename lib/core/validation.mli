@@ -26,25 +26,26 @@ val default_max_skew_ms : int64
 (** 5000 ms of tolerated clock skew: {!check_block} refuses a block
     stamped later than [now] plus this. *)
 
-val check_genesis : ?ots:bool -> Block.t -> (Membership.t, error) result
+val check_genesis :
+  ?proven:string option -> Block.t -> (Membership.t, error) result
 (** Validate a genesis block standalone: no parents, carries a self-signed
     owner certificate whose subject is the creator, signature valid under
-    that certificate. Returns the bootstrapped membership. [ots] is an
-    earlier {!Block.ots_holds} result for this block (see
-    {!Signer.verify}). *)
+    that certificate. Returns the bootstrapped membership. [proven] is
+    an earlier {!Block.proven_root} result for this block (see
+    {!Block.verify_signature}). *)
 
 val check_block :
   membership:Membership.t ->
   dag:Dag.t ->
   now:Timestamp.t ->
-  ?ots:bool ->
+  ?proven:string option ->
   Block.t ->
   (unit, error) result
 (** Validate a non-genesis block against local state. Assumes the DAG
-    already holds a genesis. [ots] is an earlier {!Block.ots_holds}
-    result for this block: it replaces only the W-OTS half of check 4,
-    so membership, revocation, timestamps, the leaf index and the path
-    to the creator's key still decide. *)
+    already holds a genesis. [proven] is an earlier {!Block.proven_root}
+    result for this block: it stands in for check 4's hashing only, so
+    membership, revocation, timestamps and the comparison with the
+    creator's key still decide. *)
 
 val is_transient : error -> bool
 (** Errors worth buffering the block for ({!Unknown_creator},

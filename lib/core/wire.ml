@@ -90,6 +90,10 @@ let get_str c =
   c.pos <- c.pos + n;
   s
 
+let skip c n =
+  need c n;
+  c.pos <- c.pos + n
+
 let get_list c f =
   let n = get_u32 c in
   List.init n (fun _ -> f c)

@@ -37,6 +37,11 @@ val get_u16 : cursor -> int
 val get_u32 : cursor -> int
 val get_i64 : cursor -> int64
 val get_str : cursor -> string
+
+val skip : cursor -> int -> unit
+(** [skip c n] moves past [n] bytes without copying them.
+    @raise Malformed if fewer remain. *)
+
 val get_list : cursor -> (cursor -> 'a) -> 'a list
 val get_opt : cursor -> (cursor -> 'a) -> 'a option
 

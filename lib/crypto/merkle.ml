@@ -50,13 +50,10 @@ let path t i =
   in
   go 0 i []
 
-let verify_path ~root:expected ~leaf p =
-  let digest =
-    List.fold_left
-      (fun acc (sib, side) ->
-        match side with
-        | `Left -> node_hash sib acc
-        | `Right -> node_hash acc sib)
-      (leaf_hash leaf) p
-  in
-  String.equal digest expected
+let path_root ~leaf p =
+  List.fold_left
+    (fun acc (sib, side) ->
+      match side with
+      | `Left -> node_hash sib acc
+      | `Right -> node_hash acc sib)
+    (leaf_hash leaf) p

@@ -31,6 +31,7 @@ val path : tree -> int -> path
 (** [path t i] is the authentication path for leaf [i].
     @raise Invalid_argument if [i] is out of range. *)
 
-val verify_path : root:string -> leaf:string -> path -> bool
-(** [verify_path ~root ~leaf p] checks that leaf {e value} [leaf] is
-    included under [root] via path [p]. *)
+val path_root : leaf:string -> path -> string
+(** [path_root ~leaf p] is the root that path [p] leads to from leaf
+    {e value} [leaf]: [leaf] is included under a root via [p] exactly
+    when this is that root. *)

@@ -71,14 +71,19 @@ let index_matches_path index path =
 let ots_holds ?(chunk_bits = 4) msg s =
   Wots.verify (Wots.params ~chunk_bits ()) s.leaf_pk msg s.ots
 
-(* [ots] stands in for [ots_holds msg s] only; the index binding and the
-   path to [pk] are checked here every time. *)
+(* The one key a signature verifies under: the root its path leads to
+   from the leaf key, once the index names that leaf and the chains
+   over [msg] rebuild the key. *)
 
 (* lint: parallel-safe *)
-let verify ?(chunk_bits = 4) ?ots pk msg s =
-  index_matches_path s.index s.path
-  && (match ots with Some r -> r | None -> ots_holds ~chunk_bits msg s)
-  && Merkle.verify_path ~root:pk ~leaf:s.leaf_pk s.path
+let proven_root ?(chunk_bits = 4) msg s =
+  if index_matches_path s.index s.path && ots_holds ~chunk_bits msg s then
+    Some (Merkle.path_root ~leaf:s.leaf_pk s.path)
+  else None
+
+(* lint: parallel-safe *)
+let verify ?(chunk_bits = 4) pk msg s =
+  Option.equal String.equal (proven_root ~chunk_bits msg s) (Some pk)
 
 (* Wire layout: u32 index | 32-byte leaf pk | W-OTS chains | path entries,
    each entry = side byte (0 left / 1 right) + 32-byte sibling. *)

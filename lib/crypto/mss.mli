@@ -26,21 +26,24 @@ val generate :
 val sign : secret_key -> string -> signature
 (** Consumes the next unused leaf. @raise Exhausted when none remain. *)
 
-val verify :
-  ?chunk_bits:int -> ?ots:bool -> public_key -> string -> signature -> bool
+val verify : ?chunk_bits:int -> public_key -> string -> signature -> bool
 (** Checks the W-OTS signature, the authentication path to the root, and
     that the leaf index names the leaf the path authenticates: a
-    signature whose index bytes were rewritten does not verify.
+    signature whose index bytes were rewritten does not verify. It is
+    [proven_root msg s = Some pk]. *)
 
-    [ots] is a result of {!ots_holds} over the same message and
-    signature, computed earlier; it replaces only that half. The index
-    binding and the path to [pk] are always checked, so [~ots:true] can
-    never make a signature verify under a key that did not issue it. *)
+val proven_root : ?chunk_bits:int -> string -> signature -> string option
+(** The public key a signature proves for a message, found without
+    knowing any key: [Some root] when the leaf index names the leaf its
+    path authenticates and the W-OTS chains over the message rebuild
+    the leaf key, where [root] is where the path leads; [None] when it
+    verifies under no key. All of {!verify}'s hashing, and safe to run
+    on any domain. *)
 
 val ots_holds : ?chunk_bits:int -> string -> signature -> bool
-(** The key-independent half of {!verify}: the W-OTS signature over the
-    message rebuilds the leaf public key the signature carries. About
-    98% of a verify's hashing, and safe to run on any domain. *)
+(** The W-OTS half of {!proven_root}: the signature over the message
+    rebuilds the leaf public key the signature carries. About 98% of a
+    verify's hashing. *)
 
 val remaining : secret_key -> int
 (** Leaves not yet consumed. *)

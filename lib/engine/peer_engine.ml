@@ -155,8 +155,13 @@ let absorb t (b : Block.t) =
   | None -> t
   | Some censored -> { t with censored = Some (censor_add t.user_id censored b) }
 
+(* A reply's buffer is sized to its blocks, so encoding it copies each
+   block's bytes once. *)
 let encode m =
-  let b = Buffer.create 256 in
+  let b =
+    Buffer.create
+      (List.fold_left (fun n blk -> n + Block.byte_size blk) 256 (Reconcile.reply_blocks m))
+  in
   Reconcile.encode_message b m;
   Buffer.contents b
 
@@ -251,7 +256,7 @@ let tick t ~now ~dag ~peer =
 let served_blocks m =
   List.map (fun (b : Block.t) -> b.Block.hash) (Reconcile.reply_blocks m)
 
-let on_reply t ~now ~dag ~from msg =
+let on_reply t ~now ~dag ~from ~size msg =
   match t.session with
   | Some s when Int.equal s.dst from ->
     let s = { s with last_activity = now } in
@@ -272,7 +277,7 @@ let on_reply t ~now ~dag ~from msg =
       | [] -> []
       | blocks -> [ Trace (Redundant_received { from; blocks }) ]
     in
-    let recon, step = Reconcile.handle_reply s.recon dag msg in
+    let recon, step = Reconcile.handle_reply s.recon dag ~size msg in
     let s = { s with recon } in
     begin
       match step with
@@ -340,7 +345,7 @@ let on_message t ~now ~dag ~from bytes =
       (* A request the responder refuses is malformed, like a frame that
          does not decode: no reply, and no session state moves. *)
       (t, [ Trace (Decode_failed { from }) ])
-    | None -> on_reply t ~now ~dag ~from msg
+    | None -> on_reply t ~now ~dag ~from ~size:(String.length bytes) msg
   end
 
 let handle t ~now ~dag input =

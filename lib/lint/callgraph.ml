@@ -321,14 +321,16 @@ let lookup_in t u target subpath fname =
         target.includes
 
 (* Resolve [modpath.fname] seen in unit [u] inside submodule
-   [sub_prefix] to its definition, if it names one in the tree. *)
-let resolve_value t u ~sub_prefix ~local_opens modpath fname =
+   [sub_prefix] to its definition, if it names one in the tree. The
+   definitions [unbound] are not in scope: the body of a non-recursive
+   [let f] names the [f] that encloses it. *)
+let resolve_value t u ~sub_prefix ~unbound ~local_opens modpath fname =
   (* [key] as defined in submodule [chain] of this unit or in the
      nearest submodule enclosing it. *)
   let rec up chain key =
     match find_def u (String.concat "." (chain @ [ key ])) with
-    | Some d -> Some d
-    | None -> begin
+    | Some d when not (List.memq d unbound) -> Some d
+    | Some _ | None -> begin
       match chain with
       | [] -> None
       | chain -> up (List.filteri (fun i _ -> i < List.length chain - 1) chain) key
@@ -399,7 +401,7 @@ let mutated_args parts =
 (* ------------------------------------------------------------------ *)
 (* Pass 2: reference extraction with scope tracking                     *)
 
-let walk_body t u ~sub_prefix ~targets body =
+let walk_body t u ~sub_prefix ~unbound ~targets body =
   let locals : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   let local_opens = ref [] in
   let local_aliases = ref [] in
@@ -417,8 +419,8 @@ let walk_body t u ~sub_prefix ~targets body =
         u.aliases <- !local_aliases @ u.aliases;
         let modpath = List.rev rev_mod in
         let d =
-          resolve_value t u ~sub_prefix ~local_opens:!local_opens modpath
-            fname
+          resolve_value t u ~sub_prefix ~unbound ~local_opens:!local_opens
+            modpath fname
         in
         u.aliases <- saved;
         d
@@ -550,24 +552,27 @@ let link_unit t u (structure : Parsetree.structure) =
     List.iter
       (fun (item : Parsetree.structure_item) ->
         match item.pstr_desc with
-        | Parsetree.Pstr_value (_, vbs) ->
+        | Parsetree.Pstr_value (rf, vbs) ->
+          let sub_prefix =
+            if prefix = "" then [] else String.split_on_char '.' prefix
+          in
+          let defs (vb : Parsetree.value_binding) =
+            List.filter_map
+              (fun name ->
+                find_def u (if prefix = "" then name else prefix ^ "." ^ name))
+              (List.rev (pattern_names [] vb.Parsetree.pvb_pat))
+          in
+          let unbound =
+            match rf with
+            | Asttypes.Recursive -> []
+            | Asttypes.Nonrecursive -> List.concat_map defs vbs
+          in
           List.iter
             (fun (vb : Parsetree.value_binding) ->
-              let sub_prefix =
-                if prefix = "" then []
-                else String.split_on_char '.' prefix
-              in
-              let targets =
-                List.filter_map
-                  (fun name ->
-                    let key =
-                      if prefix = "" then name else prefix ^ "." ^ name
-                    in
-                    find_def u key)
-                  (List.rev (pattern_names [] vb.Parsetree.pvb_pat))
-              in
+              let targets = defs vb in
               if targets <> [] then
-                walk_body t u ~sub_prefix ~targets vb.Parsetree.pvb_expr)
+                walk_body t u ~sub_prefix ~unbound ~targets
+                  vb.Parsetree.pvb_expr)
             vbs
         | Parsetree.Pstr_module mb -> module_binding ~prefix mb
         | Parsetree.Pstr_recmodule mbs ->

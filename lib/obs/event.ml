@@ -334,9 +334,9 @@ let equal a b =
 
 (* Keys are plain identifiers, written without escaping. The emitted
    bytes are pinned by the round-trip and same-seed determinism tests. *)
-let to_json_buf b ~ts ev =
+let add_json b ~ts ev =
   Buffer.add_string b "{\"t\":";
-  Buffer.add_string b (json_float ts);
+  Buffer.add_string b ts;
   Buffer.add_string b ",\"sub\":";
   add_json_string b (subsystem ev);
   Buffer.add_string b ",\"ev\":";
@@ -351,10 +351,21 @@ let to_json_buf b ~ts ev =
       | F f -> Buffer.add_string b (json_float f));
   Buffer.add_char b '}'
 
+let to_json_buf b ~ts ev = add_json b ~ts:(json_float ts) ev
+
 let to_json ~ts ev =
   let b = Buffer.create 160 in
   to_json_buf b ~ts ev;
   Buffer.contents b
+
+(* A batch shares one stamp, so it is rendered once. *)
+let to_json_lines b ~ts events =
+  let ts = json_float ts in
+  List.iter
+    (fun ev ->
+      add_json b ~ts ev;
+      Buffer.add_char b '\n')
+    events
 
 (* ------------------------------------------------------------------ *)
 (* JSON decoding (flat objects of strings and numbers only)             *)

@@ -141,6 +141,11 @@ val to_json_buf : Buffer.t -> ts:float -> t -> unit
     (reuse one buffer across lines instead of materializing a string
     per event). *)
 
+val to_json_lines : Buffer.t -> ts:float -> t list -> unit
+(** One {!to_json} line per event, each ended by a newline, all stamped
+    [ts], appended to the buffer; the stamp is rendered once for the
+    batch. *)
+
 val of_json : string -> (float * t) option
 (** Total inverse of {!to_json}; [None] on malformed input. *)
 

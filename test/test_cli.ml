@@ -132,7 +132,7 @@ let key_used dir =
 
 (* The leaf that signed [b]: an MSS signature opens with its leaf index
    as a big-endian u32. *)
-let leaf_of (b : V.Block.t) = Int32.to_int (String.get_int32_be b.V.Block.signature 0)
+let leaf_of (b : V.Block.t) = Int32.to_int (String.get_int32_be (V.Block.signature b) 0)
 
 let lifecycle () =
   let ca = init "ca1" in

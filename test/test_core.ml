@@ -246,6 +246,52 @@ let diamond () =
   in
   (dag, a, b, c, d)
 
+(* A block's bytes are its field encoding, whether it was created,
+   decoded from a frame, or loaded with a whole DAG image. *)
+let block_keeps_its_bytes () =
+  let field_encoding (b : Block.t) =
+    let body =
+      Block.signing_bytes ~creator:b.Block.creator ~timestamp:b.Block.timestamp
+        ~location:b.Block.location ~parents:b.Block.parents
+        ~transactions:b.Block.transactions
+    in
+    let tag = String.length "vegvisir-block-v1" in
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf (String.sub body tag (String.length body - tag));
+    Wire.put_str buf (Block.signature b);
+    Buffer.contents buf
+  in
+  let dag, a, b, c, d = diamond () in
+  let placed =
+    Block.create ~signer:alice_signer ~creator:alice_cert.Certificate.user_id
+      ~timestamp:(ts 40)
+      ~location:(Location.make ~lat:1.5 ~lon:2.5)
+      ~parents:[ d.Block.hash ] [ add_tx "x" ]
+  in
+  let created = [ genesis; a; b; c; d; placed ] in
+  let frame = Buffer.create 1024 in
+  Reconcile.encode_message frame (Reconcile.Blocks_reply { blocks = created });
+  let decoded =
+    match Wire.decode_string Reconcile.decode_message (Buffer.contents frame) with
+    | Some (Reconcile.Blocks_reply { blocks }) -> blocks
+    | Some _ | None -> Alcotest.fail "reply does not decode"
+  in
+  let dag = Result.get_ok (Dag.add dag placed) in
+  let loaded = Dag.topo_order (Option.get (Dag.of_string (Dag.to_string dag))) in
+  check_i "all loaded" 6 (List.length loaded);
+  List.iter
+    (fun (kind, blocks) ->
+      List.iter
+        (fun (b : Block.t) ->
+          check_s (kind ^ ": bytes = field encoding") (field_encoding b) (Block.to_string b);
+          check_b (kind ^ ": hash of the bytes") true
+            (Hash_id.equal b.Block.hash (Hash_id.digest (Block.to_string b)));
+          check_b (kind ^ ": signature verifies") true
+            (Block.is_genesis b
+            || Block.verify_signature ~public:alice_signer.Signer.public ~scheme:"oracle" b))
+        blocks)
+    [ ("created", created); ("decoded", decoded); ("Dag.decoded", loaded) ]
+
 let dag_diamond_queries () =
   let dag, a, b, c, d = diamond () in
   check_i "branch width" 1 (Dag.branch_width dag);
@@ -477,7 +523,7 @@ let validation_signature_twin () =
        at its start. Index i becomes i + 16: same path, an index beyond
        the height-4 tree. *)
     let raw = Bytes.of_string (Block.to_string b) in
-    let at = Bytes.length raw - String.length b.Block.signature + 3 in
+    let at = Bytes.length raw - String.length (Block.signature b) + 3 in
     Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor 0x10));
     Option.get (Block.of_string (Bytes.to_string raw))
   in
@@ -978,6 +1024,10 @@ let reconcile_bloom_reply_capped () =
   let twice, _ = Reconcile.sync_dags Reconcile.Bloom once src in
   check_i "two sessions pull every block" (Dag.cardinal src) (Dag.cardinal twice)
 
+(* A reply fed as if decoded from its own encoding. *)
+let handle_reply session dag m =
+  Reconcile.handle_reply session dag ~size:(Reconcile.message_size m) m
+
 (* Bloom gap recovery, fed by hand: [d]'s parents [b] and [c] are asked
    for, and a reply cut after one of them must not end the session. A
    reply that brings nothing new does. *)
@@ -994,22 +1044,22 @@ let reconcile_bloom_reasks_cut_off () =
   in
   let session, _ = Reconcile.start Reconcile.Bloom dst in
   let session, step =
-    Reconcile.handle_reply session dst (Reconcile.Bloom_reply { blocks = [ d ] })
+    handle_reply session dst (Reconcile.Bloom_reply { blocks = [ d ] })
   in
   let first = asked step in
   check_b "asks for b and c" true (List.equal Hash_id.equal (hashes [ b; c ]) first);
   let kept = Option.get (Dag.find src (List.hd first)) in
   let cut = Option.get (Dag.find src (List.nth first 1)) in
   let session, step =
-    Reconcile.handle_reply session dst (Reconcile.Blocks_reply { blocks = [ kept ] })
+    handle_reply session dst (Reconcile.Blocks_reply { blocks = [ kept ] })
   in
   check_b "asks again for the cut block, and for a" true
     (List.equal Hash_id.equal (hashes [ a; cut ]) (asked step));
-  (match Reconcile.handle_reply session dst (Reconcile.Blocks_reply { blocks = [] }) with
+  (match handle_reply session dst (Reconcile.Blocks_reply { blocks = [] }) with
   | _, Reconcile.Finished { new_blocks; _ } ->
     check_i "an empty reply ends it" 2 (List.length new_blocks)
   | _, (Reconcile.Send _ | Reconcile.Ignored) -> Alcotest.fail "an empty reply must end it");
-  match Reconcile.handle_reply session dst (Reconcile.Blocks_reply { blocks = [ cut; a ] }) with
+  match handle_reply session dst (Reconcile.Blocks_reply { blocks = [ cut; a ] }) with
   | _, Reconcile.Finished { new_blocks; _ } ->
     check_b "all four pulled" true
       (List.equal Hash_id.equal (hashes [ a; b; c; d ]) (hashes new_blocks))
@@ -1020,7 +1070,7 @@ let reconcile_bloom_reasks_cut_off () =
 
 let tamper (b : Block.t) ~sig_offset ~flip =
   let raw = Bytes.of_string (Block.to_string b) in
-  let at = Bytes.length raw - String.length b.Block.signature + sig_offset in
+  let at = Bytes.length raw - String.length (Block.signature b) + sig_offset in
   Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor flip));
   Option.get (Block.of_string (Bytes.to_string raw))
 
@@ -1296,7 +1346,7 @@ let reconcile_foreign_reply_ignored () =
          cross-mode frames carry no session progress. *)
       List.iter
         (fun foreign ->
-          match Reconcile.handle_reply session dag foreign with
+          match handle_reply session dag foreign with
           | _, Reconcile.Ignored -> ()
           | _, (Reconcile.Send _ | Reconcile.Finished _) ->
             Alcotest.failf "mode %s accepted a foreign reply"
@@ -1708,6 +1758,79 @@ let random_step dag i op arg =
   end
   | 6 -> Dag.of_string (Dag.to_string dag)
   | _ -> None
+
+(* The round-by-round pull order the one-pass [Reconcile.insertable_order]
+   replaced, kept as its oracle: each round emits, in hash order, every
+   pending block whose parents are resident, archived or emitted by an
+   earlier round; the blocks no round emits follow in hash order. *)
+let rounds_order dag blocks =
+  let pending =
+    List.fold_left
+      (fun acc (b : Block.t) ->
+        if Dag.mem dag b.Block.hash then acc else Hash_id.Map.add b.Block.hash b acc)
+      Hash_id.Map.empty blocks
+  in
+  let rec rounds emitted out pending =
+    let satisfied _ (b : Block.t) =
+      List.for_all
+        (fun p -> Dag.mem dag p || Dag.is_archived dag p || Hash_id.Set.mem p emitted)
+        b.Block.parents
+    in
+    let ready, rest = Hash_id.Map.partition satisfied pending in
+    if Hash_id.Map.is_empty ready then
+      List.rev (Hash_id.Map.fold (fun _ b acc -> b :: acc) rest out)
+    else
+      rounds
+        (Hash_id.Map.fold (fun h _ acc -> Hash_id.Set.add h acc) ready emitted)
+        (Hash_id.Map.fold (fun _ b acc -> b :: acc) ready out)
+        rest
+  in
+  rounds Hash_id.Set.empty [] pending
+
+(* A random DAG fragment as a pull meets it, from [seed]. Each block
+   hangs under one to three earlier blocks or the genesis, or under a
+   hash no peer holds (the root of an orphan chain). A block whose
+   ancestry is all local may be resident or archived in the puller's
+   DAG; the others are in the reply or missing everywhere. The reply
+   also carries some resident and archived blocks, repeats some, and
+   is shuffled. *)
+let pull_fragment seed =
+  let rng = Vegvisir_crypto.Rng.create seed in
+  let rint n = Vegvisir_crypto.Rng.int rng n in
+  let n = 1 + rint 40 in
+  let known = Array.make n genesis in
+  let local = ref (Hash_id.Set.singleton genesis.Block.hash) in
+  let resident = ref [] and archived = ref [] and reply = ref [] in
+  for i = 0 to n - 1 do
+    let parents =
+      if rint 8 = 0 then [ Hash_id.digest ("gone-" ^ string_of_int i) ]
+      else
+        List.init (1 + rint 3) (fun _ ->
+            let j = rint (i + 1) in
+            if j = i then genesis.Block.hash else known.(j).Block.hash)
+    in
+    let b = mk_block ~t:((i + 1) * 10) ~parents (string_of_int i) in
+    known.(i) <- b;
+    if List.for_all (fun p -> Hash_id.Set.mem p !local) b.Block.parents && rint 3 > 0
+    then begin
+      local := Hash_id.Set.add b.Block.hash !local;
+      if rint 3 = 0 then archived := b.Block.hash :: !archived
+      else resident := b :: !resident;
+      if rint 4 = 0 then reply := b :: !reply
+    end
+    else if rint 4 > 0 then reply := b :: !reply
+  done;
+  let image = Buffer.create 4096 in
+  Wire.put_list image Block.encode (genesis :: List.rev !resident);
+  Wire.put_list image
+    (fun buf h ->
+      Wire.put_str buf (Hash_id.to_raw h);
+      Wire.put_u32 buf 1)
+    !archived;
+  let dag = Option.get (Dag.of_string (Buffer.contents image)) in
+  let repeats = List.filter (fun _ -> rint 4 = 0) !reply in
+  let keyed = List.map (fun b -> (rint 1_000_000, b)) (repeats @ !reply) in
+  (dag, List.map snd (List.stable_sort (fun (x, _) (y, _) -> Int.compare x y) keyed))
 
 let qcheck_tests =
   let open QCheck in
@@ -2146,6 +2269,13 @@ let qcheck_tests =
           | exception _ -> false
         in
         ok_roundtrip && !ok_trunc && ok_garble);
+    Test.make ~name:"one-pass pull order = round-by-round oracle" ~count:300 int64
+      (fun seed ->
+        let dag, reply = pull_fragment seed in
+        let hashes = List.map (fun (b : Block.t) -> b.Block.hash) in
+        List.equal Hash_id.equal
+          (hashes (Reconcile.insertable_order dag reply))
+          (hashes (rounds_order dag reply)));
   ]
 
 let () =
@@ -2167,6 +2297,7 @@ let () =
           Alcotest.test_case "transaction roundtrip" `Quick transaction_roundtrip;
           Alcotest.test_case "roundtrip + tamper" `Quick block_roundtrip_and_tamper;
           Alcotest.test_case "canonical parents" `Quick block_canonical_parents;
+          Alcotest.test_case "keeps its bytes" `Quick block_keeps_its_bytes;
         ] );
       ( "dag",
         [

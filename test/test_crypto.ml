@@ -7,6 +7,9 @@ let check_s = Alcotest.(check string)
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
 
+(* Leaf [leaf] is included under [root] via path [p]. *)
+let verify_path ~root ~leaf p = String.equal (Merkle.path_root ~leaf p) root
+
 (* ------------------------------------------------------------------ *)
 (* Hex                                                                  *)
 
@@ -223,9 +226,9 @@ let merkle_basics () =
     (fun i leaf ->
       let p = Merkle.path t i in
       check_b (Printf.sprintf "path %d verifies" i) true
-        (Merkle.verify_path ~root:(Merkle.root t) ~leaf p);
+        (verify_path ~root:(Merkle.root t) ~leaf p);
       check_b (Printf.sprintf "path %d wrong leaf" i) false
-        (Merkle.verify_path ~root:(Merkle.root t) ~leaf:"z" p))
+        (verify_path ~root:(Merkle.root t) ~leaf:"z" p))
     leaves;
   Alcotest.check_raises "empty" (Invalid_argument "Merkle.build: no leaves")
     (fun () -> ignore (Merkle.build []));
@@ -236,7 +239,7 @@ let merkle_basics () =
 let merkle_single_leaf () =
   let t = Merkle.build [ "only" ] in
   check_b "single leaf path" true
-    (Merkle.verify_path ~root:(Merkle.root t) ~leaf:"only" (Merkle.path t 0));
+    (verify_path ~root:(Merkle.root t) ~leaf:"only" (Merkle.path t 0));
   check_b "leaf/root distinct from raw hash" true
     (Merkle.root t <> Sha256.digest "only")
 
@@ -335,17 +338,18 @@ let mss_cross_key () =
   let s = Mss.sign sk1 "msg" in
   check_b "cross-key rejected" false (Mss.verify pk2 "msg" s)
 
-(* A precomputed W-OTS half only replaces recomputing it: it can reject
-   a signature, but never vouches for a key or a leaf. *)
+(* A proven root names the one key a signature verifies under: it never
+   vouches for another key or for a rewritten leaf index. *)
 let mss_precheck_never_vouches () =
   let sk, pk = Mss.generate ~height:2 ~seed:"pre-k1" () in
   let _, other = Mss.generate ~height:2 ~seed:"pre-k2" () in
   let s = Mss.sign sk "msg" in
+  let proves key m s = Option.equal String.equal (Mss.proven_root m s) (Some key) in
   check_b "the W-OTS half holds" true (Mss.ots_holds "msg" s);
   check_b "and fails for another message" false (Mss.ots_holds "other" s);
-  check_b "verifies with its precheck" true (Mss.verify ~ots:true pk "msg" s);
-  check_b "a failed precheck rejects" false (Mss.verify ~ots:false pk "msg" s);
-  check_b "path to another root" false (Mss.verify ~ots:true other "msg" s);
+  check_b "proves its key" true (proves pk "msg" s);
+  check_b "another message proves none" true (Mss.proven_root "other" s = None);
+  check_b "never another key" false (proves other "msg" s);
   (* The index is the big-endian u32 that opens the signature: flipping
      its low bit names the sibling leaf, which the path does not fit. *)
   let raw = Bytes.of_string (Mss.signature_to_string s) in
@@ -354,7 +358,7 @@ let mss_precheck_never_vouches () =
   | None -> Alcotest.fail "rewritten signature must still parse"
   | Some twin ->
     check_b "rewritten index keeps the W-OTS half" true (Mss.ots_holds "msg" twin);
-    check_b "rewritten index" false (Mss.verify ~ots:true pk "msg" twin)
+    check_b "rewritten index proves none" true (Mss.proven_root "msg" twin = None)
 
 let mss_height_zero () =
   let sk, pk = Mss.generate ~height:0 ~seed:"tiny" () in
@@ -418,7 +422,7 @@ let oracle_mss_verify pk msg raw =
          Char.equal (side l) expect)
        (List.init levels Fun.id)
   && oracle_wots_verify p leaf_pk msg (String.sub raw 36 (32 * p.len))
-  && Merkle.verify_path ~root:pk ~leaf:leaf_pk path
+  && verify_path ~root:pk ~leaf:leaf_pk path
 
 let mss_oracle_sigs =
   lazy
@@ -455,13 +459,10 @@ let mss_index_bound () =
       done)
     sigs
 
-(* The batch intake's precheck: Block.ots_holds mapped over the worker
-   domains, on this process's kernel, gives block for block what the
-   OCaml-kernel oracle gives one block at a time. Every 16th block has
-   a flipped chain byte, so both answers occur. *)
-let pooled_ots_holds () =
+(* A CA's key and a 200-block chain it signed. *)
+let pooled_chain seed =
   let module V = Vegvisir in
-  let ca = V.Signer.mss ~height:8 ~seed:"pooled-ots" () in
+  let ca = V.Signer.mss ~height:8 ~seed () in
   let creator = (V.Certificate.self_signed ~signer:ca ~role:"ca").V.Certificate.user_id in
   let rec chain acc parents i =
     if i = 200 then List.rev acc
@@ -473,17 +474,29 @@ let pooled_ots_holds () =
       in
       chain (b :: acc) [ b.V.Block.hash ] (i + 1)
   in
-  let flip_chain_byte (b : V.Block.t) =
-    let raw = Bytes.of_string (V.Block.to_string b) in
-    let at = Bytes.length raw - String.length b.V.Block.signature + 4 + 32 + 100 in
-    Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor 1));
-    Option.get (V.Block.of_string (Bytes.to_string raw))
-  in
+  (ca.V.Signer.public, chain [] [] 0)
+
+(* [b] with the low bit of its signature's byte [at] flipped. *)
+let flip_signature_byte (b : Vegvisir.Block.t) at =
+  let module V = Vegvisir in
+  let raw = Bytes.of_string (V.Block.to_string b) in
+  let at = Bytes.length raw - String.length (V.Block.signature b) + at in
+  Bytes.set raw at (Char.chr (Char.code (Bytes.get raw at) lxor 1));
+  Option.get (V.Block.of_string (Bytes.to_string raw))
+
+(* The batch intake's precheck: Block.proven_root mapped over the
+   worker domains, on this process's kernel, gives block for block what
+   the OCaml-kernel oracle gives one block at a time. Every 16th block
+   has a flipped chain byte, so both answers occur. *)
+let pooled_ots_holds () =
+  let module V = Vegvisir in
+  let pk, chain = pooled_chain "pooled-ots" in
   let blocks =
-    Array.of_list (List.mapi (fun i b -> if i mod 16 = 5 then flip_chain_byte b else b) (chain [] [] 0))
+    Array.of_list
+      (List.mapi (fun i b -> if i mod 16 = 5 then flip_signature_byte b (4 + 32 + 100) else b) chain)
   in
   let oracle (b : V.Block.t) =
-    let p = Wots.params () and raw = b.V.Block.signature in
+    let p = Wots.params () and raw = V.Block.signature b in
     let msg =
       V.Block.signing_bytes ~creator:b.V.Block.creator ~timestamp:b.V.Block.timestamp
         ~location:b.V.Block.location ~parents:b.V.Block.parents
@@ -496,9 +509,48 @@ let pooled_ots_holds () =
   let expected = Array.map oracle blocks in
   check_i "refused by the oracle" 13
     (Array.fold_left (fun n r -> if r = Some false then n + 1 else n) 0 expected);
-  Alcotest.(check (array (option bool)))
-    "pooled = sequential" expected
-    (V.Domain_pool.map V.Block.ots_holds blocks)
+  Alcotest.(check (array (option string)))
+    "pooled = sequential"
+    (Array.map (fun r -> if r = Some true then Some pk else None) expected)
+    (V.Domain_pool.map V.Block.proven_root blocks)
+
+(* The pooled precheck's root decides exactly what a sequential
+   Mss.verify decides, and so does the verdict it gives the block check,
+   on valid signatures, a flipped chain byte, a flipped path sibling and
+   a wrong leaf index. *)
+let pooled_root_is_verify () =
+  let module V = Vegvisir in
+  let pk, chain = pooled_chain "pooled-root" in
+  let chains = 4 + 32 + Wots.signature_size (Wots.params ()) in
+  let tamper i b =
+    match i mod 4 with
+    | 0 -> b
+    | 1 -> flip_signature_byte b (4 + 32 + (i mod 2000))
+    | 2 -> flip_signature_byte b (chains + 1 + (33 * (i mod 8)) + (i mod 32))
+    | _ -> flip_signature_byte b 3
+  in
+  let blocks = Array.of_list (List.mapi tamper chain) in
+  let roots = V.Domain_pool.map V.Block.proven_root blocks in
+  Array.iteri
+    (fun i (b : V.Block.t) ->
+      let msg =
+        V.Block.signing_bytes ~creator:b.V.Block.creator ~timestamp:b.V.Block.timestamp
+          ~location:b.V.Block.location ~parents:b.V.Block.parents
+          ~transactions:b.V.Block.transactions
+      in
+      let sequential =
+        match Mss.signature_of_string (V.Block.signature b) with
+        | Some s -> Mss.verify pk msg s
+        | None -> false
+      in
+      let name what = Printf.sprintf "block %d (kind %d): %s" i (i mod 4) what in
+      check_b (name "verifies iff untouched") (i mod 4 = 0) sequential;
+      check_b (name "root is the key iff it verifies") sequential
+        (Option.equal String.equal roots.(i) (Some pk));
+      check_b (name "verdict with the root")
+        (V.Block.verify_signature ~public:pk ~scheme:"mss" b)
+        (V.Block.verify_signature ~proven:roots.(i) ~public:pk ~scheme:"mss" b))
+    blocks
 
 (* ------------------------------------------------------------------ *)
 (* Sealed box                                                           *)
@@ -675,7 +727,7 @@ let qcheck_tests =
         let t = Merkle.build leaves in
         List.for_all
           (fun i ->
-            Merkle.verify_path ~root:(Merkle.root t) ~leaf:(List.nth leaves i)
+            verify_path ~root:(Merkle.root t) ~leaf:(List.nth leaves i)
               (Merkle.path t i))
           (List.init (List.length leaves) Fun.id));
     Test.make ~name:"wots verifies arbitrary messages" ~count:25
@@ -746,6 +798,8 @@ let () =
           Alcotest.test_case
             ("pooled ots_holds on " ^ Sha256.kernel ^ " = ocaml oracle")
             `Quick pooled_ots_holds;
+          Alcotest.test_case "pooled root = sequential verify" `Quick
+            pooled_root_is_verify;
         ] );
       ( "bloom",
         [

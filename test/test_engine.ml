@@ -204,8 +204,16 @@ let reference_merge mode =
 let scripted_matches_sync_dags () =
   List.iter
     (fun mode ->
-      let o = scripted_pull ~mode ~a_node:behind_node ~b_node:ahead_node () in
+      let framed = ref 0 in
+      let tally ~round:_ frames =
+        List.iter (fun f -> framed := !framed + String.length f) frames;
+        frames
+      in
+      let o = scripted_pull ~mode ~mangle:tally ~a_node:behind_node ~b_node:ahead_node () in
       check_b "completed" true (Option.is_some o.stats);
+      (match o.stats with
+      | Some s -> check_i "bytes_received = the replies' frame payloads" !framed s.Reconcile.bytes_received
+      | None -> ());
       check_b "merged like sync_dags" true (frontier_eq o.dag (reference_merge mode));
       (* Same protocol core, so the session statistics agree exactly. *)
       let _, ref_stats =
@@ -523,10 +531,13 @@ let stateless_responder mode () =
     let served = served + List.length (served_of first) in
     let reply =
       match sends first with
-      | [ bytes ] -> Wire.decode_string Reconcile.decode_message bytes
+      | [ bytes ] ->
+        Option.map
+          (Reconcile.handle_reply session behind ~size:(String.length bytes))
+          (Wire.decode_string Reconcile.decode_message bytes)
       | _ -> None
     in
-    match Option.map (Reconcile.handle_reply session behind) reply with
+    match reply with
     | Some (session, Reconcile.Send next) -> pull session next served
     | Some (_, Reconcile.Finished _) -> served
     | Some (_, Reconcile.Ignored) | None -> Alcotest.fail "no usable reply"

@@ -514,6 +514,28 @@ let test_parallel_safety () =
     "let table : (string, int) Hashtbl.t = Hashtbl.create 8\n\
      let lookup k = Hashtbl.find_opt table k\n"
 
+(* The body of a non-recursive [let f] inside a submodule names the [f]
+   that encloses it, not itself: the rebinding reaches what the outer
+   [lookup] reaches, as a top-level caller of it does. *)
+let test_nonrecursive_rebinding () =
+  let src =
+    "let table : (string, int) Hashtbl.t = Hashtbl.create 8\n\
+     let lookup k = Hashtbl.find_opt table k\n\n\
+     (* lint: parallel-safe *)\n\
+     let direct k = lookup k\n\n\
+     module Sub = struct\n\
+    \  (* lint: parallel-safe *)\n\
+    \  let lookup k = lookup k\n\
+     end\n"
+  in
+  let fs = find_rule "parallel-safety" (lint "lib/crypto/cachey.ml" src) in
+  let flagged name = List.exists (fun (f : Veglint.Finding.t) -> msg_contains name f) fs in
+  Alcotest.(check bool) "direct is flagged" true (flagged "Vegvisir_crypto.Cachey.direct ->");
+  Alcotest.(check bool) "Sub.lookup is flagged through the outer lookup" true
+    (flagged
+       "Vegvisir_crypto.Cachey.Sub.lookup -> Vegvisir_crypto.Cachey.lookup -> \
+        Vegvisir_crypto.Cachey.table")
+
 (* An [external] is a call-graph node. Foreign code counts as reaching
    top-level mutable state unless a reasoned no-static-state annotation
    says it keeps none; a [%] primitive is the compiler's own. *)
@@ -786,6 +808,8 @@ let () =
             test_fixpoint_mutual_recursion;
           Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
           Alcotest.test_case "parallel safety" `Quick test_parallel_safety;
+          Alcotest.test_case "non-recursive rebinding" `Quick
+            test_nonrecursive_rebinding;
           Alcotest.test_case "unannotated external stub" `Quick test_unannotated_stub;
           Alcotest.test_case "annotated external stub" `Quick test_annotated_stub;
           Alcotest.test_case "%identity external" `Quick test_identity_primitive;

@@ -208,6 +208,31 @@ let codec_roundtrip_qcheck =
        QCheck.Gen.(pair gen_float gen_event))
     (fun (ts, ev) -> Event.of_json (Event.to_json ~ts ev) = Some (ts, ev))
 
+(* A journal batch is rendered with its shared stamp once: the lines
+   must be what rendering each event alone gives. Stamps are integral
+   (one [%.1f]), wall-clock milliseconds with a fraction (which need
+   [%.17g]) or any codec float; node and peer strings need escaping. *)
+let journal_batch_qcheck =
+  let gen_ts =
+    QCheck.Gen.(
+      oneof
+        [
+          map float_of_int (int_bound 1_000_000_000);
+          map (fun f -> 1.7e12 +. f) (float_range 0. 1e9);
+          gen_float;
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"journal batch = per-event lines"
+    (QCheck.make
+       ~print:(fun (ts, evs) -> String.concat "\n" (List.map (Event.to_json ~ts) evs))
+       QCheck.Gen.(pair gen_ts (list_size (int_bound 8) gen_event)))
+    (fun (ts, evs) ->
+      let b = Buffer.create 256 in
+      Buffer.add_string b "kept:";
+      Event.to_json_lines b ~ts evs;
+      String.equal (Buffer.contents b)
+        ("kept:" ^ String.concat "" (List.map (fun ev -> Event.to_json ~ts ev ^ "\n") evs)))
+
 let jsonl_rejects_garbage () =
   List.iter
     (fun line ->
@@ -1278,6 +1303,7 @@ let () =
           Alcotest.test_case "jsonl round-trip (all variants)" `Quick
             jsonl_roundtrip;
           QCheck_alcotest.to_alcotest codec_roundtrip_qcheck;
+          QCheck_alcotest.to_alcotest journal_batch_qcheck;
           Alcotest.test_case "rejects garbage" `Quick jsonl_rejects_garbage;
           Alcotest.test_case "float codec exact" `Quick json_float_exact;
         ] );
