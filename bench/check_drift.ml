@@ -57,6 +57,8 @@ let guarded name =
             fold beside it. *)
          "M2-signatures/intake-200";
          "M2-signatures/intake-200-each";
+         (* The key re-derivation every store load runs. *)
+         "M2-signatures/mss-keygen-h8";
        ]
 
 (* Minimal extraction of [("name", ns_per_op)] pairs from the snapshot

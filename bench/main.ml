@@ -152,9 +152,10 @@ let core_tests =
       @ per_kernel (fun (module K : Crypto.Sha256.S) suffix ->
             [
               Test.make ~name:("wots-chain-15" ^ suffix)
-                (stage (fun () ->
-                     K.iterate ~prefix:"wots-chain" wots_chain_start
-                       wots_params.Crypto.Wots.chain_max));
+                (stage
+                   (let v = Bytes.of_string wots_chain_start
+                    and steps = String.make 1 (Char.chr wots_params.Crypto.Wots.chain_max) in
+                    fun () -> K.iterate ~prefix:"wots-chain" v steps));
             ]));
   ]
 
@@ -185,7 +186,10 @@ let intake_batch =
 
 let intake_now = V.Timestamp.of_ms 1_000_000L
 
-(* About 40-80 ms a call: a 4 s quota buys each row a dozen samples. *)
+(* About 10-80 ms a call: a 4 s quota buys each row a dozen samples.
+   mss-keygen-h8 derives a height-8 key's 256 W-OTS leaves, what every
+   Node_store.load pays (four times over, at height 10) to re-derive
+   its signer. *)
 let intake_tests () =
   let batch = Lazy.force intake_batch in
   let fresh () = V.Node.create ~signer ~cert () in
@@ -197,6 +201,8 @@ let intake_tests () =
         (stage (fun () ->
              let n = fresh () in
              List.iter (fun b -> ignore (V.Node.receive n ~now:intake_now b)) batch));
+      Test.make ~name:("mss-keygen-h8" ^ kernel_suffix)
+        (stage (fun () -> Crypto.Mss.generate ~height:8 ~seed:"bench-mss-keygen" ()));
     ]
 
 let tests =

@@ -54,6 +54,14 @@ let bound_port fd =
   | Unix.ADDR_INET (_, port) -> port
   | Unix.ADDR_UNIX _ -> 0
 
+(* Every conn, dialed or accepted, sends with Nagle's algorithm off
+   (TCP_NODELAY). Each exchange is request/reply and [Framing.flush]
+   hands the kernel whole frames, so Nagle never merges segments here;
+   it only holds the tail of a reply back until the peer's delayed ACK
+   (~40 ms on Linux) arrives, which stalled one catch-up exchange in
+   five or ten. *)
+let set_nodelay fd = Unix.setsockopt fd Unix.TCP_NODELAY true
+
 (* A connect is started non-blocking and resolves in the background: the
    socket becomes writable when the three-way handshake completes or
    fails, and SO_ERROR then says which. The event loop waits for that
@@ -67,6 +75,7 @@ let connect_start ~host ~port () =
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         match
           Unix.set_nonblock fd;
+          set_nodelay fd;
           Unix.connect fd (Unix.ADDR_INET (addr, port))
         with
         | () -> fd
@@ -116,9 +125,16 @@ let accept_nb fd =
      result usable by the blocking [accept] path too. *)
   (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
   match Unix.accept fd with
-  | conn, _ ->
-    Unix.set_nonblock conn;
-    Ok (`Conn conn)
+  | conn, _ -> begin
+    match
+      Unix.set_nonblock conn;
+      set_nodelay conn
+    with
+    | () -> Ok (`Conn conn)
+    | exception Unix.Unix_error (e, fn, _) ->
+      close_conn conn;
+      Error (fn ^ ": " ^ Unix.error_message e)
+  end
   | exception
       Unix.Unix_error
         ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)

@@ -30,6 +30,9 @@ val mono_ms : unit -> float
     Listening, accepting and dialing. A conn from {!accept} or
     {!connect} is blocking until {!set_nonblocking}; one from
     {!connect_start} or {!accept_nb} is non-blocking from the start.
+    Every conn has [TCP_NODELAY] set: the sessions here are
+    request/reply, so Nagle's algorithm could only delay a reply's
+    last segment until the peer's delayed ACK, never merge frames.
     {!Event_loop} moves every session's frames with the non-blocking
     primitives below. All functions return [Error] with a
     human-readable message rather than raising [Unix.Unix_error]. *)
@@ -103,8 +106,10 @@ val listener_id : listener -> int
 val accept_nb :
   listener -> ([ `Conn of conn | `Would_block ], string) result
 (** Accept one pending connection, already switched to non-blocking
-    mode; [`Would_block] when the queue is empty (or the peer aborted
-    between readiness and accept). *)
+    mode with [TCP_NODELAY] set; [`Would_block] when the queue is empty
+    (or the peer aborted between readiness and accept). When a socket
+    option cannot be set, the connection is closed and the error
+    returned. *)
 
 val read_nb :
   conn ->

@@ -86,22 +86,27 @@ let load_words w n b off =
       lor Char.code (Bytes.unsafe_get b (j + 3)))
   done
 
+(* The 8 state words, big-endian, into [out] at [off]. *)
+let store_state h out off =
+  for i = 0 to 7 do
+    let v = h.(i) and j = off + (4 * i) in
+    Bytes.set out j (Char.unsafe_chr ((v lsr 24) land 0xff));
+    Bytes.set out (j + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+    Bytes.set out (j + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.set out (j + 3) (Char.unsafe_chr (v land 0xff))
+  done
+
 let string_of_state h =
   let out = Bytes.create digest_size in
-  for i = 0 to 7 do
-    let v = h.(i) in
-    Bytes.set out (4 * i) (Char.unsafe_chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (v land 0xff))
-  done;
+  store_state h out 0;
   Bytes.unsafe_to_string out
 
 (* The SHA-NI kernel (sha256_stubs.c): the same compression on the x86
-   SHA extensions. Each call runs a whole run of blocks, or a whole
-   hash chain, so the boundary is crossed once per run, not per block.
-   The stubs allocate nothing, keep no static state and trust their
-   arguments, which the callers below check first. *)
+   SHA extensions. Each call runs a whole run of blocks, or every hash
+   chain of a W-OTS key or signature, so the boundary is crossed once
+   per run, not per block. The stubs allocate nothing, keep no static
+   state and trust their arguments, which the callers below check
+   first. *)
 
 (* lint: no-static-state — reads cpuid into locals *)
 external ni_available : unit -> bool = "vv_sha256_ni_available" [@@noalloc]
@@ -111,8 +116,8 @@ external ni_compress : int array -> bytes -> int -> int -> unit
   = "vv_sha256_ni_compress"
 [@@noalloc]
 
-(* lint: no-static-state — touches only the block and the C stack *)
-external ni_iterate : bytes -> int -> int -> unit = "vv_sha256_ni_iterate"
+(* lint: no-static-state — touches only the prefix, values, step counts and the C stack *)
+external ni_chains : string -> bytes -> string -> unit = "vv_sha256_ni_chains"
 [@@noalloc]
 
 (* The CPU probe, once per process: nothing else chooses the kernel. *)
@@ -204,51 +209,48 @@ let digest_list_with ni parts =
   List.iter (feed ctx) parts;
   finalize ctx
 
-(* [iterate ~prefix v n] applies v <- H(prefix || v) n times. The input
-   fits one padded block, so every step is a single compression. The
-   SHA-NI kernel runs all n steps in one call over that block. The OCaml
-   kernel fixes the prefix and padding words once per call, shifts the
-   previous digest's 8 words in at the prefix's byte offset, and
+(* [iterate ~prefix values steps] runs chain i, the 32 bytes of
+   [values] at 32 * i, [steps.[i]] times through v <- H(prefix || v),
+   in place. The input fits one padded block, so every step is a single
+   compression. The SHA-NI kernel runs every chain in one call. The
+   OCaml kernel fixes the prefix and padding words once per call, shifts
+   the previous digest's 8 words in at the prefix's byte offset, and
    restarts the state from the IV. The arrays are this call's own
    scratch; a step allocates nothing. *)
-let iterate_with ni ~prefix v n =
+let iterate_with ni ~prefix values steps =
   let p = String.length prefix in
-  if String.length v <> digest_size then
-    invalid_arg "Sha256.iterate: input must be 32 bytes";
+  if Bytes.length values <> digest_size * String.length steps then
+    invalid_arg "Sha256.iterate: values must be 32 bytes per step count";
   if p > 64 - 9 - digest_size then invalid_arg "Sha256.iterate: prefix too long";
-  if n < 0 then invalid_arg "Sha256.iterate: negative count";
-  if n = 0 then v
+  if ni then ni_chains prefix values steps
   else begin
     let block = Bytes.make 64 '\x00' in
     Bytes.blit_string prefix 0 block 0 p;
     Bytes.set block (p + digest_size) '\x80';
     Bytes.set_int64_be block 56 (Int64.of_int (8 * (p + digest_size)));
-    if ni then begin
-      Bytes.blit_string v 0 block p digest_size;
-      ni_iterate block p n;
-      Bytes.sub_string block p digest_size
-    end
-    else begin
-      let fixed = Array.make 16 0 in
-      load_words fixed 16 block 0;
-      let h = Array.make 8 0 in
-      load_words h 8 (Bytes.unsafe_of_string v) 0;
-      let w = Array.make 64 0 in
-      let q = p / 4 and shift = 8 * (p mod 4) in
-      for _ = 1 to n do
-        Array.blit fixed 0 w 0 16;
-        for i = 0 to 7 do
-          let x = h.(i) in
-          w.(q + i) <- w.(q + i) lor (x lsr shift);
-          w.(q + i + 1) <- w.(q + i + 1) lor ((x lsl (32 - shift)) land mask32)
+    let fixed = Array.make 16 0 in
+    load_words fixed 16 block 0;
+    let h = Array.make 8 0 and w = Array.make 64 0 in
+    let q = p / 4 and shift = 8 * (p mod 4) in
+    for c = 0 to String.length steps - 1 do
+      let n = Char.code (String.unsafe_get steps c) in
+      if n > 0 then begin
+        load_words h 8 values (digest_size * c);
+        for _ = 1 to n do
+          Array.blit fixed 0 w 0 16;
+          for i = 0 to 7 do
+            let x = h.(i) in
+            w.(q + i) <- w.(q + i) lor (x lsr shift);
+            w.(q + i + 1) <- w.(q + i + 1) lor ((x lsl (32 - shift)) land mask32)
+          done;
+          for i = 0 to 7 do
+            h.(i) <- iv.(i)
+          done;
+          compress h w
         done;
-        for i = 0 to 7 do
-          h.(i) <- iv.(i)
-        done;
-        compress h w
-      done;
-      string_of_state h
-    end
+        store_state h values (digest_size * c)
+      end
+    done
   end
 
 let hmac_with ni ~key msg =
@@ -273,7 +275,7 @@ module type S = sig
   val finalize : ctx -> string
   val digest : string -> string
   val digest_list : string list -> string
-  val iterate : prefix:string -> string -> int -> string
+  val iterate : prefix:string -> bytes -> string -> unit
   val hmac : key:string -> string -> string
 end
 
@@ -287,7 +289,7 @@ module Portable = struct
   let finalize = finalize
   let digest s = digest_with false s
   let digest_list parts = digest_list_with false parts
-  let iterate ~prefix v n = iterate_with false ~prefix v n
+  let iterate ~prefix values steps = iterate_with false ~prefix values steps
   let hmac ~key msg = hmac_with false ~key msg
 end
 
@@ -306,7 +308,7 @@ let digest s = digest_with sha_ni s
 let digest_list parts = digest_list_with sha_ni parts
 
 (* lint: parallel-safe *)
-let iterate ~prefix v n = iterate_with sha_ni ~prefix v n
+let iterate ~prefix values steps = iterate_with sha_ni ~prefix values steps
 
 (* lint: parallel-safe *)
 let hmac ~key msg = hmac_with sha_ni ~key msg

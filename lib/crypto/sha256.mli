@@ -40,12 +40,17 @@ module type S = sig
   (** [digest_list parts] hashes the concatenation of [parts] without
       building the concatenation. *)
 
-  val iterate : prefix:string -> string -> int -> string
-  (** [iterate ~prefix v n] applies [v <- digest (prefix ^ v)] [n] times
-      ([v] itself when [n = 0]): the hash chains of {!Wots}. Each step is
-      one compression with no allocation.
-      @raise Invalid_argument unless [v] is 32 bytes, [prefix] is at
-      most 23 bytes (so [prefix ^ v] pads to one block) and [n >= 0]. *)
+  val iterate : prefix:string -> bytes -> string -> unit
+  (** [iterate ~prefix values steps] runs k = [String.length steps]
+      hash chains at once, the hash chains of {!Wots}: chain [i] is the
+      32 bytes of [values] at [32 * i], and it becomes the result of
+      applying [v <- digest (prefix ^ v)] to them [Char.code steps.[i]]
+      times (0 leaves it as it is), in place. Each step is one
+      compression with no allocation; the SHA-NI kernel runs all k
+      chains in one call, two at a time.
+      @raise Invalid_argument unless [values] is [32 * k] bytes and
+      [prefix] is at most 23 bytes (so [prefix ^ v] pads to one
+      block). *)
 
   val hmac : key:string -> string -> string
   (** HMAC-SHA-256 (RFC 2104). *)

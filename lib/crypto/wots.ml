@@ -16,9 +16,11 @@ let params ?(chunk_bits = 4) () =
   let len2 = digits max_checksum 0 in
   { chunk_bits; len1; len2; len = len1 + len2; chain_max }
 
-type secret_key = { p : params; keys : string array }
+(* A secret key's [len] chain starts, and a signature's [len] chain
+   values, each as one string of [len] 32-byte values. *)
+type secret_key = { p : params; keys : string }
 type public_key = string
-type signature = { chains : string array }
+type signature = string
 
 (* Extract the [len1] base-2^b chunks of a 32-byte digest, MSB first, then
    append the checksum chunks. *)
@@ -42,44 +44,42 @@ let chunks_of_digest p d =
   in
   Array.append msg_chunks cs_chunks
 
-let chain v n = Sha256.iterate ~prefix:"wots-chain" v n
+let signature_size p = p.len * 32
 
+(* Chain i of [values] advanced [steps.[i]] steps, all in one kernel
+   call. *)
+let advance values steps =
+  let b = Bytes.of_string values in
+  Sha256.iterate ~prefix:"wots-chain" b steps;
+  Bytes.unsafe_to_string b
+
+(* The public key is the digest of every chain's end. *)
 let public_of_keys p keys =
-  let ctx = Sha256.init () in
-  Array.iter (fun k -> Sha256.feed ctx (chain k p.chain_max)) keys;
-  Sha256.finalize ctx
+  Sha256.digest (advance keys (String.make p.len (Char.chr p.chain_max)))
+
+let key_pair p keys = ({ p; keys }, public_of_keys p keys)
 
 let generate p rng =
-  let keys = Array.init p.len (fun _ -> Rng.bytes rng 32) in
-  ({ p; keys }, public_of_keys p keys)
+  key_pair p (String.concat "" (List.init p.len (fun _ -> Rng.bytes rng 32)))
 
 let derive p ~seed =
-  let keys =
-    Array.init p.len (fun i ->
-        Sha256.digest_list [ "wots-sk"; seed; string_of_int i ])
-  in
-  ({ p; keys }, public_of_keys p keys)
+  key_pair p
+    (String.concat ""
+       (List.init p.len (fun i -> Sha256.digest_list [ "wots-sk"; seed; string_of_int i ])))
 
 let sign sk msg =
-  let p = sk.p in
-  let cs = chunks_of_digest p (Sha256.digest msg) in
-  { chains = Array.mapi (fun i c -> chain sk.keys.(i) c) cs }
+  let cs = chunks_of_digest sk.p (Sha256.digest msg) in
+  advance sk.keys (String.init sk.p.len (fun i -> Char.chr cs.(i)))
 
 (* lint: parallel-safe *)
 let verify p pk msg s =
-  Array.length s.chains = p.len
+  String.length s = signature_size p
   &&
   let cs = chunks_of_digest p (Sha256.digest msg) in
-  let ctx = Sha256.init () in
-  Array.iteri
-    (fun i c -> Sha256.feed ctx (chain s.chains.(i) (p.chain_max - c)))
-    cs;
-  String.equal (Sha256.finalize ctx) pk
+  let ends = advance s (String.init p.len (fun i -> Char.chr (p.chain_max - cs.(i)))) in
+  String.equal (Sha256.digest ends) pk
 
-let signature_size p = p.len * 32
-
-let signature_to_string s = String.concat "" (Array.to_list s.chains)
+let signature_to_string s = s
 
 let signature_of_string p raw =
-  if String.length raw <> signature_size p then None
-  else Some { chains = Array.init p.len (fun i -> String.sub raw (32 * i) 32) }
+  if String.length raw <> signature_size p then None else Some raw

@@ -1971,6 +1971,39 @@ let dial_does_not_wedge () =
   check_i "one dial failure" 1 st.Event_loop.dial_failures;
   check_i "not a failed session" 0 st.Event_loop.failed
 
+(* Every conn sends with Nagle's algorithm off. Read TCP_NODELAY back on
+   both ends of a loopback pair made by the non-blocking calls the event
+   loop uses, and of a pair made by the blocking ones. On Unix a conn is
+   the descriptor [conn_id] names. No timing is asserted. *)
+external fd_of_int : int -> Unix.file_descr = "%identity"
+
+let nodelay_on_every_conn () =
+  let get what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
+  let nodelay c = Unix.getsockopt (fd_of_int (Unix_compat.conn_id c)) Unix.TCP_NODELAY in
+  let l = get "listen" (Unix_compat.listen ~port:0 ()) in
+  let port = Unix_compat.bound_port l in
+  let check_pair how dialed accepted =
+    check_b (how ^ ": the dialed end sets TCP_NODELAY") true (nodelay dialed);
+    check_b (how ^ ": the accepted end sets TCP_NODELAY") true (nodelay accepted);
+    Unix_compat.close_conn dialed;
+    Unix_compat.close_conn accepted
+  in
+  let dialed = get "connect_start" (Unix_compat.connect_start ~host:"127.0.0.1" ~port ()) in
+  let rec accept_nb () =
+    match Unix_compat.accept_nb l with
+    | Ok (`Conn c) -> c
+    | Ok `Would_block ->
+      get "await"
+        (Unix_compat.await ~deadline:(Unix_compat.now () +. 10.) ~timed_out:"no connection"
+           ~listeners:[ l ] ~read:[] ~write:[] ());
+      accept_nb ()
+    | Error e -> Alcotest.failf "accept_nb: %s" e
+  in
+  check_pair "connect_start/accept_nb" dialed (accept_nb ());
+  let dialed = get "connect" (Unix_compat.connect ~timeout_s:10. ~host:"127.0.0.1" ~port ()) in
+  check_pair "connect/accept" dialed (get "accept" (Unix_compat.accept ~timeout_s:10. l));
+  Unix_compat.close_listener l
+
 (* [sync --live] reports a connect that fails, refused or timed out,
    with the connect error on stderr and exit 1. *)
 let sync_live_connect_errors () =
@@ -2044,6 +2077,7 @@ let () =
           Alcotest.test_case "a delivery journals what it drains" `Quick
             delivery_journals_drained;
           Alcotest.test_case "a dial does not wedge the loop" `Quick dial_does_not_wedge;
+          Alcotest.test_case "every conn sets TCP_NODELAY" `Quick nodelay_on_every_conn;
         ] );
       ( "framing",
         [

@@ -110,17 +110,20 @@ let sha_all_lengths (module K : SHA) () =
 let iterate_rejects (module K : SHA) () =
   let v = String.make 32 'v' in
   List.iter
-    (fun (what, prefix, v, n) ->
-      match K.iterate ~prefix v n with
-      | _ -> Alcotest.failf "iterate accepted %s" what
+    (fun (what, prefix, values, steps) ->
+      match K.iterate ~prefix (Bytes.of_string values) steps with
+      | () -> Alcotest.failf "iterate accepted %s" what
       | exception Invalid_argument _ -> ())
     [
-      ("empty input", "p", "", 1);
-      ("31-byte input", "p", String.make 31 'v', 1);
-      ("33-byte input", "p", String.make 33 'v', 1);
-      ("non-32-byte input at n = 0", "p", "short", 0);
-      ("24-byte prefix", String.make 24 'p', v, 1);
-      ("negative count", "p", v, -1);
+      ("empty input", "p", "", "\001");
+      ("31-byte input", "p", String.make 31 'v', "\001");
+      ("33-byte input", "p", String.make 33 'v', "\001");
+      ("non-32-byte input at n = 0", "p", "short", "\000");
+      ("24-byte prefix", String.make 24 'p', v, "\001");
+      ("24-byte prefix, no chains", String.make 24 'p', "", "");
+      ("two step counts for one value", "p", v, "\001\001");
+      ("one step count for two values", "p", v ^ v, "\001");
+      ("a value and no step count", "p", v, "");
     ]
 
 (* The per-step chain that Sha256.iterate replaced, on the OCaml kernel:
@@ -132,6 +135,15 @@ let oracle_chain ~prefix v n =
   in
   go v n
 
+(* [iterate] over the chains [vs], advanced [ns] steps, as a list. *)
+let iterate_chains (module K : SHA) ~prefix vs ns =
+  let b = Bytes.of_string (String.concat "" vs) in
+  K.iterate ~prefix b (String.concat "" (List.map (fun n -> String.make 1 (Char.chr n)) ns));
+  List.mapi (fun i _ -> Bytes.sub_string b (32 * i) 32) vs
+
+(* One chain through the batch call. *)
+let iterate1 kernel ~prefix v n = List.hd (iterate_chains kernel ~prefix [ v ] [ n ])
+
 (* Every prefix length, at step counts around the W-OTS chain lengths. *)
 let iterate_oracle (module K : SHA) () =
   let v = K.digest "iterate-oracle" in
@@ -141,9 +153,31 @@ let iterate_oracle (module K : SHA) () =
       (fun n ->
         check_s (Printf.sprintf "prefix %d, %d steps" p n)
           (hex (oracle_chain ~prefix v n))
-          (hex (K.iterate ~prefix v n)))
+          (hex (iterate1 (module K) ~prefix v n)))
       [ 0; 1; 2; 15; 16; 255 ]
   done
+
+(* Batches at every prefix length: an odd count with zero-step chains
+   among the others, so both lanes refill and one runs alone at the
+   end; and the 265 chains of a chunk_bits = 1 signature. *)
+let iterate_batch_oracle (module K : SHA) () =
+  let start i = K.digest (string_of_int i) in
+  let check what ~prefix ns =
+    let vs = List.mapi (fun i _ -> start i) ns in
+    let got = iterate_chains (module K) ~prefix vs ns in
+    List.iteri
+      (fun i ((v, n), got) ->
+        check_s (Printf.sprintf "%s, chain %d of %d (%d steps)" what i (List.length ns) n)
+          (hex (oracle_chain ~prefix v n))
+          (hex got))
+      (List.combine (List.combine vs ns) got)
+  in
+  for p = 0 to 23 do
+    let prefix = String.init p (fun i -> Char.chr (0x61 + i)) in
+    check (Printf.sprintf "prefix %d" p) ~prefix [ 0; 3; 255; 0; 16; 15; 1 ]
+  done;
+  check "no chains" ~prefix:"wots-chain" [];
+  check "265 chains" ~prefix:"wots-chain" (List.init 265 (fun i -> if i mod 3 = 0 then 0 else 1))
 
 let sha_cases =
   [
@@ -155,6 +189,7 @@ let sha_cases =
     ("every length 0..256", `Quick, sha_all_lengths);
     ("iterate rejects bad input", `Quick, iterate_rejects);
     ("iterate = per-step oracle", `Quick, iterate_oracle);
+    ("iterate batch = per-step oracle", `Quick, iterate_batch_oracle);
   ]
 
 let sha_suite kernel =
@@ -397,6 +432,43 @@ let oracle_wots_verify (p : Wots.params) pk msg chains =
        (List.init p.len (fun i ->
             oracle_chain ~prefix:"wots-chain" (String.sub chains (32 * i) 32)
               (p.chain_max - pos.(i)))))
+
+(* Keys and signatures at chunk_bits 1, 4 and 8, on this process's
+   kernel, against the per-step oracle on the OCaml kernel; then their
+   fingerprint, the SHA-256 of every public key and signature in turn,
+   which was computed independently with Python's hashlib. *)
+let wots_keys_fingerprint () =
+  let parts =
+    List.concat_map
+      (fun chunk_bits ->
+        let p = Wots.params ~chunk_bits () in
+        let seed = Printf.sprintf "fp-%d" chunk_bits in
+        let sk, pk = Wots.derive p ~seed in
+        let keys =
+          List.init p.len (fun i ->
+              Sha256.Portable.digest_list [ "wots-sk"; seed; string_of_int i ])
+        in
+        check_s (Printf.sprintf "chunk_bits %d: key" chunk_bits)
+          (hex
+             (Sha256.Portable.digest_list
+                (List.map (fun k -> oracle_chain ~prefix:"wots-chain" k p.chain_max) keys)))
+          (hex pk);
+        List.concat_map
+          (fun msg ->
+            let s = Wots.signature_to_string (Wots.sign sk msg) in
+            let pos = oracle_positions p msg in
+            check_s
+              (Printf.sprintf "chunk_bits %d: signature of %S" chunk_bits msg)
+              (hex
+                 (String.concat ""
+                    (List.mapi (fun i k -> oracle_chain ~prefix:"wots-chain" k pos.(i)) keys)))
+              (hex s);
+            [ pk; s ])
+          [ ""; Printf.sprintf "message %d" chunk_bits ])
+      [ 1; 4; 8 ]
+  in
+  check_s "fingerprint" "4f05581bf4aae0480676329cfca3770c3141b77d0e1012276e626e7bd749b01b"
+    (hex (Sha256.Portable.digest (String.concat "" parts)))
 
 (* Layout: u32 index | leaf pk | chains | (side byte, sibling) per level. *)
 let oracle_mss_verify pk msg raw =
@@ -653,10 +725,24 @@ let qcheck_tests =
       (triple (string_of_size (Gen.return 32)) (int_range 0 255)
          (string_of_size Gen.(0 -- 23)))
       (fun (v, n, prefix) ->
-        String.equal (Sha256.iterate ~prefix v n) (oracle_chain ~prefix v n)
+        String.equal (iterate1 process_kernel ~prefix v n) (oracle_chain ~prefix v n)
         && String.equal
-             (Sha256.iterate ~prefix:"wots-chain" v n)
+             (iterate1 process_kernel ~prefix:"wots-chain" v n)
              (oracle_chain ~prefix:"wots-chain" v n));
+    (* Chain counts 0..270 (265 is a chunk_bits = 1 signature), odd
+       counts included, and zero-step and 255-step chains mixed in. *)
+    Test.make ~name:"iterate batch = per-step oracle, chain by chain" ~count:120
+      (pair
+         (string_of_size Gen.(0 -- 23))
+         (list_of_size
+            Gen.(frequency [ (1, return 0); (4, 1 -- 9); (2, 10 -- 80); (1, 260 -- 270) ])
+            (make Gen.(frequency [ (2, return 0); (1, return 255); (5, 0 -- 255) ]))))
+      (fun (prefix, ns) ->
+        let vs = List.mapi (fun i _ -> Sha256.Portable.digest (prefix ^ string_of_int i)) ns in
+        List.for_all2
+          (fun (v, n) got -> String.equal got (oracle_chain ~prefix v n))
+          (List.combine vs ns)
+          (iterate_chains process_kernel ~prefix vs ns));
     Test.make ~name:(Sha256.kernel ^ " = ocaml kernel on split feeds") ~count:300
       (pair (string_of_size Gen.(0 -- 256)) (list_of_size Gen.(0 -- 4) small_nat))
       (fun (data, cuts) ->
@@ -676,7 +762,7 @@ let qcheck_tests =
       (triple (string_of_size (Gen.return 32)) (int_range 0 255)
          (string_of_size Gen.(0 -- 23)))
       (fun (v, n, prefix) ->
-        String.equal (Sha256.iterate ~prefix v n) (Sha256.Portable.iterate ~prefix v n));
+        String.equal (iterate1 process_kernel ~prefix v n) (iterate1 ocaml_kernel ~prefix v n));
     Test.make ~name:"wots verify = oracle under chain corruption" ~count:40
       (triple (oneofl [ 1; 2; 4; 8 ]) (string_of_size Gen.(0 -- 40))
          (pair small_nat (int_range 0 255)))
@@ -786,6 +872,8 @@ let () =
           Alcotest.test_case "deterministic derive" `Quick wots_deterministic_derive;
           Alcotest.test_case "serialization" `Quick wots_serialization;
           Alcotest.test_case "tamper" `Quick wots_tamper;
+          Alcotest.test_case "keys and signatures = ocaml oracle" `Quick
+            wots_keys_fingerprint;
         ] );
       ( "mss",
         [
