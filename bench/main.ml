@@ -38,20 +38,19 @@ module Obs = Vegvisir_obs
 let payload_64 = String.make 64 'x'
 let payload_4k = String.make 4096 'x'
 
-let wots_params = Crypto.Wots.params ()
-let wots_sk, wots_pk = Crypto.Wots.derive wots_params ~seed:"bench-wots"
+let wots_sk, wots_pk = Crypto.Wots.derive ~seed:"bench-wots"
 let wots_sig = Crypto.Wots.sign wots_sk "bench message"
 
-let mss_pk = snd (Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify" ())
+let mss_pk = snd (Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify")
 
 let mss_sig =
-  let sk, _ = Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify" () in
+  let sk, _ = Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify" in
   Crypto.Mss.sign sk "bench message"
 
 (* A fresh exhaustible key per run would distort the numbers; signing is
    benchmarked over a large key consumed leaf by leaf. *)
 let mss_signing_key =
-  fst (Crypto.Mss.generate ~height:14 ~seed:"bench-mss-sign" ())
+  fst (Crypto.Mss.generate ~height:14 ~seed:"bench-mss-sign")
 
 let signer = V.Signer.oracle ~signature_size:64 ~id:"bench" ()
 let cert = V.Certificate.self_signed ~signer ~role:"ca"
@@ -130,8 +129,8 @@ let per_kernel rows =
 
 (* M1 and the M2 verify rows: what every received block pays, snapshotted
    to BENCH_core.json and re-measured by the @bench-check drift gate via
-   core-micro. wots-chain-15 is one full-length W-OTS chain (chain_max
-   steps at the default chunk_bits = 4), the unit a verify repeats. *)
+   core-micro. wots-chain-15 is one full-length W-OTS chain (15 steps),
+   the unit a verify repeats. *)
 let core_tests =
   [
     Test.make_grouped ~name:"M1-sha256"
@@ -145,7 +144,7 @@ let core_tests =
     Test.make_grouped ~name:"M2-signatures"
       ([
          Test.make ~name:("wots-verify" ^ kernel_suffix)
-           (stage (fun () -> Crypto.Wots.verify wots_params wots_pk "bench message" wots_sig));
+           (stage (fun () -> Crypto.Wots.verify wots_pk "bench message" wots_sig));
          Test.make ~name:("mss-verify" ^ kernel_suffix)
            (stage (fun () -> Crypto.Mss.verify mss_pk "bench message" mss_sig));
        ]
@@ -154,7 +153,7 @@ let core_tests =
               Test.make ~name:("wots-chain-15" ^ suffix)
                 (stage
                    (let v = Bytes.of_string wots_chain_start
-                    and steps = String.make 1 (Char.chr wots_params.Crypto.Wots.chain_max) in
+                    and steps = String.make 1 (Char.chr Crypto.Wots.chain_max) in
                     fun () -> K.iterate ~prefix:"wots-chain" v steps));
             ]));
   ]
@@ -202,7 +201,7 @@ let intake_tests () =
              let n = fresh () in
              List.iter (fun b -> ignore (V.Node.receive n ~now:intake_now b)) batch));
       Test.make ~name:("mss-keygen-h8" ^ kernel_suffix)
-        (stage (fun () -> Crypto.Mss.generate ~height:8 ~seed:"bench-mss-keygen" ()));
+        (stage (fun () -> Crypto.Mss.generate ~height:8 ~seed:"bench-mss-keygen"));
     ]
 
 let tests =
@@ -683,24 +682,19 @@ let lint_fixture =
     in
     let files = Veglint.Driver.collect_files roots in
     let side name = if Sys.file_exists name then Some (name, read_file name) else None in
-    Some
-      ( List.map (fun p -> (p, read_file p)) files,
-        side "lint-boundaries.sexp",
-        side "lint-baseline.txt" )
+    Some (List.map (fun p -> (p, read_file p)) files, side "lint-boundaries.sexp")
   end
   else None
 
 let lint_tests =
   Option.map
-    (fun (inputs, manifest, baseline) ->
-      let findings =
-        Veglint.Driver.lint_project ?manifest ?baseline inputs
-      in
+    (fun (inputs, manifest) ->
+      let findings = Veglint.Driver.lint_project ?manifest inputs in
       Test.make_grouped ~name:"M12-lint"
         [
           Test.make ~name:"full-repo"
             (stage (fun () ->
-                 Veglint.Driver.lint_project ?manifest ?baseline inputs));
+                 Veglint.Driver.lint_project ?manifest inputs));
           Test.make ~name:"render-json"
             (stage (fun () ->
                  Veglint.Driver.render_json ~files:(List.length inputs)
@@ -1067,7 +1061,7 @@ let run_micro () =
   print_rows dag_rows;
   write_bench_dag dag_rows;
   (match (lint_tests, lint_fixture) with
-  | Some group, Some (inputs, _, _) ->
+  | Some group, Some (inputs, _) ->
     let lint_rows = estimate group in
     print_rows lint_rows;
     write_bench_lint ~files:(List.length inputs) lint_rows

@@ -464,11 +464,6 @@ let apply_effect t s (eff : Peer_engine.effect_) =
     | Peer_engine.Trace_context_received { trace; span; _ } ->
       s.trace_ctx <- Some (trace, span);
       journal_ev ()
-    | Peer_engine.Peer_advertised { hashes; _ } ->
-      (* Feed advertisement evidence to the pending pool so eviction
-         spares buffered orphans a live peer still vouches for. *)
-      List.iter (Node.note_advertised t.store.Node_store.node) hashes;
-      journal_ev ()
     | Peer_engine.Session_aborted { reason; _ } ->
       journal_ev ();
       fail_session s
@@ -477,8 +472,9 @@ let apply_effect t s (eff : Peer_engine.effect_) =
         | Peer_engine.Timed_out -> "sync failed: session deadline exceeded")
     | Peer_engine.Session_started _ | Peer_engine.Request_resent _
     | Peer_engine.Session_completed _ | Peer_engine.Blocks_served _
-    | Peer_engine.Redundant_received _ | Peer_engine.Request_suppressed _
-    | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _ ->
+    | Peer_engine.Redundant_received _ | Peer_engine.Peer_advertised _
+    | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
+    | Peer_engine.Decode_failed _ ->
       journal_ev ()
   end
 
@@ -699,8 +695,12 @@ let new_session t ~origin ~phase ?label conn =
     match label with Some l -> l | None -> "peer-" ^ string_of_int sid
   in
   let node = t.store.Node_store.node in
+  (* Each session runs a fresh engine that pulls at most once: starting
+     it at [sid - 1] numbers that pull [sid], unique for the loop's
+     lifetime, so every session gets its own sampling decision and
+     trace id. *)
   let engine =
-    Peer_engine.create
+    Peer_engine.create ~generation:(sid - 1)
       ~config:
         {
           Peer_engine.Config.default with

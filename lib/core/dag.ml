@@ -33,7 +33,6 @@ type t = {
   genesis : Block.t option;
   bytes : int;
   max_height_ : int; (* cached: max over [heights], 0 when empty *)
-  by_creator_ : int HMap.t; (* resident block count per creator *)
   buckets : HSet.t Int_map.t;
       (* [heights] inverted: every known hash under its height, the
          digest strategy's universe; kept by [add] and [decode], and
@@ -70,7 +69,6 @@ let empty =
     genesis = None;
     bytes = 0;
     max_height_ = 0;
-    by_creator_ = HMap.empty;
     buckets = Int_map.empty;
     max_key = None;
     order = Both ([], []);
@@ -188,10 +186,6 @@ let add t (b : Block.t) =
           genesis = (if b.Block.parents = [] then Some b else t.genesis);
           bytes = t.bytes + Block.byte_size b;
           max_height_ = Int.max t.max_height_ height;
-          by_creator_ =
-            HMap.update b.Block.creator
-              (fun n -> Some (1 + Option.value n ~default:0))
-              t.by_creator_;
           buckets = bucket_add height h t.buckets;
           max_key;
           order;
@@ -337,9 +331,6 @@ let blocks t = List.map snd (HMap.bindings t.blocks)
 let blocks_seq t = Seq.map snd (HMap.to_seq t.blocks)
 let branch_width t = HSet.cardinal t.frontier
 
-let creator_count t c = Option.value (HMap.find_opt c t.by_creator_) ~default:0
-let by_creator t = t.by_creator_
-
 (* The index [add] would have kept since [empty]. A snapshot without
    one has no prune in its history, so every resident block would have
    credited its creator through the resident ancestry it has now, and
@@ -424,11 +415,6 @@ let prune t h =
       blocks = HMap.remove h t.blocks;
       archived = HSet.add h t.archived;
       bytes = t.bytes - Block.byte_size b;
-      by_creator_ =
-        HMap.update b.Block.creator
-          (function
-            | None -> None | Some n -> if n <= 1 then None else Some (n - 1))
-          t.by_creator_;
       witnessed = Some witnessed;
       (* Removing a vertex relaxes its children's ordering constraint, so
          they may legitimately move earlier in the canonical order:

@@ -16,8 +16,7 @@
       cached and extended in O(1) by the monotone-timestamp fast path; an
       out-of-order insertion or a prune invalidates it and the next query
       re-runs Kahn once (amortized O(1) per block over any add sequence);
-    - {!max_height} and per-creator block counts ({!creator_count},
-      {!by_creator}) are O(1) reads;
+    - {!max_height} is an O(1) read;
     - every known hash is bucketed by height, and {!range_digest}
       hashes a height interval of the buckets straight into one SHA-256
       context; the digest over every height is memoized on the snapshot;
@@ -130,13 +129,7 @@ val blocks_seq : t -> Block.t Seq.t
 val branch_width : t -> int
 (** [|frontier|] — 1 when the chain is effectively linear (Fig. 1). *)
 
-(** {1 Creator and witness indices} *)
-
-val creator_count : t -> Hash_id.t -> int
-(** Resident blocks created by the given user — O(1), cached. *)
-
-val by_creator : t -> int Hash_id.Map.t
-(** All per-creator resident block counts (absent creator = 0). *)
+(** {1 Witness index} *)
 
 val witness_set : t -> Hash_id.t -> Hash_id.Set.t
 (** Distinct creators of proper descendants of the block, excluding the
@@ -161,7 +154,7 @@ val prune : t -> Hash_id.t -> t
     refused (they anchor validation); @raise Invalid_argument then.
 
     Index soundness: heights, height buckets and [max_height] are
-    retained, creator counts are decremented, the witness index is built
+    retained, the witness index is built
     first if it was not, then the block's own witness entry is dropped
     (its ancestors keep theirs — see {!witness_set}), and the cached
     canonical order is invalidated (removing a vertex can legitimately

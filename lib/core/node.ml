@@ -102,8 +102,6 @@ let try_accept t ~now (b : Block.t) : receive_result =
 
 let buffer t (b : Block.t) = t.pending <- Pending_pool.add t.pending b
 
-let note_advertised t h = t.pending <- Pending_pool.advertise t.pending h
-
 (* Retry buffered blocks until a pass makes none resident; returns the
    ones made resident, in commit order. *)
 let drain t ~now =

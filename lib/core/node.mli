@@ -88,12 +88,6 @@ val missing_dependencies : t -> Hash_id.Set.t
     request from a superpeer's support blockchain (§IV-I) when its peers
     have pruned that history. *)
 
-val note_advertised : t -> Hash_id.t -> unit
-(** A peer advertised this hash (digest-leaf evidence relayed from the
-    engine's [Peer_advertised] trace): if the block is sitting in the
-    transient buffer, prefer keeping it on capacity eviction — its
-    missing ancestry can likely be pulled from the advertising peer. *)
-
 val prepare_transaction :
   t ->
   crdt:string ->

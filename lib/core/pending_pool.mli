@@ -5,15 +5,7 @@
     insertion order is kept so drains retry oldest-first and capacity
     evicts the oldest entry — the same observable behavior as the former
     newest-first list with its tail trimmed, without the O(n) scan per
-    insert.
-
-    Eviction is advertisement-aware: {!advertise} marks a pooled block
-    as claimed by some peer (the engine's [Peer_advertised] trace), and
-    capacity eviction prefers the oldest {e never-advertised} block — an
-    advertised block's missing ancestry can likely still be recovered
-    from the advertising peer, while an orphan nobody vouches for is the
-    cheapest to drop. With no advertisements recorded the behavior is
-    exactly the old oldest-first eviction. *)
+    insert. *)
 
 type t
 
@@ -23,15 +15,7 @@ val create : ?capacity:int -> unit -> t
 
 val add : t -> Block.t -> t
 (** No-op if a block with the same hash is already pooled. If adding
-    exceeds the capacity, the oldest never-advertised entry is evicted
-    (the oldest entry overall when every pooled block is advertised). *)
-
-val advertise : t -> Hash_id.t -> t
-(** Mark a pooled block as advertised by some peer; no-op when the hash
-    is not pooled. Insertion order (and thus drain order) is
-    unchanged — only eviction preference moves. *)
-
-val advertised : t -> Hash_id.t -> bool
+    exceeds the capacity, the oldest entry is evicted. *)
 
 val remove : t -> Hash_id.t -> t
 val mem : t -> Hash_id.t -> bool

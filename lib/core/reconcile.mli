@@ -89,7 +89,7 @@ val reply_blocks : message -> Block.t list
 
 val advertised_hashes : message -> Hash_id.t list
 (** Hashes the sender claims to hold without shipping the blocks
-    (digest leaves) — {!Pending_pool} advertisement fodder. *)
+    (digest leaves): the engine's [Peer_advertised] trace. *)
 
 type stats = {
   rounds : int;  (** request/reply round trips *)

@@ -7,8 +7,8 @@ type t = {
   remaining : unit -> int option;
 }
 
-let mss ?(chunk_bits = 4) ?(height = 8) ?(used = 0) ~seed () =
-  let sk, pk = Mss.generate ~chunk_bits ~height ~seed () in
+let mss ?(height = 8) ?(used = 0) ~seed () =
+  let sk, pk = Mss.generate ~height ~seed in
   Mss.advance sk used;
   {
     scheme = "mss";
@@ -17,7 +17,7 @@ let mss ?(chunk_bits = 4) ?(height = 8) ?(used = 0) ~seed () =
     remaining = (fun () -> Some (Mss.remaining sk));
   }
 
-let default_oracle_size = Mss.signature_size ~height:8 ()
+let default_oracle_size = Mss.signature_size ~height:8
 
 (* Oracle signatures: sig = H("oracle-sig" || public || msg), padded to the
    requested size. Verification recomputes the prefix. Forgeable by

@@ -26,7 +26,7 @@ type t = {
       (** signatures left, [None] if unbounded *)
 }
 
-val mss : ?chunk_bits:int -> ?height:int -> ?used:int -> seed:string -> unit -> t
+val mss : ?height:int -> ?used:int -> seed:string -> unit -> t
 (** Default height is 8 (256 signatures). [used] fast-forwards past
     already-consumed one-time leaves — required when restoring a
     persisted key, because reusing a leaf breaks the scheme. *)

@@ -1,7 +1,6 @@
 exception Exhausted
 
 type secret_key = {
-  p : Wots.params;
   seed : string;
   tree : Merkle.tree;
   mutable next : int;
@@ -18,17 +17,16 @@ type signature = {
 
 let leaf_seed seed i = Sha256.digest_list [ "mss-leaf"; seed; string_of_int i ]
 
-let generate ?(chunk_bits = 4) ~height ~seed () =
+let generate ~height ~seed =
   if height < 0 || height > 20 then invalid_arg "Mss.generate: height must be in 0..20";
-  let p = Wots.params ~chunk_bits () in
   let n = 1 lsl height in
   let leaf_pks =
     List.init n (fun i ->
-        let _, pk = Wots.derive p ~seed:(leaf_seed seed i) in
+        let _, pk = Wots.derive ~seed:(leaf_seed seed i) in
         pk)
   in
   let tree = Merkle.build leaf_pks in
-  ({ p; seed; tree; next = 0 }, Merkle.root tree)
+  ({ seed; tree; next = 0 }, Merkle.root tree)
 
 let capacity sk = Merkle.size sk.tree
 let remaining sk = capacity sk - sk.next
@@ -44,7 +42,7 @@ let sign sk msg =
   if sk.next >= capacity sk then raise Exhausted;
   let i = sk.next in
   sk.next <- i + 1;
-  let ots_sk, leaf_pk = Wots.derive sk.p ~seed:(leaf_seed sk.seed i) in
+  let ots_sk, leaf_pk = Wots.derive ~seed:(leaf_seed sk.seed i) in
   { index = i; leaf_pk; ots = Wots.sign ots_sk msg; path = Merkle.path sk.tree i }
 
 (* The path hashes [leaf_pk] up to the root, but only [index] says which
@@ -68,22 +66,20 @@ let index_matches_path index path =
    public key, so a batch can run it before it knows who signed. *)
 
 (* lint: parallel-safe *)
-let ots_holds ?(chunk_bits = 4) msg s =
-  Wots.verify (Wots.params ~chunk_bits ()) s.leaf_pk msg s.ots
+let ots_holds msg s = Wots.verify s.leaf_pk msg s.ots
 
 (* The one key a signature verifies under: the root its path leads to
    from the leaf key, once the index names that leaf and the chains
    over [msg] rebuild the key. *)
 
 (* lint: parallel-safe *)
-let proven_root ?(chunk_bits = 4) msg s =
-  if index_matches_path s.index s.path && ots_holds ~chunk_bits msg s then
+let proven_root msg s =
+  if index_matches_path s.index s.path && ots_holds msg s then
     Some (Merkle.path_root ~leaf:s.leaf_pk s.path)
   else None
 
 (* lint: parallel-safe *)
-let verify ?(chunk_bits = 4) pk msg s =
-  Option.equal String.equal (proven_root ~chunk_bits msg s) (Some pk)
+let verify pk msg s = Option.equal String.equal (proven_root msg s) (Some pk)
 
 (* Wire layout: u32 index | 32-byte leaf pk | W-OTS chains | path entries,
    each entry = side byte (0 left / 1 right) + 32-byte sibling. *)
@@ -111,16 +107,15 @@ let signature_to_string s =
     s.path;
   Buffer.contents b
 
-let signature_of_string ?(chunk_bits = 4) raw =
-  let p = Wots.params ~chunk_bits () in
-  let ots_len = Wots.signature_size p in
+let signature_of_string raw =
+  let ots_len = Wots.signature_size in
   let fixed = 4 + 32 + ots_len in
   if String.length raw < fixed || (String.length raw - fixed) mod 33 <> 0 then
     None
   else begin
     let index = get_u32 raw 0 in
     let leaf_pk = String.sub raw 4 32 in
-    match Wots.signature_of_string p (String.sub raw 36 ots_len) with
+    match Wots.signature_of_string (String.sub raw 36 ots_len) with
     | None -> None
     | Some ots ->
       let n_path = (String.length raw - fixed) / 33 in
@@ -141,6 +136,4 @@ let signature_of_string ?(chunk_bits = 4) raw =
       if !ok then Some { index; leaf_pk; ots; path } else None
   end
 
-let signature_size ?(chunk_bits = 4) ~height () =
-  let p = Wots.params ~chunk_bits () in
-  4 + 32 + Wots.signature_size p + (33 * height)
+let signature_size ~height = 4 + 32 + Wots.signature_size + (33 * height)

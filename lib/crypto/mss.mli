@@ -16,9 +16,8 @@ type public_key = string (** 32-byte Merkle root. *)
 
 type signature
 
-val generate :
-  ?chunk_bits:int -> height:int -> seed:string -> unit -> secret_key * public_key
-(** [generate ~height ~seed ()] derives a key pair with [2^height] leaf
+val generate : height:int -> seed:string -> secret_key * public_key
+(** [generate ~height ~seed] derives a key pair with [2^height] leaf
     keys from a (secret) seed. [height] must be in [0..20].
     Key generation performs [2^height] W-OTS key derivations, so keep
     [height] modest in tests. *)
@@ -26,13 +25,13 @@ val generate :
 val sign : secret_key -> string -> signature
 (** Consumes the next unused leaf. @raise Exhausted when none remain. *)
 
-val verify : ?chunk_bits:int -> public_key -> string -> signature -> bool
+val verify : public_key -> string -> signature -> bool
 (** Checks the W-OTS signature, the authentication path to the root, and
     that the leaf index names the leaf the path authenticates: a
     signature whose index bytes were rewritten does not verify. It is
     [proven_root msg s = Some pk]. *)
 
-val proven_root : ?chunk_bits:int -> string -> signature -> string option
+val proven_root : string -> signature -> string option
 (** The public key a signature proves for a message, found without
     knowing any key: [Some root] when the leaf index names the leaf its
     path authenticates and the W-OTS chains over the message rebuild
@@ -40,7 +39,7 @@ val proven_root : ?chunk_bits:int -> string -> signature -> string option
     verifies under no key. All of {!verify}'s hashing, and safe to run
     on any domain. *)
 
-val ots_holds : ?chunk_bits:int -> string -> signature -> bool
+val ots_holds : string -> signature -> bool
 (** The W-OTS half of {!proven_root}: the signature over the message
     rebuilds the leaf public key the signature carries. About 98% of a
     verify's hashing. *)
@@ -63,7 +62,7 @@ val capacity : secret_key -> int
 val public_of_secret : secret_key -> public_key
 
 val signature_to_string : signature -> string
-val signature_of_string : ?chunk_bits:int -> string -> signature option
-val signature_size : ?chunk_bits:int -> height:int -> unit -> int
+val signature_of_string : string -> signature option
+val signature_size : height:int -> int
 (** Serialized size of a signature for a key of the given height (paths to
     a full tree have exactly [height] siblings). *)

@@ -124,13 +124,13 @@ let censor_add user_id dag (b : Block.t) =
 let build_censored user_id full =
   Seq.fold_left (censor_add user_id) Dag.empty (Dag.topo_seq full)
 
-let create ?(config = Config.default) ~user_id ~dag () =
+let create ?(config = Config.default) ?(generation = 0) ~user_id ~dag () =
   {
     user_id;
     config;
     session = None;
     retries = 0;
-    generation_ = 0;
+    generation_ = generation;
     censored =
       (match config.Config.policy with
       | Honest | Silent -> None
@@ -262,7 +262,7 @@ let on_reply t ~now ~dag ~from ~size msg =
     let s = { s with last_activity = now } in
     let t = { t with retries = 0 } in
     (* Hashes the responder advertised in digest leaves: it provably
-       holds them, which the host's pending pool uses for eviction. *)
+       holds them. *)
     let advert_trace =
       match Reconcile.advertised_hashes msg with
       | [] -> []
@@ -287,7 +287,7 @@ let on_reply t ~now ~dag ~from ~size msg =
       | Reconcile.Ignored ->
         (* Even a stale or foreign reply is evidence — the peer held
            whatever it advertised — so the advertisement trace still
-           reaches the pending pool. *)
+           goes out. *)
         ({ t with session = Some s }, advert_trace)
       | Reconcile.Finished { new_blocks; stats } ->
         let t = { t with session = None } in

@@ -135,8 +135,7 @@ type event =
   | Peer_advertised of { from : int; hashes : Hash_id.t list }
       (** a reply from [from] advertised these hashes without shipping
           the blocks (digest leaves): [from] provably holds them. Hosts
-          feed this to {!Vegvisir.Pending_pool.advertise} so eviction
-          prefers blocks no peer ever advertised *)
+          journal it as one [Blocks_advertised] event *)
   | Trace_context_sent of {
       dst : int;
       generation : int;
@@ -168,9 +167,14 @@ type effect_ =
 
 type t
 
-val create : ?config:Config.t -> user_id:Hash_id.t -> dag:Dag.t -> unit -> t
-(** A fresh idle engine (config defaults to {!Config.default}). [dag] is
-    the replica's state {e now} — used only to seed the withholding
+val create :
+  ?config:Config.t -> ?generation:int -> user_id:Hash_id.t -> dag:Dag.t -> unit -> t
+(** A fresh idle engine (config defaults to {!Config.default}). Its
+    first session is [generation + 1] (default [0], so [1]); a host that
+    runs many engines for one identity starts each past the last one's
+    sessions, so no two sessions share a generation, and with it a
+    sampling decision and a trace id ({!Reconcile.session_trace_ids}).
+    [dag] is the replica's state {e now} — used only to seed the withholding
     censored view; later transitions read the replica through
     {!handle}'s [dag] argument. A session with no progress for
     [stale_after_ms] retransmits its current request until a budget of
@@ -206,7 +210,8 @@ val next_wakeup : t -> float option
 val policy : t -> policy
 val config : t -> Config.t
 val generation : t -> int
-(** Number of sessions ever initiated; the current session's identity. *)
+(** The starting generation plus the number of sessions ever initiated;
+    the current session's identity. *)
 
 (** {1 Equality and printing (test/driver support)} *)
 

@@ -25,6 +25,7 @@ let run_duty ~scale ~obs ~awake_fraction =
   in
   let monitor_sink = Vegvisir_obs.Monitor.sink monitor in
   Vegvisir_obs.Context.attach obs monitor_sink;
+  let arrivals = Workload.track_arrivals obs in
   let hashes = ref [] in
   let appended = ref 0 in
   Workload.drive fleet ~until_ms:(ms 100_000.) ~step_ms:(ms 5_000.) (fun t ->
@@ -54,25 +55,13 @@ let run_duty ~scale ~obs ~awake_fraction =
   while (not (all_covered ())) && Simnet.now net < deadline do
     Scenario.run fleet ~until_ms:(Simnet.now net +. ms 10_000.)
   done;
-  let delays = ref [] and missing = ref 0 in
-  List.iter
-    (fun h ->
-      let birth =
-        match Gossip.birth_time g h with
-        | Some b -> b
-        | None -> failwith "birth_time missing for appended block"
-      in
-      for i = 0 to n - 1 do
-        match Gossip.arrival_time g ~peer:i h with
-        | Some a -> delays := ((a -. birth) /. scale) :: !delays
-        | None -> incr missing
-      done)
-    !hashes;
+  Workload.untrack arrivals;
+  let delays, missing = Workload.delays arrivals ~peers:n ~scale !hashes in
   let energy = ref 0. in
   for i = 0 to n - 1 do
     energy := !energy +. Energy.total Energy.default_costs (Simnet.meter net i)
   done;
-  let pairs = List.length !delays + !missing in
+  let pairs = List.length delays + missing in
   Vegvisir_obs.Context.detach obs monitor_sink;
   let conv_lag =
     match Vegvisir_obs.Monitor.last_lag monitor with
@@ -83,10 +72,10 @@ let run_duty ~scale ~obs ~awake_fraction =
   let redundant = Vegvisir_obs.Monitor.gossip_redundant monitor in
   [
     Report.fpct awake_fraction;
-    Report.ff ~decimals:1 (Metrics.mean_of !delays /. 1000.);
-    Report.ff ~decimals:1 (Metrics.percentile_of !delays 0.95 /. 1000.);
+    Report.ff ~decimals:1 (Metrics.mean_of delays /. 1000.);
+    Report.ff ~decimals:1 (Metrics.percentile_of delays 0.95 /. 1000.);
     Report.ff ~decimals:0 (!energy /. 1000. /. float_of_int n);
-    Report.fpct (float_of_int (pairs - !missing) /. float_of_int (max 1 pairs));
+    Report.fpct (float_of_int (pairs - missing) /. float_of_int (max 1 pairs));
     conv_lag;
     Report.fpct
       (float_of_int redundant /. float_of_int (max 1 (useful + redundant)));

@@ -1,6 +1,6 @@
 open Vegvisir_net
 module V = Vegvisir
-module Baseline = Vegvisir_baseline
+module Nakamoto = Vegvisir_baseline
 
 let n = 6
 let costs = Energy.default_costs
@@ -47,16 +47,16 @@ let baseline_run ~duration ~tx_every ~difficulty_bits =
   let link = Link.default in
   let net = Simnet.create ~topo ~link ~seed:4L in
   let miner =
-    Baseline.Miner.create ~net ~difficulty_bits ~mean_find_interval_ms:10_000. ()
+    Nakamoto.Miner.create ~net ~difficulty_bits ~mean_find_interval_ms:10_000. ()
   in
-  Baseline.Miner.start miner;
+  Nakamoto.Miner.start miner;
   let count = ref 0 in
   let rec go t =
     if t <= duration then begin
       Simnet.run_until net t;
       if t < duration -. (5. *. tx_every) then
         for i = 0 to n - 1 do
-          Baseline.Miner.submit_tx miner i (Printf.sprintf "m-%d-%.0f" i t);
+          Nakamoto.Miner.submit_tx miner i (Printf.sprintf "m-%d-%.0f" i t);
           incr count
         done;
       go (t +. tx_every)
@@ -64,7 +64,7 @@ let baseline_run ~duration ~tx_every ~difficulty_bits =
   in
   go tx_every;
   Simnet.run_until net duration;
-  let committed = List.length (Baseline.Miner.canonical_tx_set miner 0) in
+  let committed = List.length (Nakamoto.Miner.canonical_tx_set miner 0) in
   (total_energy net, radio_share net, !count, committed)
 
 let run ?(quick = false) () =

@@ -1,6 +1,6 @@
 open Vegvisir_net
 module V = Vegvisir
-module Baseline = Vegvisir_baseline
+module Nakamoto = Vegvisir_baseline
 
 let n = 8
 let groups = Array.init n (fun i -> if i < n / 2 then 0 else 1)
@@ -62,10 +62,10 @@ let baseline_run ~scale =
   let topo = Topology.clique ~n in
   let net = Simnet.create ~topo ~link:Link.default ~seed:12L in
   let miner =
-    Baseline.Miner.create ~net ~difficulty_bits:16
+    Nakamoto.Miner.create ~net ~difficulty_bits:16
       ~mean_find_interval_ms:(ms 5_000.) ()
   in
-  Baseline.Miner.start miner;
+  Nakamoto.Miner.start miner;
   let submitted = ref 0 in
   let p_start = ms 10_000. and p_end = ms 70_000. in
   let appends_end = ms 80_000. and run_end = ms 160_000. in
@@ -77,7 +77,7 @@ let baseline_run ~scale =
       if t >= p_end && t < p_end +. ms 3_000. then Simnet.set_partition net None;
       if t <= appends_end then
         for i = 0 to n - 1 do
-          Baseline.Miner.submit_tx miner i (Printf.sprintf "p-%d-%.0f" i t);
+          Nakamoto.Miner.submit_tx miner i (Printf.sprintf "p-%d-%.0f" i t);
           incr submitted
         done;
       go (t +. ms 3_000.)
@@ -85,9 +85,9 @@ let baseline_run ~scale =
   in
   go (ms 3_000.);
   Simnet.run_until net run_end;
-  let canonical = List.length (Baseline.Miner.canonical_tx_set miner 0) in
-  let discarded = Baseline.Linear_chain.discarded_count (Baseline.Miner.chain miner 0) in
-  let reorgs = Baseline.Linear_chain.reorg_count (Baseline.Miner.chain miner 0) in
+  let canonical = List.length (Nakamoto.Miner.canonical_tx_set miner 0) in
+  let discarded = Nakamoto.Linear_chain.discarded_count (Nakamoto.Miner.chain miner 0) in
+  let reorgs = Nakamoto.Linear_chain.reorg_count (Nakamoto.Miner.chain miner 0) in
   (!submitted, canonical, discarded, reorgs)
 
 let run ?(quick = false) () =

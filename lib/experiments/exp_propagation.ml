@@ -19,6 +19,7 @@ let run_one ~scale ~obs ~topo_name ~topo ~loss =
   in
   let monitor_sink = Vegvisir_obs.Monitor.sink monitor in
   Vegvisir_obs.Context.attach obs monitor_sink;
+  let arrivals = Workload.track_arrivals obs in
   let rng = Vegvisir_crypto.Rng.create 77L in
   let birth_due =
     Array.init n (fun _ -> ms 5_000. +. Vegvisir_crypto.Rng.float rng *. ms 20_000.)
@@ -47,25 +48,10 @@ let run_one ~scale ~obs ~topo_name ~topo ~loss =
           end)
         birth_due);
   Vegvisir_obs.Context.detach obs monitor_sink;
-  let delays = ref [] in
-  let missing = ref 0 and pairs = ref 0 in
-  List.iter
-    (fun h ->
-      let birth =
-        match Gossip.birth_time g h with
-        | Some b -> b
-        | None -> failwith "birth_time missing for appended block"
-      in
-      for i = 0 to n - 1 do
-        incr pairs;
-        match Gossip.arrival_time g ~peer:i h with
-        | Some a -> delays := ((a -. birth) /. scale) :: !delays
-        | None -> incr missing
-      done)
-    !hashes;
-  let coverage =
-    float_of_int (!pairs - !missing) /. float_of_int (max 1 !pairs)
-  in
+  Workload.untrack arrivals;
+  let delays, missing = Workload.delays arrivals ~peers:n ~scale !hashes in
+  let pairs = List.length delays + missing in
+  let coverage = float_of_int (pairs - missing) /. float_of_int (max 1 pairs) in
   let conv_lag =
     match Vegvisir_obs.Monitor.last_lag monitor with
     | Some lag -> Report.ff ~decimals:1 (lag /. scale /. 1000.)
@@ -80,8 +66,8 @@ let run_one ~scale ~obs ~topo_name ~topo ~loss =
     topo_name;
     Report.fi n;
     Report.fpct loss;
-    Report.ff ~decimals:1 (Metrics.mean_of !delays /. 1000.);
-    Report.ff ~decimals:1 (Metrics.percentile_of !delays 0.95 /. 1000.);
+    Report.ff ~decimals:1 (Metrics.mean_of delays /. 1000.);
+    Report.ff ~decimals:1 (Metrics.percentile_of delays 0.95 /. 1000.);
     Report.fpct coverage;
     conv_lag;
     redundancy;

@@ -15,6 +15,7 @@ let run_size ~scale ~label ~sig_bytes =
       ()
   in
   let g = fleet.Scenario.gossip in
+  let arrivals = Workload.track_arrivals fleet.Scenario.obs in
   let hashes = ref [] in
   let block_bytes = ref 0 in
   (* One appender per cycle, 16 blocks total: the comparison is about the
@@ -46,20 +47,8 @@ let run_size ~scale ~label ~sig_bytes =
   do
     Scenario.run fleet ~until_ms:(Simnet.now fleet.Scenario.net +. ms 10_000.)
   done;
-  let delays = ref [] and missing = ref 0 in
-  List.iter
-    (fun h ->
-      let birth =
-        match Gossip.birth_time g h with
-        | Some b -> b
-        | None -> failwith "birth_time missing for appended block"
-      in
-      for i = 0 to n - 1 do
-        match Gossip.arrival_time g ~peer:i h with
-        | Some a -> delays := ((a -. birth) /. scale) :: !delays
-        | None -> incr missing
-      done)
-    !hashes;
+  Workload.untrack arrivals;
+  let delays, missing = Workload.delays arrivals ~peers:n ~scale !hashes in
   let net = fleet.Scenario.net in
   let total_energy = ref 0. and air_bytes = ref 0 in
   for i = 0 to n - 1 do
@@ -67,16 +56,15 @@ let run_size ~scale ~label ~sig_bytes =
     air_bytes := !air_bytes + m.Energy.tx_bytes;
     total_energy := !total_energy +. Energy.total Energy.default_costs m
   done;
-  let pairs = List.length !delays + !missing in
+  let pairs = List.length delays + missing in
   [
     label;
     Report.fi sig_bytes;
     Report.fi !block_bytes;
-    Report.ff ~decimals:1 (Metrics.mean_of !delays /. 1000.);
+    Report.ff ~decimals:1 (Metrics.mean_of delays /. 1000.);
     Report.ff ~decimals:1 (float_of_int !air_bytes /. 1024. /. 1024.);
     Report.ff ~decimals:0 (!total_energy /. 1000. /. float_of_int n);
-    Report.fpct
-      (float_of_int (pairs - !missing) /. float_of_int (max 1 pairs));
+    Report.fpct (float_of_int (pairs - missing) /. float_of_int (max 1 pairs));
   ]
 
 let run ?(quick = false) () =
@@ -84,7 +72,7 @@ let run ?(quick = false) () =
   let sizes =
     [
       ("ECDSA-class", 64);
-      ("MSS h=8 (ours)", Vegvisir_crypto.Mss.signature_size ~height:8 ());
+      ("MSS h=8 (ours)", Vegvisir_crypto.Mss.signature_size ~height:8);
       (* A Lamport one-time signature over a 256-bit digest reveals one
          32-byte preimage per bit and carries the hash of the other:
          256 bits x 2 x 32 bytes. *)

@@ -20,14 +20,11 @@ let parse_error_finding ~path exn =
 (* ------------------------------------------------------------------ *)
 (* The project-level pipeline                                          *)
 
-(* Ordering matters twice in here. Suppression coverage ([allows]) must
-   be consulted by every pass — per-file rules, mli-coverage, and the
+(* Ordering matters in here. Suppression coverage ([allows]) must be
+   consulted by every pass — per-file rules, mli-coverage, and the
    interprocedural findings — before dead suppressions are computed,
-   because "dead" means "matched by no pass". And the baseline applies
-   strictly after suppressions: a finding both suppressed in source and
-   baselined leaves its baseline entry unmatched, so the entry is
-   reported stale and the file shrinks. *)
-let lint_project ?manifest ?baseline ?(mli_missing = []) inputs =
+   because "dead" means "matched by no pass". *)
+let lint_project ?manifest ?(mli_missing = []) inputs =
   let units =
     List.map
       (fun (path, source) ->
@@ -117,25 +114,6 @@ let lint_project ?manifest ?baseline ?(mli_missing = []) inputs =
         | None -> true)
       interproc
   in
-  let baseline_findings, interproc =
-    match baseline with
-    | None -> ([], interproc)
-    | Some (bpath, bsrc) ->
-      let entries, errs = Baseline.parse bsrc in
-      let kept, stale = Baseline.apply entries interproc in
-      ( List.map
-          (fun (line, msg) ->
-            Finding.v ~file:bpath ~line ~col:0 ~rule:"lint-baseline" msg)
-          errs
-        @ List.map
-            (fun (e : Baseline.entry) ->
-              Finding.v ~file:bpath ~line:e.e_line ~col:0
-                ~rule:"lint-baseline"
-                ("stale baseline entry \"" ^ e.rule ^ " " ^ e.key
-               ^ "\" matches no finding; delete it"))
-            stale,
-        kept )
-  in
   let suppression_findings =
     List.concat_map
       (fun (path, sup, parsed) ->
@@ -162,7 +140,7 @@ let lint_project ?manifest ?baseline ?(mli_missing = []) inputs =
   in
   List.sort Finding.compare
     (parse_findings @ ast_findings @ mli_findings @ manifest_findings
-   @ baseline_findings @ interproc @ suppression_findings)
+   @ interproc @ suppression_findings)
 
 let lint_source ~path source = lint_project [ (path, source) ]
 
@@ -235,7 +213,7 @@ let render_json ~files findings =
 
 let usage =
   "usage: vegvisir_lint [--json] [--list-rules] [--explain RULE] \
-   [--boundaries FILE] [--baseline FILE] <dir-or-file>..."
+   [--boundaries FILE] <dir-or-file>..."
 
 type mode =
   | List_rules
@@ -243,14 +221,12 @@ type mode =
   | Lint of {
       json : bool;
       boundaries : string option;
-      baseline : string option;
       roots : string list;
     }
 
 let parse_args args =
   let json = ref false in
   let boundaries = ref None in
-  let baseline = ref None in
   let roots = ref [] in
   let special = ref None in
   let rec go = function
@@ -269,10 +245,6 @@ let parse_args args =
       boundaries := Some path;
       go rest
     | [ "--boundaries" ] -> Error "--boundaries needs a file"
-    | "--baseline" :: path :: rest ->
-      baseline := Some path;
-      go rest
-    | [ "--baseline" ] -> Error "--baseline needs a file"
     | flag :: _
       when String.length flag >= 2 && String.sub flag 0 2 = "--" ->
       Error ("unknown flag " ^ flag)
@@ -291,23 +263,23 @@ let parse_args args =
            {
              json = !json;
              boundaries = !boundaries;
-             baseline = !baseline;
              roots = List.rev !roots;
            })
   end
 
-(* A side file (manifest or baseline) participates when explicitly
-   requested — then it must exist — or implicitly when its default name
-   is present in the working directory. *)
-let side_file ~flag ~default = function
+(* The boundary manifest participates when explicitly requested — then
+   it must exist — or implicitly when lint-boundaries.sexp is present in
+   the working directory. *)
+let manifest_file = function
   | Some path ->
     if Sys.file_exists path then Ok (Some (path, read_file path))
-    else Error (flag ^ " file not found: " ^ path)
+    else Error ("--boundaries file not found: " ^ path)
   | None ->
+    let default = "lint-boundaries.sexp" in
     if Sys.file_exists default then Ok (Some (default, read_file default))
     else Ok None
 
-let run_lint ~json ~boundaries ~baseline ~roots =
+let run_lint ~json ~boundaries ~roots =
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
   if roots = [] || missing <> [] then begin
     prerr_endline
@@ -315,15 +287,11 @@ let run_lint ~json ~boundaries ~baseline ~roots =
     2
   end
   else begin
-    match
-      ( side_file ~flag:"--boundaries" ~default:"lint-boundaries.sexp"
-          boundaries,
-        side_file ~flag:"--baseline" ~default:"lint-baseline.txt" baseline )
-    with
-    | Error e, _ | _, Error e ->
+    match manifest_file boundaries with
+    | Error e ->
       prerr_endline ("vegvisir-lint: " ^ e);
       2
-    | Ok manifest, Ok base ->
+    | Ok manifest ->
       let files = collect_files roots in
       let inputs = List.map (fun path -> (path, read_file path)) files in
       let mli_missing =
@@ -332,9 +300,7 @@ let run_lint ~json ~boundaries ~baseline ~roots =
             Rules.mli_required path && not (Sys.file_exists (path ^ "i")))
           files
       in
-      let findings =
-        lint_project ?manifest ?baseline:base ~mli_missing inputs
-      in
+      let findings = lint_project ?manifest ~mli_missing inputs in
       (if json then
          (* lint: allow no-printf-outside-obs — the JSON document on stdout is the lint CLI's whole interface *)
          print_string (render_json ~files:(List.length files) findings)
@@ -382,5 +348,4 @@ let main args =
        ^ "\" (try --list-rules for the full set)");
       2
   end
-  | Ok (Lint { json; boundaries; baseline; roots }) ->
-    run_lint ~json ~boundaries ~baseline ~roots
+  | Ok (Lint { json; boundaries; roots }) -> run_lint ~json ~boundaries ~roots

@@ -1,5 +1,5 @@
 (** Lint driver: parse sources, run the per-file rules and the
-    interprocedural analysis, apply suppressions and the baseline.
+    interprocedural analysis, apply suppressions.
 
     Text output is one finding per line in [file:line:col rule message]
     form, sorted by (file, line, col, rule, message); [--json] emits a
@@ -9,7 +9,6 @@
 
 val lint_project :
   ?manifest:string * string ->
-  ?baseline:string * string ->
   ?mli_missing:string list ->
   (string * string) list ->
   Finding.t list
@@ -17,13 +16,13 @@ val lint_project :
     pairs: per-file AST rules, then the cross-module {!Callgraph} with
     {!Interproc} boundary-purity and parallel-safety checks, then dead
     suppression detection. Pure with respect to the filesystem — the
-    manifest ([?manifest] as [(path, contents)]) and baseline are passed
-    in, and [?mli_missing] lists the paths whose [.mli] the caller
+    manifest ([?manifest] as [(path, contents)]) is passed in, and
+    [?mli_missing] lists the paths whose [.mli] the caller
     found absent. Deterministic: same inputs, byte-identical findings. *)
 
 val lint_source : path:string -> string -> Finding.t list
-(** [lint_project] over a single in-memory file — no manifest, baseline,
-    or mli check. Usable on fixture strings in tests; interprocedural
+(** [lint_project] over a single in-memory file — no manifest or mli
+    check. Usable on fixture strings in tests; interprocedural
     rules still run within the file (e.g. [parallel-safety]). *)
 
 val lint_file : string -> Finding.t list
@@ -45,7 +44,7 @@ val render_json : files:int -> Finding.t list -> string
 
 val main : string list -> int
 (** The CLI: [--list-rules], [--explain RULE], [--json],
-    [--boundaries FILE], [--baseline FILE], then roots. Without
-    explicit flags, [lint-boundaries.sexp] and [lint-baseline.txt] are
-    picked up from the working directory when present. Returns the
+    [--boundaries FILE], then roots. Without [--boundaries],
+    [lint-boundaries.sexp] is picked up from the working directory when
+    present. Returns the
     exit code (0 = clean, 1 = findings, 2 = usage error). *)

@@ -15,8 +15,8 @@ type t = {
   rule : string;
   message : string;
   key : string;
-      (** stable identity for baseline matching — non-empty only for
-          interprocedural findings (e.g.
+      (** stable identity, independent of the message — non-empty
+          only for interprocedural findings (e.g.
           ["engine clock Peer_engine.step"]) *)
 }
 

@@ -3,8 +3,7 @@
     Both operate on the whole-repo {!Callgraph} and report findings at
     the flagged definition, with a message that ends in a witness call
     chain ([entry -> f -> g -> Unix.gettimeofday]). Findings carry a
-    stable {!Finding.t.key}, so they can be grandfathered in
-    [lint-baseline.txt] while per-file findings cannot. *)
+    stable {!Finding.t.key}. *)
 
 val check_boundaries :
   Callgraph.t -> Boundaries.boundary list -> Finding.t list

@@ -27,8 +27,6 @@ let all =
       "malformed or dead suppression comment (not suppressible)" );
     ( "boundary-manifest",
       "lint-boundaries.sexp does not parse (not suppressible)" );
-    ( "lint-baseline",
-      "malformed or stale lint-baseline.txt entry (not suppressible)" );
   ]
 
 let names = List.map fst all
@@ -91,8 +89,8 @@ let explanations =
        analysis builds the repo call graph, runs a bottom-up effect \
        fixpoint over its strongly connected components, and reports each \
        violating entry point with a shortest witness chain down to the \
-       primitive. Fix the leak, suppress at the entry point with a reason, \
-       or grandfather the finding in lint-baseline.txt." );
+       primitive. Fix the leak, or suppress at the entry point with a \
+       reason." );
     ( "parallel-safety",
       "A definition annotated (* lint: parallel-safe *) is declared safe \
        to call from multiple domains. The analysis flags any such \
@@ -116,10 +114,6 @@ let explanations =
        expected form is (boundary <name> (scope <path>...) (forbid \
        <effect>...)); see DESIGN.md section 7. This rule cannot be \
        suppressed." );
-    ( "lint-baseline",
-      "lint-baseline.txt has a malformed entry, or an entry that matches \
-       no current finding (stale). Stale entries must be deleted so the \
-       baseline only ever shrinks. This rule cannot be suppressed." );
   ]
 
 let explain rule = List.assoc_opt rule explanations

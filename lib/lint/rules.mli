@@ -48,11 +48,10 @@
       [(* lint: parallel-safe *)] transitively reaches top-level mutable
       state.
 
-    Four pseudo-rules report tool-level problems: [parse-error] (a file
-    that does not parse), [lint-suppression] (a malformed, typo'd, or
-    dead suppression comment), [boundary-manifest] (an unreadable
-    boundary manifest), and [lint-baseline] (a malformed or stale
-    baseline entry). None of the four is suppressible. *)
+    Three pseudo-rules report tool-level problems: [parse-error] (a
+    file that does not parse), [lint-suppression] (a malformed, typo'd,
+    or dead suppression comment), and [boundary-manifest] (an unreadable
+    boundary manifest). None of the three is suppressible. *)
 
 val all : (string * string) list
 (** [(name, one-line description)] for every rule, pseudo-rules

@@ -13,7 +13,6 @@ type peer = {
   node_ : Node.t;
   behavior_ : behavior;
   mutable engine : Peer_engine.t;
-  arrivals : (Hash_id.t, float) Hashtbl.t;
   mutable announced : (int * (string * string)) option;
       (* (generation, (trace, root)) of the last session this peer's
          engine announced a trace context for *)
@@ -31,7 +30,6 @@ type t = {
   net : Simnet.t;
   peers : peer array;
   interval_ms : float;
-  births : (Hash_id.t, float) Hashtbl.t;
   tap : tap option;
   obs : Obs.Context.t;
   mutable total_stats : Reconcile.stats;
@@ -72,11 +70,9 @@ let create ~net ~nodes ?behaviors ~mode ~interval_ms ?(stale_after_ms = 5_000.)
                 ~user_id:(Node.user_id nodes.(i))
                 ~dag:(Node.dag nodes.(i))
                 ();
-            arrivals = Hashtbl.create 64;
             announced = None;
           });
     interval_ms;
-    births = Hashtbl.create 64;
     tap;
     obs;
     total_stats = Reconcile.empty_stats;
@@ -94,15 +90,9 @@ let sim_ts t = Timestamp.of_ms (Int64.of_float (Simnet.now t.net))
 let emit t ev = Obs.Context.emit t.obs ~ts:(Simnet.now t.net) ev
 let node_name i = string_of_int i
 
-let record_arrival t i (b : Block.t) =
-  let p = t.peers.(i) in
-  if not (Hashtbl.mem p.arrivals b.Block.hash) then
-    Hashtbl.replace p.arrivals b.Block.hash (Simnet.now t.net)
-
-(* Blocks that entered peer [i]'s DAG, in commit order: each arrives now
-   and is journaled once, through the mapping every host shares. *)
+(* Blocks that entered peer [i]'s DAG, in commit order: each is
+   journaled once, through the mapping every host shares. *)
 let made_resident t i ?peer made =
-  List.iter (record_arrival t i) made;
   List.iter (emit t) (Obs.Engine_events.made_resident ~node:(node_name i) ?peer made)
 
 (* Peer [i]'s node admits a delivery, from peer [src] when it came over
@@ -151,11 +141,6 @@ let apply_effect t i ~src (eff : Peer_engine.effect_) =
         | Some _ | None -> None
       in
       emit_all ?exchange ()
-    | Peer_engine.Peer_advertised { hashes; _ } ->
-      (* The pending pool learns which buffered orphans some peer vouches
-         for, so eviction spares them. *)
-      List.iter (Node.note_advertised p.node_) hashes;
-      emit_all ()
     | Peer_engine.Session_aborted { dst; reason; _ } ->
       emit_all ();
       Log.debug (fun m ->
@@ -166,8 +151,9 @@ let apply_effect t i ~src (eff : Peer_engine.effect_) =
             dst)
     | Peer_engine.Session_started _ | Peer_engine.Request_resent _
     | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
-    | Peer_engine.Trace_context_received _ | Peer_engine.Request_suppressed _
-    | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _ ->
+    | Peer_engine.Peer_advertised _ | Peer_engine.Trace_context_received _
+    | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
+    | Peer_engine.Decode_failed _ ->
       emit_all ()
   end
 
@@ -237,8 +223,6 @@ let append t i ?location txs =
     let meter = Simnet.meter t.net i in
     meter.Energy.signs <- meter.Energy.signs + 1;
     meter.Energy.hashes <- meter.Energy.hashes + 2;
-    Hashtbl.replace t.births b.Block.hash (Simnet.now t.net);
-    record_arrival t i b;
     (* Creating an empty block is itself the act of witnessing its
        parents — the creator's own signature counts toward the quorum. *)
     List.iter (emit t) (Obs.Engine_events.created ~node:(node_name i) b);
@@ -250,18 +234,11 @@ let append t i ?location txs =
 let witness t i = append t i []
 
 let receive t i b =
-  Hashtbl.replace t.births b.Block.hash
-    (Option.value
-       (Hashtbl.find_opt t.births b.Block.hash)
-       ~default:(Simnet.now t.net));
   deliver t i [ b ];
   (* Externally injected blocks (genesis seeding) must also reach the
      engine's withholding serving view. *)
   if Dag.mem (Node.dag t.peers.(i).node_) b.Block.hash then
     step t i (Peer_engine.Block_created b)
-
-let birth_time t h = Hashtbl.find_opt t.births h
-let arrival_time t ~peer h = Hashtbl.find_opt t.peers.(peer).arrivals h
 
 let coverage t h =
   Array.fold_left

@@ -80,18 +80,15 @@ val append :
   ?location:Vegvisir.Location.t ->
   Vegvisir.Transaction.t list ->
   (Vegvisir.Block.t, Vegvisir.Node.append_error) result
-(** Create a block at peer [i] at the current simulated time, recording
-    its birth for propagation metrics and charging signing energy. *)
+(** Create a block at peer [i] at the current simulated time, charging
+    signing energy. Its [Created] event, stamped with that time, is its
+    birth for propagation metrics. *)
 
 val witness : t -> int -> (Vegvisir.Block.t, Vegvisir.Node.append_error) result
 
 val receive : t -> int -> Vegvisir.Block.t -> unit
 (** Inject a block from outside the gossip exchange (e.g. initial seeding
     of the genesis). *)
-
-val birth_time : t -> Vegvisir.Hash_id.t -> float option
-val arrival_time : t -> peer:int -> Vegvisir.Hash_id.t -> float option
-(** When the block entered the peer's DAG (creation counts). *)
 
 val coverage : t -> Vegvisir.Hash_id.t -> int
 (** How many peers currently hold the block. *)

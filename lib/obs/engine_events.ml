@@ -1,9 +1,9 @@
 (* Engine trace -> obs events, and block intake -> block events,
    written once for every host. The simulator's gossip agent and the
    daemon's event loop call [of_event] from their Trace arms and keep
-   only host-specific work (trace-context bookkeeping, pending-pool
-   feeding, session failure) at the call site; they, [Node_store]'s
-   sync and recovery, and every local creation journal blocks through
+   only host-specific work (trace-context bookkeeping, session failure)
+   at the call site; they, [Node_store]'s sync and recovery, and every
+   local creation journal blocks through
    [received], [made_resident] and [created], so the two worlds journal
    the same events for the same session. Pure (engine-events
    boundary). *)

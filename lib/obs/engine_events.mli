@@ -1,8 +1,8 @@
 (** The one translation from {!Vegvisir_engine.Peer_engine.event} traces
     to telemetry events, shared by both engine hosts: the simulator's
     gossip agent and the daemon's event loop. Host-specific work (which
-    trace context a session joins, pending-pool feeding, failing a
-    session on abort, logging) stays at each host's call site.
+    trace context a session joins, failing a session on abort, logging)
+    stays at each host's call site.
 
     Also the one mapping from block intake to block events, for both
     hosts and for [Node_store]'s sync, recovery and local creations: a

@@ -42,8 +42,7 @@ type t =
           efficiency *)
   | Blocks_advertised of { node : node; peer : node; hashes : int }
       (** [peer] advertised [hashes] block hashes to [node] without
-          shipping the blocks (digest leaves) — knowledge
-          {!Vegvisir.Pending_pool} eviction feeds on *)
+          shipping the blocks (digest leaves) *)
   | Net_sent of { src : node; dst : node; bytes : int }
   | Net_delivered of { src : node; dst : node; bytes : int }
   | Net_dropped of { src : node; dst : node; bytes : int; reason : drop_reason }

@@ -1552,6 +1552,60 @@ let delivery_journals_drained () =
         (List.length (List.filter (V.Hash_id.equal b.V.Block.hash) delivered)))
     [ ("P", p); ("C", c) ]
 
+(* Every session of one loop pulls under its own generation: two
+   [sync --live] clients run against a loop that samples every session,
+   and its two pull-backs announce distinct traces under distinct [gen]
+   values. *)
+let sessions_trace_apart () =
+  let module Obs = Vegvisir_obs in
+  let ca = init "gen-ca" in
+  let rep = member ca "gen-rep" in
+  let store = Result.get_ok (Node_store.load ~dir:ca.Node_store.dir) in
+  let loop =
+    Event_loop.create ~store
+      ~config:{ Event_loop.default_config with Event_loop.trace_sample = 1.0 }
+      ()
+  in
+  let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
+  let deadline = Unix.gettimeofday () +. 20. in
+  let exchange n =
+    let client =
+      start ~report:false cli_exe
+        [ "sync"; "--dir"; rep.Node_store.dir; "--live"; Printf.sprintf "127.0.0.1:%d" port ]
+    in
+    let r =
+      Event_loop.run loop ~until:(fun st ->
+          st.Event_loop.completed + st.Event_loop.failed >= n
+          || Unix.gettimeofday () > deadline)
+    in
+    Result.is_ok r && reap client = Unix.WEXITED 0
+  in
+  let ran = exchange 1 && exchange 2 in
+  Event_loop.shutdown loop;
+  check_b "two exchanges ran" true ran;
+  check_i "both completed" 2 (Event_loop.stats loop).Event_loop.completed;
+  let journal = Node_store.load_trace ~dir:ca.Node_store.dir in
+  let announced =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Obs.Event.Span { name = "session.announce"; trace; _ } -> Some trace
+        | _ -> None)
+      journal
+  and gens =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Obs.Event.Session_started { generation; _ } -> Some generation
+        | _ -> None)
+      journal
+  in
+  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+  check_i "two traces announced" 2 (List.length announced);
+  check_b "with distinct trace ids" true (distinct announced);
+  check_i "two pulls started" 2 (List.length gens);
+  check_b "under distinct gen values" true (distinct gens)
+
 (* Child role [http-client PORT]: scrape /metrics and a bad target from a
    loop's metrics listener; exit 0 when both answers are right. *)
 let http_get port target =
@@ -2078,6 +2132,7 @@ let () =
             delivery_journals_drained;
           Alcotest.test_case "a dial does not wedge the loop" `Quick dial_does_not_wedge;
           Alcotest.test_case "every conn sets TCP_NODELAY" `Quick nodelay_on_every_conn;
+          Alcotest.test_case "sessions trace apart" `Quick sessions_trace_apart;
         ] );
       ( "framing",
         [

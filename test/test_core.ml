@@ -1469,14 +1469,6 @@ let decoder_fuzz () =
 let dag_incremental_indices () =
   let dag, _a, b, _c, d = diamond () in
   check_i "max_height cached" 3 (Dag.max_height dag);
-  check_i "alice creator count" 4
-    (Dag.creator_count dag alice_cert.Certificate.user_id);
-  check_i "owner creator count" 1
-    (Dag.creator_count dag owner_cert.Certificate.user_id);
-  check_i "unknown creator count" 0 (Dag.creator_count dag (Hash_id.digest "x"));
-  check_i "by_creator agrees" 4
-    (Option.value ~default:0
-       (Hash_id.Map.find_opt alice_cert.Certificate.user_id (Dag.by_creator dag)));
   check_b "below = self + ancestors" true
     (Hash_id.Set.equal
        (Dag.below dag [ b.Block.hash ])
@@ -1520,7 +1512,6 @@ let witness_index_monotone_under_prune () =
     (Hash_id.Set.mem bob (Witness.oracle_witnesses dag a.Block.hash));
   check_b "index retains pruned witness" true
     (Hash_id.Set.mem bob (Dag.witness_set dag a.Block.hash));
-  check_i "pruned creator count drops" 0 (Dag.creator_count dag bob);
   check_b "pruned block has no witness entry" true
     (Hash_id.Set.is_empty (Dag.witness_set dag w.Block.hash));
   (* A witness arriving after the prune reaches [a] only through the
@@ -1584,36 +1575,42 @@ let pending_pool_basics () =
     (List.equal Block.equal (Pending_pool.blocks p)
        (List.of_seq (Pending_pool.to_seq p)))
 
-let pending_pool_advertised_eviction () =
+(* At capacity the oldest block goes: re-adding a pooled block keeps
+   its age, and an evicted block comes back as the newest. Drains retry
+   what is left in insertion order, pass after pass, until a pass makes
+   nothing resident. *)
+let pending_pool_capacity_eviction () =
   let a = mk_block ~t:10 ~parents:[ genesis.Block.hash ] "a" in
   let b = mk_block ~t:20 ~parents:[ a.Block.hash ] "b" in
   let c = mk_block ~t:30 ~parents:[ b.Block.hash ] "c" in
   let d = mk_block ~t:40 ~parents:[ c.Block.hash ] "d" in
-  let hashes p =
-    List.map (fun (x : Block.t) -> x.Block.hash) (Pending_pool.blocks p)
+  let hashes bs = List.map (fun (x : Block.t) -> x.Block.hash) bs in
+  let check_order what expected got =
+    check_b what true (List.equal Hash_id.equal (hashes expected) (hashes got))
   in
-  let p = Pending_pool.create ~capacity:2 () in
-  let p = Pending_pool.add (Pending_pool.add p a) b in
-  (* Advertising the oldest entry shields it: eviction takes the oldest
-     never-advertised block instead. *)
-  let p = Pending_pool.advertise p a.Block.hash in
-  check_b "advertised recorded" true (Pending_pool.advertised p a.Block.hash);
-  check_b "unadvertised stays false" false (Pending_pool.advertised p b.Block.hash);
-  let p = Pending_pool.add p c in
-  check_b "cold block evicted before advertised elder" true
-    (List.equal Hash_id.equal [ a.Block.hash; c.Block.hash ] (hashes p));
-  (* All advertised: falls back to plain oldest-first. *)
-  let p = Pending_pool.advertise p c.Block.hash in
+  let p = List.fold_left Pending_pool.add (Pending_pool.create ~capacity:3 ()) [ a; b; c ] in
   let p = Pending_pool.add p d in
-  check_b "all-advertised falls back to oldest" true
-    (List.equal Hash_id.equal [ c.Block.hash; d.Block.hash ] (hashes p));
-  (* Advertising an absent hash is a no-op. *)
-  let p = Pending_pool.advertise p (Hash_id.digest "ghost") in
-  check_i "ghost advertise no-op" 2 (Pending_pool.cardinal p);
-  (* Drain order ignores advertisement state entirely. *)
-  check_b "to_seq still insertion-ordered" true
-    (List.equal Block.equal (Pending_pool.blocks p)
-       (List.of_seq (Pending_pool.to_seq p)))
+  check_order "the oldest block is evicted" [ b; c; d ] (Pending_pool.blocks p);
+  let p = Pending_pool.add p b in
+  check_order "re-adding a pooled block keeps its place" [ b; c; d ] (Pending_pool.blocks p);
+  let p = Pending_pool.add p a in
+  check_order "the evicted block comes back newest" [ c; d; a ] (Pending_pool.blocks p);
+  (* c waits for d, which waits for nothing; a never resolves. *)
+  let resident = ref [] and asked = ref [] in
+  let p, made =
+    Pending_pool.drain p (fun x ->
+        asked := x :: !asked;
+        let ready = Block.equal x d || (Block.equal x c && List.exists (Block.equal d) !resident) in
+        if ready then begin
+          resident := x :: !resident;
+          Pending_pool.Resident
+        end
+        else Pending_pool.Waiting)
+  in
+  check_order "each pass runs in insertion order" [ c; d; a; c; a; a ] (List.rev !asked);
+  check_order "made resident in the order the retries made them" [ d; c ] made;
+  check_order "the waiting block stays" [ a ] (Pending_pool.blocks p);
+  check_i "its count follows" 1 (Pending_pool.cardinal p)
 
 let node_pending_eviction () =
   let n = Node.create ~max_pending:2 ~signer:bob_signer ~cert:bob_cert () in
@@ -2365,8 +2362,8 @@ let () =
         [
           Alcotest.test_case "buffering" `Quick node_buffering_out_of_order;
           Alcotest.test_case "pending pool" `Quick pending_pool_basics;
-          Alcotest.test_case "pending advertised eviction" `Quick
-            pending_pool_advertised_eviction;
+          Alcotest.test_case "pending capacity eviction" `Quick
+            pending_pool_capacity_eviction;
           Alcotest.test_case "pending eviction" `Quick node_pending_eviction;
           Alcotest.test_case "frontier reining" `Quick node_append_reins_frontier;
           Alcotest.test_case "no genesis" `Quick node_no_genesis;

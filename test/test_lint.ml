@@ -642,46 +642,6 @@ let test_span_codec_boundary () =
           "(* lint: allow boundary-purity \xe2\x80\x94 fixture *)\n\
            let dump s = print_string s\n"))
 
-let test_baseline () =
-  (* A baselined finding disappears; the baseline's own diagnostics
-     surface as lint-baseline findings. *)
-  let baseline_ok =
-    ( "lint-baseline.txt",
-      "# reviewed 2026-08\n\
-       boundary-purity engine clock Vegvisir_engine.Entry.step\n" )
-  in
-  Alcotest.(check (list string))
-    "baselined finding filtered" []
-    (rules_of
-       (project ~manifest:engine_manifest ~baseline:baseline_ok
-          laundering_files));
-  (* A stale entry is reported at its own line. *)
-  let baseline_stale =
-    ( "lint-baseline.txt",
-      "boundary-purity engine clock Vegvisir_engine.Entry.step\n\
-       boundary-purity engine io Vegvisir_engine.Entry.gone\n" )
-  in
-  (match
-     find_rule "lint-baseline"
-       (project ~manifest:engine_manifest ~baseline:baseline_stale
-          laundering_files)
-   with
-  | [ f ] ->
-    Alcotest.(check int) "stale entry line" 2 f.line;
-    Alcotest.(check bool) "stale message" true (msg_contains "stale" f)
-  | fs ->
-    Alcotest.failf "expected one lint-baseline finding, got %d"
-      (List.length fs));
-  (* Malformed entries are diagnosed. *)
-  let fs =
-    find_rule "lint-baseline"
-      (project
-         ~baseline:("lint-baseline.txt", "no-such-rule some key\n")
-         [ ("lib/net/a.ml", "let x = 1\n") ])
-  in
-  Alcotest.(check bool) "unknown rule diagnosed" true
-    (List.exists (msg_contains "unknown rule") fs)
-
 let test_multiline_suppression () =
   (* A trailing suppression on any line a multi-line application spans
      covers the finding... *)
@@ -816,6 +776,5 @@ let () =
           Alcotest.test_case "mutation arguments" `Quick test_mutation_arguments;
           Alcotest.test_case "span-codec boundary" `Quick
             test_span_codec_boundary;
-          Alcotest.test_case "baseline" `Quick test_baseline;
         ] );
     ]

@@ -4,6 +4,7 @@
 open Vegvisir_net
 module V = Vegvisir
 module Rng = Vegvisir_crypto.Rng
+module Workload = Vegvisir_experiments.Workload
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -266,19 +267,59 @@ let gossip_witness_and_coverage () =
     Scenario.build ~seed:34L ~topo ~init_crdts:[ ("log", spec_log) ] ()
   in
   let g = fleet.Scenario.gossip in
+  let arrivals = Workload.track_arrivals fleet.Scenario.obs in
   Scenario.run fleet ~until_ms:2_000.;
   let b = Option.get (add_entry g 1 "observed") in
   check_i "creator holds it" 1 (Gossip.coverage g b.V.Block.hash);
   Scenario.run fleet ~until_ms:30_000.;
   check_i "full coverage" 4 (Gossip.coverage g b.V.Block.hash);
-  check_b "birth recorded" true (Gossip.birth_time g b.V.Block.hash <> None);
+  check_b "birth recorded" true (Workload.birth arrivals b.V.Block.hash <> None);
   check_b "arrival recorded elsewhere" true
-    (Gossip.arrival_time g ~peer:3 b.V.Block.hash <> None);
+    (Workload.arrival arrivals ~peer:3 b.V.Block.hash <> None);
   (* Witness through the gossip layer. *)
   (match Gossip.witness g 2 with Ok _ -> () | Error _ -> Alcotest.fail "witness");
   Scenario.run fleet ~until_ms:60_000.;
   check_b "proof visible at creator" true
     (V.Witness.has_proof (V.Node.dag (Gossip.node g 1)) b.V.Block.hash ~k:1)
+
+(* The experiments' arrival fold: a block is born when its creator
+   appends it, reaches the creator then, reaches every other peer when
+   that peer's intake makes it resident, and stops being followed once
+   the fold is untracked. *)
+let arrival_fold () =
+  let fleet =
+    Scenario.build ~seed:35L ~topo:(Topology.clique ~n:3)
+      ~init_crdts:[ ("log", spec_log) ] ()
+  in
+  let g = fleet.Scenario.gossip in
+  let arrivals = Workload.track_arrivals fleet.Scenario.obs in
+  let at = Alcotest.(check (option (float 0.))) in
+  Scenario.run fleet ~until_ms:2_000.;
+  let born = Simnet.now fleet.Scenario.net in
+  let h = (Option.get (add_entry g 1 "timed")).V.Block.hash in
+  at "birth is the append time" (Some born) (Workload.birth arrivals h);
+  at "the creator has it at birth" (Some born) (Workload.arrival arrivals ~peer:1 h);
+  at "no other peer yet" None (Workload.arrival arrivals ~peer:0 h);
+  let delays, missing = Workload.delays arrivals ~peers:3 ~scale:1. [ h ] in
+  check_b "one zero delay, two pairs missing" true (delays = [ 0. ] && missing = 2);
+  Scenario.run fleet ~until_ms:30_000.;
+  let delays, missing = Workload.delays arrivals ~peers:3 ~scale:2. [ h ] in
+  check_i "every pair arrived" 0 missing;
+  let expected =
+    List.rev_map
+      (fun peer -> (Option.get (Workload.arrival arrivals ~peer h) -. born) /. 2.)
+      [ 0; 1; 2 ]
+  in
+  check_b "delays are arrival minus birth over scale, the last peer first" true
+    (delays = expected);
+  check_b "the others arrived later" true
+    (List.for_all (fun d -> d > 0.) [ List.nth delays 0; List.nth delays 2 ]);
+  Workload.untrack arrivals;
+  let late = (Option.get (add_entry g 2 "untracked")).V.Block.hash in
+  at "untracked blocks have no birth" None (Workload.birth arrivals late);
+  Alcotest.check_raises "a block with no birth has no delay"
+    (Failure "Workload.delays: no Created event for a block") (fun () ->
+      ignore (Workload.delays arrivals ~peers:3 ~scale:1. [ late ]))
 
 (* ------------------------------------------------------------------ *)
 (* Duty cycling                                                         *)
@@ -440,6 +481,7 @@ let () =
           Alcotest.test_case "withholding adversary" `Quick gossip_routes_around_withholder;
           Alcotest.test_case "silent peers" `Quick gossip_silent_peers_dont_block;
           Alcotest.test_case "witness + coverage" `Quick gossip_witness_and_coverage;
+          Alcotest.test_case "arrival fold" `Quick arrival_fold;
         ] );
       ( "duty-cycle",
         [
